@@ -9,8 +9,8 @@ import (
 // ForkHandler implements sim.Handler. The struct-of-arrays layout makes
 // this almost a value copy: the srv array is plain data apart from each
 // server's pending replenishment timer (remapped through ctx), and the
-// runqueue is an ID slice copied verbatim — heap layout, and with it the
-// modeled scan ranks, is preserved exactly.
+// runqueue is a sorted ID slice copied verbatim, so the copy's scan ranks
+// are the original's.
 func (s *Scheduler) ForkHandler(ctx *clone.Ctx) sim.Handler {
 	if n, ok := ctx.Lookup(s); ok {
 		return n.(*Scheduler)

@@ -20,7 +20,6 @@ package rtxen
 
 import (
 	"fmt"
-	"sort"
 
 	"rtvirt/internal/eventq"
 	"rtvirt/internal/hv"
@@ -75,14 +74,14 @@ func PollingConfig() Config {
 
 // serverState is the per-VCPU deferrable-server state. All servers live in
 // the Scheduler's flat srv array indexed by dense VCPU ID (struct-of-
-// arrays), so replenish and the pickEDF/rankOf traversals touch contiguous
-// memory instead of chasing a per-VCPU interface pointer.
+// arrays), so replenish and the pickEDF scan touch contiguous memory
+// instead of chasing a per-VCPU interface pointer.
 type serverState struct {
 	budget   simtime.Duration // remaining budget in the current period
 	deadline simtime.Time     // end of the current period = EDF priority
 	replEv   eventq.Handle
-	// heapIdx is the server's slot in the runqueue heap (-1 when removed).
-	heapIdx int32
+	// pos is the server's slot in the sorted runqueue (-1 when removed).
+	pos int32
 	// running tracks the PCPU charging this server, or -1.
 	runningOn int32
 	// active marks the slot as holding an admitted server; background
@@ -102,18 +101,11 @@ type Scheduler struct {
 	// to VCPUs for the cold fields (Res, VM identity).
 	srv []serverState
 
-	// runq is the global runqueue as an indexed heap of VCPU IDs keyed by
-	// (deadline, ID); see runq.go. Decision.Work still reports the
-	// sorted-list scan count the published scheduler pays (what Table 6's
-	// schedule-time column measures for RT-Xen) — the heap only makes the
-	// simulator's own bookkeeping cheaper.
+	// runq is the global runqueue as a list of VCPU IDs sorted by
+	// (deadline, ID); see runq.go. Its in-order scan is the Decision.Work
+	// the published scheduler pays (what Table 6's schedule-time column
+	// measures for RT-Xen).
 	runq runq
-
-	// scratch is reused wherever a stable (deadline, ID)-ordered copy of
-	// the runqueue membership is needed: Start iterates it while
-	// armReplenish re-keys the heap, and admission sums bandwidth in the
-	// exact float order the seed's sorted list produced.
-	scratch []int32
 
 	bgCursor int
 	started  bool
@@ -150,21 +142,13 @@ func (s *Scheduler) HandleSimEvent(now simtime.Time, ev sim.Payload) {
 // Start implements hv.HostScheduler.
 func (s *Scheduler) Start(now simtime.Time) {
 	s.started = true
-	// Snapshot into the scratch buffer (armReplenish re-keys the heap while
-	// we iterate) and walk it in (deadline, ID) order so the replenishment
-	// events are installed in the same sequence the seed's sorted runqueue
-	// produced — same-instant event FIFO order is part of determinism.
-	for _, id := range s.sortedMembers() {
+	// Walk a snapshot of the queue (armReplenish reorders it while we
+	// iterate) in (deadline, ID) order, so the replenishment events are
+	// installed in queue order — same-instant event FIFO order is part of
+	// determinism.
+	for _, id := range append([]int32(nil), s.runq.v...) {
 		s.armReplenish(s.h.ByID(int(id)), now)
 	}
-}
-
-// sortedMembers snapshots the runqueue into scratch in (deadline, ID)
-// order — the iteration order of the seed's sorted-list runqueue.
-func (s *Scheduler) sortedMembers() []int32 {
-	s.scratch = append(s.scratch[:0], s.runq.v...)
-	sort.Slice(s.scratch, func(i, j int) bool { return s.rqLess(s.scratch[i], s.scratch[j]) })
-	return s.scratch
 }
 
 // isServer reports whether v has an active server slot.
@@ -182,11 +166,10 @@ func (s *Scheduler) AdmitVCPU(v *hv.VCPU) error {
 			return fmt.Errorf("rtxen: %w: invalid server %v", hv.ErrAdmission, v.Res)
 		}
 		if s.cfg.AdmitGlobalEDF {
-			// Sum in (deadline, ID) order — float addition order matters for
-			// boundary-exact admissions, and this is the order the seed's
-			// sorted runqueue summed in.
+			// Sum in queue order, (deadline, ID) — float addition order
+			// matters for boundary-exact admissions.
 			sum := v.Res.Bandwidth()
-			for _, x := range s.sortedMembers() {
+			for _, x := range s.runq.v {
 				sum += s.h.ByID(int(x)).Res.Bandwidth()
 			}
 			if sum > float64(s.h.NumPCPUs())+1e-9 {
@@ -197,7 +180,7 @@ func (s *Scheduler) AdmitVCPU(v *hv.VCPU) error {
 		for len(s.srv) <= v.ID {
 			s.srv = append(s.srv, serverState{})
 		}
-		s.srv[v.ID] = serverState{budget: v.Res.Budget, runningOn: -1, heapIdx: -1, active: true}
+		s.srv[v.ID] = serverState{budget: v.Res.Budget, runningOn: -1, pos: -1, active: true}
 		s.runq.Push(s.srv, int32(v.ID))
 		if s.started {
 			s.armReplenish(v, s.h.Sim.Now())
@@ -210,7 +193,7 @@ func (s *Scheduler) AdmitVCPU(v *hv.VCPU) error {
 func (s *Scheduler) RemoveVCPU(v *hv.VCPU, now simtime.Time) {
 	if s.isServer(v) {
 		st := s.state(v)
-		if st.heapIdx >= 0 {
+		if st.pos >= 0 {
 			s.runq.Remove(s.srv, int32(v.ID))
 		}
 		s.h.Sim.Cancel(st.replEv)
@@ -361,11 +344,11 @@ func (s *Scheduler) Schedule(p *hv.PCPU, now simtime.Time) hv.Decision {
 			s.state(cur).runningOn = -1
 		}
 	}
-	if id := s.runq.pickEDF(s.srv, s.h.Hot(), int32(p.ID)); id >= 0 {
+	// Work is the published sorted-queue scan: the pick's rank, or the
+	// whole queue when nothing is eligible.
+	id, work := s.runq.pickEDF(s.srv, s.h.Hot(), int32(p.ID))
+	if id >= 0 {
 		st := &s.srv[id]
-		// Work models the published sorted-queue scan: every member ranked
-		// ahead of the pick would have been examined.
-		work := s.runq.rankOf(s.srv, id)
 		run := simtime.MinDur(st.budget, s.cfg.Quantum)
 		if s.cfg.EventDriven {
 			// Event-driven: run until budget exhaustion or the next
@@ -379,8 +362,6 @@ func (s *Scheduler) Schedule(p *hv.PCPU, now simtime.Time) hv.Decision {
 		st.lastAt = now
 		return hv.Decision{VCPU: s.h.ByID(int(id)), RunFor: run, Work: work}
 	}
-	// No eligible server: the modeled scan examined the whole queue.
-	work := s.runq.Len()
 	// Background fill: non-RT VCPUs and zero-budget RT VCPUs.
 	if bg := s.pickBackground(p, &work); bg != nil {
 		run := s.cfg.Quantum

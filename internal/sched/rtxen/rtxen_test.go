@@ -31,7 +31,7 @@ func newRig(t *testing.T, pcpus int) (*sim.Simulator, *hv.Host) {
 
 // newServerVM creates a VM with one VCPU configured as a (budget, period)
 // deferrable server, with a static (non-cross-layer) guest.
-func newServerVM(t *testing.T, h *hv.Host, name string, r hv.Reservation) *guest.OS {
+func newServerVM(t testing.TB, h *hv.Host, name string, r hv.Reservation) *guest.OS {
 	t.Helper()
 	cfg := guest.Config{CrossLayer: false, VCPUCapacity: 1.0}
 	g, err := guest.NewOS(h, name, cfg, 0)

@@ -2,44 +2,27 @@ package rtxen
 
 import "rtvirt/internal/hv"
 
-// runq is the global runqueue as an indexed 4-ary min-heap of VCPU IDs
-// keyed by (deadline, ID): every admitted RT VCPU with budget appears here
-// whether runnable or not, and each serverState carries its own heap
-// index, so a replenishment moves its server with one O(log n) sift
-// instead of the seed's O(n) remove + O(n) sorted re-insert. Holding IDs
-// instead of *hv.VCPU keeps the traversals inside two flat arrays (the
-// heap and the Scheduler's srv array): the comparisons pickEDF and rankOf
-// perform never leave contiguous memory.
+// runq is the global runqueue as RT-Xen publishes it: a list of VCPU IDs
+// kept sorted by (deadline, ID). Every admitted RT VCPU with budget appears
+// here whether runnable or not, and each serverState carries its own
+// position, so Remove and Fix know where to start shifting.
 //
-// RT-Xen as published keeps this queue as a sorted list and pays a linear
-// scan per decision — that cost is what Table 6's schedule-time column
-// measures. The model must keep charging it even though the heap no longer
-// performs it, so the pick (pickEDF) and the rank query (rankOf) are
-// pruned heap traversals that visit only the members an in-order scan
-// would have examined: Decision.Work stays the 1-based rank of the chosen
-// server in (deadline, ID) order, bit-identical to the seed's scan count.
+// The published scheduler pays a linear scan per decision, and that cost is
+// what Table 6's schedule-time column measures. pickEDF performs exactly
+// that scan, so the 1-based rank it returns is the Decision.Work the model
+// charges: the number of queue members examined up to and including the
+// pick.
 //
-// Methods take the srv slice (and, for pickEDF, the host's hot array) as a
-// parameter rather than a back-pointer so the slice header is always the
-// caller's current one.
+// Holding IDs instead of *hv.VCPU keeps the scan inside two flat arrays
+// (the list and the Scheduler's srv array). Methods take the srv slice (and,
+// for pickEDF, the host's hot array) as a parameter rather than a
+// back-pointer so the slice header is always the caller's current one.
 type runq struct {
 	v []int32
-	// stack is the reusable traversal worklist for pickEDF/rankOf.
-	stack []int32
 }
-
-const rqArity = 4
 
 // rqLess orders servers by (deadline, ID); IDs are unique, so the order is
 // total.
-func (s *Scheduler) rqLess(a, b int32) bool {
-	da, db := s.srv[a].deadline, s.srv[b].deadline
-	if da != db {
-		return da < db
-	}
-	return a < b
-}
-
 func rqLess(srv []serverState, a, b int32) bool {
 	da, db := srv[a].deadline, srv[b].deadline
 	if da != db {
@@ -48,140 +31,50 @@ func rqLess(srv []serverState, a, b int32) bool {
 	return a < b
 }
 
-// Len reports the number of queued servers.
-func (r *runq) Len() int { return len(r.v) }
-
 // Push inserts id.
 func (r *runq) Push(srv []serverState, id int32) {
 	r.v = append(r.v, id)
-	srv[id].heapIdx = int32(len(r.v) - 1)
-	r.siftUp(srv, len(r.v)-1)
+	srv[id].pos = int32(len(r.v) - 1)
+	r.Fix(srv, id)
 }
 
 // Remove deletes id, which must be queued.
 func (r *runq) Remove(srv []serverState, id int32) {
-	i := int(srv[id].heapIdx)
-	n := len(r.v) - 1
-	last := r.v[n]
-	r.v = r.v[:n]
-	srv[id].heapIdx = -1
-	if i == n {
-		return
+	i := int(srv[id].pos)
+	r.v = append(r.v[:i], r.v[i+1:]...)
+	for ; i < len(r.v); i++ {
+		srv[r.v[i]].pos = int32(i)
 	}
-	r.v[i] = last
-	srv[last].heapIdx = int32(i)
-	r.siftUp(srv, i)
-	if int(srv[last].heapIdx) == i {
-		r.siftDown(srv, i)
-	}
+	srv[id].pos = -1
 }
 
-// Fix restores heap order after id's deadline changed.
+// Fix restores sorted order after id's deadline changed, shifting the
+// members between its old and new slot by one.
 func (r *runq) Fix(srv []serverState, id int32) {
-	i := int(srv[id].heapIdx)
-	r.siftUp(srv, i)
-	if int(srv[id].heapIdx) == i {
-		r.siftDown(srv, i)
+	i := int(srv[id].pos)
+	for ; i > 0 && rqLess(srv, id, r.v[i-1]); i-- {
+		r.v[i] = r.v[i-1]
+		srv[r.v[i]].pos = int32(i)
 	}
+	for ; i+1 < len(r.v) && rqLess(srv, r.v[i+1], id); i++ {
+		r.v[i] = r.v[i+1]
+		srv[r.v[i]].pos = int32(i)
+	}
+	r.v[i] = id
+	srv[id].pos = int32(i)
 }
 
-func (r *runq) siftUp(srv []serverState, i int) {
-	e := r.v[i]
-	for i > 0 {
-		p := (i - 1) / rqArity
-		pe := r.v[p]
-		if !rqLess(srv, e, pe) {
-			break
-		}
-		r.v[i] = pe
-		srv[pe].heapIdx = int32(i)
-		i = p
-	}
-	r.v[i] = e
-	srv[e].heapIdx = int32(i)
-}
-
-func (r *runq) siftDown(srv []serverState, i int) {
-	e := r.v[i]
-	n := len(r.v)
-	for {
-		c := rqArity*i + 1
-		if c >= n {
-			break
-		}
-		end := c + rqArity
-		if end > n {
-			end = n
-		}
-		m := c
-		mc := r.v[c]
-		for j := c + 1; j < end; j++ {
-			if rqLess(srv, r.v[j], mc) {
-				m, mc = j, r.v[j]
-			}
-		}
-		if !rqLess(srv, mc, e) {
-			break
-		}
-		r.v[i] = mc
-		srv[mc].heapIdx = int32(i)
-		i = m
-	}
-	r.v[i] = e
-	srv[e].heapIdx = int32(i)
-}
-
-// pickEDF returns the earliest-deadline server that is runnable, has
-// budget, and is not dispatched on another PCPU — the server the published
-// scheduler's in-order scan would pick — or -1. The traversal descends only
-// into subtrees that can still beat the best candidate found so far (heap
-// order guarantees every descendant ranks after its parent), so its cost is
-// O(rank) like the modeled scan, not O(n log n). Eligibility reads the
-// host's flat hot array, never the VCPU structs.
-func (r *runq) pickEDF(srv []serverState, hot []hv.VCPUHot, p int32) int32 {
-	if len(r.v) == 0 {
-		return -1
-	}
-	best := int32(-1)
-	r.stack = append(r.stack[:0], 0)
-	for len(r.stack) > 0 {
-		i := r.stack[len(r.stack)-1]
-		r.stack = r.stack[:len(r.stack)-1]
-		id := r.v[i]
-		if best >= 0 && !rqLess(srv, id, best) {
-			continue // whole subtree ranks at or after best
-		}
+// pickEDF scans the list in order and returns the first server that has
+// budget, is runnable, and is not dispatched on another PCPU, together with
+// its 1-based rank. With no eligible server it returns -1 and the queue
+// length: the scan examined every member. Eligibility reads the host's flat
+// hot array, never the VCPU structs.
+func (r *runq) pickEDF(srv []serverState, hot []hv.VCPUHot, p int32) (int32, int) {
+	for i, id := range r.v {
 		hs := hot[id]
 		if srv[id].budget > 0 && hs.Runnable && (hs.PCPU < 0 || hs.PCPU == p) {
-			// Eligible: children all rank after id, so none can improve.
-			best = id
-			continue
-		}
-		for c := rqArity*int(i) + 1; c <= rqArity*int(i)+rqArity && c < len(r.v); c++ {
-			r.stack = append(r.stack, int32(c))
+			return id, i + 1
 		}
 	}
-	return best
-}
-
-// rankOf reports id's 1-based position in (deadline, ID) order: the number
-// of queue members the sorted-list scan examines up to and including it.
-// This is the honest entity count for the overhead model — the published
-// algorithm touches exactly these members per decision, whatever data
-// structure the simulator uses underneath.
-func (r *runq) rankOf(srv []serverState, id int32) int {
-	rank := 1
-	r.stack = append(r.stack[:0], 0)
-	for len(r.stack) > 0 {
-		i := r.stack[len(r.stack)-1]
-		r.stack = r.stack[:len(r.stack)-1]
-		if !rqLess(srv, r.v[i], id) {
-			continue
-		}
-		rank++
-		for c := rqArity*int(i) + 1; c <= rqArity*int(i)+rqArity && c < len(r.v); c++ {
-			r.stack = append(r.stack, int32(c))
-		}
-	}
-	return rank
+	return -1, len(r.v)
 }
