@@ -41,11 +41,9 @@ func main() {
 		runs        = flag.Int("runs", 5, "seeds for -experiment robustness")
 		n           = flag.Int("n", 25, "generated scenarios for -experiment quickcheck")
 		parallel    = flag.Int("parallel", 0, "workers for independent simulations (0 = GOMAXPROCS, 1 = sequential); results are identical at any setting")
-		kernel      = flag.Bool("kernel", false, "benchmark the event-queue kernel (wheel vs heap, both vs the recorded pre-rewrite baseline) and exit")
-		benchOut    = flag.String("bench-out", "BENCH_5.json", "output path for the -kernel comparison report")
 		forkWarmup  = flag.Bool("fork-warmup", false, "benchmark the fig5 warm-start fork sweep against its cold control and exit")
 		forkOut     = flag.String("fork-out", "BENCH_4.json", "output path for the -fork-warmup comparison report")
-		pdes        = flag.Bool("pdes", false, "benchmark the sharded conservative-PDES cluster (executor groups 1/2/4/8 on both eventq backends, per-edge vs global windows, digest identity enforced) and exit")
+		pdes        = flag.Bool("pdes", false, "benchmark the sharded conservative-PDES cluster (executor groups 1/2/4/8, per-edge vs global windows, digest identity enforced) and exit")
 		pdesOut     = flag.String("pdes-out", "BENCH_7.json", "output path for the -pdes lookahead/topology report")
 		pdesHosts   = flag.Int("pdes-hosts", 64, "hosts (= shards) for the -pdes sweep")
 		fidelityOut = flag.String("fidelity-out", "BENCH_8.json", "output path for the -experiment fidelity ablation record")
@@ -53,11 +51,6 @@ func main() {
 	)
 	flag.Parse()
 	runner.SetDefault(*parallel)
-	if *kernel {
-		runner.SetDefault(1) // sequential: the wall-time leg measures the kernel, not the pool
-		runKernel(*benchOut)
-		return
-	}
 	if *forkWarmup {
 		runner.SetDefault(1) // sequential: the delta measures the fork, not the pool
 		runForkWarmup(*forkOut)

@@ -6,28 +6,23 @@ import (
 	"testing"
 
 	"rtvirt/internal/core"
-	"rtvirt/internal/eventq"
 )
 
 // TestPDESIdentityOnGeneratedWorlds runs the sharded identity oracle
-// directly on a few generated scenarios under both backends.
+// directly on a few generated scenarios.
 func TestPDESIdentityOnGeneratedWorlds(t *testing.T) {
 	for caseN := 0; caseN < 3; caseN++ {
 		seed := splitmix64(7, uint64(caseN))
 		sc := Generate(rand.New(rand.NewSource(int64(seed))))
 		sc.Seconds = 1
 		sc.Seed = seed
-		for _, bk := range AllBackends {
-			restore := pinBackend(bk)
-			v, err := pdesIdentity(sc, seed, DefaultShards)
-			restore()
-			if err != nil {
-				t.Logf("case %d %s: skipped (%v)", caseN, bk, err)
-				continue
-			}
-			if v != nil {
-				t.Errorf("case %d %s: %v", caseN, bk, v)
-			}
+		v, err := pdesIdentity(sc, seed, DefaultShards)
+		if err != nil {
+			t.Logf("case %d: skipped (%v)", caseN, err)
+			continue
+		}
+		if v != nil {
+			t.Errorf("case %d: %v", caseN, v)
 		}
 	}
 }
@@ -38,14 +33,13 @@ func TestRunIncludesPDESAxis(t *testing.T) {
 	cfg := Config{
 		Seed: 11, N: 2, Seconds: 1,
 		Stacks:   []core.Stack{core.RTVirt},
-		Backends: []eventq.Backend{eventq.BackendHeap},
 		SkipFork: true,
 	}
 	with := Run(cfg)
 	cfg.SkipPDES = true
 	without := Run(cfg)
-	if got := with.Runs - without.Runs; got != cfg.N*len(cfg.Backends) {
-		t.Errorf("PDES axis added %d runs, want %d", got, cfg.N*len(cfg.Backends))
+	if got := with.Runs - without.Runs; got != cfg.N {
+		t.Errorf("PDES axis added %d runs, want %d", got, cfg.N)
 	}
 	for _, f := range with.Failures {
 		if f.Stack == "pdes" {

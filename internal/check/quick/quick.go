@@ -12,14 +12,11 @@ package quick
 import (
 	"fmt"
 	"math/rand"
-	"os"
 
 	"rtvirt/internal/check"
 	"rtvirt/internal/core"
-	"rtvirt/internal/eventq"
 	"rtvirt/internal/experiments"
 	"rtvirt/internal/scenario"
-	"rtvirt/internal/sim"
 	"rtvirt/internal/simtime"
 )
 
@@ -36,11 +33,6 @@ type Config struct {
 	Seconds int64
 	// Stacks overrides the stacks exercised (default: all four).
 	Stacks []core.Stack
-	// Backends overrides the event-queue backends each scenario runs
-	// under (default: both the 4-ary heap and the timing wheel, so every
-	// generated world doubles as a queue-equivalence probe — unless the
-	// RTVIRT_EVENTQ environment variable pins one backend globally).
-	Backends []eventq.Backend
 	// SkipFork disables the mid-run fork bit-identity probe.
 	SkipFork bool
 	// Shards is the executor-group axis of the sharded-PDES identity
@@ -61,7 +53,6 @@ type Config struct {
 type Failure struct {
 	Case       int               `json:"case"`
 	Stack      string            `json:"stack"`
-	Backend    string            `json:"backend,omitempty"`
 	Seed       uint64            `json:"seed"`
 	Violations []check.Violation `json:"violations"`
 	Scenario   scenario.Scenario `json:"scenario"`
@@ -79,7 +70,6 @@ type Report struct {
 	Seed     uint64
 	Cases    int
 	Runs     int
-	Backends int // event-queue backends each (case, stack) pair ran under
 	PDES     int // executor group counts the sharded identity oracle compared (0 = off)
 	Skipped  int // builds rejected by admission control
 	Failures []Failure
@@ -87,9 +77,6 @@ type Report struct {
 
 // AllStacks is the default stack set.
 var AllStacks = []core.Stack{core.RTVirt, core.RTXen, core.TwoLevelEDF, core.Credit}
-
-// AllBackends is the default event-queue backend set.
-var AllBackends = []eventq.Backend{eventq.BackendHeap, eventq.BackendWheel}
 
 // splitmix64 derives case k's seed from the run seed — well-mixed so
 // neighboring cases share no stream structure, and never zero (zero means
@@ -124,16 +111,7 @@ func Run(cfg Config) *Report {
 	if len(cfg.Shards) == 0 {
 		cfg.Shards = DefaultShards
 	}
-	if len(cfg.Backends) == 0 {
-		if os.Getenv("RTVIRT_EVENTQ") != "" {
-			// A globally pinned backend wins: CI's wheel pass sets the env
-			// var and runs every scenario once, under that backend only.
-			cfg.Backends = []eventq.Backend{sim.DefaultBackend}
-		} else {
-			cfg.Backends = AllBackends
-		}
-	}
-	rep := &Report{Seed: cfg.Seed, Cases: cfg.N, Backends: len(cfg.Backends)}
+	rep := &Report{Seed: cfg.Seed, Cases: cfg.N}
 	if !cfg.SkipPDES && len(cfg.Shards) >= 2 {
 		rep.PDES = len(cfg.Shards)
 	}
@@ -143,76 +121,53 @@ func Run(cfg Config) *Report {
 		sc.Seconds = cfg.Seconds
 		sc.Seed = caseSeed
 		for _, stack := range cfg.Stacks {
-			for _, bk := range cfg.Backends {
-				rep.Runs++
-				restore := pinBackend(bk)
-				vs, err := runOne(sc, stack, !cfg.SkipFork)
-				if err != nil {
-					restore()
-					rep.Skipped++
-					continue
-				}
-				if len(vs) == 0 {
-					restore()
-					continue
-				}
-				// Shrink (and any bisect) replays under the violating
-				// backend so the minimized repro still reproduces.
-				min, minVs, steps, runs := Shrink(sc, stack, !cfg.SkipFork, cfg.MaxShrinkRuns)
-				f := Failure{
-					Case:        i,
-					Stack:       stack.String(),
-					Backend:     bk.String(),
-					Seed:        caseSeed,
-					Violations:  minVs,
-					Scenario:    min,
-					ShrinkSteps: steps,
-					ShrinkRuns:  runs,
-				}
-				if hasForkViolation(minVs) {
-					f.ForkBisect = pinForkDivergence(min, stack)
-				}
-				restore()
-				rep.Failures = append(rep.Failures, f)
-			}
-		}
-		if cfg.SkipPDES || len(cfg.Shards) < 2 {
-			continue
-		}
-		// The sharded-PDES identity oracle, once per backend. It is
-		// stack-independent (the replica runs under the sharded default
-		// stack), so it sits outside the stacks loop.
-		for _, bk := range cfg.Backends {
 			rep.Runs++
-			restore := pinBackend(bk)
-			v, err := pdesIdentity(sc, caseSeed, cfg.Shards)
-			restore()
+			vs, err := runOne(sc, stack, !cfg.SkipFork)
 			if err != nil {
 				rep.Skipped++
 				continue
 			}
-			if v != nil {
-				rep.Failures = append(rep.Failures, Failure{
-					Case:       i,
-					Stack:      "pdes",
-					Backend:    bk.String(),
-					Seed:       caseSeed,
-					Violations: []check.Violation{*v},
-					Scenario:   sc,
-				})
+			if len(vs) == 0 {
+				continue
 			}
+			min, minVs, steps, runs := Shrink(sc, stack, !cfg.SkipFork, cfg.MaxShrinkRuns)
+			f := Failure{
+				Case:        i,
+				Stack:       stack.String(),
+				Seed:        caseSeed,
+				Violations:  minVs,
+				Scenario:    min,
+				ShrinkSteps: steps,
+				ShrinkRuns:  runs,
+			}
+			if hasForkViolation(minVs) {
+				f.ForkBisect = pinForkDivergence(min, stack)
+			}
+			rep.Failures = append(rep.Failures, f)
+		}
+		if cfg.SkipPDES || len(cfg.Shards) < 2 {
+			continue
+		}
+		// The sharded-PDES identity oracle is stack-independent (the
+		// replica runs under the sharded default stack), so it sits
+		// outside the stacks loop.
+		rep.Runs++
+		v, err := pdesIdentity(sc, caseSeed, cfg.Shards)
+		if err != nil {
+			rep.Skipped++
+			continue
+		}
+		if v != nil {
+			rep.Failures = append(rep.Failures, Failure{
+				Case:       i,
+				Stack:      "pdes",
+				Seed:       caseSeed,
+				Violations: []check.Violation{*v},
+				Scenario:   sc,
+			})
 		}
 	}
 	return rep
-}
-
-// pinBackend points sim.New at one event-queue backend and returns the
-// undo. Scenario builds reach the simulator through core.NewSystem, which
-// has no backend parameter — the package default is the seam.
-func pinBackend(bk eventq.Backend) func() {
-	prev := sim.DefaultBackend
-	sim.DefaultBackend = bk
-	return func() { sim.DefaultBackend = prev }
 }
 
 // runOne builds sc under stack with the oracle suite armed, runs it (with

@@ -726,8 +726,8 @@ func (cl *RemoteClient) HandleSimEvent(now simtime.Time, ev sim.Payload) {
 // blackout totals, per-task deadline statistics and latency counts, and
 // per-client send counts — as a deterministic string. Two runs of the
 // same configuration must produce byte-identical digests regardless of
-// executor group count or event-queue backend; the golden tests and the
-// quickcheck PDES oracle pin exactly that.
+// executor group count; the golden tests and the quickcheck PDES oracle
+// pin exactly that.
 func (c *Sharded) DigestString() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "events=%d windows=%d now=%d\n", c.Set.EventsFired(), c.Set.Windows(), c.Set.Now())

@@ -7,20 +7,10 @@ import (
 
 	"rtvirt/internal/check"
 	"rtvirt/internal/dist"
-	"rtvirt/internal/eventq"
 	"rtvirt/internal/hv"
-	"rtvirt/internal/sim"
 	"rtvirt/internal/simtime"
 	"rtvirt/internal/task"
 )
-
-// pinDefaultBackend swaps the process-wide queue backend for one test.
-func pinDefaultBackend(t *testing.T, b eventq.Backend) {
-	t.Helper()
-	old := sim.DefaultBackend
-	sim.DefaultBackend = b
-	t.Cleanup(func() { sim.DefaultBackend = old })
-}
 
 // buildSharded assembles the golden-test world: 4 hosts, 8 VMs mixing
 // periodic, sporadic (client-driven), and background load, a remote
@@ -114,53 +104,45 @@ func runSharded(t *testing.T, groups int, span simtime.Duration) shardedRun {
 }
 
 // TestShardedGroupInvariance is the determinism golden: the same cluster
-// advanced with 1, 2, 4, and 8 executor groups — under both queue
-// backends — must produce byte-identical digests and identical per-host
-// dispatch streams. The heap and wheel backends must also agree with
-// each other.
+// advanced with 1, 2, 4, and 8 executor groups must produce
+// byte-identical digests and identical per-host dispatch streams. The
+// subtest is named after the event queue the golden runs on, the 4-ary heap.
 func TestShardedGroupInvariance(t *testing.T) {
+	t.Run("heap", shardedGroupInvariance)
+}
+
+func shardedGroupInvariance(t *testing.T) {
 	span := simtime.Millis(300)
-	var crossBackend []string
-	for _, be := range []eventq.Backend{eventq.BackendHeap, eventq.BackendWheel} {
-		t.Run(be.String(), func(t *testing.T) {
-			pinDefaultBackend(t, be)
-			base := runSharded(t, 1, span)
-			// The golden world must actually exercise the machinery.
-			var delivered, forwarded, skipped uint64
-			for _, h := range base.c.Hosts {
-				delivered += h.Agent().Delivered
-				forwarded += h.Agent().Forwarded
-				skipped += h.Agent().SkippedMigrations
-			}
-			if delivered == 0 || forwarded == 0 {
-				t.Fatalf("degenerate world: delivered=%d forwarded=%d", delivered, forwarded)
-			}
-			if skipped != 1 {
-				t.Fatalf("want exactly 1 skipped migration plan, got %d", skipped)
-			}
-			if d, _ := base.c.Lookup("vm0-0"); d.Migrations != 1 || d.HostIndex() != 2 {
-				t.Fatalf("vm0-0 should have completed one migration to host2: migs=%d host=%d",
-					d.Migrations, d.HostIndex())
-			}
-			for _, g := range []int{2, 4, 8} {
-				got := runSharded(t, g, span)
-				if got.digest != base.digest {
-					t.Errorf("groups=%d digest differs from sequential:\n--- groups=1 ---\n%s--- groups=%d ---\n%s",
-						g, base.digest, g, got.digest)
-				}
-				for i := range got.disp {
-					if got.disp[i] != base.disp[i] {
-						t.Errorf("groups=%d host%d dispatch digest %016x != sequential %016x",
-							g, i, got.disp[i], base.disp[i])
-					}
-				}
-			}
-			crossBackend = append(crossBackend, base.digest)
-		})
+	base := runSharded(t, 1, span)
+	// The golden world must actually exercise the machinery.
+	var delivered, forwarded, skipped uint64
+	for _, h := range base.c.Hosts {
+		delivered += h.Agent().Delivered
+		forwarded += h.Agent().Forwarded
+		skipped += h.Agent().SkippedMigrations
 	}
-	if len(crossBackend) == 2 && crossBackend[0] != crossBackend[1] {
-		t.Errorf("heap and wheel backends disagree:\n--- heap ---\n%s--- wheel ---\n%s",
-			crossBackend[0], crossBackend[1])
+	if delivered == 0 || forwarded == 0 {
+		t.Fatalf("degenerate world: delivered=%d forwarded=%d", delivered, forwarded)
+	}
+	if skipped != 1 {
+		t.Fatalf("want exactly 1 skipped migration plan, got %d", skipped)
+	}
+	if d, _ := base.c.Lookup("vm0-0"); d.Migrations != 1 || d.HostIndex() != 2 {
+		t.Fatalf("vm0-0 should have completed one migration to host2: migs=%d host=%d",
+			d.Migrations, d.HostIndex())
+	}
+	for _, g := range []int{2, 4, 8} {
+		got := runSharded(t, g, span)
+		if got.digest != base.digest {
+			t.Errorf("groups=%d digest differs from sequential:\n--- groups=1 ---\n%s--- groups=%d ---\n%s",
+				g, base.digest, g, got.digest)
+		}
+		for i := range got.disp {
+			if got.disp[i] != base.disp[i] {
+				t.Errorf("groups=%d host%d dispatch digest %016x != sequential %016x",
+					g, i, got.disp[i], base.disp[i])
+			}
+		}
 	}
 }
 

@@ -6,41 +6,25 @@ import (
 	"strings"
 	"testing"
 
-	"rtvirt/internal/eventq"
 	"rtvirt/internal/hv"
-	"rtvirt/internal/sim"
 	"rtvirt/internal/simtime"
 )
 
-// TestFig3ConstantModeBackendIdentical pins two properties of the default
-// (all-constant) cost model at once: the heap and wheel event-queue
-// backends produce identical Figure-3 rows, and threading an explicit
-// DefaultCosts through the config changes nothing against the nil
-// (implicit default) path — the constant model never touches the cost RNG
-// stream, so no run can observe which way it was plumbed.
-func TestFig3ConstantModeBackendIdentical(t *testing.T) {
+// TestFig3ExplicitDefaultCostsIdentical pins a property of the default
+// (all-constant) cost model: threading an explicit DefaultCosts through
+// the config changes no Figure-3 row against the nil (implicit default)
+// path — the constant model never touches the cost RNG stream, so no run
+// can observe which way it was plumbed.
+func TestFig3ExplicitDefaultCostsIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("several experiment runs")
 	}
 	cfg := Figure3Config{Seed: 1, Duration: 2 * simtime.Second, PCPUs: 15, Requests: 10}
-	runUnder := func(b eventq.Backend, costs *hv.CostModel) []Figure3Row {
-		t.Helper()
-		old := sim.DefaultBackend
-		sim.DefaultBackend = b
-		defer func() { sim.DefaultBackend = old }()
-		c := cfg
-		c.Costs = costs
-		return Figure3(c)
-	}
+	implicit := Figure3(cfg)
 	def := hv.DefaultCosts()
-	heap := runUnder(eventq.BackendHeap, nil)
-	wheel := runUnder(eventq.BackendWheel, nil)
-	if !reflect.DeepEqual(heap, wheel) {
-		t.Errorf("constant-mode Figure 3 differs across backends:\nheap:  %+v\nwheel: %+v", heap, wheel)
-	}
-	explicit := runUnder(eventq.BackendHeap, &def)
-	if !reflect.DeepEqual(heap, explicit) {
-		t.Errorf("explicit DefaultCosts differs from the implicit default:\nnil:      %+v\nexplicit: %+v", heap, explicit)
+	cfg.Costs = &def
+	if explicit := Figure3(cfg); !reflect.DeepEqual(implicit, explicit) {
+		t.Errorf("explicit DefaultCosts differs from the implicit default:\nnil:      %+v\nexplicit: %+v", implicit, explicit)
 	}
 }
 

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"rtvirt/internal/eventq"
-	"rtvirt/internal/sim"
 	"rtvirt/internal/simtime"
 )
 
@@ -16,26 +14,15 @@ import (
 // event ordering, overhead charging (Decision.Work), and RNG consumption
 // must all be untouched, so these numbers must match digit for digit. A
 // diff here means the kernel changed simulation semantics, not just speed.
-//
-// The sweep runs once per event-queue backend: the timing wheel must fire
-// events in the same exact (time, seq) total order as the 4-ary heap, so
-// both backends reproduce the same goldens bit for bit.
+// The subtest is named after the event queue the sweep runs on.
 func TestGoldenKernelRewrite(t *testing.T) {
 	if testing.Short() {
-		t.Skip("two full experiment sweeps per backend")
+		t.Skip("two full experiment sweeps")
 	}
-	for _, b := range []eventq.Backend{eventq.BackendHeap, eventq.BackendWheel} {
-		t.Run(b.String(), func(t *testing.T) {
-			prev := sim.DefaultBackend
-			sim.DefaultBackend = b
-			defer func() { sim.DefaultBackend = prev }()
-			goldenKernelSweep(t)
-		})
-	}
+	t.Run("heap", goldenKernelSweep)
 }
 
 func goldenKernelSweep(t *testing.T) {
-	t.Helper()
 
 	type fig3Golden struct {
 		req, xenAlloc, xenClaim, rtvAlloc          string

@@ -97,8 +97,7 @@ type CostModel struct {
 	// GuestSwitch is the guest-level process switch.
 	GuestSwitch Cost
 	// Tick is the periodic accounting-tick cost charged per busy PCPU by
-	// tick-driven schedulers (Credit). It used to live on credit.Config as
-	// TickCost; that knob remains as a deprecated override.
+	// tick-driven schedulers (Credit).
 	Tick Cost
 }
 

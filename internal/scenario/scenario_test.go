@@ -101,7 +101,7 @@ func TestValidate(t *testing.T) {
 		{"negative slack", `{"vms": [{"name": "a", "slack_us": -1}]}`},
 		{"hotplug below vcpus", `{"vms": [{"name": "a", "vcpus": 4, "max_vcpus": 2}]}`},
 		{"negative priority", `{"vms": [{"name": "a", "tasks": [{"name": "t", "slice_us": 1, "period_us": 5, "priority": -2}]}]}`},
-		{"negative cost", `{"costs": {"context_switch_us": -1}, "vms": [{"name": "a"}]}`},
+		{"negative cost", `{"costs": {"context_switch": -1}, "vms": [{"name": "a"}]}`},
 		{"unknown cost field", `{"costs": {"warp_us": 1}, "vms": [{"name": "a"}]}`},
 	}
 	for _, c := range cases {
@@ -112,6 +112,38 @@ func TestValidate(t *testing.T) {
 		if err := sc.Validate(); err == nil {
 			t.Errorf("%s: validated", c.name)
 		}
+	}
+}
+
+// TestRetiredCostFields checks that each removed scalar *_us cost field
+// fails to parse with an error naming its replacement, not the generic
+// unknown-field error; network_delay_us was never retired and still loads.
+func TestRetiredCostFields(t *testing.T) {
+	cases := []struct {
+		name, json, want string
+	}{
+		{"context switch", `{"costs": {"context_switch_us": 2}, "vms": [{"name": "a"}]}`, "costs.context_switch"},
+		{"migration", `{"costs": {"migration_us": 3}, "vms": [{"name": "a"}]}`, "costs.migration"},
+		{"hypercall", `{"costs": {"hypercall_us": 10}, "vms": [{"name": "a"}]}`, "costs.hypercall"},
+		{"mixed case", `{"costs": {"Hypercall_US": 10}, "vms": [{"name": "a"}]}`, "costs.hypercall"},
+		{"beside its replacement", `{"costs": {"migration": 3, "migration_us": 3}, "vms": [{"name": "a"}]}`, "costs.migration"},
+	}
+	for _, c := range cases {
+		_, err := Parse(strings.NewReader(c.json))
+		if err == nil {
+			t.Errorf("%s: retired field accepted", c.name)
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, "use "+c.want+" ") || strings.Contains(msg, "unknown field") {
+			t.Errorf("%s: error %q does not point at %s", c.name, msg, c.want)
+		}
+	}
+	sc, err := Parse(strings.NewReader(`{"costs": {"network_delay_us": 25}, "vms": [{"name": "a"}]}`))
+	if err != nil {
+		t.Fatalf("network_delay_us rejected: %v", err)
+	}
+	if err := sc.Validate(); err != nil || *sc.Costs.NetworkDelayUS != 25 {
+		t.Fatalf("network_delay_us: %v, %+v", err, sc.Costs)
 	}
 }
 
@@ -299,9 +331,9 @@ func TestCostsOverride(t *testing.T) {
 
 	def := run(``)
 	costly := run(`
-  "costs": {"context_switch_us": 200, "hypercall_us": 500},`)
+  "costs": {"context_switch": 200, "hypercall": 500},`)
 	free := run(`
-  "costs": {"context_switch_us": 0, "migration_us": 0, "hypercall_us": 0},`)
+  "costs": {"context_switch": 0, "migration": 0, "hypercall": 0},`)
 
 	if costly.Overhead.Percent <= def.Overhead.Percent {
 		t.Fatalf("inflated costs did not raise overhead: %v <= %v",

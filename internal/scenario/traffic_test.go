@@ -5,9 +5,7 @@ import (
 
 	"rtvirt/internal/check"
 	"rtvirt/internal/core"
-	"rtvirt/internal/eventq"
 	"rtvirt/internal/scenario"
-	"rtvirt/internal/sim"
 	"rtvirt/internal/simtime"
 )
 
@@ -46,17 +44,12 @@ func trafficScenario() scenario.Scenario {
 	}
 }
 
-// TestTrafficBackendDeterminism runs the same seeded traffic scenario
-// under both event-queue backends and requires an identical dispatch
-// digest: open-loop arrival streams are a pure function of the seed, not
-// of the queue's internal ordering.
-func TestTrafficBackendDeterminism(t *testing.T) {
-	run := func(b eventq.Backend) (uint64, int) {
+// TestTrafficDeterminism runs the same seeded traffic scenario twice and
+// requires an identical dispatch digest: open-loop arrival streams are a
+// pure function of the seed.
+func TestTrafficDeterminism(t *testing.T) {
+	run := func() (uint64, int) {
 		t.Helper()
-		old := sim.DefaultBackend
-		sim.DefaultBackend = b
-		defer func() { sim.DefaultBackend = old }()
-
 		dig := check.NewDispatchDigest()
 		w, err := scenario.Build(trafficScenario(), scenario.Options{
 			OnSystem: func(sys *core.System) { sys.Host.TraceTo(dig) },
@@ -70,13 +63,13 @@ func TestTrafficBackendDeterminism(t *testing.T) {
 		return dig.Sum(), dig.Events()
 	}
 
-	heapSum, heapN := run(eventq.BackendHeap)
-	wheelSum, wheelN := run(eventq.BackendWheel)
-	if heapN < 1000 {
-		t.Fatalf("only %d dispatch events; traffic scenario is degenerate", heapN)
+	firstSum, firstN := run()
+	againSum, againN := run()
+	if firstN < 1000 {
+		t.Fatalf("only %d dispatch events; traffic scenario is degenerate", firstN)
 	}
-	if heapSum != wheelSum || heapN != wheelN {
-		t.Errorf("backends diverge: heap digest %x (%d events), wheel %x (%d events)",
-			heapSum, heapN, wheelSum, wheelN)
+	if firstSum != againSum || firstN != againN {
+		t.Errorf("reruns diverge: digest %x (%d events), then %x (%d events)",
+			firstSum, firstN, againSum, againN)
 	}
 }

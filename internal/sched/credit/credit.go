@@ -56,15 +56,6 @@ type Config struct {
 	// TickEvery is the scheduler tick used for burn accounting and
 	// deboosting (Xen: 10ms).
 	TickEvery simtime.Duration
-	// TickCost overrides the CPU time consumed by each tick on each busy
-	// PCPU — the overhead that stretches Credit's dedicated-CPU tail in
-	// Table 4.
-	//
-	// Deprecated: the tick cost now lives in the shared platform cost model
-	// (hv.CostModel.Tick), next to every other per-cause overhead. A
-	// positive TickCost still wins over the model for old configs and
-	// scenario JSON; leave it zero to use the model's term.
-	TickCost simtime.Duration
 	// SampledAccounting switches credit burn from exact settle-on-switch
 	// to tick sampling: whoever occupies a PCPU when the tick fires is
 	// debited one full TickEvery, and runs between ticks are never
@@ -289,13 +280,10 @@ func (s *Scheduler) account(now simtime.Time) {
 
 // tick deboosts running VCPUs and charges the tick cost on busy PCPUs. The
 // cost comes from the shared platform model (hv.CostModel.Tick), sampled
-// per busy PCPU from the host's cost stream; a positive legacy
-// Config.TickCost overrides the model.
+// per busy PCPU from the host's cost stream. It is the overhead that
+// stretches Credit's dedicated-CPU tail in Table 4.
 func (s *Scheduler) tick(now simtime.Time) {
 	tickCost := s.h.Costs.Tick
-	if s.cfg.TickCost > 0 {
-		tickCost = hv.ConstCost(s.cfg.TickCost)
-	}
 	for _, p := range s.h.PCPUs() {
 		if cur := p.Current(); cur != nil {
 			if s.managed(cur) {

@@ -7,7 +7,6 @@ import (
 	"sort"
 
 	"rtvirt/internal/clone"
-	"rtvirt/internal/eventq"
 	"rtvirt/internal/runner"
 	"rtvirt/internal/simtime"
 )
@@ -245,20 +244,14 @@ func (ss *ShardSet) EdgeLookahead(from, to int) simtime.Duration {
 	return ss.lookahead
 }
 
-// NewShard adds a shard running on a fresh Simulator seeded with seed
-// (backend: DefaultBackend). Shards must all be added before the first
-// Run; their creation order defines their IDs.
+// NewShard adds a shard running on a fresh Simulator seeded with seed.
+// Shards must all be added before the first Run; their creation order
+// defines their IDs.
 func (ss *ShardSet) NewShard(seed uint64) *Shard {
-	return ss.NewShardWithBackend(seed, DefaultBackend)
-}
-
-// NewShardWithBackend is NewShard with an explicitly pinned event-queue
-// backend.
-func (ss *ShardSet) NewShardWithBackend(seed uint64, b eventq.Backend) *Shard {
 	if ss.inRun {
 		panic("sim: NewShard during RunUntil")
 	}
-	sh := &Shard{id: len(ss.shards), set: ss, sim: NewWithBackend(seed, b)}
+	sh := &Shard{id: len(ss.shards), set: ss, sim: New(seed)}
 	ss.shards = append(ss.shards, sh)
 	for _, s := range ss.shards {
 		for len(s.edgeSeq) < len(ss.shards) {

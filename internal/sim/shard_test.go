@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"rtvirt/internal/clone"
-	"rtvirt/internal/eventq"
 	"rtvirt/internal/simtime"
 )
 
@@ -80,11 +79,11 @@ type pingWorld struct {
 	pingers []*pinger
 }
 
-func buildPingWorld(seed uint64, shards int, backend eventq.Backend) *pingWorld {
+func buildPingWorld(seed uint64, shards int) *pingWorld {
 	set := NewShardSet(simtime.Micros(19))
 	w := &pingWorld{set: set}
 	for i := 0; i < shards; i++ {
-		set.NewShardWithBackend(seed+uint64(i)*0x9e3779b97f4a7c15, backend)
+		set.NewShard(seed + uint64(i)*0x9e3779b97f4a7c15)
 	}
 	for _, sh := range set.Shards() {
 		p := &pinger{sh: sh, peers: set.Shards(), limit: 200, hash: 14695981039346656037}
@@ -117,24 +116,22 @@ func equalU64(a, b []uint64) bool {
 
 // TestShardSetGroupInvariance is the kernel-level determinism golden: the
 // same sharded world produces bit-identical state under 1, 2, 3, 4, and 8
-// executor groups, on both event-queue backends.
+// executor groups.
 func TestShardSetGroupInvariance(t *testing.T) {
-	for _, backend := range []eventq.Backend{eventq.BackendHeap, eventq.BackendWheel} {
-		ref := buildPingWorld(7, 8, backend)
-		ref.set.RunUntil(simtime.Time(simtime.Millis(20)), 1)
-		want := ref.digest()
-		if ref.set.Windows() == 0 || ref.set.EventsFired() == 0 {
-			t.Fatalf("[%v] degenerate reference run: %d windows, %d events", backend, ref.set.Windows(), ref.set.EventsFired())
+	ref := buildPingWorld(7, 8)
+	ref.set.RunUntil(simtime.Time(simtime.Millis(20)), 1)
+	want := ref.digest()
+	if ref.set.Windows() == 0 || ref.set.EventsFired() == 0 {
+		t.Fatalf("degenerate reference run: %d windows, %d events", ref.set.Windows(), ref.set.EventsFired())
+	}
+	for _, groups := range []int{2, 3, 4, 8} {
+		w := buildPingWorld(7, 8)
+		w.set.RunUntil(simtime.Time(simtime.Millis(20)), groups)
+		if got := w.digest(); !equalU64(got, want) {
+			t.Errorf("groups=%d diverged from sequential: got %v want %v", groups, got, want)
 		}
-		for _, groups := range []int{2, 3, 4, 8} {
-			w := buildPingWorld(7, 8, backend)
-			w.set.RunUntil(simtime.Time(simtime.Millis(20)), groups)
-			if got := w.digest(); !equalU64(got, want) {
-				t.Errorf("[%v] groups=%d diverged from sequential: got %v want %v", backend, groups, got, want)
-			}
-			if w.set.Windows() != ref.set.Windows() {
-				t.Errorf("[%v] groups=%d window count %d != sequential %d", backend, groups, w.set.Windows(), ref.set.Windows())
-			}
+		if w.set.Windows() != ref.set.Windows() {
+			t.Errorf("groups=%d window count %d != sequential %d", groups, w.set.Windows(), ref.set.Windows())
 		}
 	}
 }
@@ -142,10 +139,10 @@ func TestShardSetGroupInvariance(t *testing.T) {
 // TestShardSetResume checks that windowed runs compose: run-to-10ms then
 // run-to-20ms equals one run-to-20ms.
 func TestShardSetResume(t *testing.T) {
-	one := buildPingWorld(3, 4, eventq.BackendHeap)
+	one := buildPingWorld(3, 4)
 	one.set.RunUntil(simtime.Time(simtime.Millis(20)), 2)
 
-	two := buildPingWorld(3, 4, eventq.BackendHeap)
+	two := buildPingWorld(3, 4)
 	two.set.RunUntil(simtime.Time(simtime.Millis(10)), 3)
 	two.set.RunUntil(simtime.Time(simtime.Millis(20)), 2)
 
@@ -192,7 +189,7 @@ func TestPostRemoteSelfAndForeignPanic(t *testing.T) {
 // sitting in a shard outbox at fork time — and checks both continuations
 // stay bit-identical.
 func TestShardSetFork(t *testing.T) {
-	w := buildPingWorld(11, 4, eventq.BackendHeap)
+	w := buildPingWorld(11, 4)
 	w.set.RunUntil(simtime.Time(simtime.Millis(5)), 2)
 
 	// Leave genuinely in-flight mailbox traffic for the fork to copy.

@@ -119,6 +119,3 @@ type Event struct {
 
 // ArgDuration reads Arg as a duration, for the kinds that carry one.
 func (e Event) ArgDuration() simtime.Duration { return simtime.Duration(e.Arg) }
-
-// Record is the legacy name for Event, kept for the public facade.
-type Record = Event

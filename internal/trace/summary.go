@@ -87,7 +87,7 @@ func Summarize(r *Recorder) Summary {
 	cur := make([]*running, maxPCPU+1) // per-PCPU current occupant
 	lastPCPU := map[string]int{}       // key -> last PCPU it ran on
 
-	vc := func(rec Record) *VCPUSummary {
+	vc := func(rec Event) *VCPUSummary {
 		key := fmt.Sprintf("%s/%d", rec.VM, rec.VCPU)
 		v := s.VCPUs[key]
 		if v == nil {

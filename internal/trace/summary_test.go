@@ -18,12 +18,12 @@ func TestSummarizeHandBuiltTrace(t *testing.T) {
 	rec := &trace.Recorder{}
 	// PCPU0: vm-a/0 runs 0–4ms, then vm-b/0 runs 4–10ms (a migration for
 	// vm-b, which previously ran on PCPU1).
-	rec.Add(trace.Record{At: 0, Kind: trace.Dispatch, PCPU: 1, VM: "vm-b", VCPU: 0})
-	rec.Add(trace.Record{At: 0, Kind: trace.Dispatch, PCPU: 0, VM: "vm-a", VCPU: 0})
-	rec.Add(trace.Record{At: simtime.Time(ms(2)), Kind: trace.JobDone, PCPU: 1, VM: "vm-b", VCPU: 0, Task: "x"})
-	rec.Add(trace.Record{At: simtime.Time(ms(2)), Kind: trace.Dispatch, PCPU: 1}) // idle
-	rec.Add(trace.Record{At: simtime.Time(ms(4)), Kind: trace.Dispatch, PCPU: 0, VM: "vm-b", VCPU: 0})
-	rec.Add(trace.Record{At: simtime.Time(ms(10)), Kind: trace.JobMiss, PCPU: 0, VM: "vm-b", VCPU: 0, Task: "x", Arg: int64(ms(1))})
+	rec.Add(trace.Event{At: 0, Kind: trace.Dispatch, PCPU: 1, VM: "vm-b", VCPU: 0})
+	rec.Add(trace.Event{At: 0, Kind: trace.Dispatch, PCPU: 0, VM: "vm-a", VCPU: 0})
+	rec.Add(trace.Event{At: simtime.Time(ms(2)), Kind: trace.JobDone, PCPU: 1, VM: "vm-b", VCPU: 0, Task: "x"})
+	rec.Add(trace.Event{At: simtime.Time(ms(2)), Kind: trace.Dispatch, PCPU: 1}) // idle
+	rec.Add(trace.Event{At: simtime.Time(ms(4)), Kind: trace.Dispatch, PCPU: 0, VM: "vm-b", VCPU: 0})
+	rec.Add(trace.Event{At: simtime.Time(ms(10)), Kind: trace.JobMiss, PCPU: 0, VM: "vm-b", VCPU: 0, Task: "x", Arg: int64(ms(1))})
 
 	s := trace.Summarize(rec)
 	if s.Window() != ms(10) {
@@ -112,8 +112,8 @@ func sumCompletions(s trace.Summary) int {
 
 func TestSummaryWrite(t *testing.T) {
 	rec := &trace.Recorder{}
-	rec.Add(trace.Record{At: 0, Kind: trace.Dispatch, PCPU: 0, VM: "vm", VCPU: 0})
-	rec.Add(trace.Record{At: simtime.Time(ms(5)), Kind: trace.JobDone, PCPU: 0, VM: "vm", VCPU: 0})
+	rec.Add(trace.Event{At: 0, Kind: trace.Dispatch, PCPU: 0, VM: "vm", VCPU: 0})
+	rec.Add(trace.Event{At: simtime.Time(ms(5)), Kind: trace.JobDone, PCPU: 0, VM: "vm", VCPU: 0})
 	var buf bytes.Buffer
 	if err := trace.Summarize(rec).Write(&buf); err != nil {
 		t.Fatal(err)
@@ -131,8 +131,8 @@ func TestSummaryWrite(t *testing.T) {
 
 func TestSummaryWriteDropped(t *testing.T) {
 	rec := &trace.Recorder{Max: 1, Logf: func(string, ...any) {}}
-	rec.Add(trace.Record{At: 0, Kind: trace.Dispatch, PCPU: 0, VM: "vm", VCPU: 0})
-	rec.Add(trace.Record{At: simtime.Time(ms(5)), Kind: trace.JobDone, PCPU: 0, VM: "vm", VCPU: 0})
+	rec.Add(trace.Event{At: 0, Kind: trace.Dispatch, PCPU: 0, VM: "vm", VCPU: 0})
+	rec.Add(trace.Event{At: simtime.Time(ms(5)), Kind: trace.JobDone, PCPU: 0, VM: "vm", VCPU: 0})
 	var buf bytes.Buffer
 	if err := trace.Summarize(rec).Write(&buf); err != nil {
 		t.Fatal(err)

@@ -53,7 +53,7 @@ func (r *Recorder) WriteSVG(w io.Writer, pcpus int, from, to simtime.Time) error
 			cur[p] = nil
 		}
 	}
-	var misses []Record
+	var misses []Event
 	for _, rec := range r.events {
 		if rec.At > to {
 			break

@@ -11,10 +11,10 @@ import (
 
 func TestWriteSVG(t *testing.T) {
 	var r trace.Recorder
-	r.Add(trace.Record{At: 0, Kind: trace.Dispatch, PCPU: 0, VM: "vmA"})
-	r.Add(trace.Record{At: simtime.Time(ms(5)), Kind: trace.Dispatch, PCPU: 0, VM: "vmB"})
-	r.Add(trace.Record{At: simtime.Time(ms(6)), Kind: trace.JobMiss, PCPU: 0, Task: "late", Arg: int64(simtime.Micros(50))})
-	r.Add(trace.Record{At: simtime.Time(ms(8)), Kind: trace.Dispatch, PCPU: 1, VM: "vmA"})
+	r.Add(trace.Event{At: 0, Kind: trace.Dispatch, PCPU: 0, VM: "vmA"})
+	r.Add(trace.Event{At: simtime.Time(ms(5)), Kind: trace.Dispatch, PCPU: 0, VM: "vmB"})
+	r.Add(trace.Event{At: simtime.Time(ms(6)), Kind: trace.JobMiss, PCPU: 0, Task: "late", Arg: int64(simtime.Micros(50))})
+	r.Add(trace.Event{At: simtime.Time(ms(8)), Kind: trace.Dispatch, PCPU: 1, VM: "vmA"})
 	var buf bytes.Buffer
 	if err := r.WriteSVG(&buf, 2, 0, simtime.Time(ms(10))); err != nil {
 		t.Fatal(err)
@@ -40,13 +40,13 @@ func TestWriteSVG(t *testing.T) {
 // TestWriteSVGGoldenTwoVM -update ./internal/trace/`.
 func TestWriteSVGGoldenTwoVM(t *testing.T) {
 	var r trace.Recorder
-	r.Add(trace.Record{At: 0, Kind: trace.Dispatch, PCPU: 0, VM: "vmA", VCPU: 0})
-	r.Add(trace.Record{At: 0, Kind: trace.Dispatch, PCPU: 1, VM: "vmB", VCPU: 0})
-	r.Add(trace.Record{At: simtime.Time(ms(2)), Kind: trace.JobDone, PCPU: 0, VM: "vmA", VCPU: 0, Task: "a", Arg: int64(ms(2))})
-	r.Add(trace.Record{At: simtime.Time(ms(2)), Kind: trace.Dispatch, PCPU: 0}) // idle
-	r.Add(trace.Record{At: simtime.Time(ms(4)), Kind: trace.Dispatch, PCPU: 0, VM: "vmB", VCPU: 1})
-	r.Add(trace.Record{At: simtime.Time(ms(6)), Kind: trace.JobMiss, PCPU: 1, VM: "vmB", VCPU: 0, Task: "b", Arg: int64(simtime.Micros(500))})
-	r.Add(trace.Record{At: simtime.Time(ms(8)), Kind: trace.Dispatch, PCPU: 1, VM: "vmA", VCPU: 0})
+	r.Add(trace.Event{At: 0, Kind: trace.Dispatch, PCPU: 0, VM: "vmA", VCPU: 0})
+	r.Add(trace.Event{At: 0, Kind: trace.Dispatch, PCPU: 1, VM: "vmB", VCPU: 0})
+	r.Add(trace.Event{At: simtime.Time(ms(2)), Kind: trace.JobDone, PCPU: 0, VM: "vmA", VCPU: 0, Task: "a", Arg: int64(ms(2))})
+	r.Add(trace.Event{At: simtime.Time(ms(2)), Kind: trace.Dispatch, PCPU: 0}) // idle
+	r.Add(trace.Event{At: simtime.Time(ms(4)), Kind: trace.Dispatch, PCPU: 0, VM: "vmB", VCPU: 1})
+	r.Add(trace.Event{At: simtime.Time(ms(6)), Kind: trace.JobMiss, PCPU: 1, VM: "vmB", VCPU: 0, Task: "b", Arg: int64(simtime.Micros(500))})
+	r.Add(trace.Event{At: simtime.Time(ms(8)), Kind: trace.Dispatch, PCPU: 1, VM: "vmA", VCPU: 0})
 	var buf bytes.Buffer
 	if err := r.WriteSVG(&buf, 2, 0, simtime.Time(ms(10))); err != nil {
 		t.Fatal(err)

@@ -21,7 +21,7 @@ func TestRecorderCap(t *testing.T) {
 	var logged int
 	r := trace.Recorder{Max: 2, Logf: func(format string, args ...any) { logged++ }}
 	for i := 0; i < 5; i++ {
-		r.Add(trace.Record{At: simtime.Time(i), Kind: trace.Dispatch})
+		r.Add(trace.Event{At: simtime.Time(i), Kind: trace.Dispatch})
 	}
 	if r.Len() != 2 || r.Dropped() != 3 {
 		t.Fatalf("len=%d dropped=%d", r.Len(), r.Dropped())
@@ -34,8 +34,8 @@ func TestRecorderCap(t *testing.T) {
 
 func TestWriteCSV(t *testing.T) {
 	var r trace.Recorder
-	r.Add(trace.Record{At: simtime.Time(ms(1)), Kind: trace.Dispatch, PCPU: 0, VM: "vm0", VCPU: 0})
-	r.Add(trace.Record{At: simtime.Time(ms(2)), Kind: trace.JobMiss, PCPU: 1, VM: "vm1", Task: "t", Arg: int64(simtime.Micros(5))})
+	r.Add(trace.Event{At: simtime.Time(ms(1)), Kind: trace.Dispatch, PCPU: 0, VM: "vm0", VCPU: 0})
+	r.Add(trace.Event{At: simtime.Time(ms(2)), Kind: trace.JobMiss, PCPU: 1, VM: "vm1", Task: "t", Arg: int64(simtime.Micros(5))})
 	var buf bytes.Buffer
 	if err := r.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
@@ -54,9 +54,9 @@ func TestWriteCSV(t *testing.T) {
 
 func TestCSVRoundTrip(t *testing.T) {
 	var r trace.Recorder
-	r.Add(trace.Record{At: simtime.Time(ms(1)), Kind: trace.Dispatch, PCPU: 0, VM: "vm0", VCPU: 1, Arg: int64(ms(2))})
-	r.Add(trace.Record{At: simtime.Time(ms(3)), Kind: trace.HypercallIncBW, PCPU: -1, VM: "vm1", Arg: int64(ms(4))})
-	r.Add(trace.Record{At: simtime.Time(ms(5)), Kind: trace.JobMiss, PCPU: 1, VM: "vm0", Task: "t", Arg: int64(simtime.Micros(7))})
+	r.Add(trace.Event{At: simtime.Time(ms(1)), Kind: trace.Dispatch, PCPU: 0, VM: "vm0", VCPU: 1, Arg: int64(ms(2))})
+	r.Add(trace.Event{At: simtime.Time(ms(3)), Kind: trace.HypercallIncBW, PCPU: -1, VM: "vm1", Arg: int64(ms(4))})
+	r.Add(trace.Event{At: simtime.Time(ms(5)), Kind: trace.JobMiss, PCPU: 1, VM: "vm0", Task: "t", Arg: int64(simtime.Micros(7))})
 	var buf bytes.Buffer
 	if err := r.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
@@ -72,12 +72,12 @@ func TestCSVRoundTrip(t *testing.T) {
 
 func TestWriteJSON(t *testing.T) {
 	var r trace.Recorder
-	r.Add(trace.Record{At: simtime.Time(ms(1)), Kind: trace.JobDone, VM: "vm0", Task: "x"})
+	r.Add(trace.Event{At: simtime.Time(ms(1)), Kind: trace.JobDone, VM: "vm0", Task: "x"})
 	var buf bytes.Buffer
 	if err := r.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	var got []trace.Record
+	var got []trace.Event
 	if err := json.Unmarshal(buf.Bytes(), &got); err != nil {
 		t.Fatal(err)
 	}
@@ -88,8 +88,8 @@ func TestWriteJSON(t *testing.T) {
 
 func TestJSONRoundTrip(t *testing.T) {
 	var r trace.Recorder
-	r.Add(trace.Record{At: simtime.Time(ms(1)), Kind: trace.Migrate, PCPU: 1, VM: "vm0", VCPU: 0, Arg: 0})
-	r.Add(trace.Record{At: simtime.Time(ms(2)), Kind: trace.Admit, PCPU: -1, VM: "vm0", VCPU: 0, Arg: int64(ms(4))})
+	r.Add(trace.Event{At: simtime.Time(ms(1)), Kind: trace.Migrate, PCPU: 1, VM: "vm0", VCPU: 0, Arg: 0})
+	r.Add(trace.Event{At: simtime.Time(ms(2)), Kind: trace.Admit, PCPU: -1, VM: "vm0", VCPU: 0, Arg: int64(ms(4))})
 	var buf bytes.Buffer
 	if err := r.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -165,8 +165,8 @@ func TestHostTracerEndToEnd(t *testing.T) {
 
 func TestTimeline(t *testing.T) {
 	var r trace.Recorder
-	r.Add(trace.Record{At: 0, Kind: trace.Dispatch, PCPU: 0, VM: "vmA"})
-	r.Add(trace.Record{At: simtime.Time(ms(5)), Kind: trace.Dispatch, PCPU: 0, VM: "vmB"})
+	r.Add(trace.Event{At: 0, Kind: trace.Dispatch, PCPU: 0, VM: "vmA"})
+	r.Add(trace.Event{At: simtime.Time(ms(5)), Kind: trace.Dispatch, PCPU: 0, VM: "vmB"})
 	out := r.Timeline(1, 0, simtime.Time(ms(10)), 10)
 	if !strings.Contains(out, "pcpu0") {
 		t.Fatalf("timeline missing pcpu row:\n%s", out)

@@ -19,8 +19,8 @@ import (
 // (Markov-modulated Poisson process, the standard burst model), and
 // flash-crowd surges (linear ramp to a peak, linear decay back). All are
 // time-inhomogeneous Poisson processes driven by one deterministic RNG
-// stream, so the same seed yields the same arrival sequence under either
-// event-queue backend and across forks.
+// stream, so the same seed yields the same arrival sequence on every run
+// and across forks.
 
 // ArrivalProcess generates inter-arrival gaps for an open-loop stream.
 // Next returns the gap from `now` to the next arrival; implementations

@@ -324,8 +324,6 @@ func AnalyzeScenario(sc Scenario, opt AnalyzeOptions) (HostAnalysis, error) {
 type (
 	// TraceRecorder accumulates scheduling events for offline inspection.
 	TraceRecorder = trace.Recorder
-	// TraceRecord is one scheduling event.
-	TraceRecord = trace.Record
 	// TraceEvent is the typed telemetry event every layer emits.
 	TraceEvent = trace.Event
 	// TraceKind classifies a telemetry event.
