@@ -19,6 +19,7 @@ package csa
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"rtvirt/internal/simtime"
@@ -83,21 +84,23 @@ func SBF(iface Interface, t simtime.Duration) simtime.Duration {
 // absolute deadlines (period multiples) of every task up to the analysis
 // horizon.
 func testPoints(tasks []task.Params, horizon simtime.Duration) []simtime.Duration {
-	set := map[simtime.Duration]bool{}
+	n := 0
+	for _, p := range tasks {
+		if p.Period > 0 {
+			n += int(horizon / p.Period)
+		}
+	}
+	pts := make([]simtime.Duration, 0, n)
 	for _, p := range tasks {
 		if p.Period <= 0 {
 			continue
 		}
 		for t := p.Period; t <= horizon; t += p.Period {
-			set[t] = true
+			pts = append(pts, t)
 		}
 	}
-	pts := make([]simtime.Duration, 0, len(set))
-	for t := range set {
-		pts = append(pts, t)
-	}
-	sort.Slice(pts, func(i, j int) bool { return pts[i] < pts[j] })
-	return pts
+	slices.Sort(pts)
+	return slices.Compact(pts)
 }
 
 // horizon picks the analysis horizon: the task-set hyperperiod, capped to

@@ -1,0 +1,61 @@
+package guest
+
+import (
+	"testing"
+
+	"rtvirt/internal/simtime"
+	"rtvirt/internal/task"
+)
+
+// TestSteadyStateZeroAlloc pins the allocation-free guest dispatch path:
+// a ready queue that has reached its peak length recycles its items, and
+// a gEDF pick scans the queues in place. CI runs it as a zero-alloc guard.
+func TestSteadyStateZeroAlloc(t *testing.T) {
+	t.Run("readyQueue", func(t *testing.T) {
+		q := newReadyQueue()
+		tk := task.New(0, "t", task.Periodic, pp(1, 10))
+		jobs := make([]*task.Job, 64)
+		for i := range jobs {
+			jobs[i] = tk.Release(simtime.Time(simtime.Millis(int64(i%7))), simtime.Millis(1))
+		}
+		cycle := func() {
+			for _, j := range jobs {
+				q.Push(j)
+			}
+			for q.Len() > 0 {
+				q.Remove(q.Head())
+			}
+		}
+		cycle() // reach the peak length once
+		if n := testing.AllocsPerRun(100, cycle); n != 0 {
+			t.Fatalf("ready-queue Push/Remove cycle allocates %.1f/op, want 0", n)
+		}
+		for _, it := range q.free {
+			if it.job != nil {
+				t.Fatal("recycled ready item still holds its job")
+			}
+		}
+	})
+	t.Run("gEDF-PickJob", func(t *testing.T) {
+		s, _, g := gedfSetup(t, 2, 3)
+		for i := 0; i < 6; i++ {
+			tk := task.New(i, "t", task.Periodic, pp(10, 100))
+			if err := g.Register(tk); err != nil {
+				t.Fatal(err)
+			}
+			s.After(0, func(now simtime.Time) { g.ReleaseJob(tk, 0) })
+		}
+		s.RunFor(simtime.Millis(1))
+		queued := 0
+		for _, vs := range g.vcpus {
+			queued += vs.ready.Len()
+		}
+		if queued < 4 {
+			t.Fatalf("only %d jobs queued, want the gEDF scan to cover several", queued)
+		}
+		v, now := g.vcpus[0].v, s.Now()
+		if n := testing.AllocsPerRun(1000, func() { g.PickJob(v, now) }); n != 0 {
+			t.Fatalf("gEDF PickJob allocates %.1f/op, want 0", n)
+		}
+	})
+}

@@ -13,6 +13,9 @@ type readyQueue struct {
 	items []*readyItem
 	index map[*task.Job]*readyItem
 	seq   uint64
+	// free recycles removed items, so a queue whose length has peaked
+	// pushes and removes without allocating.
+	free []*readyItem
 }
 
 type readyItem struct {
@@ -33,7 +36,14 @@ func (q *readyQueue) Push(j *task.Job) {
 	if _, dup := q.index[j]; dup {
 		panic("guest: job enqueued twice")
 	}
-	it := &readyItem{job: j, seq: q.seq}
+	var it *readyItem
+	if n := len(q.free); n > 0 {
+		it = q.free[n-1]
+		q.free = q.free[:n-1]
+	} else {
+		it = new(readyItem)
+	}
+	it.job, it.seq = j, q.seq
 	q.seq++
 	q.index[j] = it
 	heap.Push((*readyHeap)(q), it)
@@ -55,10 +65,14 @@ func (q *readyQueue) Remove(j *task.Job) bool {
 	}
 	heap.Remove((*readyHeap)(q), it.idx)
 	delete(q.index, j)
+	it.job = nil // don't keep the finished job reachable from the free list
+	q.free = append(q.free, it)
 	return true
 }
 
-// Jobs returns the queued jobs in heap order (head first, rest unordered).
+// Jobs returns a copy of the queued jobs in heap order (head first, rest
+// unordered), for callers that remove or push while iterating. Read-only
+// scans range over items directly and allocate nothing.
 func (q *readyQueue) Jobs() []*task.Job {
 	out := make([]*task.Job, len(q.items))
 	for i, it := range q.items {

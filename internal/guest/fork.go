@@ -90,7 +90,8 @@ func cloneTaskState(ctx *clone.Ctx, ts *taskState) *taskState {
 
 // clone deep-copies the ready queue, remapping jobs through ctx. Items are
 // copied slot for slot — same heap layout, same tie-break sequence numbers —
-// so pop order in the fork is bit-identical.
+// so pop order in the fork is bit-identical. The free list is not shared:
+// the fork starts with an empty one.
 func (q *readyQueue) clone(ctx *clone.Ctx) *readyQueue {
 	nq := &readyQueue{
 		items: make([]*readyItem, len(q.items)),

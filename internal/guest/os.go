@@ -542,7 +542,8 @@ func (g *OS) PickJob(v *hv.VCPU, now simtime.Time) *task.Job {
 	}
 	var best *task.Job
 	for _, vs := range g.vcpus {
-		for _, j := range vs.ready.Jobs() {
+		for _, it := range vs.ready.items {
+			j := it.job
 			if running := g.runningElsewhere(j, v); running {
 				continue
 			}
@@ -853,8 +854,8 @@ func (g *OS) publish(vs *vcpuState) {
 		}
 	}
 	// Pending jobs' deadlines (overdue ones are no longer boundaries).
-	for _, j := range vs.ready.Jobs() {
-		add(j.Deadline)
+	for _, it := range vs.ready.items {
+		add(it.job.Deadline)
 	}
 	for _, ts := range vs.tasks {
 		switch ts.t.Kind {

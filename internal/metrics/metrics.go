@@ -5,7 +5,7 @@ package metrics
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"rtvirt/internal/simtime"
@@ -201,7 +201,7 @@ func (l *LatencyRecorder) sort() {
 	if l.sorted {
 		return
 	}
-	sort.Slice(l.samples, func(i, j int) bool { return l.samples[i] < l.samples[j] })
+	slices.Sort(l.samples)
 	l.sorted = true
 }
 

@@ -23,8 +23,9 @@
 package dpwrap
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"rtvirt/internal/eventq"
 	"rtvirt/internal/hv"
@@ -78,8 +79,8 @@ func DefaultConfig() Config {
 // entry is one VCPU's allocation quota on one PCPU within the current
 // global slice, in McNaughton wrap order. Entries are plain values held in
 // each pcpuState's flat slice — the per-decision scan walks one contiguous
-// array, and a slice rebuild is a truncate-and-append with no per-entry
-// allocation or pooling.
+// array, and a slice rebuild truncates and re-appends into the same
+// backing array, so entries are never allocated one by one.
 type entry struct {
 	v         *hv.VCPU
 	remaining simtime.Duration // quota not yet consumed
@@ -155,6 +156,30 @@ type Scheduler struct {
 	// lengths (for diagnostics and tests).
 	Boundaries  uint64
 	SlicesTotal simtime.Duration
+
+	// rebuild's scratch, kept across slices so a steady-state rebuild
+	// allocates nothing: the RT VCPUs with their sort keys, and each
+	// PCPU's pinned prefix length. Neither carries state from one
+	// rebuild to the next (rt's pointers are cleared once the layout is
+	// built), so a fork starts with none.
+	rt         []rtVCPU
+	pinnedFill []simtime.Duration
+}
+
+// rtVCPU is one RT VCPU in rebuild's wrap order with its effective next
+// deadline, computed once per rebuild rather than once per comparison.
+type rtVCPU struct {
+	v   *hv.VCPU
+	key simtime.Time
+}
+
+// cmpRT orders RT VCPUs by (key, ID): a total order, so an unstable sort
+// yields the same permutation a stable one would.
+func cmpRT(a, b rtVCPU) int {
+	if c := cmp.Compare(a.key, b.key); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.v.ID, b.v.ID)
 }
 
 // slot grows an ID-indexed slice to cover id and returns the element.
@@ -439,8 +464,7 @@ func (s *Scheduler) replanKick(now simtime.Time) {
 // layout. It does not kick the PCPUs.
 func (s *Scheduler) rebuild(now simtime.Time) {
 	// Charge outstanding run time to the old entries before truncating;
-	// the backing arrays are retained, so steady-state rebuilds allocate
-	// nothing.
+	// the entries' backing arrays are reused by the new layout.
 	for _, ps := range s.pcpu {
 		s.chargeRun(ps, now)
 		ps.entries = ps.entries[:0]
@@ -459,14 +483,12 @@ func (s *Scheduler) rebuild(now simtime.Time) {
 	// VCPUs sit early in the wrap layout; the sporadic worst-case floor
 	// counts as a deadline just like in nextGlobalDeadline, so a
 	// latency-sensitive sporadic VCPU (e.g. memcached) is served at the
-	// front of each slice. Stable on ID for determinism.
-	rt := make([]*hv.VCPU, 0, len(s.vcpus))
+	// front of each slice. Ties break on ID for determinism.
+	rt := s.rt[:0]
 	for _, v := range s.vcpus {
-		if v.RT && v.Res.Budget > 0 {
-			rt = append(rt, v)
+		if !v.RT || v.Res.Budget <= 0 {
+			continue
 		}
-	}
-	key := func(v *hv.VCPU) simtime.Time {
 		d := simtime.Never
 		if slot := v.DeadlineSlot; slot > now {
 			d = slot
@@ -476,15 +498,10 @@ func (s *Scheduler) rebuild(now simtime.Time) {
 				d = wc
 			}
 		}
-		return d
+		rt = append(rt, rtVCPU{v: v, key: d})
 	}
-	sort.SliceStable(rt, func(i, j int) bool {
-		ki, kj := key(rt[i]), key(rt[j])
-		if ki != kj {
-			return ki < kj
-		}
-		return rt[i].ID < rt[j].ID
-	})
+	slices.SortFunc(rt, cmpRT)
+	s.rt = rt
 
 	// Model the O(log n) + O(n) boundary work (§4.5) on PCPU 0.
 	n := len(rt)
@@ -499,8 +516,13 @@ func (s *Scheduler) rebuild(now simtime.Time) {
 	m := s.h.NumPCPUs()
 	// Pinned (NoMigrate) VCPUs are placed first, each whole on one PCPU,
 	// so they are excluded from the m−1 split candidates (§6).
-	pinnedFill := make([]simtime.Duration, m)
-	for _, v := range rt {
+	if len(s.pinnedFill) != m {
+		s.pinnedFill = make([]simtime.Duration, m)
+	}
+	pinnedFill := s.pinnedFill
+	clear(pinnedFill)
+	for _, r := range rt {
+		v := r.v
 		if !v.NoMigrate {
 			continue
 		}
@@ -534,7 +556,8 @@ func (s *Scheduler) rebuild(now simtime.Time) {
 		pcpuIdx++
 		offset = 0
 	}
-	for _, v := range rt {
+	for _, r := range rt {
+		v := r.v
 		if v.NoMigrate {
 			continue
 		}
@@ -568,10 +591,13 @@ func (s *Scheduler) rebuild(now simtime.Time) {
 			panic(fmt.Sprintf("dpwrap: wrap overflow by %v (admission broken?)", alloc))
 		}
 	}
+	// Drop the VCPU pointers so a removed VCPU is not kept alive by the
+	// scratch until a later rebuild overwrites its slot.
+	clear(rt)
 
 	// Reindex the new layout. Positions are final only here: wrapPlace may
 	// have prepended continuation fragments. The ID-indexed slice is reused
-	// and re-filled with -1, so steady-state rebuilds allocate nothing.
+	// and re-filled with -1.
 	ids := s.h.NumIDs()
 	for _, ps := range s.pcpu {
 		for len(ps.idx) < ids {

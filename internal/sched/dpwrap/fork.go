@@ -13,7 +13,8 @@ import (
 // idle-tax state, and the pending boundary/tax timers. With the hot state
 // in flat value slices, most of the fork is plain slice copies — only the
 // VCPU pointers inside entries and the admission-order list need remapping
-// through ctx.
+// through ctx. rebuild's scratch (rt, pinnedFill) holds nothing between
+// slices, so the fork is left with none and grows its own.
 func (s *Scheduler) ForkHandler(ctx *clone.Ctx) sim.Handler {
 	if n, ok := ctx.Lookup(s); ok {
 		return n.(*Scheduler)

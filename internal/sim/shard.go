@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"maps"
 	"slices"
-	"sort"
 
 	"rtvirt/internal/clone"
 	"rtvirt/internal/runner"
@@ -349,8 +348,17 @@ func (sh *Shard) sortOutbox() {
 	}
 	sh.outboxSorted = true
 	if len(sh.outbox) > 1 {
-		sort.Slice(sh.outbox, func(i, j int) bool { return msgLess(&sh.outbox[i], &sh.outbox[j]) })
+		slices.SortFunc(sh.outbox, cmpOutbox)
 	}
+}
+
+// cmpOutbox adapts msgLess to slices.SortFunc. Keys are unique, so "not
+// less" means "greater" for any two distinct messages.
+func cmpOutbox(a, b remoteMsg) int {
+	if msgLess(&a, &b) {
+		return -1
+	}
+	return 1
 }
 
 // clearOutbox empties the outbox after delivery. The entries are zeroed
