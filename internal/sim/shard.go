@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"maps"
 	"slices"
@@ -55,23 +56,27 @@ import (
 // window constraint, and the coordinator prunes its per-round work to
 // candidate shards — the previous round's active set, shards that just
 // received mail, and the shards reachable from the actives — since no
-// other shard's bound or next-time can have changed.
+// other shard's bound or next-time can have changed. When an active
+// shard reaches every shard (a ring's closure does), the candidates are
+// simply all shards, already in ID order, and the closure is skipped.
 //
-// Coordinator costs are kept off the O(shards)-per-window path: shard
+// Coordinator costs follow the near edges, not the n² shard pairs: shard
 // next-times live in a 4-ary min-heap (shardHeap), so termination and
-// window selection are O(active·log n); the barrier drain merges
-// per-outbox sorted runs through a k-way heap instead of re-sorting a
-// global batch; and multi-group execution reuses persistent workers
+// window selection are O(active·log n); each shard's bound terms are
+// sorted by walk distance, so its scan stops at the first term that even
+// the globally-earliest next-time cannot bring below the running min; the
+// barrier drain buckets messages into per-target inboxes of a few
+// messages each; and multi-group execution reuses persistent workers
 // through a sense-reversing barrier (runner.BarrierPool) instead of
 // paying a pool handoff per window.
 //
 // Determinism does not depend on how shards are grouped onto executors:
 // each shard's intra-window execution is single-threaded on its own
 // queue, window bounds are computed by the coordinator as a pure function
-// of the global event population, and the barrier drain orders messages
-// by (arrival time, source shard, target shard, emission counter) before
-// assigning fresh seqs in the target queue. Runs with 1, 2, 4, or 8
-// executor groups are therefore bit-identical — the golden the sharded
+// of the global event population, and the barrier drain orders each
+// target's messages by (arrival time, source shard, emission counter)
+// before assigning fresh seqs in the target queue. Runs with 1, 2, 4, or
+// 8 executor groups are therefore bit-identical — the golden the sharded
 // cluster tests pin.
 
 // Shard is one logical process of a sharded simulation: its own Simulator
@@ -83,10 +88,6 @@ type Shard struct {
 	sim *Simulator
 
 	outbox []remoteMsg
-	// outboxSorted means the outbox is in msgLess order; executors sort
-	// their shards' outboxes in parallel at the end of each window so the
-	// coordinator's drain only merges.
-	outboxSorted bool
 	// edgeSeq[to] counts messages emitted on the (this shard → to) edge —
 	// a per-edge lamport-style counter that makes the barrier drain order
 	// (and hence the fresh seqs assigned in the target queue) independent
@@ -103,24 +104,10 @@ type remoteMsg struct {
 	p    Payload
 }
 
-// msgLess is the global delivery order: the key is unique per message and
-// depends only on simulation state, never on executor grouping.
-func msgLess(a, b *remoteMsg) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	if a.from != b.from {
-		return a.from < b.from
-	}
-	if a.to != b.to {
-		return a.to < b.to
-	}
-	return a.n < b.n
-}
-
 // edgeRef is one term of a shard's window-bound min in the sealed
 // reachability lists: a source shard and the min-plus walk distance from
 // it (for the diagonal term, the shortest cycle back to the shard).
+// Each list is sorted by (l, src), nearest first.
 type edgeRef struct {
 	src int32
 	l   simtime.Duration
@@ -166,12 +153,8 @@ type ShardSet struct {
 	cand      []int32 // candidate scratch (explicit mode)
 	candEpoch []uint64
 	epoch     uint64
-	mailed    []int32 // shards that received mail in the last drain
-	mailEpoch []uint64
-	mailRound uint64
-	runs      []int32 // drain scratch: shards with pending outboxes
-	runPos    []int32 // drain scratch: per-run read cursor
-	mergeIdx  []int32 // drain scratch: k-way merge heap of run slots
+	mailed    []int32       // shards that received mail in the last drain, as a set
+	inbox     [][]remoteMsg // drain scratch, indexed by target shard ID
 	curEnd    simtime.Time
 	curGroups int
 }
@@ -303,7 +286,7 @@ func (sh *Shard) Sim() *Simulator { return sh.sim }
 // target shard run its window without waiting for this one. In explicit
 // topology the edge must have been declared — undeclared pairs are
 // non-edges the window bounds ignore, so a message on one could rewind
-// the target. Messages are held in the sender's outbox and merged into
+// the target. Messages are held in the sender's outbox and delivered into
 // the target queue at the next barrier, in an order independent of
 // executor grouping. Posting to the shard itself panics — local work uses
 // PostAt and needs no lookahead.
@@ -335,133 +318,48 @@ func (sh *Shard) PostRemote(to *Shard, at simtime.Time, p Payload) {
 		n:    sh.edgeSeq[to.id],
 		p:    p,
 	})
-	sh.outboxSorted = false
 }
 
-// sortOutbox puts the outbox in msgLess order. Within one outbox the key
-// reduces to (at, to, n), still unique, so the result is deterministic.
-// Idempotent: executors call it at the end of their window share, the
-// drain calls it again only if the outbox was filled outside a window.
-func (sh *Shard) sortOutbox() {
-	if sh.outboxSorted {
-		return
-	}
-	sh.outboxSorted = true
-	if len(sh.outbox) > 1 {
-		slices.SortFunc(sh.outbox, cmpOutbox)
-	}
-}
-
-// cmpOutbox adapts msgLess to slices.SortFunc. Keys are unique, so "not
-// less" means "greater" for any two distinct messages.
-func cmpOutbox(a, b remoteMsg) int {
-	if msgLess(&a, &b) {
-		return -1
-	}
-	return 1
-}
-
-// clearOutbox empties the outbox after delivery. The entries are zeroed
-// first so delivered payloads don't linger reachable in the backing array
-// between windows of a long run.
-func (sh *Shard) clearOutbox() {
-	clear(sh.outbox)
-	sh.outbox = sh.outbox[:0]
-	sh.outboxSorted = true
-}
-
-// deliver posts one drained message into its target queue and records the
-// target as mailed (its next-time may have moved up).
-func (ss *ShardSet) deliver(m *remoteMsg) {
-	to := m.to
-	ss.shards[to].sim.PostAt(m.at, m.p)
-	if ss.mailEpoch[to] != ss.mailRound {
-		ss.mailEpoch[to] = ss.mailRound
-		ss.mailed = append(ss.mailed, to)
-	}
-}
-
-// drainFrom merges the pending outboxes of the given shards into the
-// target queues, in global msgLess order: each outbox is already a sorted
-// run, so a k-way merge over run heads replaces the old whole-batch sort.
-// The delivery order — and with it the fresh seqs SchedulePayload assigns
-// in each target queue — is a pure function of the messages themselves,
-// identical however the previous window's shards were grouped.
+// drainFrom delivers the pending outboxes of the given shards. Only the
+// order of deliveries into one target queue is observable — it assigns
+// that queue's fresh seqs — so messages are bucketed into per-target
+// inboxes, and each mailed target's inbox is sorted by (arrival time,
+// source shard, edge emission counter) before its PostAt calls. That key
+// is unique per message and depends only on simulation state, so the
+// delivery order is identical however the previous window's shards were
+// grouped. Outbox and inbox entries are zeroed after delivery so
+// delivered payloads don't linger reachable between windows of a long
+// run.
 func (ss *ShardSet) drainFrom(senders []int32) {
 	ss.mailed = ss.mailed[:0]
-	ss.mailRound++
-	runs := ss.runs[:0]
 	for _, id := range senders {
 		sh := ss.shards[id]
-		if len(sh.outbox) == 0 {
-			continue
-		}
-		sh.sortOutbox()
-		runs = append(runs, id)
-	}
-	ss.runs = runs
-	switch len(runs) {
-	case 0:
-		return
-	case 1:
-		sh := ss.shards[runs[0]]
-		for i := range sh.outbox {
-			ss.deliver(&sh.outbox[i])
-		}
-		sh.clearOutbox()
-		return
-	}
-
-	// K-way merge: a small binary heap of run slots ordered by each run's
-	// head message. Keys are globally unique, so the pop order is total.
-	if cap(ss.runPos) < len(runs) {
-		ss.runPos = make([]int32, len(runs))
-		ss.mergeIdx = make([]int32, 0, len(runs))
-	}
-	pos := ss.runPos[:len(runs)]
-	for i := range pos {
-		pos[i] = 0
-	}
-	head := func(slot int32) *remoteMsg {
-		return &ss.shards[runs[slot]].outbox[pos[slot]]
-	}
-	h := ss.mergeIdx[:0]
-	less := func(a, b int32) bool { return msgLess(head(a), head(b)) }
-	siftDown := func(i int) {
-		for {
-			best := i
-			if c := 2*i + 1; c < len(h) && less(h[c], h[best]) {
-				best = c
+		for _, m := range sh.outbox {
+			if len(ss.inbox[m.to]) == 0 {
+				ss.mailed = append(ss.mailed, m.to)
 			}
-			if c := 2*i + 2; c < len(h) && less(h[c], h[best]) {
-				best = c
-			}
-			if best == i {
-				return
-			}
-			h[i], h[best] = h[best], h[i]
-			i = best
+			ss.inbox[m.to] = append(ss.inbox[m.to], m)
 		}
+		clear(sh.outbox)
+		sh.outbox = sh.outbox[:0]
 	}
-	for slot := range runs {
-		h = append(h, int32(slot))
-	}
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		siftDown(i)
-	}
-	for len(h) > 0 {
-		slot := h[0]
-		ss.deliver(head(slot))
-		pos[slot]++
-		if int(pos[slot]) == len(ss.shards[runs[slot]].outbox) {
-			h[0] = h[len(h)-1]
-			h = h[:len(h)-1]
+	for _, to := range ss.mailed {
+		in := ss.inbox[to]
+		slices.SortFunc(in, func(a, b remoteMsg) int {
+			if c := cmp.Compare(a.at, b.at); c != 0 {
+				return c
+			}
+			if c := cmp.Compare(a.from, b.from); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.n, b.n)
+		})
+		target := ss.shards[to].sim
+		for i := range in {
+			target.PostAt(in[i].at, in[i].p)
 		}
-		siftDown(0)
-	}
-	ss.mergeIdx = h[:0]
-	for _, id := range runs {
-		ss.shards[id].clearOutbox()
+		clear(in)
+		ss.inbox[to] = in[:0]
 	}
 }
 
@@ -480,15 +378,13 @@ func (s *Simulator) runWindow(w, end simtime.Time) {
 }
 
 // execWindow runs executor group g's share of the current window: every
-// curGroups-th shard of the active list, each up to its own bound, then
-// sorts its outbox so the coordinator's drain only merges. Active shards
-// are disjoint across groups, so the only shared state is read-only.
+// curGroups-th shard of the active list, each up to its own bound. Active
+// shards are disjoint across groups, so the only shared state is
+// read-only.
 func (ss *ShardSet) execWindow(g int) {
 	for k := g; k < len(ss.active); k += ss.curGroups {
 		id := ss.active[k]
-		sh := ss.shards[id]
-		sh.sim.runWindow(ss.bounds[id], ss.curEnd)
-		sh.sortOutbox()
+		ss.shards[id].sim.runWindow(ss.bounds[id], ss.curEnd)
 	}
 }
 
@@ -496,11 +392,11 @@ func (ss *ShardSet) execWindow(g int) {
 // distance matrix (Floyd–Warshall; the diagonal starts at ∞, so D(i,i)
 // converges to the shortest cycle through i, never zero) and flattens it
 // into per-shard reachability lists: inbound[i] holds every (j, D(j,i))
-// with a finite distance — the terms of i's window-bound min — and
-// outbound[j] every i reachable from j — the shards whose bounds can grow
-// when j fires. Built in index order, so deterministic. O(n³) once per
-// run; at the simulator's host counts (tens to hundreds of shards) this
-// is noise next to a single window.
+// with a finite distance — the terms of i's window-bound min, nearest
+// first — and outbound[j] every i reachable from j, in ID order — the
+// shards whose bounds can grow when j fires. Deterministic. O(n³) once
+// per run; at the simulator's host counts (tens to hundreds of shards)
+// this is noise next to a single window.
 func (ss *ShardSet) sealTopology() {
 	n := len(ss.shards)
 	d := make([]simtime.Duration, n*n)
@@ -536,6 +432,14 @@ func (ss *ShardSet) sealTopology() {
 			}
 		}
 	}
+	for _, in := range ss.inbound {
+		slices.SortFunc(in, func(a, b edgeRef) int {
+			if c := cmp.Compare(a.l, b.l); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.src, b.src)
+		})
+	}
 }
 
 // selectUniform picks the active shards and bounds for one window under
@@ -567,22 +471,25 @@ func (ss *ShardSet) selectUniform(end simtime.Time) {
 // mail (their next-times may have moved up), and shards reachable from
 // the actives (a bound term t_j + D(j,i) can only grow when j fires).
 // Any other shard kept both its next-time and its bound, so if it was
-// inactive it still is — after the first round the coordinator rescans
-// the full set only when the topology's reachability forces it.
+// inactive it still is. When an active shard reaches every shard the
+// candidates are all shards, and the closure is skipped.
+//
+// Each bound scan walks i's terms nearest first and stops at the first
+// term with tmin + D ≥ b (tmin the global minimum next-time): every later
+// term has t_j ≥ tmin and D at least as large, so none can lower b.
 func (ss *ShardSet) selectExplicit(first bool, end simtime.Time) {
-	ss.epoch++
-	cand := ss.cand[:0]
-	add := func(id int32) {
-		if ss.candEpoch[id] != ss.epoch {
-			ss.candEpoch[id] = ss.epoch
-			cand = append(cand, id)
+	cand := ss.allIDs
+	if !first && !slices.ContainsFunc(ss.actPrev, func(id int32) bool {
+		return len(ss.outbound[id]) == len(ss.shards)
+	}) {
+		ss.epoch++
+		c := ss.cand[:0]
+		add := func(id int32) {
+			if ss.candEpoch[id] != ss.epoch {
+				ss.candEpoch[id] = ss.epoch
+				c = append(c, id)
+			}
 		}
-	}
-	if first {
-		for _, id := range ss.allIDs {
-			add(id)
-		}
-	} else {
 		for _, id := range ss.actPrev {
 			add(id)
 			for _, nb := range ss.outbound[id] {
@@ -592,10 +499,12 @@ func (ss *ShardSet) selectExplicit(first bool, end simtime.Time) {
 		for _, id := range ss.mailed {
 			add(id)
 		}
+		slices.Sort(c)
+		ss.cand = c // never allIDs: the next round appends into ss.cand
+		cand = c
 	}
-	ss.cand = cand
-	slices.Sort(cand)
 
+	_, tmin := ss.heap.min()
 	ss.active = ss.active[:0]
 	for _, id := range cand {
 		t := ss.heap.keyOf(id)
@@ -604,6 +513,9 @@ func (ss *ShardSet) selectExplicit(first bool, end simtime.Time) {
 		}
 		b := simtime.Never
 		for _, e := range ss.inbound[id] {
+			if tmin.Add(e.l) >= b {
+				break
+			}
 			if x := ss.heap.keyOf(e.src).Add(e.l); x < b {
 				b = x
 			}
@@ -645,15 +557,16 @@ func (ss *ShardSet) RunUntil(end simtime.Time, groups int) {
 		ss.bounds = make([]simtime.Time, n)
 		ss.allIDs = make([]int32, n)
 		ss.candEpoch = make([]uint64, n)
-		ss.mailEpoch = make([]uint64, n)
 	}
 	ss.keys = ss.keys[:n]
 	ss.bounds = ss.bounds[:n]
 	ss.allIDs = ss.allIDs[:n]
 	ss.candEpoch = ss.candEpoch[:n]
-	ss.mailEpoch = ss.mailEpoch[:n]
 	for i := range ss.allIDs {
 		ss.allIDs[i] = int32(i)
+	}
+	for len(ss.inbox) < n {
+		ss.inbox = append(ss.inbox, nil)
 	}
 	if ss.explicit {
 		ss.sealTopology()
@@ -745,10 +658,9 @@ func (ss *ShardSet) Fork(ctx *clone.Ctx) (*ShardSet, error) {
 	nss.shards = make([]*Shard, len(ss.shards))
 	for i, sh := range ss.shards {
 		nsh := &Shard{
-			id:           sh.id,
-			set:          nss,
-			outboxSorted: sh.outboxSorted,
-			edgeSeq:      append([]uint64(nil), sh.edgeSeq...),
+			id:      sh.id,
+			set:     nss,
+			edgeSeq: append([]uint64(nil), sh.edgeSeq...),
 		}
 		if len(sh.outbox) > 0 {
 			nsh.outbox = append([]remoteMsg(nil), sh.outbox...)
