@@ -204,30 +204,7 @@ func DefaultFigure5Config() Figure5Config {
 // independent simulation, fanned out over runner.Default() workers).
 func Figure5a(cfg Figure5Config) []Figure5Row {
 	return runner.Map(0, Arms(), func(arm Arm) Figure5Row {
-		sys := newMemcachedSystem(arm, 2, cfg.Seed)
-		// Credit weights: the memcached VM gets 26% of the two CPUs
-		// (130µs/500µs per §4.4); the remainder is spread over the hogs.
-		mcWeight := 727
-		mc := addMemcachedVM(sys, arm, 0, mcWeight)
-		var hogs []*workload.CPUHog
-		for i := 0; i < 19; i++ {
-			var hg *workload.CPUHog
-			var err error
-			if arm == ArmCredit {
-				g := mustGuest(sys.NewWeightedGuest(fmt.Sprintf("bg%d", i), 1, 256))
-				hg, err = workload.NewCPUHog(g, 2000+i, fmt.Sprintf("hog%d", i))
-			} else {
-				g := mustGuest(sys.NewWeightedGuest(fmt.Sprintf("bg%d", i), 1, 256))
-				hg, err = workload.NewCPUHog(g, 2000+i, fmt.Sprintf("hog%d", i))
-			}
-			must(err)
-			hogs = append(hogs, hg)
-		}
-		sys.Start()
-		mc.Start(0)
-		for _, hg := range hogs {
-			hg.Start(0)
-		}
+		sys, mc := figure5aWorld(arm, cfg.Seed)
 		sys.Run(cfg.Duration)
 		row := Figure5Row{
 			Arm:      arm,
@@ -240,6 +217,28 @@ func Figure5a(cfg Figure5Config) []Figure5Row {
 		row.AllocatedBW = mcAllocated(arm)
 		return row
 	})
+}
+
+// figure5aWorld builds and starts one arm's Figure 5a world: one memcached
+// VM and 19 CPU-bound VMs sharing two PCPUs.
+func figure5aWorld(arm Arm, seed uint64) (*core.System, *workload.Memcached) {
+	sys := newMemcachedSystem(arm, 2, seed)
+	// Credit weights: the memcached VM gets 26% of the two CPUs
+	// (130µs/500µs per §4.4); the remainder is spread over the hogs.
+	mc := addMemcachedVM(sys, arm, 0, 727)
+	var hogs []*workload.CPUHog
+	for i := 0; i < 19; i++ {
+		g := mustGuest(sys.NewWeightedGuest(fmt.Sprintf("bg%d", i), 1, 256))
+		hg, err := workload.NewCPUHog(g, 2000+i, fmt.Sprintf("hog%d", i))
+		must(err)
+		hogs = append(hogs, hg)
+	}
+	sys.Start()
+	mc.Start(0)
+	for _, hg := range hogs {
+		hg.Start(0)
+	}
+	return sys, mc
 }
 
 // mcAllocated reports the bandwidth reserved for one memcached VM.

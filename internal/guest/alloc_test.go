@@ -8,11 +8,13 @@ import (
 )
 
 // TestSteadyStateZeroAlloc pins the allocation-free guest dispatch path:
-// a ready queue that has reached its peak length recycles its items, and
-// a gEDF pick scans the queues in place. CI runs it as a zero-alloc guard.
+// a ready queue that has reached its peak length pushes and removes in
+// place, a gEDF pick scans the queues in place, and a job's whole life —
+// release, run, complete — reuses a record from the guest's job pool. CI
+// runs it as a zero-alloc guard.
 func TestSteadyStateZeroAlloc(t *testing.T) {
 	t.Run("readyQueue", func(t *testing.T) {
-		q := newReadyQueue()
+		q := &readyQueue{}
 		tk := task.New(0, "t", task.Periodic, pp(1, 10))
 		jobs := make([]*task.Job, 64)
 		for i := range jobs {
@@ -22,7 +24,7 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 			for _, j := range jobs {
 				q.Push(j)
 			}
-			for q.Len() > 0 {
+			for len(q.items) > 0 {
 				q.Remove(q.Head())
 			}
 		}
@@ -30,10 +32,34 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 		if n := testing.AllocsPerRun(100, cycle); n != 0 {
 			t.Fatalf("ready-queue Push/Remove cycle allocates %.1f/op, want 0", n)
 		}
-		for _, it := range q.free {
-			if it.job != nil {
-				t.Fatal("recycled ready item still holds its job")
+		for _, s := range q.items[:cap(q.items)] {
+			if s.job != nil {
+				t.Fatal("ready queue's spare capacity still holds a removed job")
 			}
+		}
+	})
+	t.Run("release-complete", func(t *testing.T) {
+		s, _, g := setup(t, 1, 1, DefaultConfig())
+		tk := task.New(0, "sp", task.Sporadic, pp(1, 10))
+		if err := g.Register(tk); err != nil {
+			t.Fatal(err)
+		}
+		cycle := func() {
+			g.ReleaseJob(tk, 0)
+			s.RunFor(simtime.Millis(10))
+		}
+		cycle() // grow the pool and every queue to their peak once
+		if n := testing.AllocsPerRun(100, cycle); n != 0 {
+			t.Fatalf("release-run-complete cycle allocates %.1f/op, want 0", n)
+		}
+		if st := tk.Stats(); st.Completed != st.Released || st.Released != 102 {
+			t.Fatalf("stats %+v, want all 102 released jobs completed", st)
+		}
+		if len(g.free) != 1 {
+			t.Fatalf("job pool holds %d records, want 1 (the peak live count)", len(g.free))
+		}
+		if g.free[0].Task != nil {
+			t.Fatal("recycled job still holds its task")
 		}
 	})
 	t.Run("gEDF-PickJob", func(t *testing.T) {
@@ -48,7 +74,7 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 		s.RunFor(simtime.Millis(1))
 		queued := 0
 		for _, vs := range g.vcpus {
-			queued += vs.ready.Len()
+			queued += len(vs.ready.items)
 		}
 		if queued < 4 {
 			t.Fatalf("only %d jobs queued, want the gEDF scan to cover several", queued)

@@ -1,52 +1,46 @@
 package guest
 
 import (
-	"container/heap"
-
+	"rtvirt/internal/simtime"
 	"rtvirt/internal/task"
 )
 
 // readyQueue is a per-VCPU earliest-deadline-first priority queue of
 // released, unfinished jobs. Ties break by release order so runs are
-// deterministic.
+// deterministic. It is a binary heap whose slots hold their keys by value;
+// a queued job records its slot in task.Job.Slot. gEDF PickJob scans the
+// slots in array order with a strict <, which makes the layout among equal
+// deadlines observable, so the sifts repeat container/heap's comparisons
+// and moves exactly (same child choice, "down, else up" after a removal).
 type readyQueue struct {
-	items []*readyItem
-	index map[*task.Job]*readyItem
+	items []readySlot
 	seq   uint64
-	// free recycles removed items, so a queue whose length has peaked
-	// pushes and removes without allocating.
-	free []*readyItem
 }
 
-type readyItem struct {
-	job *task.Job
-	seq uint64
-	idx int
+type readySlot struct {
+	deadline simtime.Time
+	seq      uint64
+	job      *task.Job
 }
 
-func newReadyQueue() *readyQueue {
-	return &readyQueue{index: map[*task.Job]*readyItem{}}
+func (a *readySlot) less(b *readySlot) bool {
+	return a.deadline < b.deadline || a.deadline == b.deadline && a.seq < b.seq
 }
 
-// Len reports the number of queued jobs.
-func (q *readyQueue) Len() int { return len(q.items) }
+// holds reports whether j occupies a slot of this queue.
+func (q *readyQueue) holds(j *task.Job) bool {
+	i := int(j.Slot)
+	return i >= 0 && i < len(q.items) && q.items[i].job == j
+}
 
 // Push enqueues a job.
 func (q *readyQueue) Push(j *task.Job) {
-	if _, dup := q.index[j]; dup {
+	if q.holds(j) {
 		panic("guest: job enqueued twice")
 	}
-	var it *readyItem
-	if n := len(q.free); n > 0 {
-		it = q.free[n-1]
-		q.free = q.free[:n-1]
-	} else {
-		it = new(readyItem)
-	}
-	it.job, it.seq = j, q.seq
+	q.items = append(q.items, readySlot{deadline: j.Deadline, seq: q.seq, job: j})
 	q.seq++
-	q.index[j] = it
-	heap.Push((*readyHeap)(q), it)
+	q.up(len(q.items) - 1)
 }
 
 // Head returns the earliest-deadline job without removing it, or nil.
@@ -59,14 +53,20 @@ func (q *readyQueue) Head() *task.Job {
 
 // Remove deletes a job from the queue; it reports whether it was present.
 func (q *readyQueue) Remove(j *task.Job) bool {
-	it, ok := q.index[j]
-	if !ok {
+	if !q.holds(j) {
 		return false
 	}
-	heap.Remove((*readyHeap)(q), it.idx)
-	delete(q.index, j)
-	it.job = nil // don't keep the finished job reachable from the free list
-	q.free = append(q.free, it)
+	i, n := int(j.Slot), len(q.items)-1
+	last := q.items[n]
+	q.items[n] = readySlot{} // don't keep the job reachable from the spare capacity
+	q.items = q.items[:n]
+	j.Slot = -1
+	if i != n {
+		q.set(i, last)
+		if !q.down(i) {
+			q.up(i)
+		}
+	}
 	return true
 }
 
@@ -75,43 +75,41 @@ func (q *readyQueue) Remove(j *task.Job) bool {
 // scans range over items directly and allocate nothing.
 func (q *readyQueue) Jobs() []*task.Job {
 	out := make([]*task.Job, len(q.items))
-	for i, it := range q.items {
-		out[i] = it.job
+	for i := range q.items {
+		out[i] = q.items[i].job
 	}
 	return out
 }
 
-// readyHeap adapts readyQueue to container/heap.
-type readyHeap readyQueue
+func (q *readyQueue) set(i int, s readySlot) {
+	q.items[i] = s
+	s.job.Slot = int32(i)
+}
 
-func (h *readyHeap) Len() int { return len(h.items) }
-
-func (h *readyHeap) Less(i, j int) bool {
-	a, b := h.items[i], h.items[j]
-	if a.job.Deadline != b.job.Deadline {
-		return a.job.Deadline < b.job.Deadline
+// up moves the slot at i toward the root while it is less than its parent.
+func (q *readyQueue) up(i int) {
+	s := q.items[i]
+	for p := (i - 1) / 2; i > 0 && s.less(&q.items[p]); p = (i - 1) / 2 {
+		q.set(i, q.items[p])
+		i = p
 	}
-	return a.seq < b.seq
+	q.set(i, s)
 }
 
-func (h *readyHeap) Swap(i, j int) {
-	h.items[i], h.items[j] = h.items[j], h.items[i]
-	h.items[i].idx = i
-	h.items[j].idx = j
-}
-
-func (h *readyHeap) Push(x any) {
-	it := x.(*readyItem)
-	it.idx = len(h.items)
-	h.items = append(h.items, it)
-}
-
-func (h *readyHeap) Pop() any {
-	old := h.items
-	n := len(old)
-	it := old[n-1]
-	old[n-1] = nil
-	it.idx = -1
-	h.items = old[:n-1]
-	return it
+// down moves the slot at i0 toward the leaves while a child is less, and
+// reports whether it moved.
+func (q *readyQueue) down(i0 int) bool {
+	s, i, n := q.items[i0], i0, len(q.items)
+	for c := 2*i + 1; c < n; c = 2*i + 1 {
+		if r := c + 1; r < n && q.items[r].less(&q.items[c]) {
+			c = r
+		}
+		if !q.items[c].less(&s) {
+			break
+		}
+		q.set(i, q.items[c])
+		i = c
+	}
+	q.set(i, s)
+	return i > i0
 }

@@ -18,7 +18,8 @@ func (g *OS) ForkHandler(ctx *clone.Ctx) sim.Handler { return g.cloneOS(ctx) }
 
 // cloneOS deep-copies the guest: per-VCPU ready queues (heap layout and tie
 // break sequence preserved verbatim), task states with their pending release
-// timers, and the admission bookkeeping. Demand functions are NOT carried —
+// timers, and the admission bookkeeping. The job pool is not shared: the
+// fork starts with an empty one. Demand functions are NOT carried —
 // they are workload-owned closures, and the workload's own ForkHandler
 // re-installs them on the cloned task set; until it does, releases fall back
 // to the declared slice.
@@ -88,20 +89,15 @@ func cloneTaskState(ctx *clone.Ctx, ts *taskState) *taskState {
 	return nts
 }
 
-// clone deep-copies the ready queue, remapping jobs through ctx. Items are
-// copied slot for slot — same heap layout, same tie-break sequence numbers —
-// so pop order in the fork is bit-identical. The free list is not shared:
-// the fork starts with an empty one.
+// clone deep-copies the ready queue, remapping jobs through ctx. Slots are
+// copied verbatim — same heap layout, same tie-break sequence numbers, and
+// each cloned job keeps its Slot — so pop order in the fork is
+// bit-identical.
 func (q *readyQueue) clone(ctx *clone.Ctx) *readyQueue {
-	nq := &readyQueue{
-		items: make([]*readyItem, len(q.items)),
-		index: make(map[*task.Job]*readyItem, len(q.index)),
-		seq:   q.seq,
-	}
-	for i, it := range q.items {
-		nit := &readyItem{job: task.CloneJob(ctx, it.job), seq: it.seq, idx: it.idx}
-		nq.items[i] = nit
-		nq.index[nit.job] = nit
+	nq := &readyQueue{items: make([]readySlot, len(q.items)), seq: q.seq}
+	for i, s := range q.items {
+		s.job = task.CloneJob(ctx, s.job)
+		nq.items[i] = s
 	}
 	return nq
 }

@@ -38,9 +38,11 @@ func TestGEDFJobMigratesAcrossVCPUs(t *testing.T) {
 		t.Fatal(err)
 	}
 	var aJob, bJob *task.Job
+	keepDone(a, &aJob)
+	keepDone(b, &bJob)
 	s.After(0, func(now simtime.Time) {
-		aJob = g.ReleaseJob(a, 0)
-		bJob = g.ReleaseJob(b, 0)
+		g.ReleaseJob(a, 0)
+		g.ReleaseJob(b, 0)
 	})
 	s.RunFor(simtime.Millis(6))
 	if !aJob.Done || !bJob.Done {
@@ -84,8 +86,9 @@ func TestGEDFIdleVCPUPicksUpUrgentJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	var shortJob *task.Job
+	keepDone(short, &shortJob)
 	s.After(0, func(now simtime.Time) { g.ReleaseJob(long, 0) })
-	s.After(simtime.Millis(2), func(now simtime.Time) { shortJob = g.ReleaseJob(short, 0) })
+	s.After(simtime.Millis(2), func(now simtime.Time) { g.ReleaseJob(short, 0) })
 	s.RunFor(simtime.Millis(20))
 	if !shortJob.Done || shortJob.Finish > simtime.Time(ppms(4)) {
 		t.Fatalf("short job not served promptly under gEDF: %+v", shortJob)

@@ -109,8 +109,18 @@ func pp(s, p int64) task.Params {
 	return task.Params{Slice: simtime.Millis(s), Period: simtime.Millis(p)}
 }
 
+// keepDone points *dst at a copy of each of tk's finished jobs, taken in
+// OnJobDone: the guest reuses a job's record once its completion has been
+// handled, so the pointer ReleaseJob returned is stale by then.
+func keepDone(tk *task.Task, dst **task.Job) {
+	tk.OnJobDone = func(j *task.Job) {
+		c := *j
+		*dst = &c
+	}
+}
+
 func TestReadyQueueEDFOrder(t *testing.T) {
-	q := newReadyQueue()
+	q := &readyQueue{}
 	tk := task.New(0, "t", task.Periodic, pp(1, 100))
 	j1 := tk.Release(0, simtime.Millis(1))                                // deadline 100ms
 	j2 := tk.Release(simtime.Time(simtime.Millis(10)), simtime.Millis(1)) // deadline 110ms
@@ -126,8 +136,8 @@ func TestReadyQueueEDFOrder(t *testing.T) {
 	if q.Head() != j1 {
 		t.Fatal("after removal, next earliest should lead")
 	}
-	if q.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", q.Len())
+	if len(q.items) != 2 {
+		t.Fatalf("Len = %d, want 2", len(q.items))
 	}
 	if q.Remove(j3) {
 		t.Fatal("Remove of absent job should report false")
@@ -135,7 +145,7 @@ func TestReadyQueueEDFOrder(t *testing.T) {
 }
 
 func TestReadyQueueFIFOTie(t *testing.T) {
-	q := newReadyQueue()
+	q := &readyQueue{}
 	tk := task.New(0, "t", task.Periodic, pp(1, 100))
 	tk2 := task.New(1, "u", task.Periodic, pp(1, 100))
 	a := tk.Release(0, simtime.Millis(1))
@@ -148,7 +158,7 @@ func TestReadyQueueFIFOTie(t *testing.T) {
 }
 
 func TestReadyQueueDoublePushPanics(t *testing.T) {
-	q := newReadyQueue()
+	q := &readyQueue{}
 	tk := task.New(0, "t", task.Periodic, pp(1, 100))
 	j := tk.Release(0, simtime.Millis(1))
 	q.Push(j)
@@ -428,7 +438,8 @@ func TestSporadicReleaseRunsJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	var j *task.Job
-	s.After(simtime.Millis(10), func(now simtime.Time) { j = g.ReleaseJob(sp, 0) })
+	keepDone(sp, &j)
+	s.After(simtime.Millis(10), func(now simtime.Time) { g.ReleaseJob(sp, 0) })
 	s.RunFor(simtime.Millis(20))
 	if j == nil || !j.Done || j.Finish != simtime.Time(simtime.Millis(12)) {
 		t.Fatalf("sporadic job state: %+v", j)
@@ -511,7 +522,8 @@ func TestDemandFn(t *testing.T) {
 	}
 	g.SetDemandFn(sp, func() simtime.Duration { return simtime.Millis(3) })
 	var j *task.Job
-	s.After(0, func(now simtime.Time) { j = g.ReleaseJob(sp, 0) })
+	keepDone(sp, &j)
+	s.After(0, func(now simtime.Time) { g.ReleaseJob(sp, 0) })
 	s.RunFor(simtime.Millis(5))
 	if j.Demand != simtime.Millis(3) {
 		t.Fatalf("demand = %v, want 3ms from demand fn", j.Demand)

@@ -91,6 +91,8 @@ type OS struct {
 	// byOwner resolves the Owner field of typed events back to the task.
 	byOwner   map[int32]*taskState
 	nextOwner int32
+	// free pools completed jobs for ReleaseJob; it grows to the peak live count.
+	free []*task.Job
 }
 
 type vcpuState struct {
@@ -158,7 +160,7 @@ func (g *OS) AddVCPU(res hv.Reservation, weight int) (*hv.VCPU, error) {
 	if err != nil {
 		return nil, err
 	}
-	g.vcpus = append(g.vcpus, &vcpuState{v: v, ready: newReadyQueue()})
+	g.vcpus = append(g.vcpus, &vcpuState{v: v, ready: &readyQueue{}})
 	return v, nil
 }
 
@@ -436,7 +438,9 @@ func (g *OS) SetDemandFn(t *task.Task, fn func() simtime.Duration) {
 }
 
 // ReleaseJob activates task t now with the given demand (0 = use declared
-// slice or the demand function) and returns the job.
+// slice or the demand function) and returns the job. The guest owns the
+// record: the pointer is valid until the job's completion has been
+// handled, after which JobCompleted zeroes it for reuse (see task.Job).
 func (g *OS) ReleaseJob(t *task.Task, demand simtime.Duration) *task.Job {
 	ts, ok := g.tasks[t]
 	if !ok {
@@ -449,12 +453,18 @@ func (g *OS) ReleaseJob(t *task.Task, demand simtime.Duration) *task.Job {
 			demand = t.Params().Slice
 		}
 	}
-	now := g.sim.Now()
-	j := t.Release(now, demand)
 	vs := ts.vs
 	if vs == nil {
 		panic("guest: ReleaseJob on unpinned task")
 	}
+	var j *task.Job
+	if n := len(g.free); n > 0 {
+		j, g.free = g.free[n-1], g.free[:n-1]
+	} else {
+		j = new(task.Job)
+	}
+	now := g.sim.Now()
+	t.ReleaseInto(j, now, demand)
 	prevHead := vs.ready.Head()
 	vs.ready.Push(j)
 	g.publish(vs)
@@ -542,13 +552,9 @@ func (g *OS) PickJob(v *hv.VCPU, now simtime.Time) *task.Job {
 	}
 	var best *task.Job
 	for _, vs := range g.vcpus {
-		for _, it := range vs.ready.items {
-			j := it.job
-			if running := g.runningElsewhere(j, v); running {
-				continue
-			}
-			if best == nil || j.Deadline < best.Deadline {
-				best = j
+		for _, s := range vs.ready.items {
+			if (best == nil || s.deadline < best.Deadline) && !g.runningElsewhere(s.job, v) {
+				best = s.job
 			}
 		}
 	}
@@ -566,23 +572,24 @@ func (g *OS) runningElsewhere(j *task.Job, v *hv.VCPU) bool {
 	return false
 }
 
-// JobCompleted implements hv.GuestDriver.
+// JobCompleted implements hv.GuestDriver. It ends the kernel's completion
+// path, so the job's record goes back to the pool, zeroed.
 func (g *OS) JobCompleted(v *hv.VCPU, j *task.Job, now simtime.Time) {
+	vs := g.vcpus[v.Index]
 	if g.cfg.GEDF {
 		// The job may live on any queue under gEDF.
-		for _, vs := range g.vcpus {
-			if vs.ready.Remove(j) {
-				g.publish(vs)
-				return
+		for _, vs = range g.vcpus {
+			if vs.ready.holds(j) {
+				break
 			}
 		}
-		panic("guest: completed job was not queued")
 	}
-	vs := g.vcpus[v.Index]
 	if !vs.ready.Remove(j) {
 		panic("guest: completed job was not queued")
 	}
 	g.publish(vs)
+	*j = task.Job{}
+	g.free = append(g.free, j)
 }
 
 // ---- internals ----
@@ -697,11 +704,7 @@ func (g *OS) deriveResExcluding(vs *vcpuState, ex *taskState) hv.Reservation {
 			minP = p
 		}
 	}
-	return g.resFrom(sum, minP)
-}
-
-func (g *OS) resFrom(sumBW float64, minP simtime.Duration) hv.Reservation {
-	return g.resFromPrio(sumBW, minP, 0)
+	return g.resFromPrio(sum, minP, 0)
 }
 
 func (g *OS) resFromPrio(sumBW float64, minP simtime.Duration, prio int) hv.Reservation {
@@ -830,7 +833,7 @@ func (g *OS) migrateJobs(ts *taskState, from, to *vcpuState) {
 		}
 	}
 	now := g.sim.Now()
-	if to.ready.Len() > 0 && !to.v.Runnable() {
+	if len(to.ready.items) > 0 && !to.v.Runnable() {
 		g.host.VCPUWake(to.v, now)
 	}
 	g.host.VCPURecheck(from.v, now)

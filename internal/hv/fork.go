@@ -65,6 +65,7 @@ func (h *Host) ForkHandler(ctx *clone.Ctx) sim.Handler {
 		nh.byID[i] = cloneVCPU(ctx, v)
 	}
 	nh.sched = h.sched.ForkHandler(ctx).(HostScheduler)
+	nh.slots, _ = nh.sched.(SlotWatcher)
 	return nh
 }
 

@@ -15,6 +15,11 @@ type Host struct {
 	Costs CostModel
 
 	sched HostScheduler
+	// slots is sched as a SlotWatcher, or nil. It is resolved once: a
+	// type assertion on every shared-memory write would reach the
+	// runtime's assertion cache, which fills at random moments and
+	// allocates when it does.
+	slots SlotWatcher
 	pcpus []*PCPU
 	vms   []*VM
 	vcpus []*VCPU
@@ -52,6 +57,7 @@ func NewHost(s *sim.Simulator, m int, sched HostScheduler, costs CostModel) *Hos
 		panic("hv: host needs at least one PCPU")
 	}
 	h := &Host{Sim: s, Costs: costs, sched: sched}
+	h.slots, _ = sched.(SlotWatcher)
 	h.handlerID = s.RegisterHandler(h)
 	h.costRNG = s.DerivedRNG(uint64(h.handlerID))
 	for i := 0; i < m; i++ {
@@ -248,8 +254,8 @@ func (h *Host) SchedRTVirt(hc Hypercall) error {
 func (h *Host) WriteDeadlineSlot(v *VCPU, deadline simtime.Time) {
 	v.DeadlineSlot = deadline
 	h.Overhead.ShmWrites++
-	if w, ok := h.sched.(SlotWatcher); ok {
-		w.SlotUpdated(v, h.Sim.Now())
+	if h.slots != nil {
+		h.slots.SlotUpdated(v, h.Sim.Now())
 	}
 }
 
@@ -258,8 +264,8 @@ func (h *Host) WriteDeadlineSlot(v *VCPU, deadline simtime.Time) {
 func (h *Host) WriteSporadicFloor(v *VCPU, floor simtime.Duration) {
 	v.SporadicFloor = floor
 	h.Overhead.ShmWrites++
-	if w, ok := h.sched.(SlotWatcher); ok {
-		w.SlotUpdated(v, h.Sim.Now())
+	if h.slots != nil {
+		h.slots.SlotUpdated(v, h.Sim.Now())
 	}
 }
 

@@ -112,7 +112,9 @@ type Task struct {
 	Priority int
 
 	// OnJobDone, if set, is invoked whenever a job completes or is
-	// abandoned; workloads use it to record latencies.
+	// abandoned; workloads use it to record latencies. j is valid only
+	// for the duration of the call: once a completion has been handled
+	// the guest reuses the record (see Job).
 	OnJobDone func(j *Job)
 
 	stats Stats
@@ -152,6 +154,14 @@ func (t *Task) Stats() Stats { return t.stats }
 // need; pass t.Params().Slice for the declared worst case. For background
 // tasks the deadline is Never.
 func (t *Task) Release(now simtime.Time, demand simtime.Duration) *Job {
+	j := new(Job)
+	t.ReleaseInto(j, now, demand)
+	return j
+}
+
+// ReleaseInto is Release writing into a caller-owned record: every field
+// of j is overwritten, so a recycled record carries nothing over.
+func (t *Task) ReleaseInto(j *Job, now simtime.Time, demand simtime.Duration) {
 	if demand <= 0 {
 		panic(fmt.Sprintf("task: job with non-positive demand %v", demand))
 	}
@@ -160,19 +170,19 @@ func (t *Task) Release(now simtime.Time, demand simtime.Duration) *Job {
 		deadline = now.Add(t.params.Period)
 	}
 	t.stats.Released++
-	j := &Job{
+	*j = Job{
 		Task:      t,
 		Seq:       t.seq,
 		Release:   now,
 		Deadline:  deadline,
 		Demand:    demand,
 		Remaining: demand,
+		Slot:      -1,
 	}
 	t.seq++
 	if t.Kind == Sporadic {
 		t.nextRelease = now.Add(t.params.Period)
 	}
-	return j
 }
 
 // EarliestNextRelease reports the earliest instant a sporadic task may be
@@ -181,6 +191,14 @@ func (t *Task) Release(now simtime.Time, demand simtime.Duration) *Job {
 func (t *Task) EarliestNextRelease() simtime.Time { return t.nextRelease }
 
 // Job is one activation of a task.
+//
+// A job released through a guest OS is owned by that guest: the pointer
+// is valid until the job's completion has been handled (Complete, the
+// task's OnJobDone, and the kernel's completion bookkeeping), after which
+// the guest zeroes the record and reuses it for a later release. A holder
+// that outlives the completion therefore sees Task == nil and panics on
+// its first dereference; copy *j inside OnJobDone to keep the outcome.
+// Abandoned jobs are never reused.
 type Job struct {
 	Task      *Task
 	Seq       int
@@ -195,6 +213,10 @@ type Job struct {
 	// Abandoned marks a job discarded before completion (e.g. at
 	// simulation end or task unregister).
 	Abandoned bool
+
+	// Slot is the job's index in the ready queue holding it, or -1 when
+	// it is not queued. Only that queue maintains it.
+	Slot int32
 }
 
 // Missed reports whether the job has definitively missed its deadline as of

@@ -142,6 +142,26 @@ func TestSetParamsAffectsFutureJobs(t *testing.T) {
 	}
 }
 
+// TestReleaseIntoRecycledRecord pins that a released-into record carries
+// nothing from its previous life: a pooled job must equal a fresh one.
+func TestReleaseIntoRecycledRecord(t *testing.T) {
+	a := New(1, "a", Periodic, Params{Slice: ms(1), Period: ms(10)})
+	b := New(2, "b", Sporadic, Params{Slice: ms(2), Period: ms(20)})
+	j := a.Release(0, ms(1))
+	j.Consume(ms(1))
+	j.Complete(simtime.Time(ms(12)))
+	j.Abandoned, j.Slot = true, 7
+	b.ReleaseInto(j, simtime.Time(ms(30)), ms(2))
+	want := Job{Task: b, Seq: 0, Release: simtime.Time(ms(30)), Deadline: simtime.Time(ms(50)),
+		Demand: ms(2), Remaining: ms(2), Slot: -1}
+	if *j != want {
+		t.Fatalf("recycled record = %+v, want %+v", *j, want)
+	}
+	if fresh := b.Release(simtime.Time(ms(60)), ms(2)); fresh.Seq != 1 || fresh.Slot != -1 {
+		t.Fatalf("fresh release after ReleaseInto = %+v, want Seq 1, Slot -1", *fresh)
+	}
+}
+
 func TestOnJobDoneHook(t *testing.T) {
 	tk := New(1, "t", Periodic, Params{Slice: ms(1), Period: ms(10)})
 	var calls int

@@ -77,7 +77,9 @@ type (
 	Task = task.Task
 	// Params is a timeliness requirement: Slice of CPU every Period.
 	Params = task.Params
-	// Job is one activation of a task.
+	// Job is one activation of a task. A job released by a guest OS is
+	// valid until its completion has been handled; the guest then zeroes
+	// the record and reuses it, so copy *j inside OnJobDone to keep it.
 	Job = task.Job
 	// TaskStats accumulates a task's deadline outcomes.
 	TaskStats = task.Stats
