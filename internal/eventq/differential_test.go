@@ -1,6 +1,7 @@
 package eventq
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -77,101 +78,309 @@ func (m *refModel) fire() (int, bool) {
 	return id, true
 }
 
+// differ drives a Queue and the reference model in lockstep. Every method
+// applies one operation to both; fire and check report the first
+// disagreement.
+type differ struct {
+	q     Queue
+	m     refModel
+	live  []liveEvent
+	next  int
+	fired int
+}
+
+type liveEvent struct {
+	h  Handle
+	id int
+}
+
+func (d *differ) schedule(at simtime.Time) {
+	id := d.next
+	d.next++
+	h := d.q.Schedule(at, func(simtime.Time) { d.fired = id })
+	d.m.schedule(at, id)
+	d.live = append(d.live, liveEvent{h: h, id: id})
+}
+
+func (d *differ) cancel(i int) {
+	d.q.Cancel(d.live[i].h)
+	d.m.cancel(d.live[i].id)
+	d.live = append(d.live[:i], d.live[i+1:]...)
+}
+
+func (d *differ) reschedule(i int, at simtime.Time) {
+	d.live[i].h = d.q.Reschedule(d.live[i].h, at)
+	d.m.reschedule(d.live[i].id, at)
+}
+
+// fire pops one event from both and reports whether the model had one.
+func (d *differ) fire() (bool, error) {
+	d.fired = -1
+	want, ok := d.m.fire()
+	if got := d.q.Fire(); got != ok {
+		return ok, fmt.Errorf("Fire = %v, model %v", got, ok)
+	}
+	if !ok {
+		return false, nil
+	}
+	if d.fired != want {
+		return true, fmt.Errorf("fired id %d, model %d", d.fired, want)
+	}
+	for i := range d.live {
+		if d.live[i].id == want {
+			d.live = append(d.live[:i], d.live[i+1:]...)
+			break
+		}
+	}
+	return true, nil
+}
+
+func (d *differ) check() error {
+	if d.q.Len() != len(d.m.pending) {
+		return fmt.Errorf("Len = %d, model %d", d.q.Len(), len(d.m.pending))
+	}
+	if d.q.PeekTime() != d.m.peek() {
+		return fmt.Errorf("PeekTime = %v, model %v", d.q.PeekTime(), d.m.peek())
+	}
+	return nil
+}
+
+// drain fires both to empty, comparing the tail of the ordering.
+func (d *differ) drain() error {
+	for {
+		ok, err := d.fire()
+		if err != nil {
+			return err
+		}
+		if !ok {
+			break
+		}
+	}
+	if d.q.Len() != 0 {
+		return fmt.Errorf("Len after drain = %d", d.q.Len())
+	}
+	return nil
+}
+
+// chainPos names e's place in its same-instant chain.
+func chainPos(e *Event) string {
+	switch {
+	case e.prev == nil && e.next == nil:
+		return "lone"
+	case e.prev == nil:
+		return "head"
+	case e.next == nil:
+		return "tail"
+	default:
+		return "middle"
+	}
+}
+
+// checkInvariants verifies the queue's structure: heap order and indices
+// over the chain heads, sequence-ordered chains whose events total Len,
+// tails entries that end a chain at their own slot, and chains at one
+// instant that do not interleave.
+func checkInvariants(q *Queue) error {
+	type span struct{ first, last uint64 }
+	spans := map[simtime.Time][]span{}
+	n := 0
+	for i, h := range q.h {
+		if int(h.idx) != i || h.prev != nil {
+			return fmt.Errorf("heap slot %d: idx %d, prev %v", i, h.idx, h.prev != nil)
+		}
+		if i > 0 && less(h, q.h[(i-1)/arity]) {
+			return fmt.Errorf("heap slot %d orders before its parent", i)
+		}
+		e := h
+		for ; ; e = e.next {
+			n++
+			if e != h && (e.idx != -1 || e.prev.next != e) {
+				return fmt.Errorf("chain at %v: bad links or idx %d", h.at, e.idx)
+			}
+			if e.next == nil {
+				break
+			}
+			if e.next.at != e.at || e.next.seq <= e.seq {
+				return fmt.Errorf("chain at %v out of order", h.at)
+			}
+		}
+		spans[h.at] = append(spans[h.at], span{h.seq, e.seq})
+	}
+	if n != q.live {
+		return fmt.Errorf("chains hold %d events, Len %d", n, q.live)
+	}
+	for _, ss := range spans {
+		for i := range ss {
+			for j := range ss {
+				if i != j && ss[i].first < ss[j].first && ss[j].first < ss[i].last {
+					return fmt.Errorf("chains at one instant interleave")
+				}
+			}
+		}
+	}
+	for s, e := range q.tails {
+		if e == nil {
+			continue
+		}
+		if slot(e.at) != s || e.next != nil {
+			return fmt.Errorf("tails[%d] is not the end of a chain in its slot", s)
+		}
+		h := e
+		for h.prev != nil {
+			h = h.prev
+		}
+		if int(h.idx) >= len(q.h) || h.idx < 0 || q.h[h.idx] != h {
+			return fmt.Errorf("tails[%d] is not queued", s)
+		}
+	}
+	return nil
+}
+
+// fewInstants returns eight instants on a 1 ms grid. The last shares a
+// tails entry with the first, so chains at those two instants close each
+// other.
+func fewInstants() []simtime.Time {
+	ms := simtime.Time(simtime.Millisecond)
+	ts := make([]simtime.Time, 0, 8)
+	for k := simtime.Time(1); k <= 7; k++ {
+		ts = append(ts, k*ms)
+	}
+	for k := simtime.Time(8); ; k++ {
+		if slot(k*ms) == slot(ts[0]) {
+			return append(ts, k*ms)
+		}
+	}
+}
+
+// runDifferential applies ops random schedule/cancel/reschedule/fire
+// operations with instants drawn by randTime, checking Len, PeekTime and
+// every fired id after each one and the structure every 64. It returns
+// how often each chain position was cancelled and rescheduled, and how
+// many inserts found their tails entry held by another instant.
+func runDifferential(t *testing.T, seed int64, rng *rand.Rand, randTime func() simtime.Time) (map[string]int, int) {
+	t.Helper()
+	const ops = 100_000
+	d := &differ{}
+	pos := map[string]int{}
+	evictions := 0
+	for op := 0; op < ops; op++ {
+		switch r := rng.Intn(10); {
+		case r < 4 || len(d.live) == 0:
+			at := randTime()
+			if e := d.q.tails[slot(at)]; e != nil && e.at != at {
+				evictions++
+			}
+			d.schedule(at)
+		case r < 6:
+			i := rng.Intn(len(d.live))
+			pos["cancel "+chainPos(d.live[i].h.e)]++
+			d.cancel(i)
+		case r < 8:
+			i := rng.Intn(len(d.live))
+			pos["reschedule "+chainPos(d.live[i].h.e)]++
+			d.reschedule(i, randTime())
+		default:
+			if _, err := d.fire(); err != nil {
+				t.Fatalf("seed %d op %d: %v", seed, op, err)
+			}
+		}
+		if err := d.check(); err != nil {
+			t.Fatalf("seed %d op %d: %v", seed, op, err)
+		}
+		if op%64 == 0 {
+			if err := checkInvariants(&d.q); err != nil {
+				t.Fatalf("seed %d op %d: %v", seed, op, err)
+			}
+		}
+	}
+	if err := d.drain(); err != nil {
+		t.Fatalf("seed %d drain: %v", seed, err)
+	}
+	return pos, evictions
+}
+
 // TestDifferentialAgainstReferenceModel drives ~1e5 random
-// schedule/cancel/reschedule/fire operations through the intrusive 4-ary
-// heap and the sorted-slice reference model in lockstep, checking Len,
-// PeekTime, and every fired event id after each operation. The
-// cancel/reschedule mix exercises the heap's tombstone/compaction
-// machinery. Seeds are logged so a failure reproduces with a one-line
-// change.
+// schedule/cancel/reschedule/fire operations per seed through the queue
+// and the sorted-slice reference model in lockstep, checking Len,
+// PeekTime, and every fired event id after each operation. Wide mode draws
+// times from 2^20 values, so nearly every event is alone at its instant
+// and the plain heap paths run. Few-instants mode draws from fewInstants,
+// so chains form, and it requires that heads, middles and tails were each
+// cancelled and rescheduled and that the colliding pair shared an entry.
+// Seeds are logged so a failure reproduces with a one-line change.
 func TestDifferentialAgainstReferenceModel(t *testing.T) {
 	seeds := []int64{1, 7, 42, 20260806}
 	for _, seed := range seeds {
-		t.Logf("differential seed %d", seed)
+		t.Logf("differential seed %d, wide", seed)
 		rng := rand.New(rand.NewSource(seed))
-		var q Queue
-		var m refModel
-
-		type liveEvent struct {
-			h  Handle
-			id int
-		}
-		var live []liveEvent
-		nextID := 0
-		fired := -1
-		const ops = 100_000
-		randTime := func() simtime.Time { return simtime.Time(rng.Int63n(1 << 20)) }
-
-		for op := 0; op < ops; op++ {
-			switch r := rng.Intn(10); {
-			case r < 4 || len(live) == 0: // schedule
-				id := nextID
-				nextID++
-				at := randTime()
-				h := q.Schedule(at, func(simtime.Time) { fired = id })
-				m.schedule(at, id)
-				live = append(live, liveEvent{h: h, id: id})
-			case r < 6: // cancel
-				i := rng.Intn(len(live))
-				q.Cancel(live[i].h)
-				m.cancel(live[i].id)
-				live = append(live[:i], live[i+1:]...)
-			case r < 8: // reschedule an active handle in place
-				i := rng.Intn(len(live))
-				at := randTime()
-				live[i].h = q.Reschedule(live[i].h, at)
-				m.reschedule(live[i].id, at)
-			default: // fire
-				fired = -1
-				want, ok := m.fire()
-				if got := q.Fire(); got != ok {
-					t.Fatalf("seed %d op %d: Fire = %v, model %v", seed, op, got, ok)
-				}
-				if ok && fired != want {
-					t.Fatalf("seed %d op %d: fired id %d, model %d", seed, op, fired, want)
-				}
-				if ok {
-					for i := range live {
-						if live[i].id == want {
-							live = append(live[:i], live[i+1:]...)
-							break
-						}
-					}
+		runDifferential(t, seed, rng, func() simtime.Time { return simtime.Time(rng.Int63n(1 << 20)) })
+	}
+	instants := fewInstants()
+	for _, seed := range seeds {
+		t.Logf("differential seed %d, few instants", seed)
+		rng := rand.New(rand.NewSource(seed))
+		pos, evictions := runDifferential(t, seed, rng, func() simtime.Time { return instants[rng.Intn(len(instants))] })
+		for _, op := range []string{"cancel", "reschedule"} {
+			for _, p := range []string{"head", "middle", "tail"} {
+				if pos[op+" "+p] == 0 {
+					t.Errorf("seed %d: no %s of a chain %s", seed, op, p)
 				}
 			}
-			if q.Len() != len(m.pending) {
-				t.Fatalf("seed %d op %d: Len = %d, model %d", seed, op, q.Len(), len(m.pending))
-			}
-			if q.PeekTime() != m.peek() {
-				t.Fatalf("seed %d op %d: PeekTime = %v, model %v", seed, op, q.PeekTime(), m.peek())
-			}
 		}
-		// Drain and compare the tail ordering.
-		for {
-			fired = -1
-			want, ok := m.fire()
-			if got := q.Fire(); got != ok {
-				t.Fatalf("seed %d drain: Fire = %v, model %v", seed, got, ok)
-			}
-			if ok && fired != want {
-				t.Fatalf("seed %d drain: fired id %d, model %d", seed, fired, want)
-			}
-			if !ok {
-				break
-			}
-		}
-		if q.Len() != 0 {
-			t.Fatalf("seed %d: Len after drain = %d", seed, q.Len())
+		if evictions == 0 {
+			t.Errorf("seed %d: the colliding instants never shared a tails entry", seed)
 		}
 	}
+}
+
+// FuzzQueueDifferential decodes its input into schedule, cancel,
+// reschedule and fire operations over fewInstants and checks the queue
+// against the reference model and its own invariants after each one. Each
+// operation takes two bytes: the low two bits of the first pick the
+// operation and the rest the instant; the second picks the live event.
+func FuzzQueueDifferential(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 0, 4, 0, 28, 0, 0, 0, 1, 1, 2, 0, 3, 0})
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 2, 1, 6, 0, 1, 1, 3, 0, 3, 0})
+	f.Add([]byte{28, 0, 0, 0, 28, 0, 0, 0, 1, 0, 30, 1, 3, 0})
+	instants := fewInstants()
+	f.Fuzz(func(t *testing.T, in []byte) {
+		d := &differ{}
+		for k := 0; k+1 < len(in); k += 2 {
+			b, arg := in[k], int(in[k+1])
+			at := instants[int(b>>2)%len(instants)]
+			switch op := b & 3; {
+			case op == 0 || len(d.live) == 0:
+				d.schedule(at)
+			case op == 1:
+				d.cancel(arg % len(d.live))
+			case op == 2:
+				d.reschedule(arg%len(d.live), at)
+			default:
+				if _, err := d.fire(); err != nil {
+					t.Fatalf("op %d: %v", k/2, err)
+				}
+			}
+			if err := d.check(); err != nil {
+				t.Fatalf("op %d: %v", k/2, err)
+			}
+			if err := checkInvariants(&d.q); err != nil {
+				t.Fatalf("op %d: %v", k/2, err)
+			}
+		}
+		if err := d.drain(); err != nil {
+			t.Fatalf("drain: %v", err)
+		}
+	})
 }
 
 // TestSteadyStateZeroAlloc locks the zero-allocation property of the
 // steady-state kernel path: a standing event being rescheduled plus a
 // schedule→fire stream must not allocate once the free list and the heap's
-// backing array are warm. The subtest is named after the queue it checks.
+// backing array are warm. The first subtest is named after the queue it
+// checks; the second runs the same-instant chain paths.
 func TestSteadyStateZeroAlloc(t *testing.T) {
 	t.Run("heap", steadyStateZeroAlloc)
+	t.Run("same-instant", sameInstantZeroAlloc)
 }
 
 func steadyStateZeroAlloc(t *testing.T) {
@@ -200,5 +409,45 @@ func steadyStateZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state schedule→fire→reschedule allocates %.1f/op, want 0", allocs)
+	}
+}
+
+// sameInstantZeroAlloc re-arms 16 standing timers to now+1ms, one per op,
+// while 16 quantum timers fire and re-arm themselves on the same grid, so
+// appends, chain pops and moves of chain members all run.
+func sameInstantZeroAlloc(t *testing.T) {
+	const ms = simtime.Millisecond
+	var q Queue
+	var now simtime.Time
+	mark := func(at simtime.Time) { now = at }
+	var quantum func(at simtime.Time)
+	quantum = func(at simtime.Time) {
+		now = at
+		q.Schedule(at.Add(ms), quantum)
+	}
+	standing := make([]Handle, 16)
+	for i := range standing {
+		q.Schedule(simtime.Time(ms), quantum)
+		standing[i] = q.Schedule(simtime.Time(ms), mark)
+	}
+	i := 0
+	op := func() {
+		k := i % len(standing)
+		if standing[k].Active() {
+			standing[k] = q.Reschedule(standing[k], now.Add(ms))
+		} else {
+			standing[k] = q.Schedule(now.Add(ms), mark)
+		}
+		q.Fire()
+		i++
+	}
+	for j := 0; j < 1024; j++ { // warm the free list and the heap
+		op()
+	}
+	if allocs := testing.AllocsPerRun(1000, op); allocs != 0 {
+		t.Fatalf("same-instant schedule→fire→reschedule allocates %.1f/op, want 0", allocs)
+	}
+	if len(q.h) >= q.Len() {
+		t.Fatalf("%d heap heads for %d events: no chains formed", len(q.h), q.Len())
 	}
 }

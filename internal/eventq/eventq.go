@@ -3,26 +3,49 @@
 //
 // Events fire in non-decreasing time order; events scheduled for the same
 // instant fire in FIFO order of insertion so that simulation runs are fully
-// deterministic.
+// deterministic. The pop order is the total (time, insertion sequence)
+// order.
 //
-// The queue is an intrusive 4-ary min-heap specialized to *Event: each
-// record carries its own heap index, so there is no container/heap
-// indirection and no interface boxing on the hot path, and a pending event
-// can be moved in place (Reschedule) with a single sift instead of a
-// cancel plus a fresh insert. The 4-ary layout halves the tree depth of a
-// binary heap; the extra child comparisons per level are cheap linear
-// scans over adjacent pointers.
+// The queue is an intrusive 4-ary min-heap of chain heads. A chain is a run
+// of pending events at one instant, linked through the records' next/prev
+// fields in sequence order; the heap holds one entry per chain, keyed by
+// its first event. Simulated workloads sit on a millisecond grid, so many
+// pending events share an instant: when a head leaves the queue (fires, is
+// cancelled, or is rescheduled) its successor takes the head's heap slot
+// with no sift, and a pop at a crowded instant is O(1). A lone event takes
+// the plain heap path. Each record carries its own heap index, so there is
+// no container/heap indirection and no interface boxing, and a lone head
+// is moved in place (Reschedule) with a single sift. The 4-ary layout
+// halves the tree depth of a binary heap; the extra child comparisons per
+// level are cheap linear scans over adjacent pointers.
+//
+// Chains grow through tails, a direct-mapped table indexed by a hash of
+// the instant. Each entry is nil or the last event of the newest chain at
+// its instant. An insert at instant T appends to tails[slot(T)] when that
+// event is also at T; otherwise it pushes a new chain head into the heap.
+// Either way the new event becomes the entry. Removing the event an entry
+// holds sets the entry to that event's predecessor. The order stays exact
+// because an entry is only ever overwritten by a newer event (at the same
+// instant or at another instant sharing the slot), and falls back only to
+// an older event of the same chain. So a chain takes appends only while it
+// is the newest chain at its instant, and every event of an older chain at
+// T has a smaller sequence number than every event of a newer chain at T.
+// Two properties follow: each chain is in sequence order, and chains at
+// one instant never interleave. A head's successor therefore orders before
+// everything its head ordered before, and can take the head's heap slot as
+// is.
+//
+// Cancellation is eager: Cancel unlinks the event, and a head with no
+// successor leaves the heap through an index removal with one sift. The
+// heap holds only pending events, never more entries than there are
+// pending events, and its root is the earliest one, so PeekTime is a plain
+// field read.
 //
 // Event records are pooled on a per-queue free list and reused across
 // Schedule calls, so the steady-state hot path (schedule → fire →
-// reschedule) allocates nothing. Cancellation is lazy: Cancel marks the
-// event as a tombstone and leaves it in the heap; tombstones are discarded
-// when they surface at the root or when a compaction pass rebuilds the
-// heap. The root is kept live at all times (tombstones are popped the
-// moment they surface), which makes PeekTime a plain field read. Because
-// records are recycled, callers hold a generation-checked Handle rather
-// than a raw pointer — a Handle to an event that has fired, been
-// cancelled, or been reused is simply inert.
+// reschedule) allocates nothing. Because records are recycled, callers
+// hold a generation-checked Handle rather than a raw pointer — a Handle to
+// an event that has fired, been cancelled, or been reused is simply inert.
 package eventq
 
 import (
@@ -32,15 +55,20 @@ import (
 	"rtvirt/internal/simtime"
 )
 
-const (
-	statePending   byte = iota // queued, will fire
-	stateTombstone             // cancelled, still occupying a heap slot
-	stateFree                  // recycled onto the free list
-)
-
 // arity is the heap fan-out. Children of node i are arity*i+1 ...
 // arity*i+arity; the parent of node i is (i-1)/arity.
 const arity = 4
+
+// tailBits sizes the tails table at 1<<tailBits entries. 64 entries cover
+// the distinct instants pending at once on the grid-aligned workloads (about
+// ten); a collision only costs a chain that could have been longer.
+const tailBits = 6
+
+// slot maps an instant to its tails entry by Fibonacci hashing, which
+// spreads multiples of a grid period across the table.
+func slot(at simtime.Time) int {
+	return int(uint64(at) * 0x9e3779b97f4a7c15 >> (64 - tailBits))
+}
 
 // Payload is the closure-free form of a scheduled event: plain data naming
 // a registered handler plus a (Kind, Owner) pair and two scalar arguments.
@@ -63,14 +91,17 @@ type Payload struct {
 // Event is the pooled internal record for one scheduled callback. Callers
 // never hold an *Event directly; they hold a Handle.
 type Event struct {
+	// The fields a sift or a chain step touches come first.
 	at  simtime.Time
 	seq uint64 // insertion order tiebreak
-	gen uint64 // bumped on every recycle; validates Handles
-	fn  func(now simtime.Time)
-	p   Payload // typed form; used when fn is nil
-	// idx is the record's heap slot; -1 when not queued.
-	idx   int32
-	state byte
+	// idx is the record's heap slot while it heads a chain; -1 otherwise.
+	idx int32
+	// next and prev link the event's same-instant chain in sequence order;
+	// a chain head has prev == nil. Both are nil off the queue.
+	next, prev *Event
+	gen        uint64 // bumped on every recycle and reschedule; validates Handles
+	fn         func(now simtime.Time)
+	p          Payload // typed form; used when fn is nil
 }
 
 // Handle identifies one scheduled event. The zero Handle is valid and
@@ -84,9 +115,11 @@ type Handle struct {
 	gen uint64
 }
 
-// Active reports whether the event is still queued and will fire.
+// Active reports whether the event is still queued and will fire. A
+// record's generation moves on whenever it leaves the queue, so a matching
+// generation means the event is pending.
 func (h Handle) Active() bool {
-	return h.e != nil && h.e.gen == h.gen && h.e.state == statePending
+	return h.e != nil && h.e.gen == h.gen
 }
 
 // At reports the instant the event is scheduled for, or simtime.Never if
@@ -101,23 +134,20 @@ func (h Handle) At() simtime.Time {
 // Queue is a time-ordered queue of events. The zero value is ready to use.
 // A Queue (like the simulator it drives) is single-threaded; concurrent
 // simulation runs each own their own Queue.
-//
-// Invariant: when the heap is non-empty its root is a live (pending)
-// event. Every mutation that could surface a tombstone at the root pops it
-// immediately, so PeekTime and Fire never have to search.
 type Queue struct {
 	// Dispatch receives every fired payload event. The queue's owner (the
 	// simulator) sets it once at construction; it is deliberately not part
 	// of CloneInto so a forked queue is re-bound to its own owner.
 	Dispatch func(now simtime.Time, p Payload)
 
-	h    []*Event
-	free []*Event // recycled records, bounded by peak live events
-	seq  uint64
-	live int // pending (non-tombstone) events
+	h     []*Event // chain heads
+	tails [1 << tailBits]*Event
+	free  []*Event // recycled records, bounded by peak live events
+	seq   uint64
+	live  int // pending events
 }
 
-// Len reports the number of live events in the queue.
+// Len reports the number of pending events in the queue.
 func (q *Queue) Len() int { return q.live }
 
 // less orders events by (time, insertion sequence).
@@ -149,8 +179,8 @@ func (q *Queue) SchedulePayload(at simtime.Time, p Payload) Handle {
 	return Handle{e: e, gen: e.gen}
 }
 
-// insert allocates (or recycles) a pending record at instant at and places
-// it in the heap. The caller fills in the callback or payload.
+// insert allocates (or recycles) a pending record at instant at and links
+// it into the queue. The caller fills in the callback or payload.
 func (q *Queue) insert(at simtime.Time) *Event {
 	var e *Event
 	if n := len(q.free); n > 0 {
@@ -160,16 +190,48 @@ func (q *Queue) insert(at simtime.Time) *Event {
 	} else {
 		e = &Event{}
 	}
-	e.at, e.seq, e.state = at, q.seq, statePending
-	q.seq++
 	q.live++
-	q.h = append(q.h, e)
-	q.siftUp(len(q.h) - 1)
-	// Tombstones accumulate without any Cancel running when fires shrink
-	// the live population; checking here too keeps the heap length bounded
-	// by max(64, 2×live) no matter how operations interleave.
-	q.maybeCompact()
+	q.place(e, at)
 	return e
+}
+
+// place gives the unlinked record e the next sequence number at instant at
+// and links it in: appended to the newest chain at at when the tails table
+// holds it, otherwise pushed into the heap as a new chain head.
+func (q *Queue) place(e *Event, at simtime.Time) {
+	e.at, e.seq = at, q.seq
+	q.seq++
+	s := &q.tails[slot(at)]
+	if t := *s; t != nil && t.at == at {
+		t.next, e.prev, e.idx = e, t, -1
+	} else {
+		q.h = append(q.h, e)
+		q.siftUp(len(q.h) - 1)
+	}
+	*s = e
+}
+
+// unlink removes the pending event e from its chain and, when e heads the
+// chain, from the heap: a successor takes the head's heap slot without a
+// sift (see the package doc), and a lone head leaves by index removal.
+func (q *Queue) unlink(e *Event) {
+	if s := &q.tails[slot(e.at)]; *s == e {
+		*s = e.prev
+	}
+	n := e.next
+	if p := e.prev; p != nil {
+		p.next = n
+		if n != nil {
+			n.prev = p
+		}
+	} else if n != nil {
+		n.prev = nil
+		n.idx = e.idx
+		q.h[e.idx] = n
+	} else {
+		q.removeAt(int(e.idx))
+	}
+	e.next, e.prev, e.idx = nil, nil, -1
 }
 
 // Cancel removes the event from the queue if it has not fired yet. It is
@@ -179,16 +241,9 @@ func (q *Queue) Cancel(h Handle) {
 	if !h.Active() {
 		return
 	}
-	e := h.e
-	e.state = stateTombstone
-	e.fn = nil
+	q.unlink(h.e)
 	q.live--
-	if e.idx == 0 {
-		// Keep the root live so PeekTime stays a field read.
-		q.fixRoot()
-		return
-	}
-	q.maybeCompact()
+	q.recycle(h.e)
 }
 
 // Reschedule moves a still-pending event to instant at, keeping its
@@ -197,8 +252,9 @@ func (q *Queue) Cancel(h Handle) {
 // the same callback — in particular the event is assigned a fresh
 // insertion sequence number, so among events scheduled for the same
 // instant it fires after those already queued, exactly as a fresh insert
-// would. Unlike the cancel/insert round trip it leaves no tombstone and
-// performs a single in-place sift (decrease- or increase-key).
+// would. It reuses the record: a lone event moving to an instant with no
+// chain to join is re-keyed where it sits with a single sift; otherwise
+// the event is unlinked and placed again.
 //
 // Rescheduling an inactive Handle panics: the callback of a fired or
 // cancelled event is gone, so there is nothing to move — callers that can
@@ -209,21 +265,28 @@ func (q *Queue) Reschedule(h Handle, at simtime.Time) Handle {
 	}
 	e := h.e
 	e.gen++ // invalidate the old handle, as cancel+schedule would
-	e.at = at
-	e.seq = q.seq
-	q.seq++
-	i := int(e.idx)
-	q.siftUp(i)
-	if int(e.idx) == i {
-		q.siftDown(i)
+	if e.prev == nil && e.next == nil {
+		// Clear e's own entry first, so a move to the same instant cannot
+		// find e as the chain to append to.
+		if s := &q.tails[slot(e.at)]; *s == e {
+			*s = nil
+		}
+		if s := &q.tails[slot(at)]; *s == nil || (*s).at != at {
+			e.at, e.seq = at, q.seq
+			q.seq++
+			*s = e
+			q.fix(int(e.idx))
+			return Handle{e: e, gen: e.gen}
+		}
 	}
-	// An increase-key at the root pulls a child up; it may be a tombstone.
-	q.fixRoot()
+	q.unlink(e)
+	q.place(e, at)
 	return Handle{e: e, gen: e.gen}
 }
 
-// PeekTime reports the firing time of the earliest live event, or
-// simtime.Never when the queue is empty. O(1): the root is always live.
+// PeekTime reports the firing time of the earliest pending event, or
+// simtime.Never when the queue is empty. O(1): the root heads the earliest
+// chain.
 func (q *Queue) PeekTime() simtime.Time {
 	if len(q.h) == 0 {
 		return simtime.Never
@@ -231,19 +294,29 @@ func (q *Queue) PeekTime() simtime.Time {
 	return q.h[0].at
 }
 
-// Fire pops the earliest live event and invokes its callback with now set
-// to the event's scheduled time. It reports false when the queue is empty.
-// The event record is recycled before the callback runs, so a callback
-// that immediately reschedules reuses it without allocating. Tombstone
-// skipping is folded into the pop: the root is live by invariant, so Fire
-// is a single heap descent (plus one per tombstone that the descent
-// surfaces, which is the work that removes it).
+// Fire pops the earliest pending event and invokes its callback with now
+// set to the event's scheduled time. It reports false when the queue is
+// empty. The event record is recycled before the callback runs, so a
+// callback that immediately reschedules reuses it without allocating. A
+// pop whose event has a same-instant successor is O(1); a lone event's pop
+// is one heap descent.
 func (q *Queue) Fire() bool {
 	if len(q.h) == 0 {
 		return false
 	}
-	e := q.removeRoot()
-	q.fixRoot()
+	// unlink specialized to the root, which heads its chain.
+	e := q.h[0]
+	if s := &q.tails[slot(e.at)]; *s == e {
+		*s = nil
+	}
+	if n := e.next; n != nil {
+		n.prev, n.idx = nil, 0
+		q.h[0] = n
+		e.next = nil
+	} else {
+		q.removeRoot()
+	}
+	e.idx = -1
 	q.live--
 	at, fn, p := e.at, e.fn, e.p
 	q.recycle(e)
@@ -255,27 +328,38 @@ func (q *Queue) Fire() bool {
 	return true
 }
 
-// removeRoot detaches the heap root and restores heap shape (one descent).
-func (q *Queue) removeRoot() *Event {
-	e := q.h[0]
+// removeRoot deletes heap slot 0, filling it with the last slot's head
+// (one descent).
+func (q *Queue) removeRoot() {
 	n := len(q.h) - 1
 	last := q.h[n]
 	q.h[n] = nil
 	q.h = q.h[:n]
 	if n > 0 {
 		q.h[0] = last
-		last.idx = 0
 		q.siftDown(0)
 	}
-	e.idx = -1
-	return e
 }
 
-// fixRoot discards tombstones sitting at the root, restoring the live-root
-// invariant.
-func (q *Queue) fixRoot() {
-	for len(q.h) > 0 && q.h[0].state == stateTombstone {
-		q.recycle(q.removeRoot())
+// removeAt deletes heap slot i, filling it with the last slot's head.
+func (q *Queue) removeAt(i int) {
+	n := len(q.h) - 1
+	last := q.h[n]
+	q.h[n] = nil
+	q.h = q.h[:n]
+	if i < n {
+		q.h[i] = last
+		last.idx = int32(i)
+		q.fix(i)
+	}
+}
+
+// fix restores heap order after the key at slot i changed in either
+// direction.
+func (q *Queue) fix(i int) {
+	q.siftUp(i)
+	if int(q.h[i].idx) == i {
+		q.siftDown(i)
 	}
 }
 
@@ -330,45 +414,12 @@ func (q *Queue) siftDown(i int) {
 	e.idx = int32(i)
 }
 
-// maybeCompact rebuilds the heap from live events when tombstones dominate
-// it, bounding memory for workloads that cancel far-future events faster
-// than the clock reaches them. Both Cancel and Schedule run the check, so
-// the bound holds under any interleaving of the two.
-func (q *Queue) maybeCompact() {
-	if len(q.h) < 64 || q.live*2 >= len(q.h) {
-		return
-	}
-	kept := q.h[:0]
-	for _, e := range q.h {
-		if e.state == statePending {
-			kept = append(kept, e)
-		} else {
-			q.recycle(e)
-		}
-	}
-	for i := len(kept); i < len(q.h); i++ {
-		q.h[i] = nil
-	}
-	q.h = kept
-	n := len(kept)
-	for i, e := range kept {
-		e.idx = int32(i)
-	}
-	if n > 1 {
-		for i := (n - 2) / arity; i >= 0; i-- {
-			q.siftDown(i)
-		}
-	}
-}
-
-// recycle returns a record to the free list, invalidating outstanding
-// Handles to it.
+// recycle returns an unlinked record to the free list, invalidating
+// outstanding Handles to it.
 func (q *Queue) recycle(e *Event) {
 	e.gen++
 	e.fn = nil
 	e.p = Payload{}
-	e.state = stateFree
-	e.idx = -1
 	q.free = append(q.free, e)
 }
 
@@ -377,8 +428,13 @@ func (q *Queue) recycle(e *Event) {
 // pending event keeps its (at, seq) pair and generation exactly, and the
 // seq counter is carried over, so the copy fires the same events in the
 // same order and numbers future insertions identically — the forked run is
-// bit-identical to the original. Tombstones and the free list are not
-// copied; they are unobservable.
+// bit-identical to the original. The free list is not copied; it is
+// unobservable.
+//
+// Each chain is walked and every event is copied as a lone chain head,
+// with an empty tails table in the copy. That is valid because every
+// copied chain is closed to appends: any later insert in dst has a larger
+// sequence number than all copied events and starts a chain of its own.
 //
 // Each old record's clone is memoized in ctx so callers can remap the
 // Handles they hold (CloneHandle). CloneInto fails if any pending event
@@ -387,17 +443,16 @@ func (q *Queue) recycle(e *Event) {
 func (q *Queue) CloneInto(dst *Queue, ctx *clone.Ctx) error {
 	closures := 0
 	dst.h = make([]*Event, 0, q.live)
-	for _, e := range q.h {
-		if e.state != statePending {
-			continue
+	for _, head := range q.h {
+		for e := head; e != nil; e = e.next {
+			if e.fn != nil {
+				closures++
+				continue
+			}
+			ne := &Event{at: e.at, seq: e.seq, gen: e.gen, p: e.p}
+			ctx.Put(e, ne)
+			dst.h = append(dst.h, ne)
 		}
-		if e.fn != nil {
-			closures++
-			continue
-		}
-		ne := &Event{at: e.at, seq: e.seq, gen: e.gen, p: e.p, state: statePending}
-		ctx.Put(e, ne)
-		dst.h = append(dst.h, ne)
 	}
 	if closures > 0 {
 		return fmt.Errorf("eventq: %d pending closure event(s); only typed payload events can be forked", closures)

@@ -2,12 +2,69 @@ package eventq
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
 
+	"rtvirt/internal/clone"
 	"rtvirt/internal/simtime"
 )
+
+// CloneInto of a queue with same-instant chains copies every event as a
+// lone head, and CloneHandle maps handles to a chain's head, middle and
+// tail. The same operations on both queues must then fire the same ids,
+// although in the source they append to open chains and in the copy they
+// start new ones.
+func TestCloneIntoChains(t *testing.T) {
+	const ms = simtime.Time(simtime.Millisecond)
+	var src, dst Queue
+	var got [2][]int32
+	src.Dispatch = func(_ simtime.Time, p Payload) { got[0] = append(got[0], p.Owner) }
+	dst.Dispatch = func(_ simtime.Time, p Payload) { got[1] = append(got[1], p.Owner) }
+	var hs []Handle
+	for id := int32(0); id < 30; id++ {
+		hs = append(hs, src.SchedulePayload(simtime.Time(1+id%3)*ms, Payload{Owner: id}))
+	}
+	// The chain at 1 ms holds ids 0, 3, ..., 27.
+	picked := [3]Handle{hs[0], hs[12], hs[27]}
+	for i, pos := range []string{"head", "middle", "tail"} {
+		if p := chainPos(picked[i].e); p != pos {
+			t.Fatalf("handle %d is a chain %s, want %s", i, p, pos)
+		}
+	}
+	ctx := clone.New()
+	if err := src.CloneInto(&dst, ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := checkInvariants(&dst); err != nil {
+		t.Fatalf("copy: %v", err)
+	}
+	handles := [2][3]Handle{picked}
+	for i, h := range picked {
+		c := CloneHandle(ctx, h)
+		if !c.Active() || c.At() != h.At() {
+			t.Fatalf("cloned handle %d: active %v at %v, want active at %v", i, c.Active(), c.At(), h.At())
+		}
+		handles[1][i] = c
+	}
+	for k, q := range []*Queue{&src, &dst} {
+		h := handles[k]
+		q.Cancel(h[0])
+		q.Reschedule(h[1], 2*ms)
+		q.Reschedule(h[2], 1*ms)
+		q.SchedulePayload(1*ms, Payload{Owner: 100})
+		q.SchedulePayload(3*ms, Payload{Owner: 101})
+		if err := checkInvariants(q); err != nil {
+			t.Fatalf("queue %d: %v", k, err)
+		}
+		for q.Fire() {
+		}
+	}
+	if len(got[0]) != 31 || !slices.Equal(got[0], got[1]) {
+		t.Fatalf("source fired %v,\ncopy fired %v", got[0], got[1])
+	}
+}
 
 func TestFireOrder(t *testing.T) {
 	var q Queue
@@ -143,7 +200,7 @@ func TestPeekTime(t *testing.T) {
 	if q.PeekTime() != 7 {
 		t.Fatalf("PeekTime = %v, want 7", q.PeekTime())
 	}
-	// Lazy cancellation: PeekTime must skip the tombstone at the top.
+	// Cancelling the root must advance PeekTime at once.
 	q.Cancel(h)
 	if q.PeekTime() != 99 {
 		t.Fatalf("PeekTime after cancelling head = %v, want 99", q.PeekTime())
@@ -196,18 +253,20 @@ func TestRescheduleFromCallbackReusesRecord(t *testing.T) {
 	}
 }
 
+// The name dates from lazy cancellation, when compaction had to bound the
+// heap. Cancel now unlinks eagerly, so the heap never holds more entries
+// than pending events; the bound still pins that.
 func TestCompactionBoundsTombstones(t *testing.T) {
 	var q Queue
 	// Repeatedly cancel-and-reschedule a far-future event, the hv.setEvent
-	// pattern. Without compaction the heap grows without bound because the
-	// clock never reaches the tombstones.
+	// pattern, whose cancelled events the clock never reaches.
 	h := q.Schedule(1_000_000, func(simtime.Time) {})
 	for i := 0; i < 10_000; i++ {
 		q.Cancel(h)
 		h = q.Schedule(simtime.Time(1_000_000+i), func(simtime.Time) {})
 	}
 	if len(q.h) > 256 {
-		t.Fatalf("heap holds %d entries for 1 live event; compaction failed", len(q.h))
+		t.Fatalf("heap holds %d entries for 1 live event; cancelled events stayed", len(q.h))
 	}
 	if q.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", q.Len())
@@ -372,9 +431,9 @@ func TestRescheduleInactivePanics(t *testing.T) {
 	q.Reschedule(h, 2)
 }
 
-// Rescheduling the root to a later time sifts a child up; if that child is
-// a tombstone it must be discarded immediately so PeekTime (a plain field
-// read) stays truthful.
+// Rescheduling the root to a later time sifts a child up; with a cancelled
+// event below the root, PeekTime (a plain field read) must still report
+// the earliest pending event.
 func TestRescheduleRootPastTombstone(t *testing.T) {
 	var q Queue
 	var fired []simtime.Time
@@ -382,10 +441,10 @@ func TestRescheduleRootPastTombstone(t *testing.T) {
 	a := q.Schedule(1, record)
 	b := q.Schedule(2, record)
 	q.Schedule(3, record)
-	q.Cancel(b) // tombstone below the root
+	q.Cancel(b) // below the root
 	q.Reschedule(a, 5)
 	if q.PeekTime() != 3 {
-		t.Fatalf("PeekTime = %v, want 3 (tombstone must not surface)", q.PeekTime())
+		t.Fatalf("PeekTime = %v, want 3 (cancelled event must not surface)", q.PeekTime())
 	}
 	for q.Fire() {
 	}
@@ -394,9 +453,8 @@ func TestRescheduleRootPastTombstone(t *testing.T) {
 	}
 }
 
-// Fire must skip tombstones that surface during its descent without a
-// separate drain pass, and cancelling the head must advance PeekTime
-// immediately.
+// Fire after a run of cancellations behind the head must pop the next
+// pending event, and PeekTime must skip the cancelled run.
 func TestFireSkipsTombstoneChain(t *testing.T) {
 	var q Queue
 	var fired []simtime.Time
@@ -405,18 +463,18 @@ func TestFireSkipsTombstoneChain(t *testing.T) {
 	for i := 1; i <= 8; i++ {
 		hs = append(hs, q.Schedule(simtime.Time(i), record))
 	}
-	// Tombstone a contiguous chain 2..6 behind the live head.
+	// Cancel a contiguous run 2..6 behind the live head.
 	for _, h := range hs[1:6] {
 		q.Cancel(h)
 	}
 	if q.PeekTime() != 1 {
 		t.Fatalf("PeekTime = %v, want 1", q.PeekTime())
 	}
-	if !q.Fire() { // pops 1; the tombstone chain folds into this pop
+	if !q.Fire() { // pops 1
 		t.Fatal("Fire returned false")
 	}
 	if q.PeekTime() != 7 {
-		t.Fatalf("PeekTime after fold = %v, want 7", q.PeekTime())
+		t.Fatalf("PeekTime after the pop = %v, want 7", q.PeekTime())
 	}
 	for q.Fire() {
 	}
@@ -431,10 +489,10 @@ func TestFireSkipsTombstoneChain(t *testing.T) {
 	}
 }
 
-// Regression: with compaction triggered only from Cancel, fires can shrink
-// the live population far below half the heap without any cancel running
-// the check, and a subsequent Schedule would grow the heap past the
-// 2×live bound. Schedule must run the check too.
+// Regression from lazy cancellation: with compaction triggered only from
+// Cancel, fires could shrink the live population far below half the heap,
+// and a subsequent Schedule grew the heap past the 2×live bound. Eager
+// cancellation meets the bound by construction; the test keeps it pinned.
 func TestScheduleTriggersCompaction(t *testing.T) {
 	var q Queue
 	nop := func(simtime.Time) {}
@@ -442,18 +500,17 @@ func TestScheduleTriggersCompaction(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		hs = append(hs, q.Schedule(simtime.Time(1000+i), nop))
 	}
-	// Tombstone the far half (never the head, so nothing pops eagerly);
-	// 2×live == len exactly, so no Cancel-side compaction runs.
+	// Cancel the far half (never the head).
 	for _, h := range hs[200:] {
 		q.Cancel(h)
 	}
-	// Fires shrink live without running any compaction check.
+	// Fires shrink the live population.
 	for i := 0; i < 120; i++ {
 		q.Fire()
 	}
-	q.Schedule(1_000_000, nop) // must notice the tombstone excess
+	q.Schedule(1_000_000, nop)
 	if bound := 2 * q.Len(); len(q.h) >= 64 && len(q.h) > bound {
-		t.Fatalf("heap holds %d slots for %d live events (bound %d); Schedule did not compact",
+		t.Fatalf("heap holds %d slots for %d live events (bound %d)",
 			len(q.h), q.Len(), bound)
 	}
 }
@@ -547,6 +604,38 @@ func BenchmarkKernelMixChurn(b *testing.B) {
 	}
 	b.StopTimer()
 	for q.Fire() {
+	}
+}
+
+// BenchmarkKernelMixAligned is the grid-aligned variant, the shape of the
+// Figure 3 and Table 6 worlds: 15 PCPU quantum timers re-arm themselves
+// every 1 ms, as RT-Xen's do, and 24 periodic tasks with whole-millisecond
+// periods release on the same grid, each release re-arming one PCPU's
+// timer. Most pending events share their instant with others, so most pops
+// take a chain successor. One op is one fired event.
+func BenchmarkKernelMixAligned(b *testing.B) {
+	const ms = simtime.Millisecond
+	var q Queue
+	quantum := make([]Handle, 15)
+	for i := range quantum {
+		var tick func(now simtime.Time)
+		tick = func(now simtime.Time) { quantum[i] = q.Schedule(now.Add(ms), tick) }
+		quantum[i] = q.Schedule(simtime.Time(ms), tick)
+	}
+	periods := []simtime.Duration{2 * ms, 3 * ms, 4 * ms, 5 * ms, 10 * ms, 20 * ms}
+	for j := 0; j < 24; j++ {
+		period, pcpu := periods[j%len(periods)], j%len(quantum)
+		var release func(now simtime.Time)
+		release = func(now simtime.Time) {
+			quantum[pcpu] = q.Reschedule(quantum[pcpu], now.Add(ms))
+			q.Schedule(now.Add(period), release)
+		}
+		q.Schedule(simtime.Time(period), release)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q.Fire()
 	}
 }
 

@@ -70,7 +70,7 @@ func (h *Host) advance(p *PCPU, now simtime.Time) {
 // event lands here with a previous event still standing (the allocation
 // end or projected job completion moved), so the common case is an
 // in-place reschedule of the same pooled record rather than a
-// cancel/tombstone/insert round trip. The event is a typed payload —
+// cancel/insert round trip. The event is a typed payload —
 // (host handler, evPCPUTimer, PCPU ID) — so it is plain data: the path
 // allocates nothing and the pending timer survives a fork.
 func (h *Host) setEvent(p *PCPU, at simtime.Time) {

@@ -107,9 +107,11 @@ func (s *Simulator) Cancel(h eventq.Handle) { s.q.Cancel(h) }
 // keeping its callback, and returns the replacement handle (the one passed
 // in goes inert). It is the in-place equivalent of Cancel followed by At
 // with the same callback — including FIFO ordering among same-instant
-// events — but leaves no tombstone in the queue and performs a single heap
-// sift. Rescheduling into the past or an inactive handle panics; callers
-// that may hold a fired handle check Active first.
+// events — and reuses the event's record: a lone event is re-keyed with a
+// single heap sift, and one sharing its instant with others moves between
+// same-instant chains (see eventq). Rescheduling into the past or an
+// inactive handle panics; callers that may hold a fired handle check
+// Active first.
 func (s *Simulator) Reschedule(h eventq.Handle, at simtime.Time) eventq.Handle {
 	if at < s.now {
 		panic(fmt.Sprintf("sim: rescheduling event at %v before now %v", at, s.now))
