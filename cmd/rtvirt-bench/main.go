@@ -7,9 +7,11 @@
 //	rtvirt-bench -experiment all            # everything (several minutes)
 //	rtvirt-bench -experiment fig3           # one experiment
 //	rtvirt-bench -experiment fig5a -seconds 30
+//	rtvirt-bench -experiment fidelity -out results
 //
-// Experiments: fig1, table1, table2, fig3, sporadic, table3, fig4,
-// table4, fig5a, fig5b, table5, table6, attacks, quickcheck, all.
+// rtvirt-bench -h lists the experiments and flags. With -out DIR,
+// experiments that export machine-readable artifacts (CSV/JSON) write them
+// into DIR; without it nothing is written.
 //
 // -experiment quickcheck runs the randomized invariant harness
 // (internal/check/quick): -n scenarios per stack, seeded by -seed; any
@@ -21,10 +23,12 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"os"
 	"strings"
 
 	"rtvirt"
+	"rtvirt/internal/check/quick"
 	"rtvirt/internal/report"
 	"rtvirt/internal/runner"
 )
@@ -32,39 +36,107 @@ import (
 // out is the optional artifact directory (-out flag); nil disables export.
 var out *report.Dir
 
+// options holds the command line.
+type options struct {
+	experiment string
+	seed       uint64
+	seconds    int64
+	out        string
+	runs       int
+	n          int
+	parallel   int
+}
+
+func defaultOptions() options {
+	return options{experiment: "all", seed: 1, runs: 5, n: 25}
+}
+
+// experiment is one entry of the -experiment table.
+type experiment struct {
+	name string
+	run  func(o options)
+}
+
+// experiments is the -experiment table in the order -experiment all runs
+// it.
+var experiments = []experiment{
+	{"fig1", func(o options) { runFig1(o.seed, o.seconds) }},
+	{"table1", func(options) { runTable1() }},
+	{"table2", func(o options) { runTable2(o.seed, o.seconds) }},
+	{"fig3", func(o options) { runFig3(o.seed, o.seconds, false) }},
+	{"sporadic", func(o options) { runFig3(o.seed, o.seconds, true) }},
+	{"table3", func(options) { runTable3() }},
+	{"fig4", func(o options) { runFig4(o.seed, o.seconds) }},
+	{"table4", func(o options) { runTable4(o.seed, o.seconds) }},
+	{"fig5a", func(o options) { runFig5(o.seed, o.seconds, false) }},
+	{"fig5b", func(o options) { runFig5(o.seed, o.seconds, true) }},
+	{"table5", func(options) { runTable5() }},
+	{"table6", func(o options) { runTable6(o.seed, o.seconds) }},
+	{"ablations", func(o options) { runAblations(o.seed, o.seconds) }},
+	{"io", func(o options) { runIO(o.seed, o.seconds) }},
+	{"surge", func(o options) { runSurge(o.seed, o.seconds) }},
+	{"loadsteps", func(o options) { runLoadSteps(o.seed, o.seconds) }},
+	{"bisect", func(o options) { runBisect(o.seed, o.seconds) }},
+	{"robustness", func(o options) { runRobustness(o.runs, o.seconds) }},
+	{"fidelity", func(o options) { runFidelity(o.seed, o.seconds) }},
+	{"attacks", func(o options) { runAttacks(o.seed, o.seconds) }},
+	{"quickcheck", func(o options) { runQuickcheck(o.seed, o.n, o.seconds) }},
+}
+
+func experimentNames() string {
+	names := make([]string, len(experiments))
+	for i, e := range experiments {
+		names[i] = e.name
+	}
+	return strings.Join(names, ", ")
+}
+
+// validate rejects flag values that the experiments would otherwise clamp
+// or replace silently, and returns the experiments -experiment selects.
+func (o options) validate() ([]experiment, error) {
+	switch {
+	case o.seconds < 0:
+		return nil, fmt.Errorf("-seconds must be 0 (each experiment's default) or positive, got %d", o.seconds)
+	case o.seconds > math.MaxInt64/int64(rtvirt.Second):
+		return nil, fmt.Errorf("-seconds %d overflows the simulated clock", o.seconds)
+	case o.runs < 1:
+		return nil, fmt.Errorf("-runs must be at least 1, got %d", o.runs)
+	case o.n < 1:
+		return nil, fmt.Errorf("-n must be at least 1, got %d", o.n)
+	case o.parallel < 0:
+		return nil, fmt.Errorf("-parallel must be 0 (GOMAXPROCS) or positive, got %d", o.parallel)
+	}
+	name := strings.ToLower(o.experiment)
+	if name == "all" {
+		return experiments, nil
+	}
+	for _, e := range experiments {
+		if e.name == name {
+			return []experiment{e}, nil
+		}
+	}
+	return nil, fmt.Errorf("-experiment: unknown experiment %q; choose one of %s, or all",
+		o.experiment, experimentNames())
+}
+
 func main() {
-	var (
-		exp         = flag.String("experiment", "all", "which experiment to run (fig1, table1, table2, fig3, sporadic, table3, fig4, table4, fig5a, fig5b, table5, table6, ablations, fidelity, attacks, quickcheck, all)")
-		seed        = flag.Uint64("seed", 1, "simulation seed")
-		seconds     = flag.Int64("seconds", 0, "override run length in simulated seconds (0 = per-experiment default)")
-		outDir      = flag.String("out", "", "write machine-readable artifacts (CSV/JSON) to this directory")
-		runs        = flag.Int("runs", 5, "seeds for -experiment robustness")
-		n           = flag.Int("n", 25, "generated scenarios for -experiment quickcheck")
-		parallel    = flag.Int("parallel", 0, "workers for independent simulations (0 = GOMAXPROCS, 1 = sequential); results are identical at any setting")
-		forkWarmup  = flag.Bool("fork-warmup", false, "benchmark the fig5 warm-start fork sweep against its cold control and exit")
-		forkOut     = flag.String("fork-out", "BENCH_4.json", "output path for the -fork-warmup comparison report")
-		pdes        = flag.Bool("pdes", false, "benchmark the sharded conservative-PDES cluster (executor groups 1/2/4/8, per-edge vs global windows, digest identity enforced) and exit")
-		pdesOut     = flag.String("pdes-out", "BENCH_7.json", "output path for the -pdes lookahead/topology report")
-		pdesHosts   = flag.Int("pdes-hosts", 64, "hosts (= shards) for the -pdes sweep")
-		fidelityOut = flag.String("fidelity-out", "BENCH_8.json", "output path for the -experiment fidelity ablation record")
-		attacksOut  = flag.String("attacks-out", "BENCH_9.json", "output path for the -experiment attacks record")
-	)
+	o := defaultOptions()
+	flag.StringVar(&o.experiment, "experiment", o.experiment, "which experiment to run: "+experimentNames()+", or all")
+	flag.Uint64Var(&o.seed, "seed", o.seed, "simulation seed")
+	flag.Int64Var(&o.seconds, "seconds", o.seconds, "override run length in simulated seconds (0 = per-experiment default)")
+	flag.StringVar(&o.out, "out", o.out, "write machine-readable artifacts (CSV/JSON) to this directory")
+	flag.IntVar(&o.runs, "runs", o.runs, "seeds for -experiment robustness")
+	flag.IntVar(&o.n, "n", o.n, "generated scenarios for -experiment quickcheck")
+	flag.IntVar(&o.parallel, "parallel", o.parallel, "workers for independent simulations (0 = GOMAXPROCS, 1 = sequential); results are identical at any setting")
 	flag.Parse()
-	runner.SetDefault(*parallel)
-	if *forkWarmup {
-		runner.SetDefault(1) // sequential: the delta measures the fork, not the pool
-		runForkWarmup(*forkOut)
-		return
+	selected, err := o.validate()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "rtvirt-bench: %v\n", err)
+		os.Exit(2)
 	}
-	if *pdes {
-		// The sharded run brings its own executor pool; the group count
-		// under test is the only parallelism knob.
-		runner.SetDefault(1)
-		runPDES(*pdesOut, *pdesHosts, *seconds)
-		return
-	}
-	if *outDir != "" {
-		d, err := report.NewDir(*outDir)
+	runner.SetDefault(o.parallel)
+	if o.out != "" {
+		d, err := report.NewDir(o.out)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -76,49 +148,15 @@ func main() {
 		}()
 	}
 
-	runners := map[string]func(){
-		"fig1":       func() { runFig1(*seed, *seconds) },
-		"table1":     runTable1,
-		"table2":     func() { runTable2(*seed, *seconds) },
-		"fig3":       func() { runFig3(*seed, *seconds, false) },
-		"sporadic":   func() { runFig3(*seed, *seconds, true) },
-		"table3":     runTable3,
-		"fig4":       func() { runFig4(*seed, *seconds) },
-		"table4":     func() { runTable4(*seed, *seconds) },
-		"fig5a":      func() { runFig5(*seed, *seconds, false) },
-		"fig5b":      func() { runFig5(*seed, *seconds, true) },
-		"table5":     runTable5,
-		"table6":     func() { runTable6(*seed, *seconds) },
-		"ablations":  func() { runAblations(*seed, *seconds) },
-		"io":         func() { runIO(*seed, *seconds) },
-		"surge":      func() { runSurge(*seed, *seconds) },
-		"loadsteps":  func() { runLoadSteps(*seed, *seconds) },
-		"bisect":     func() { runBisect(*seed, *seconds) },
-		"robustness": func() { runRobustness(*runs, *seconds) },
-		"fidelity":   func() { runFidelity(*seed, *seconds, *parallel, *fidelityOut) },
-		"attacks":    func() { runAttacks(*seed, *seconds, *attacksOut) },
-		"quickcheck": func() { runQuickcheck(*seed, *n, *seconds) },
-	}
-	order := []string{"fig1", "table1", "table2", "fig3", "sporadic", "table3",
-		"fig4", "table4", "fig5a", "fig5b", "table5", "table6", "ablations", "io",
-		"surge", "loadsteps", "bisect", "robustness", "fidelity", "attacks", "quickcheck"}
-
-	name := strings.ToLower(*exp)
-	if name == "all" {
-		for _, n := range order {
-			fmt.Printf("==== %s ====\n", n)
-			runners[n]()
-			fmt.Println()
-		}
+	if len(selected) == 1 { // a single experiment prints without a banner
+		selected[0].run(o)
 		return
 	}
-	run, ok := runners[name]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q; choose one of %s or all\n",
-			name, strings.Join(order, ", "))
-		os.Exit(2)
+	for _, e := range selected {
+		fmt.Printf("==== %s ====\n", e.name)
+		e.run(o)
+		fmt.Println()
 	}
-	run()
 }
 
 func secondsOr(s int64, def rtvirt.Duration) rtvirt.Duration {
@@ -360,4 +398,66 @@ func runTable6(seed uint64, secs int64) {
 	}
 	fmt.Println(rtvirt.RenderTable6(multi))
 	fmt.Println(rtvirt.RenderTable6(single))
+}
+
+// runFidelity runs the constant-vs-calibrated cost-model ablation: the
+// same Figure-3 and Table-6 scheduler comparisons under the paper's flat
+// §4 constants and under the distribution-valued calibrated model, with a
+// per-row verdict on whether the winner survives the cost noise. With
+// -out the record is written as fidelity.json.
+func runFidelity(seed uint64, secs int64) {
+	cfg := rtvirt.DefaultFidelityConfig()
+	cfg.Seed = seed
+	cfg.Duration = secondsOr(secs, cfg.Duration)
+	res := rtvirt.FidelityAblation(cfg)
+	fmt.Println(rtvirt.RenderFidelity(res))
+	if out != nil {
+		if err := out.JSON("fidelity.json", &res); err != nil {
+			log.Fatal(err)
+		}
+	}
+}
+
+// runAttacks runs the adversarial suite: the tick-evasion attacker's
+// obtained/charged/stolen bandwidth under every scheduler stack — the
+// exact-accounting schedulers against the deliberately-naive tick-sampled
+// Credit double — plus the adaptive controller's convergence trace and
+// rejection-backoff counters. With -out the full record is written as
+// attacks.json.
+func runAttacks(seed uint64, secs int64) {
+	cfg := rtvirt.DefaultAttackConfig()
+	cfg.Seed = seed
+	cfg.Duration = secondsOr(secs, cfg.Duration)
+	res := rtvirt.Attacks(cfg)
+	fmt.Println(rtvirt.RenderAttacks(res))
+	if out != nil {
+		if err := out.JSON("attacks.json", &res); err != nil {
+			log.Fatal(err)
+		}
+	}
+}
+
+// runQuickcheck drives the randomized invariant harness: n generated
+// scenarios per scheduler stack, every oracle armed plus the mid-run fork
+// bit-identity probe. Violations are shrunk to minimal reproducers; with
+// -out they are exported both as full failure records and as bare
+// scenarios that rtvirt-sim replays directly. Any failure exits nonzero
+// so CI gates on it.
+func runQuickcheck(seed uint64, n int, seconds int64) {
+	rep := quick.Run(quick.Config{Seed: seed, N: n, Seconds: seconds})
+	fmt.Println(rep.Render())
+	if out != nil {
+		for _, f := range rep.Failures {
+			base := fmt.Sprintf("quickcheck-%d-%s", f.Case, f.Stack)
+			if err := out.JSON(base+"-failure.json", f); err != nil {
+				log.Fatal(err)
+			}
+			if err := out.JSON(base+"-repro.json", f.Scenario); err != nil {
+				log.Fatal(err)
+			}
+		}
+	}
+	if len(rep.Failures) > 0 {
+		os.Exit(1)
+	}
 }

@@ -66,8 +66,9 @@ type ShardedConfig struct {
 	// GlobalWindows disables per-edge topology declaration: the shard set
 	// windows on the single global Lookahead for every pair, as before
 	// per-edge synchronization existed. Results are identical either way
-	// (modulo the window count); the knob exists for A/B comparison and
-	// as an escape hatch.
+	// (modulo the window count). It is the reference that
+	// TestShardedPerEdgeVsGlobalWindows and TestShardedRackWorld compare
+	// per-edge windowing against.
 	GlobalWindows bool
 }
 

@@ -85,9 +85,10 @@ type shardedRun struct {
 	c      *Sharded
 }
 
-func runSharded(t *testing.T, groups int, span simtime.Duration) shardedRun {
+// runSharded advances c for span on the given executor group count,
+// recording each host's dispatch stream.
+func runSharded(t *testing.T, c *Sharded, groups int, span simtime.Duration) shardedRun {
 	t.Helper()
-	c := buildSharded(t)
 	digs := make([]*check.DispatchDigest, len(c.Hosts))
 	for i, h := range c.Hosts {
 		digs[i] = check.NewDispatchDigest()
@@ -113,7 +114,7 @@ func TestShardedGroupInvariance(t *testing.T) {
 
 func shardedGroupInvariance(t *testing.T) {
 	span := simtime.Millis(300)
-	base := runSharded(t, 1, span)
+	base := runSharded(t, buildSharded(t), 1, span)
 	// The golden world must actually exercise the machinery.
 	var delivered, forwarded, skipped uint64
 	for _, h := range base.c.Hosts {
@@ -132,7 +133,7 @@ func shardedGroupInvariance(t *testing.T) {
 			d.Migrations, d.HostIndex())
 	}
 	for _, g := range []int{2, 4, 8} {
-		got := runSharded(t, g, span)
+		got := runSharded(t, buildSharded(t), g, span)
 		if got.digest != base.digest {
 			t.Errorf("groups=%d digest differs from sequential:\n--- groups=1 ---\n%s--- groups=%d ---\n%s",
 				g, base.digest, g, got.digest)
@@ -222,9 +223,126 @@ func TestShardedPerEdgeVsGlobalWindows(t *testing.T) {
 	pw, gw := perEdge.Set.Windows(), global.Set.Windows()
 	// The fixture's ring has one 19µs edge, so the bound still crawls
 	// there; 1.5× is what this topology honestly yields (the big ratios
-	// need genuinely slow links — see BENCH_7).
+	// need genuinely slow links — see TestShardedRackWorld).
 	if pw*3 > gw*2 {
 		t.Errorf("per-edge windows %d vs global %d — want at least a 1.5× reduction", pw, gw)
+	}
+	t.Logf("windows: per-edge %d, global %d (%.1fx)", pw, gw, float64(gw)/float64(pw))
+}
+
+// rackSize groups the rack world's hosts; a client's link delay to a
+// cache depends only on the distance between their racks (120/180/260 µs
+// for same/adjacent/distant racks). rackHosts is the size the test runs:
+// a single rack, so every link takes the 120 µs same-rack delay, while
+// the 64-host version of the world spans eight racks.
+const (
+	rackSize  = 8
+	rackHosts = 8
+)
+
+func rackLinkDelay(src, dst int) simtime.Duration {
+	switch d := src/rackSize - dst/rackSize; {
+	case d == 0:
+		return simtime.Micros(120)
+	case d == 1 || d == -1:
+		return simtime.Micros(180)
+	default:
+		return simtime.Micros(260)
+	}
+}
+
+// buildRackWorld assembles the memcached-style rack cluster that
+// cmd/rtvirt-perf's cluster64 workloads run at 64 hosts: every host
+// serves two cache VMs (a sporadic server, a periodic RT task and a
+// background hog), each fed by clients on hosts h+1 and h+2 at the
+// rack-distance link delay, and one planned migration per host but the
+// last ripples through the ring.
+func buildRackWorld(t *testing.T, globalWindows bool) *Sharded {
+	t.Helper()
+	const hosts = rackHosts
+	cfg := DefaultShardedConfig()
+	cfg.Hosts = hosts
+	cfg.PCPUs = 4
+	cfg.Seed = 1
+	cfg.GlobalWindows = globalWindows
+	cfg.LinkDelay = rackLinkDelay
+	c := NewSharded(cfg)
+	for h := 0; h < hosts; h++ {
+		for v := 0; v < 2; v++ {
+			spec := VMSpec{
+				Name:  fmt.Sprintf("cache%d-%d", h, v),
+				VCPUs: 2,
+				Tasks: []TaskSpec{
+					{Name: "memc", Kind: task.Sporadic,
+						Params: task.Params{Slice: simtime.Micros(60), Period: simtime.Micros(200)}},
+					{Name: "rt", Kind: task.Periodic,
+						Params: task.Params{Slice: simtime.Micros(300), Period: simtime.Millis(5)},
+						Phase:  simtime.Micros(int64(37 * (h + v)))},
+					{Name: "bg", Kind: task.Background},
+				},
+			}
+			d, err := c.Deploy(h, spec)
+			if err != nil {
+				t.Fatalf("deploy %s: %v", spec.Name, err)
+			}
+			for _, src := range []int{(h + 1) % hosts, (h + 2) % hosts} {
+				if _, err := c.AddRemoteClient(src, d, 0, rackLinkDelay(src, h),
+					dist.Uniform{Lo: simtime.Micros(150), Hi: simtime.Micros(500)},
+					dist.Uniform{Lo: simtime.Micros(20), Hi: simtime.Micros(80)}, 0); err != nil {
+					t.Fatalf("client for %s: %v", spec.Name, err)
+				}
+			}
+		}
+	}
+	for k := 0; k < hosts-1; k++ {
+		d, _ := c.Lookup(fmt.Sprintf("cache%d-0", k))
+		at := simtime.Time(0).Add(simtime.Millis(int64(100 * (k + 1))))
+		if err := c.PlanMigration(at, d, (k+1)%hosts); err != nil {
+			t.Fatalf("plan migration %d: %v", k, err)
+		}
+	}
+	return c
+}
+
+// TestShardedRackWorld pins the rack cluster's determinism and window
+// contract on 8 hosts for one simulated second: executor groups 1/2/4/8
+// produce byte-identical cluster digests and per-host dispatch streams,
+// the same world windowed on the single global lookahead
+// (Cfg.GlobalWindows) matches in everything but the window count, and
+// the declared rack topology cuts that window count at least 4× (8,070
+// per-edge vs 43,962 global when this test was written).
+func TestShardedRackWorld(t *testing.T) {
+	span := simtime.Second
+	base := runSharded(t, buildRackWorld(t, false), 1, span)
+	migs := 0
+	for _, d := range base.c.Deployments() {
+		migs += d.Migrations
+	}
+	if migs != rackHosts-1 {
+		t.Fatalf("want %d completed migrations, got %d", rackHosts-1, migs)
+	}
+	for _, g := range []int{2, 4, 8} {
+		got := runSharded(t, buildRackWorld(t, false), g, span)
+		if got.digest != base.digest {
+			t.Errorf("groups=%d digest differs from sequential:\n--- groups=1 ---\n%s--- groups=%d ---\n%s",
+				g, base.digest, g, got.digest)
+		}
+		for i := range got.disp {
+			if got.disp[i] != base.disp[i] {
+				t.Errorf("groups=%d host%d dispatch digest %016x != sequential %016x",
+					g, i, got.disp[i], base.disp[i])
+			}
+		}
+	}
+
+	global := runSharded(t, buildRackWorld(t, true), 1, span)
+	if stripWindowCount(t, global.digest) != stripWindowCount(t, base.digest) {
+		t.Errorf("windowing modes diverged beyond the window count:\n--- per-edge ---\n%s--- global ---\n%s",
+			base.digest, global.digest)
+	}
+	pw, gw := base.c.Set.Windows(), global.c.Set.Windows()
+	if pw*4 > gw {
+		t.Errorf("per-edge windows %d vs global %d — want at least a 4× reduction", pw, gw)
 	}
 	t.Logf("windows: per-edge %d, global %d (%.1fx)", pw, gw, float64(gw)/float64(pw))
 }

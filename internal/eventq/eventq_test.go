@@ -532,9 +532,9 @@ func BenchmarkScheduleFire(b *testing.B) {
 // BenchmarkKernelMix is the headline kernel blend: per event fired, one standing
 // per-PCPU timer moves (Reschedule), one fresh event is admitted
 // (Schedule), and the head pops (Fire) — over a population of 256 standing
-// handles. BENCH_3.json records this mix before and after the
-// intrusive-heap rewrite (the pre-rewrite implementation ran the blend as
-// Cancel+Schedule because it had no in-place reschedule).
+// handles. EXPERIMENTS.md "Event-kernel rewrite" records this mix before
+// and after the intrusive-heap rewrite (the pre-rewrite implementation ran
+// the blend as Cancel+Schedule because it had no in-place reschedule).
 func BenchmarkKernelMix(b *testing.B) {
 	var q Queue
 	nop := func(simtime.Time) {}

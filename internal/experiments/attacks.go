@@ -77,7 +77,8 @@ type ConvergencePoint struct {
 }
 
 // AttackResult is the full suite: the stolen-bandwidth table plus the
-// controller convergence trace and backoff counters (BENCH_9.json).
+// controller convergence trace and backoff counters. Its JSON encoding is
+// the attacks.json artifact of rtvirt-bench -experiment attacks -out DIR.
 type AttackResult struct {
 	Seed    uint64      `json:"seed"`
 	Seconds float64     `json:"seconds"`

@@ -31,8 +31,6 @@ type FidelityConfig struct {
 	// Requests is the sporadic request count for Figure 3's variant runs
 	// (unused by the periodic groups; kept for parity with Figure3Config).
 	Requests int
-	// Parallel is the worker count each sub-experiment fans out on.
-	Parallel int
 }
 
 // DefaultFidelityConfig mirrors the §4 setups at a practical run length.
@@ -80,7 +78,8 @@ func makeRow(metric string, cv, cx, kv, kx float64) FidelityRow {
 }
 
 // FidelityResult is the full ablation: every compared metric plus the raw
-// sub-experiment outputs for deeper digging (and BENCH_8.json).
+// sub-experiment outputs for deeper digging. Its JSON encoding is the
+// fidelity.json artifact of rtvirt-bench -experiment fidelity -out DIR.
 type FidelityResult struct {
 	Seed    uint64            `json:"seed"`
 	Seconds float64           `json:"seconds"`
@@ -106,7 +105,7 @@ func FidelityAblation(cfg FidelityConfig) FidelityResult {
 	}
 
 	f3 := Figure3Config{Seed: cfg.Seed, Duration: cfg.Duration, PCPUs: cfg.PCPUs,
-		Requests: cfg.Requests, Parallel: cfg.Parallel}
+		Requests: cfg.Requests}
 	res.Fig3[0] = Figure3(f3)
 	f3.Costs = &calib
 	res.Fig3[1] = Figure3(f3)
@@ -118,8 +117,7 @@ func FidelityAblation(cfg FidelityConfig) FidelityResult {
 			100*k.RTVirtMisses.Ratio(), 100*k.RTXenMisses.Ratio()))
 	}
 
-	t6 := Table6Config{Seed: cfg.Seed, Duration: cfg.Duration, PCPUs: cfg.PCPUs,
-		Parallel: cfg.Parallel}
+	t6 := Table6Config{Seed: cfg.Seed, Duration: cfg.Duration, PCPUs: cfg.PCPUs}
 	res.Table6[0] = Table6(MultiRTAVMs, t6)
 	t6.Costs = &calib
 	res.Table6[1] = Table6(MultiRTAVMs, t6)

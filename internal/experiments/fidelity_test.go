@@ -51,7 +51,7 @@ func TestCalibratedCostsDeterministic(t *testing.T) {
 // TestFidelityAblationSmoke runs the full constant-vs-calibrated ablation
 // at a short horizon and checks the report's shape: one row per Figure-3
 // group plus the Table-6 trio, a described calibrated model, and a JSON
-// encoding fit for BENCH_8.json.
+// encoding fit for the fidelity.json artifact.
 func TestFidelityAblationSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("2×(12+2) simulations")

@@ -177,27 +177,39 @@ func TestForkDeterminismGolden(t *testing.T) {
 }
 
 // TestLoadStepsForkMatchesCold pins that the warm-start Figure-5 sweep is
-// bit-identical to the cold control that replays the prefix per arm.
+// bit-identical to the cold control that replays the prefix per arm, on a
+// short two-step sweep and on the default 40 s/60 s, four-step sweep that
+// rtvirt-bench -experiment loadsteps runs.
 func TestLoadStepsForkMatchesCold(t *testing.T) {
-	cfg := LoadStepConfig{
-		Seed:     2,
-		Warmup:   2 * simtime.Second,
-		Duration: 3 * simtime.Second,
-		Steps:    []int{0, 3},
-	}
-	forked := Figure5LoadSteps(cfg)
-	cfg.Cold = true
-	cold := Figure5LoadSteps(cfg)
-	if !reflect.DeepEqual(forked, cold) {
-		t.Fatalf("forked sweep diverges from cold sweep:\n fork: %+v\n cold: %+v", forked, cold)
-	}
-	if len(forked) != 2*len(Arms()) {
-		t.Fatalf("expected %d rows, got %d", 2*len(Arms()), len(forked))
-	}
-	for _, r := range forked {
-		if r.Requests == 0 {
-			t.Fatalf("row %+v recorded no requests", r)
-		}
+	for _, tc := range []struct {
+		name string
+		cfg  LoadStepConfig
+	}{
+		{"two-step", LoadStepConfig{
+			Seed:     2,
+			Warmup:   2 * simtime.Second,
+			Duration: 3 * simtime.Second,
+			Steps:    []int{0, 3},
+		}},
+		{"default", DefaultLoadStepConfig()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			forked := Figure5LoadSteps(cfg)
+			cfg.Cold = true
+			cold := Figure5LoadSteps(cfg)
+			if !reflect.DeepEqual(forked, cold) {
+				t.Fatalf("forked sweep diverges from cold sweep:\n fork: %+v\n cold: %+v", forked, cold)
+			}
+			if want := len(cfg.Steps) * len(Arms()); len(forked) != want {
+				t.Fatalf("expected %d rows, got %d", want, len(forked))
+			}
+			for _, r := range forked {
+				if r.Requests == 0 {
+					t.Fatalf("row %+v recorded no requests", r)
+				}
+			}
+		})
 	}
 }
 

@@ -429,7 +429,7 @@ type (
 	FidelityRow = experiments.FidelityRow
 	// AttackConfig tunes the adversarial attack/controller suite.
 	AttackConfig = experiments.AttackConfig
-	// AttackResult is the full adversarial suite record (BENCH_9.json).
+	// AttackResult is the full adversarial suite record (attacks.json).
 	AttackResult = experiments.AttackResult
 	// AttackRow is one scheduler × accounting row under the tick evader.
 	AttackRow = experiments.AttackRow
