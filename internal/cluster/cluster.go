@@ -5,22 +5,21 @@
 // considered to dynamically adjust VM placement at runtime, but its
 // overhead must be properly accounted for."
 //
-// A Cluster is a set of RTVirt hosts sharing one simulated clock. VMs are
-// placed by a pluggable bandwidth-aware policy, and can be live-migrated
-// between hosts with a stop-and-copy downtime model (constant handoff plus
-// a per-reserved-bandwidth term, after the authors' own migration-cost
-// modelling [Wu & Zhao, CLOUD'11]). Deadline misses caused by the blackout
-// are charged to the moved VM's tasks — the §6 caveat made measurable.
+// The engine is Sharded (sharded.go): every host runs on its own simulator
+// under conservative parallel discrete-event simulation. VMs are placed by
+// a pluggable bandwidth-aware policy, live-migrated between hosts with a
+// stop-and-copy downtime model (constant handoff plus a
+// per-reserved-bandwidth term, after the authors' own migration-cost
+// modelling [Wu & Zhao, CLOUD'11]), and restarted on a survivor when their
+// host crashes (control.go). Deadline misses caused by the blackout are
+// charged to the moved VM's tasks — the §6 caveat made measurable.
 package cluster
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 
-	"rtvirt/internal/core"
 	"rtvirt/internal/guest"
-	"rtvirt/internal/sim"
 	"rtvirt/internal/simtime"
 	"rtvirt/internal/task"
 )
@@ -54,52 +53,6 @@ func (p Policy) String() string {
 	}
 }
 
-// Config describes a cluster.
-type Config struct {
-	// Hosts is the number of hosts; PCPUs their size.
-	Hosts int
-	PCPUs int
-	Seed  uint64
-	// Policy is the placement heuristic.
-	Policy Policy
-	// System is the per-host configuration template (stack, costs, slack).
-	// The cluster owns the topology knobs: leave the template's PCPUs and
-	// Seed zero (or equal to the cluster's values) and SharedSim nil — the
-	// cluster supplies all three per host. Conflicting values are a
-	// configuration error: Validate reports it, and New panics on it
-	// instead of silently ignoring the template's fields.
-	System core.Config
-	// MigrationDowntime is the stop-and-copy blackout base cost.
-	MigrationDowntime simtime.Duration
-	// MigrationPerBW adds blackout proportional to the VM's reserved
-	// bandwidth (dirty working set scales with activity).
-	MigrationPerBW simtime.Duration
-	// RecoveryDelay models failure detection plus VM restart after a
-	// host crash: VMs of a failed host go dark for this long before they
-	// are re-placed on the survivors.
-	RecoveryDelay simtime.Duration
-}
-
-// DefaultConfig returns a 2×4-CPU RTVirt cluster with a 50ms+20ms/CPU
-// stop-and-copy model.
-func DefaultConfig() Config {
-	sys := core.DefaultConfig(core.RTVirt)
-	// The cluster owns topology: blank the template's host-level knobs so
-	// the config validates (see Config.System).
-	sys.PCPUs = 0
-	sys.Seed = 0
-	return Config{
-		Hosts:             2,
-		PCPUs:             4,
-		Seed:              1,
-		Policy:            WorstFit,
-		System:            sys,
-		MigrationDowntime: simtime.Millis(50),
-		MigrationPerBW:    simtime.Millis(20),
-		RecoveryDelay:     simtime.Millis(500),
-	}
-}
-
 // TaskSpec describes one application of a VM deployment.
 type TaskSpec struct {
 	Name   string
@@ -108,10 +61,10 @@ type TaskSpec struct {
 	// Phase delays the first periodic release after deployment.
 	Phase simtime.Duration
 	// Adaptive, when set, attaches a feedback controller that retunes the
-	// task's slice from observed response times (sharded clusters only).
-	// Controllers are host-local — they observe the resident host's trace
-	// bus and actuate through the resident guest — so they preserve the
-	// sharded run's executor-group invariance.
+	// task's slice from observed response times. Controllers are
+	// host-local — they observe the resident host's trace bus and actuate
+	// through the resident guest — so they preserve the sharded run's
+	// executor-group invariance.
 	Adaptive *guest.AdaptiveConfig
 }
 
@@ -122,7 +75,11 @@ type VMSpec struct {
 	Tasks []TaskSpec
 }
 
-// Bandwidth estimates the spec's RT bandwidth requirement in CPUs.
+// Bandwidth estimates the spec's RT bandwidth requirement in CPUs: the sum
+// of slice/period over its real-time tasks. Admission charges more (each
+// VCPU's budget is rounded up and padded with slack), so placement checks
+// the charged reservation, not this estimate; the migration blackout model
+// scales with it.
 func (s VMSpec) Bandwidth() float64 {
 	var sum float64
 	for _, t := range s.Tasks {
@@ -133,485 +90,13 @@ func (s VMSpec) Bandwidth() float64 {
 	return sum
 }
 
-// Host is one member of the cluster.
-type Host struct {
-	Name string
-	Sys  *core.System
-
-	cluster *Cluster
-	failed  bool
-}
-
-// Failed reports whether the host has crashed (see Cluster.FailHost).
-func (h *Host) Failed() bool { return h.failed }
-
-// ReservedBandwidth reports the host's current RT reservations in CPUs.
-func (h *Host) ReservedBandwidth() float64 { return h.Sys.AllocatedBandwidth() }
-
-// Capacity reports the host's RT capacity in CPUs.
-func (h *Host) Capacity() float64 { return float64(h.Sys.Host.NumPCPUs()) }
-
-// Deployment is a placed VM.
-type Deployment struct {
-	Spec VMSpec
-	Host *Host
-
-	// id is the deployment's stable identity in typed kernel events.
-	id    int32
-	guest *guest.OS
-	tasks []*task.Task
-	// Migrations counts completed live migrations.
-	Migrations int
-	// Failovers counts restarts after a host failure.
-	Failovers int
-	// BlackoutTotal accumulates migration and failover downtime.
-	BlackoutTotal simtime.Duration
-	migrating     bool
-	// pending marks a VM whose host failed and that found no capacity
-	// yet; RestoreHost retries it.
-	pending bool
-}
-
-// Pending reports whether the VM is waiting for capacity after a host
-// failure.
-func (d *Deployment) Pending() bool { return d.pending }
-
-// Guest exposes the deployment's current guest OS.
-func (d *Deployment) Guest() *guest.OS { return d.guest }
-
-// Tasks returns the deployment's live tasks.
-func (d *Deployment) Tasks() []*task.Task { return d.tasks }
-
-// Typed kernel-event kinds dispatched to the cluster's HandleSimEvent.
-// Owner is always a deployment ID.
-const (
-	// evDeployStart begins a pre-Start deployment's periodic releases at
-	// t=0.
-	evDeployStart uint16 = iota
-	// evMigrateDone ends a live migration's blackout; Arg0 is the target
-	// host's index, Arg1 the downtime charged to the VM.
-	evMigrateDone
-	// evRecover re-places a VM after a host failure; Arg0 is the downtime
-	// charged on success.
-	evRecover
-)
-
-// Cluster is a set of RTVirt hosts under one placement controller.
-type Cluster struct {
-	Cfg   Config
-	Sim   *sim.Simulator
-	Hosts []*Host
-
-	handlerID   int32
-	deployments map[string]*Deployment
-	// byID resolves the Owner field of typed events back to the deployment.
-	byID      map[int32]*Deployment
-	nextDepID int32
-	// inbound tracks bandwidth of in-flight migrations per target host, so
-	// placement and rebalancing don't oscillate during blackouts.
-	inbound    map[*Host]float64
-	nextTaskID int
-	started    bool
-}
-
 // Errors.
 var (
 	// ErrNoHostFits is returned when no host can admit a VM.
 	ErrNoHostFits = errors.New("cluster: no host with sufficient bandwidth")
 	// ErrUnknownVM is returned for operations on unplaced VMs.
 	ErrUnknownVM = errors.New("cluster: unknown VM")
-	// ErrMigrating rejects operations on a VM mid-migration.
+	// ErrMigrating rejects moving a dark VM: one mid-migration,
+	// recovering from a host failure, or Pending.
 	ErrMigrating = errors.New("cluster: VM is migrating")
 )
-
-// Validate reports whether the configuration is coherent. The per-host
-// template must not fight the cluster over topology: its PCPUs and Seed
-// must be zero or equal to the cluster's, and SharedSim must be nil (the
-// cluster provides the one shared clock every host runs on).
-func (cfg Config) Validate() error {
-	if cfg.System.SharedSim != nil {
-		return errors.New("cluster: Config.System.SharedSim must be nil; the cluster provides the shared clock")
-	}
-	if cfg.System.PCPUs != 0 && cfg.System.PCPUs != cfg.PCPUs {
-		return fmt.Errorf("cluster: Config.System.PCPUs (%d) conflicts with Config.PCPUs (%d); leave the template's zero",
-			cfg.System.PCPUs, cfg.PCPUs)
-	}
-	if cfg.System.Seed != 0 && cfg.System.Seed != cfg.Seed {
-		return fmt.Errorf("cluster: Config.System.Seed (%d) conflicts with Config.Seed (%d); leave the template's zero",
-			cfg.System.Seed, cfg.Seed)
-	}
-	return nil
-}
-
-// New builds the cluster's hosts on a single shared clock. It panics if the
-// configuration fails Validate — previously a conflicting per-host template
-// was silently overridden.
-func New(cfg Config) *Cluster {
-	if cfg.Hosts <= 0 {
-		cfg.Hosts = 1
-	}
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
-	s := sim.New(cfg.Seed)
-	c := &Cluster{Cfg: cfg, Sim: s,
-		deployments: map[string]*Deployment{},
-		byID:        map[int32]*Deployment{},
-		inbound:     map[*Host]float64{}}
-	c.handlerID = s.RegisterHandler(c)
-	for i := 0; i < cfg.Hosts; i++ {
-		sysCfg := cfg.System
-		sysCfg.PCPUs = cfg.PCPUs
-		sysCfg.Seed = cfg.Seed
-		sysCfg.SharedSim = s
-		h := &Host{Name: fmt.Sprintf("host%d", i), Sys: core.NewSystem(sysCfg), cluster: c}
-		c.Hosts = append(c.Hosts, h)
-	}
-	return c
-}
-
-// HandleSimEvent implements sim.Handler.
-func (c *Cluster) HandleSimEvent(now simtime.Time, ev sim.Payload) {
-	switch ev.Kind {
-	case evDeployStart:
-		c.startPeriodics(c.byID[ev.Owner], now)
-	case evMigrateDone:
-		c.finishMigration(c.byID[ev.Owner], c.Hosts[ev.Arg0], simtime.Duration(ev.Arg1))
-	case evRecover:
-		c.recover(c.byID[ev.Owner], simtime.Duration(ev.Arg0))
-	default:
-		panic(fmt.Sprintf("cluster: unknown event kind %d", ev.Kind))
-	}
-}
-
-// hostIndex reports h's position in the Hosts slice.
-func (c *Cluster) hostIndex(h *Host) int {
-	for i, x := range c.Hosts {
-		if x == h {
-			return i
-		}
-	}
-	panic("cluster: host not in cluster")
-}
-
-// Start dispatches every host. Call after initial placements.
-func (c *Cluster) Start() {
-	if c.started {
-		panic("cluster: Start called twice")
-	}
-	c.started = true
-	for _, h := range c.Hosts {
-		h.Sys.Start()
-	}
-}
-
-// Run advances the shared clock.
-func (c *Cluster) Run(d simtime.Duration) { c.Sim.RunFor(d) }
-
-// Deployments lists placed VMs sorted by name.
-func (c *Cluster) Deployments() []*Deployment {
-	out := make([]*Deployment, 0, len(c.deployments))
-	for _, d := range c.deployments {
-		out = append(out, d)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Spec.Name < out[j].Spec.Name })
-	return out
-}
-
-// Lookup returns a deployment by VM name.
-func (c *Cluster) Lookup(name string) (*Deployment, bool) {
-	d, ok := c.deployments[name]
-	return d, ok
-}
-
-// pickHost applies the placement policy.
-func (c *Cluster) pickHost(bw float64, exclude *Host) (*Host, error) {
-	var best *Host
-	var bestFree float64
-	for _, h := range c.Hosts {
-		if h == exclude || h.failed {
-			continue
-		}
-		free := h.Capacity() - h.ReservedBandwidth() - c.inbound[h]
-		if free < bw {
-			continue
-		}
-		switch c.Cfg.Policy {
-		case FirstFit:
-			return h, nil
-		case BestFit:
-			if best == nil || free < bestFree {
-				best, bestFree = h, free
-			}
-		case WorstFit:
-			if best == nil || free > bestFree {
-				best, bestFree = h, free
-			}
-		}
-	}
-	if best == nil {
-		return nil, fmt.Errorf("%w: need %.3f CPUs", ErrNoHostFits, bw)
-	}
-	return best, nil
-}
-
-// Place admits a VM onto a host chosen by the policy and starts its
-// periodic tasks. Sporadic and background tasks are registered; driving
-// them is the caller's business (via d.Guest()).
-func (c *Cluster) Place(spec VMSpec) (*Deployment, error) {
-	if _, dup := c.deployments[spec.Name]; dup {
-		return nil, fmt.Errorf("cluster: VM %q already placed", spec.Name)
-	}
-	host, err := c.pickHost(spec.Bandwidth(), nil)
-	if err != nil {
-		return nil, err
-	}
-	d := &Deployment{Spec: spec, Host: host, id: c.nextDepID}
-	c.nextDepID++
-	c.byID[d.id] = d
-	if err := c.deploy(d, host); err != nil {
-		delete(c.byID, d.id)
-		c.nextDepID--
-		return nil, err
-	}
-	c.deployments[spec.Name] = d
-	return d, nil
-}
-
-// deploy creates the guest and its tasks on the target host.
-func (c *Cluster) deploy(d *Deployment, host *Host) error {
-	vcpus := d.Spec.VCPUs
-	if vcpus <= 0 {
-		vcpus = 1
-	}
-	g, err := host.Sys.NewGuest(d.Spec.Name, vcpus)
-	if err != nil {
-		return err
-	}
-	// Reuse existing task objects across migrations so their deadline
-	// statistics — including blackout-induced misses — persist.
-	tasks := d.tasks
-	if tasks == nil {
-		for _, ts := range d.Spec.Tasks {
-			var t *task.Task
-			if ts.Kind == task.Background {
-				t = task.NewBackground(c.nextTaskID, ts.Name)
-			} else {
-				t = task.New(c.nextTaskID, ts.Name, ts.Kind, ts.Params)
-			}
-			c.nextTaskID++
-			tasks = append(tasks, t)
-		}
-	}
-	for i, t := range tasks {
-		if err := g.Register(t); err != nil {
-			// Roll back this partial deployment.
-			for _, prev := range tasks[:i] {
-				_ = g.Unregister(prev)
-			}
-			return fmt.Errorf("cluster: admitting %q on %s: %w", t.Name, host.Name, err)
-		}
-	}
-	d.guest = g
-	d.Host = host
-	d.tasks = tasks
-	if c.started || c.Sim.Now() > 0 {
-		c.startPeriodics(d, c.Sim.Now())
-	} else {
-		// Before Start: defer the release start to t=0.
-		c.Sim.PostAt(0, sim.Payload{Handler: c.handlerID, Kind: evDeployStart, Owner: d.id})
-	}
-	return nil
-}
-
-func (c *Cluster) startPeriodics(d *Deployment, now simtime.Time) {
-	for i, ts := range d.Spec.Tasks {
-		if ts.Kind == task.Periodic {
-			d.guest.StartPeriodic(d.tasks[i], now.Add(ts.Phase))
-		}
-	}
-}
-
-// Migrate live-migrates a VM to the target host (nil = pick by policy):
-// the VM runs on the source until the stop-and-copy blackout, is dark for
-// the downtime, and resumes on the target. In-flight jobs at the blackout
-// are abandoned (they count as misses — the §6 overhead made visible).
-func (c *Cluster) Migrate(name string, target *Host) (*Host, error) {
-	d, ok := c.deployments[name]
-	if !ok {
-		return nil, ErrUnknownVM
-	}
-	if d.migrating || d.pending {
-		return nil, ErrMigrating
-	}
-	bw := d.Spec.Bandwidth()
-	if target == nil {
-		t, err := c.pickHost(bw, d.Host)
-		if err != nil {
-			return nil, err
-		}
-		target = t
-	} else if target == d.Host {
-		return nil, fmt.Errorf("cluster: VM %q already on %s", name, target.Name)
-	} else if target.Capacity()-target.ReservedBandwidth()-c.inbound[target] < bw {
-		return nil, fmt.Errorf("%w: %s lacks %.3f CPUs", ErrNoHostFits, target.Name, bw)
-	}
-
-	// Blackout model: base + per-bandwidth term.
-	downtime := c.Cfg.MigrationDowntime +
-		simtime.Duration(float64(c.Cfg.MigrationPerBW)*bw)
-	d.migrating = true
-
-	// Stop-and-copy instant: tear down on the source. Shutdown abandons
-	// queued jobs (visible as misses), releases the reservations and
-	// removes the source VM entirely.
-	if err := d.guest.Shutdown(); err != nil {
-		d.migrating = false
-		return nil, err
-	}
-	c.inbound[target] += bw
-
-	c.Sim.PostAfter(downtime, sim.Payload{Handler: c.handlerID, Kind: evMigrateDone,
-		Owner: d.id, Arg0: int64(c.hostIndex(target)), Arg1: int64(downtime)})
-	return target, nil
-}
-
-// finishMigration ends the stop-and-copy blackout: the VM resumes on the
-// target, or falls back to any live host that fits, or stays pending.
-func (c *Cluster) finishMigration(d *Deployment, target *Host, downtime simtime.Duration) {
-	bw := d.Spec.Bandwidth()
-	d.migrating = false
-	d.Migrations++
-	d.BlackoutTotal += downtime
-	c.inbound[target] -= bw
-	err := fmt.Errorf("cluster: target %s failed during blackout", target.Name)
-	if !target.failed {
-		err = c.deploy(d, target)
-	}
-	if err != nil {
-		// The target filled up (or crashed) during the blackout: fall
-		// back to any live host that fits, the source included; if
-		// none does, the VM waits for capacity like a failover.
-		fallback, ferr := c.pickHost(bw, nil)
-		if ferr != nil {
-			d.pending = true
-			return
-		}
-		if err2 := c.deploy(d, fallback); err2 != nil {
-			d.pending = true
-		}
-	}
-}
-
-// Rebalance migrates VMs from the most- to the least-loaded host until the
-// reserved-bandwidth spread is within tolerance CPUs, and reports how many
-// migrations were initiated.
-func (c *Cluster) Rebalance(tolerance float64) int {
-	moves := 0
-	load := func(h *Host) float64 { return h.ReservedBandwidth() + c.inbound[h] }
-	for iter := 0; iter < len(c.deployments)+1; iter++ {
-		var hi, lo *Host
-		for _, h := range c.Hosts {
-			if h.failed {
-				continue
-			}
-			if hi == nil || load(h) > load(hi) {
-				hi = h
-			}
-			if lo == nil || load(h) < load(lo) {
-				lo = h
-			}
-		}
-		if hi == nil || lo == nil || hi == lo {
-			break
-		}
-		gap := load(hi) - load(lo)
-		if gap <= tolerance {
-			break
-		}
-		// Move the largest VM on hi that still shrinks the gap.
-		var candidate *Deployment
-		for _, d := range c.Deployments() {
-			if d.Host != hi || d.migrating || d.pending {
-				continue
-			}
-			bw := d.Spec.Bandwidth()
-			if bw < gap && (candidate == nil || bw > candidate.Spec.Bandwidth()) {
-				candidate = d
-			}
-		}
-		if candidate == nil {
-			break
-		}
-		if _, err := c.Migrate(candidate.Spec.Name, lo); err != nil {
-			break
-		}
-		moves++
-	}
-	return moves
-}
-
-// FailHost crashes a host at the current instant: every VM on it goes
-// dark immediately (in-flight and queued jobs are abandoned — visible as
-// deadline misses), the host stops taking placements, and after
-// Config.RecoveryDelay each VM restarts on a surviving host chosen by the
-// placement policy. A VM that fits nowhere stays Pending and is retried
-// when RestoreHost brings capacity back. The affected deployments are
-// returned; failing an already-failed host is a no-op.
-func (c *Cluster) FailHost(h *Host) []*Deployment {
-	if h.failed {
-		return nil
-	}
-	h.failed = true
-	var affected []*Deployment
-	for _, d := range c.Deployments() {
-		if d.Host != h || d.migrating {
-			continue
-		}
-		// The crash destroys the guest: abandon everything it was doing.
-		// Shutdown is the orderly form of the same teardown; statistics
-		// live on the task objects, which deploy() reuses on restart.
-		if err := d.guest.Shutdown(); err != nil {
-			panic(fmt.Sprintf("cluster: failing %s: %v", h.Name, err))
-		}
-		d.pending = true
-		affected = append(affected, d)
-		c.Sim.PostAfter(c.Cfg.RecoveryDelay, sim.Payload{Handler: c.handlerID,
-			Kind: evRecover, Owner: d.id, Arg0: int64(c.Cfg.RecoveryDelay)})
-	}
-	return affected
-}
-
-// recover re-places one pending VM; on success it resumes its periodic
-// tasks, on failure it stays pending for RestoreHost to retry.
-func (c *Cluster) recover(d *Deployment, downtime simtime.Duration) {
-	if !d.pending {
-		return
-	}
-	bw := d.Spec.Bandwidth()
-	target, err := c.pickHost(bw, nil)
-	if err != nil {
-		return // still pending
-	}
-	if err := c.deploy(d, target); err != nil {
-		return // still pending
-	}
-	d.pending = false
-	d.Failovers++
-	d.BlackoutTotal += downtime
-}
-
-// RestoreHost brings a failed host back (empty — its VMs restarted
-// elsewhere or are still pending) and immediately retries every pending
-// VM against the recovered capacity.
-func (c *Cluster) RestoreHost(h *Host) {
-	if !h.failed {
-		return
-	}
-	h.failed = false
-	for _, d := range c.Deployments() {
-		if d.pending {
-			c.recover(d, 0)
-		}
-	}
-}

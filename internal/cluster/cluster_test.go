@@ -3,9 +3,12 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
+	"rtvirt/internal/runner"
 	"rtvirt/internal/sim"
 	"rtvirt/internal/simtime"
 	"rtvirt/internal/task"
@@ -25,6 +28,17 @@ func vmSpec(name string, sliceMS, periodMS int64) VMSpec {
 	}
 }
 
+// controlConfig is the 2×4-CPU worst-fit cluster the control-call tests
+// start from.
+func controlConfig() ShardedConfig {
+	cfg := DefaultShardedConfig()
+	cfg.Hosts = 2
+	return cfg
+}
+
+// hostOf returns the host d resides on (or is bound for).
+func hostOf(c *Sharded, d *ShardedDeployment) *ShardHost { return c.Hosts[d.HostIndex()] }
+
 func TestPlacementPolicies(t *testing.T) {
 	for _, tc := range []struct {
 		policy Policy
@@ -35,10 +49,9 @@ func TestPlacementPolicies(t *testing.T) {
 		{BestFit, true},   // host0 has least free space and fits
 		{WorstFit, false}, // host1 has more room
 	} {
-		cfg := DefaultConfig()
+		cfg := controlConfig()
 		cfg.Policy = tc.policy
-		c := New(cfg)
-		cfg.PCPUs = 4
+		c := NewSharded(cfg)
 		d1, err := c.Place(vmSpec("a", 20, 10*4)) // 0.5
 		if err != nil {
 			t.Fatalf("%v: %v", tc.policy, err)
@@ -47,7 +60,7 @@ func TestPlacementPolicies(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", tc.policy, err)
 		}
-		same := d1.Host == d2.Host
+		same := d1.HostIndex() == d2.HostIndex()
 		if same != tc.wantSame {
 			t.Errorf("%v: same-host = %v, want %v", tc.policy, same, tc.wantSame)
 		}
@@ -55,10 +68,9 @@ func TestPlacementPolicies(t *testing.T) {
 }
 
 func TestPlaceRejectsWhenFull(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Hosts = 2
+	cfg := controlConfig()
 	cfg.PCPUs = 1
-	c := New(cfg)
+	c := NewSharded(cfg)
 	for i := 0; i < 2; i++ {
 		if _, err := c.Place(vmSpec(fmt.Sprintf("big%d", i), 9, 10)); err != nil {
 			t.Fatal(err)
@@ -71,9 +83,8 @@ func TestPlaceRejectsWhenFull(t *testing.T) {
 }
 
 func TestPlacedVMsMeetDeadlines(t *testing.T) {
-	cfg := DefaultConfig()
-	c := New(cfg)
-	var vms []*Deployment
+	c := NewSharded(controlConfig())
+	var vms []*ShardedDeployment
 	for i := 0; i < 6; i++ {
 		d, err := c.Place(vmSpec(fmt.Sprintf("vm%d", i), 4, 10)) // 0.4 each
 		if err != nil {
@@ -82,7 +93,7 @@ func TestPlacedVMsMeetDeadlines(t *testing.T) {
 		vms = append(vms, d)
 	}
 	c.Start()
-	c.Run(5 * simtime.Second)
+	c.Run(5*simtime.Second, 1)
 	for _, d := range vms {
 		for _, tk := range d.Tasks() {
 			if st := tk.Stats(); st.Missed != 0 {
@@ -93,16 +104,16 @@ func TestPlacedVMsMeetDeadlines(t *testing.T) {
 }
 
 func TestLiveMigration(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := controlConfig()
 	cfg.Policy = FirstFit
-	c := New(cfg)
+	c := NewSharded(cfg)
 	d, err := c.Place(vmSpec("mover", 4, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := d.Host
+	src := hostOf(c, d)
 	c.Start()
-	c.Run(2 * simtime.Second)
+	c.Run(2*simtime.Second, 1)
 
 	target, err := c.Migrate("mover", nil)
 	if err != nil {
@@ -115,9 +126,9 @@ func TestLiveMigration(t *testing.T) {
 	if bw := src.ReservedBandwidth(); bw > 0.01 {
 		t.Fatalf("source still reserves %.3f during blackout", bw)
 	}
-	c.Run(2 * simtime.Second)
-	if d.Host != target || d.Migrations != 1 {
-		t.Fatalf("migration not completed: host=%v migrations=%d", d.Host.Name, d.Migrations)
+	c.Run(2*simtime.Second, 1)
+	if hostOf(c, d) != target || d.Migrations != 1 {
+		t.Fatalf("migration not completed: host=%v migrations=%d", hostOf(c, d).Name, d.Migrations)
 	}
 	if d.BlackoutTotal < cfg.MigrationDowntime {
 		t.Fatalf("blackout %v below base downtime", d.BlackoutTotal)
@@ -125,7 +136,7 @@ func TestLiveMigration(t *testing.T) {
 	// The VM runs again on the target: fresh releases complete.
 	tk := d.Tasks()[0]
 	before := tk.Stats().Completed
-	c.Run(simtime.Second)
+	c.Run(simtime.Second, 1)
 	if tk.Stats().Completed <= before {
 		t.Fatal("no progress after migration")
 	}
@@ -138,10 +149,9 @@ func TestLiveMigration(t *testing.T) {
 }
 
 func TestMigrateErrors(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Hosts = 2
+	cfg := controlConfig()
 	cfg.PCPUs = 1
-	c := New(cfg)
+	c := NewSharded(cfg)
 	if _, err := c.Migrate("ghost", nil); !errors.Is(err, ErrUnknownVM) {
 		t.Fatalf("err = %v", err)
 	}
@@ -149,11 +159,11 @@ func TestMigrateErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Fill the other host so nothing fits.
-	other := c.Hosts[0]
-	if other == d.Host {
-		other = c.Hosts[1]
+	if _, err := c.Migrate("a", nil); err == nil {
+		t.Fatal("migration before Start accepted")
 	}
+	// Fill the other host so nothing fits.
+	other := c.Hosts[1-d.HostIndex()]
 	if _, err := c.Place(vmSpec("blocker", 9, 10)); err != nil {
 		t.Fatal(err)
 	}
@@ -161,15 +171,15 @@ func TestMigrateErrors(t *testing.T) {
 	if _, err := c.Migrate("a", other); !errors.Is(err, ErrNoHostFits) {
 		t.Fatalf("err = %v, want ErrNoHostFits", err)
 	}
-	if _, err := c.Migrate("a", d.Host); err == nil {
+	if _, err := c.Migrate("a", hostOf(c, d)); err == nil {
 		t.Fatal("migrating to the same host accepted")
 	}
 }
 
 func TestRebalance(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := controlConfig()
 	cfg.Policy = BestFit // pack everything onto one host first
-	c := New(cfg)
+	c := NewSharded(cfg)
 	for i := 0; i < 4; i++ {
 		if _, err := c.Place(vmSpec(fmt.Sprintf("vm%d", i), 8, 10*4)); err != nil { // 0.2 each
 			t.Fatal(err)
@@ -181,12 +191,12 @@ func TestRebalance(t *testing.T) {
 			h0.ReservedBandwidth(), h1.ReservedBandwidth())
 	}
 	c.Start()
-	c.Run(simtime.Second)
+	c.Run(simtime.Second, 1)
 	moves := c.Rebalance(0.3)
 	if moves == 0 {
 		t.Fatal("rebalance made no moves")
 	}
-	c.Run(simtime.Second) // let blackouts finish
+	c.Run(simtime.Second, 1) // let blackouts finish
 	gap := h0.ReservedBandwidth() - h1.ReservedBandwidth()
 	if gap < 0 {
 		gap = -gap
@@ -204,7 +214,7 @@ func TestPolicyString(t *testing.T) {
 }
 
 func TestDuplicatePlacementRejected(t *testing.T) {
-	c := New(DefaultConfig())
+	c := NewSharded(controlConfig())
 	if _, err := c.Place(vmSpec("dup", 1, 10)); err != nil {
 		t.Fatal(err)
 	}
@@ -216,19 +226,19 @@ func TestDuplicatePlacementRejected(t *testing.T) {
 // TestMigrationCleansUpSourceHost: repeated migrations must not leak VCPUs
 // or VMs on the source hosts.
 func TestMigrationCleansUpSourceHost(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := controlConfig()
 	cfg.Policy = FirstFit
-	c := New(cfg)
+	c := NewSharded(cfg)
 	if _, err := c.Place(vmSpec("pingpong", 3, 10)); err != nil {
 		t.Fatal(err)
 	}
 	c.Start()
 	for i := 0; i < 6; i++ {
-		c.Run(simtime.Second)
+		c.Run(simtime.Second, 1)
 		if _, err := c.Migrate("pingpong", nil); err != nil {
 			t.Fatalf("migration %d: %v", i, err)
 		}
-		c.Run(simtime.Second)
+		c.Run(simtime.Second, 1)
 	}
 	for _, h := range c.Hosts {
 		vms := len(h.Sys.Host.VMs())
@@ -244,10 +254,62 @@ func TestMigrationCleansUpSourceHost(t *testing.T) {
 	// The VM still makes progress.
 	tk := d.Tasks()[0]
 	before := tk.Stats().Completed
-	c.Run(simtime.Second)
+	c.Run(simtime.Second, 1)
 	if tk.Stats().Completed <= before {
 		t.Fatal("no progress after ping-pong migrations")
 	}
+}
+
+// churnHolds plays one random placement-and-migration churn and reports
+// whether it kept every invariant: no host overcommitted, no VM lost, and
+// every VM still making progress afterwards.
+func churnHolds(t *testing.T, seed uint64) bool {
+	rng := sim.NewRNG(seed)
+	cfg := controlConfig()
+	cfg.Hosts = 2 + rng.Intn(2)
+	cfg.PCPUs = 2
+	cfg.Seed = seed
+	cfg.Policy = Policy(rng.Intn(3))
+	c := NewSharded(cfg)
+	placed := 0
+	for i := 0; i < 6; i++ {
+		s := vmSpec(fmt.Sprintf("vm%d", i), 2+rng.Int63n(5), 10+rng.Int63n(20))
+		if _, err := c.Place(s); err == nil {
+			placed++
+		}
+	}
+	if placed == 0 {
+		return true
+	}
+	c.Start()
+	for e := 0; e < 10; e++ {
+		c.Run(simtime.Duration(200+rng.Int63n(800))*simtime.Millisecond, 1)
+		names := c.Deployments()
+		if len(names) == 0 {
+			return false
+		}
+		d := names[rng.Intn(len(names))]
+		_, _ = c.Migrate(d.Spec.Name, nil) // failures are fine
+	}
+	c.Run(2*simtime.Second, 1)
+	// Invariants.
+	for _, h := range c.Hosts {
+		if h.ReservedBandwidth() > h.Capacity()+1e-6 {
+			t.Logf("seed %d: %s overcommitted %.3f/%.1f", seed, h.Name,
+				h.ReservedBandwidth(), h.Capacity())
+			return false
+		}
+	}
+	for _, d := range c.Deployments() {
+		tk := d.Tasks()[0]
+		before := tk.Stats().Completed
+		c.Run(simtime.Second, 1)
+		if tk.Stats().Completed <= before {
+			t.Logf("seed %d: %s stalled after churn", seed, d.Spec.Name)
+			return false
+		}
+	}
+	return true
 }
 
 // Property: random placement and migration churn never overcommits a host,
@@ -256,62 +318,28 @@ func TestQuickClusterChurn(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long property test")
 	}
-	f := func(seed uint64) bool {
-		rng := sim.NewRNG(seed)
-		cfg := DefaultConfig()
-		cfg.Hosts = 2 + rng.Intn(2)
-		cfg.PCPUs = 2
-		cfg.Seed = seed
-		cfg.Policy = Policy(rng.Intn(3))
-		c := New(cfg)
-		placed := 0
-		for i := 0; i < 6; i++ {
-			s := vmSpec(fmt.Sprintf("vm%d", i), 2+rng.Int63n(5), 10+rng.Int63n(20))
-			if _, err := c.Place(s); err == nil {
-				placed++
-			}
-		}
-		if placed == 0 {
-			return true
-		}
-		c.Start()
-		for e := 0; e < 10; e++ {
-			c.Run(simtime.Duration(200+rng.Int63n(800)) * simtime.Millisecond)
-			names := c.Deployments()
-			if len(names) == 0 {
-				return false
-			}
-			d := names[rng.Intn(len(names))]
-			_, _ = c.Migrate(d.Spec.Name, nil) // failures are fine
-		}
-		c.Run(2 * simtime.Second)
-		// Invariants.
-		for _, h := range c.Hosts {
-			if h.ReservedBandwidth() > h.Capacity()+1e-6 {
-				t.Logf("seed %d: %s overcommitted %.3f/%.1f", seed, h.Name,
-					h.ReservedBandwidth(), h.Capacity())
-				return false
-			}
-		}
-		for _, d := range c.Deployments() {
-			tk := d.Tasks()[0]
-			before := tk.Stats().Completed
-			c.Run(simtime.Second)
-			if tk.Stats().Completed <= before {
-				t.Logf("seed %d: %s stalled after churn", seed, d.Spec.Name)
-				return false
-			}
-		}
-		return true
-	}
+	f := func(seed uint64) bool { return churnHolds(t, seed) }
 	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// TestClusterChurnPinnedSeeds replays the two churn seeds that stalled a
+// VM for good: placement checked the spec's Σ slice/period against free
+// capacity while admission charges the rounded, slack-padded reservation,
+// so a migration landed on a host that could not admit it, fell back to
+// the same host, and nothing ever retried the VM.
+func TestClusterChurnPinnedSeeds(t *testing.T) {
+	for _, seed := range []uint64{13537229919823845256, 15640709042947287733} {
+		if !churnHolds(t, seed) {
+			t.Errorf("seed %d: churn invariant broken", seed)
+		}
+	}
+}
+
 func TestFailHostRecoversVMs(t *testing.T) {
-	cfg := DefaultConfig() // 2×4 CPUs, worst-fit, 500ms recovery
-	c := New(cfg)
+	cfg := controlConfig() // 2×4 CPUs, worst-fit, 500ms recovery
+	c := NewSharded(cfg)
 	// One VM per host (worst-fit spreads them).
 	d1, err := c.Place(vmSpec("a", 2, 10)) // 0.2 CPUs
 	if err != nil {
@@ -321,32 +349,36 @@ func TestFailHostRecoversVMs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d1.Host == d2.Host {
+	if d1.HostIndex() == d2.HostIndex() {
 		t.Fatal("worst-fit co-located the VMs")
 	}
 	c.Start()
-	c.Run(simtime.Seconds(2))
+	c.Run(simtime.Seconds(2), 1)
 
-	crashed := d1.Host
-	survivor := d2.Host
+	crashed := hostOf(c, d1)
+	survivor := hostOf(c, d2)
 	affected := c.FailHost(crashed)
 	if len(affected) != 1 || affected[0] != d1 {
 		t.Fatalf("affected = %v", affected)
 	}
-	if !crashed.Failed() || !d1.Pending() {
-		t.Fatalf("failure state: host=%v vm=%v", crashed.Failed(), d1.Pending())
+	// The recovery host is picked at the crash; the VM is dark until the
+	// recovery delay has passed.
+	if !crashed.Failed() || !d1.Migrating() || d1.Guest() != nil || hostOf(c, d1) != survivor {
+		t.Fatalf("failure state: host=%v recovering=%v dark=%v bound for %s",
+			crashed.Failed(), d1.Migrating(), d1.Guest() == nil, hostOf(c, d1).Name)
 	}
 	// Failing twice is a no-op.
 	if again := c.FailHost(crashed); again != nil {
 		t.Fatalf("second FailHost returned %v", again)
 	}
 
-	c.Run(simtime.Seconds(2))
-	if d1.Pending() || d1.Host != survivor {
-		t.Fatalf("vm a not recovered: pending=%v host=%v", d1.Pending(), d1.Host)
+	c.Run(simtime.Seconds(2), 1)
+	if d1.Migrating() || d1.Pending() || hostOf(c, d1) != survivor {
+		t.Fatalf("vm a not recovered: recovering=%v pending=%v host=%v",
+			d1.Migrating(), d1.Pending(), hostOf(c, d1).Name)
 	}
 	if d1.Failovers != 1 || d1.BlackoutTotal != cfg.RecoveryDelay {
-		t.Fatalf("failover accounting: %+v", d1)
+		t.Fatalf("failover accounting: failovers=%d blackout=%v", d1.Failovers, d1.BlackoutTotal)
 	}
 	// The crash cost deadlines (the VM was dark 500ms ≈ 50 periods), but
 	// it runs cleanly again on the survivor.
@@ -355,7 +387,7 @@ func TestFailHostRecoversVMs(t *testing.T) {
 	if missesAfterRecovery == 0 {
 		t.Fatal("500ms blackout caused no misses")
 	}
-	c.Run(simtime.Seconds(2))
+	c.Run(simtime.Seconds(2), 1)
 	if got := tk.Stats().Missed; got != missesAfterRecovery {
 		t.Fatalf("still missing after recovery: %d -> %d", missesAfterRecovery, got)
 	}
@@ -378,9 +410,9 @@ func TestFailHostRecoversVMs(t *testing.T) {
 }
 
 func TestFailHostNoCapacityThenRestore(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := controlConfig()
 	cfg.Policy = FirstFit
-	c := New(cfg)
+	c := NewSharded(cfg)
 	// heavySpec builds a VM from n 0.9-utilization tasks, each filling
 	// most of one VCPU (0.95 reserved with the 500µs slack).
 	heavySpec := func(name string, n int) VMSpec {
@@ -393,8 +425,8 @@ func TestFailHostNoCapacityThenRestore(t *testing.T) {
 		}
 		return s
 	}
-	// host0: the 1.8-CPU victim; host1: 2.7 CPUs of filler, leaving only
-	// ~1.15 CPUs of surviving capacity — not enough to recover the victim.
+	// host0: the 1.9-CPU victim; host1: 2.85 CPUs of filler, leaving only
+	// 1.15 CPUs of surviving capacity — not enough to recover the victim.
 	big, err := c.Place(heavySpec("big", 2))
 	if err != nil {
 		t.Fatal(err)
@@ -403,27 +435,31 @@ func TestFailHostNoCapacityThenRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Start()
-	c.Run(simtime.Seconds(1))
+	c.Run(simtime.Seconds(1), 1)
 
 	h0 := c.Hosts[0]
 	c.FailHost(h0)
-	c.Run(simtime.Seconds(2)) // recovery delay passes, nowhere to go
+	c.Run(simtime.Seconds(2), 1) // the run's barrier finds nowhere to go
 	if !big.Pending() {
-		t.Fatal("2.0-CPU VM recovered without capacity")
+		t.Fatal("1.9-CPU VM recovered without capacity")
 	}
 
 	c.RestoreHost(h0)
 	if big.Pending() {
 		t.Fatal("restore did not retry the pending VM")
 	}
-	if big.Host != h0 {
-		t.Fatalf("recovered on %s", big.Host.Name)
+	if hostOf(c, big) != h0 {
+		t.Fatalf("recovered on %s", hostOf(c, big).Name)
 	}
-	c.Run(simtime.Seconds(2))
+	if big.Failovers != 1 || big.BlackoutTotal != simtime.Seconds(2) {
+		t.Fatalf("pending accounting: failovers=%d blackout=%v, want 1 and the 2s dark",
+			big.Failovers, big.BlackoutTotal)
+	}
+	c.Run(simtime.Seconds(2), 1)
 	// Clean run after restoration: misses stop accumulating.
 	tk := big.Tasks()[0]
 	before := tk.Stats().Missed
-	c.Run(simtime.Seconds(1))
+	c.Run(simtime.Seconds(1), 1)
 	if got := tk.Stats().Missed; got != before {
 		t.Fatalf("missing after restore: %d -> %d", before, got)
 	}
@@ -432,76 +468,181 @@ func TestFailHostNoCapacityThenRestore(t *testing.T) {
 }
 
 func TestMigrateToHostThatFails(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := controlConfig()
 	cfg.Hosts = 3
-	c := New(cfg)
+	c := NewSharded(cfg)
 	d, err := c.Place(vmSpec("a", 2, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.Start()
-	c.Run(simtime.Seconds(1))
+	c.Run(simtime.Seconds(1), 1)
 
-	src := d.Host
-	var target *Host
-	for _, h := range c.Hosts {
-		if h != src {
-			target = h
-			break
-		}
-	}
+	src := hostOf(c, d)
+	target := c.Hosts[(d.HostIndex()+1)%len(c.Hosts)]
 	if _, err := c.Migrate("a", target); err != nil {
 		t.Fatal(err)
 	}
 	// The target dies during the blackout: the VM must fall back to a
 	// live host instead of deploying onto the corpse.
 	c.FailHost(target)
-	c.Run(simtime.Seconds(2))
+	c.Run(simtime.Seconds(2), 1)
 	if d.Pending() {
 		t.Fatal("VM stuck pending despite spare capacity")
 	}
-	if d.Host == target || d.Host.Failed() {
-		t.Fatalf("VM landed on the failed host %s", d.Host.Name)
+	if hostOf(c, d) == target || hostOf(c, d).Failed() {
+		t.Fatalf("VM landed on the failed host %s", hostOf(c, d).Name)
+	}
+	if n := len(src.Sys.Host.VMs()) + len(target.Sys.Host.VMs()); hostOf(c, d) != src && n != 0 {
+		t.Fatalf("%d stray VMs on the source and the failed target", n)
 	}
 	tk := d.Tasks()[0]
 	before := tk.Stats().Missed
-	c.Run(simtime.Seconds(1))
+	c.Run(simtime.Seconds(1), 1)
 	if got := tk.Stats().Missed; got != before {
 		t.Fatalf("missing after fallback: %d -> %d", before, got)
 	}
 }
 
-func TestMigrateRejectsPendingVM(t *testing.T) {
-	cfg := DefaultConfig()
-	c := New(cfg)
+// TestRedirectedHandoffStaysStale restores a crashed migration target
+// before the handoff that was heading for it would have landed: the
+// redirected VM must land exactly once, on its recovery host, and the
+// stale handoff must not resurrect a second copy on the restored host.
+func TestRedirectedHandoffStaysStale(t *testing.T) {
+	cfg := controlConfig()
+	cfg.Hosts = 3
+	cfg.MigrationDowntime = ms(300)
+	cfg.RecoveryDelay = ms(100)
+	c := NewSharded(cfg)
 	d, err := c.Place(vmSpec("a", 2, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.Start()
-	c.Run(simtime.Seconds(1))
-	c.FailHost(d.Host)
+	c.Run(simtime.Second, 1)
+	target := c.Hosts[(d.HostIndex()+1)%len(c.Hosts)]
+	if _, err := c.Migrate("a", target); err != nil {
+		t.Fatal(err)
+	}
+	if affected := c.FailHost(target); len(affected) != 1 || affected[0] != d {
+		t.Fatalf("affected = %v, want the VM in flight", affected)
+	}
+	c.Run(ms(150), 1) // the redirected handoff lands
+	c.RestoreHost(target)
+	c.Run(simtime.Second, 1) // the stale one comes due
+	if n := len(target.Sys.Host.VMs()); n != 0 {
+		t.Fatalf("stale handoff deployed %d VMs on the restored target", n)
+	}
+	vms := 0
+	for _, h := range c.Hosts {
+		vms += len(h.Sys.Host.VMs())
+	}
+	if vms != 1 || d.Failovers != 1 || d.Migrations != 0 || d.BlackoutTotal != ms(100) {
+		t.Fatalf("want one live copy after one failover and a 100ms blackout: vms=%d failovers=%d migrations=%d blackout=%v",
+			vms, d.Failovers, d.Migrations, d.BlackoutTotal)
+	}
+}
+
+// TestPendingReplacedAtNextBarrier lands a planned migration on a host
+// that filled up before the plan fired: the landing fails, the VM goes
+// Pending (counted as a failed deploy), and the next Run's barrier
+// re-places it on the first host with room.
+func TestPendingReplacedAtNextBarrier(t *testing.T) {
+	cfg := controlConfig()
+	cfg.PCPUs = 1
+	c := NewSharded(cfg)
+	d, err := c.Deploy(0, vmSpec("mover", 4, 10)) // 0.45 charged
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.PlanMigration(simtime.Time(simtime.Second), d, 1); err != nil {
+		t.Fatal(err)
+	}
+	c.Start()
+	c.Run(simtime.Millis(500), 1)
+	if _, err := c.Deploy(1, vmSpec("squatter", 7, 10)); err != nil { // 0.75 charged
+		t.Fatal(err)
+	}
+	c.Run(simtime.Second, 1)
+	if !d.Pending() || d.Guest() != nil || c.Hosts[1].Agent().FailedDeploys != 1 {
+		t.Fatalf("landing on a full host: pending=%v dark=%v faildeploy=%d",
+			d.Pending(), d.Guest() == nil, c.Hosts[1].Agent().FailedDeploys)
+	}
+	if dig := c.DigestString(); !strings.Contains(dig, "vm mover host=1 migs=0") ||
+		!strings.Contains(dig, "pending=true") {
+		t.Fatalf("digest does not show the pending VM:\n%s", dig)
+	}
+	c.Run(simtime.Second, 1)
+	if d.Pending() || d.HostIndex() != 0 || d.Failovers != 1 {
+		t.Fatalf("not re-placed at the barrier: pending=%v host=%d failovers=%d",
+			d.Pending(), d.HostIndex(), d.Failovers)
+	}
+	tk := d.Tasks()[0]
+	before := tk.Stats().Completed
+	c.Run(simtime.Second, 1)
+	if tk.Stats().Completed <= before {
+		t.Fatal("no progress after re-placement")
+	}
+}
+
+// TestDeployRespectsHandoffsInFlight: bandwidth promised to a handoff in
+// flight is not free at a barrier, for Deploy and Place alike.
+func TestDeployRespectsHandoffsInFlight(t *testing.T) {
+	cfg := controlConfig()
+	cfg.PCPUs = 1
+	c := NewSharded(cfg)
+	if _, err := c.Deploy(0, vmSpec("mover", 4, 10)); err != nil { // 0.45 charged
+		t.Fatal(err)
+	}
+	c.Start()
+	c.Run(simtime.Millis(100), 1)
+	if _, err := c.Migrate("mover", c.Hosts[1]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Deploy(1, vmSpec("late", 7, 10)); !errors.Is(err, ErrNoHostFits) { // 0.75 charged
+		t.Fatalf("Deploy into a promised host: err = %v, want ErrNoHostFits", err)
+	}
+	if d, err := c.Place(vmSpec("late", 7, 10)); err != nil || d.HostIndex() != 0 {
+		t.Fatalf("Place: err = %v, want host0", err)
+	}
+	c.Run(simtime.Second, 1)
+	for _, h := range c.Hosts {
+		if h.ReservedBandwidth() > h.Capacity()+1e-9 {
+			t.Fatalf("%s overcommitted: %.3f", h.Name, h.ReservedBandwidth())
+		}
+	}
+}
+
+func TestMigrateRejectsPendingVM(t *testing.T) {
+	c := NewSharded(controlConfig())
+	d, err := c.Place(vmSpec("a", 2, 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start()
+	c.Run(simtime.Seconds(1), 1)
+	c.FailHost(hostOf(c, d))
 	if _, err := c.Migrate("a", nil); !errors.Is(err, ErrMigrating) {
-		t.Fatalf("migrating a pending VM: err = %v", err)
+		t.Fatalf("migrating a recovering VM: err = %v", err)
 	}
 }
 
 // Property: under random crashes, restores and migrations, no VM is ever
-// lost — every deployment is either running on a live host or explicitly
-// pending — hosts are never overcommitted, and once the cluster heals,
-// every VM makes progress again.
+// lost — every deployment is either running on a live host, dark on its
+// way to one, or explicitly pending — hosts are never overcommitted, and
+// once the cluster heals, every VM makes progress again.
 func TestQuickFailoverChaos(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long property test")
 	}
 	f := func(seed uint64) bool {
 		rng := sim.NewRNG(seed)
-		cfg := DefaultConfig()
+		cfg := controlConfig()
 		cfg.Hosts = 3
 		cfg.PCPUs = 2
 		cfg.Seed = seed
 		cfg.Policy = Policy(rng.Intn(3))
-		c := New(cfg)
+		c := NewSharded(cfg)
 		for i := 0; i < 5; i++ {
 			s := vmSpec(fmt.Sprintf("vm%d", i), 1+rng.Int63n(4), 10+rng.Int63n(20))
 			_, _ = c.Place(s) // rejections are fine
@@ -511,7 +652,9 @@ func TestQuickFailoverChaos(t *testing.T) {
 		}
 		c.Start()
 		for e := 0; e < 12; e++ {
-			c.Run(simtime.Duration(100+rng.Int63n(700)) * simtime.Millisecond)
+			// Two executor groups, so -race sees the agents' barrier-time
+			// reads (failure flags, handoff epochs) across threads.
+			c.Run(simtime.Duration(100+rng.Int63n(700))*simtime.Millisecond, 2)
 			switch rng.Intn(3) {
 			case 0:
 				c.FailHost(c.Hosts[rng.Intn(len(c.Hosts))])
@@ -534,24 +677,31 @@ func TestQuickFailoverChaos(t *testing.T) {
 					return false
 				}
 			}
+			for _, d := range c.Deployments() {
+				if dark := d.Guest() == nil; dark != (d.Migrating() || d.Pending()) {
+					t.Logf("seed %d: %s dark=%v but migrating=%v pending=%v", seed,
+						d.Spec.Name, dark, d.Migrating(), d.Pending())
+					return false
+				}
+			}
 		}
 		// Heal the cluster and let in-flight blackouts drain.
 		for _, h := range c.Hosts {
 			c.RestoreHost(h)
 		}
-		c.Run(3 * simtime.Second)
+		c.Run(3*simtime.Second, 1)
 		for _, d := range c.Deployments() {
 			if d.Pending() {
 				t.Logf("seed %d: %s still pending after full restore", seed, d.Spec.Name)
 				return false
 			}
-			if d.Host.Failed() {
-				t.Logf("seed %d: %s lives on failed %s", seed, d.Spec.Name, d.Host.Name)
+			if hostOf(c, d).Failed() {
+				t.Logf("seed %d: %s lives on failed %s", seed, d.Spec.Name, hostOf(c, d).Name)
 				return false
 			}
 			tk := d.Tasks()[0]
 			before := tk.Stats().Completed
-			c.Run(simtime.Second)
+			c.Run(simtime.Second, 1)
 			if tk.Stats().Completed <= before {
 				t.Logf("seed %d: %s stopped making progress", seed, d.Spec.Name)
 				return false
@@ -565,43 +715,106 @@ func TestQuickFailoverChaos(t *testing.T) {
 }
 
 // TestClusterDeterminism: identical seeds reproduce identical outcomes
-// bit-for-bit, including through migrations, a crash and a recovery.
+// bit-for-bit, including through migrations, a crash and a recovery, and
+// at any executor group count.
 func TestClusterDeterminism(t *testing.T) {
-	run := func() string {
-		cfg := DefaultConfig()
+	run := func(groups int) string {
+		cfg := controlConfig()
 		cfg.Hosts = 3
 		cfg.PCPUs = 2
 		cfg.Seed = 42
-		c := New(cfg)
+		c := NewSharded(cfg)
 		for i := 0; i < 4; i++ {
 			if _, err := c.Place(vmSpec(fmt.Sprintf("vm%d", i), 3, 10)); err != nil {
 				t.Fatal(err)
 			}
 		}
 		c.Start()
-		c.Run(simtime.Second)
+		c.Run(simtime.Second, groups)
 		_, _ = c.Migrate("vm1", nil)
-		c.Run(simtime.Second)
+		c.Run(simtime.Second, groups)
 		c.FailHost(c.Hosts[0])
-		c.Run(simtime.Second)
+		c.Run(simtime.Second, groups)
 		c.RestoreHost(c.Hosts[0])
-		c.Run(simtime.Second)
-		out := ""
-		for _, d := range c.Deployments() {
-			tk := d.Tasks()[0]
-			st := tk.Stats()
-			out += fmt.Sprintf("%s@%s rel=%d done=%d miss=%d ab=%d mig=%d fo=%d bo=%v\n",
-				d.Spec.Name, d.Host.Name, st.Released, st.Completed, st.Missed,
-				st.Abandoned, d.Migrations, d.Failovers, d.BlackoutTotal)
-		}
-		for _, h := range c.Hosts {
-			out += fmt.Sprintf("%s bw=%.6f mig=%d\n",
-				h.Name, h.ReservedBandwidth(), h.Sys.Host.Overhead.Migrations)
-		}
-		return out
+		c.Run(simtime.Second, groups)
+		c.Finish()
+		return c.DigestString()
 	}
-	a, b := run(), run()
-	if a != b {
-		t.Fatalf("non-deterministic cluster run:\n--- first ---\n%s--- second ---\n%s", a, b)
+	a := run(1)
+	if !strings.Contains(a, "failovers=") {
+		t.Fatalf("the crash caused no failover:\n%s", a)
+	}
+	for _, g := range []int{1, 2} {
+		if b := run(g); a != b {
+			t.Fatalf("non-deterministic cluster run at %d groups:\n--- first ---\n%s--- second ---\n%s", g, a, b)
+		}
+	}
+}
+
+// sweepDriver places two VMs by cfg's policy, runs the cluster, and
+// returns the per-VM miss counts plus which host each landed on — enough
+// state to expose any cross-worker contamination.
+func sweepDriver(cfg ShardedConfig) sweepOutcome {
+	c := NewSharded(cfg)
+	var r sweepOutcome
+	for i, spec := range []VMSpec{vmSpec("a", 20, 40), vmSpec("b", 12, 40)} {
+		d, err := c.Place(spec)
+		if err != nil {
+			panic(err)
+		}
+		r.Hosts[i] = hostOf(c, d).Name
+	}
+	c.Start()
+	c.Run(2*simtime.Second, 1)
+	for i, name := range []string{"a", "b"} {
+		d, _ := c.Lookup(name)
+		for _, tk := range d.Tasks() {
+			r.Missed[i] += tk.Stats().Missed
+		}
+	}
+	return r
+}
+
+type sweepOutcome struct {
+	Hosts  [2]string
+	Missed [2]int
+}
+
+// policyConfigs returns one cluster config per placement policy, in
+// declaration order.
+func policyConfigs() []ShardedConfig {
+	var cfgs []ShardedConfig
+	for _, p := range []Policy{FirstFit, BestFit, WorstFit} {
+		cfg := controlConfig()
+		cfg.Policy = p
+		cfgs = append(cfgs, cfg)
+	}
+	return cfgs
+}
+
+// TestSweepParallelDeterminism runs one cluster per placement policy
+// sequentially and on eight workers: every cluster owns its clocks, so
+// results must match exactly and arrive in input order.
+func TestSweepParallelDeterminism(t *testing.T) {
+	seq := runner.Map(1, policyConfigs(), sweepDriver)
+	par := runner.Map(8, policyConfigs(), sweepDriver)
+	if !reflect.DeepEqual(seq, par) {
+		t.Fatalf("sweep differs between 1 and 8 workers:\nseq: %#v\npar: %#v", seq, par)
+	}
+}
+
+// TestComparePolicies sweeps every placement policy in declaration order
+// and checks the policies actually differ: worst-fit spreads where
+// first-fit consolidates (cf. TestPlacementPolicies).
+func TestComparePolicies(t *testing.T) {
+	res := runner.Map(0, policyConfigs(), sweepDriver)
+	if len(res) != 3 {
+		t.Fatalf("got %d results, want 3", len(res))
+	}
+	if ff := res[0]; ff.Hosts[0] != ff.Hosts[1] {
+		t.Errorf("first-fit split the VMs across hosts: %v", ff.Hosts)
+	}
+	if wf := res[2]; wf.Hosts[0] == wf.Hosts[1] {
+		t.Errorf("worst-fit consolidated the VMs: %v", wf.Hosts)
 	}
 }

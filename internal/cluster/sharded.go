@@ -15,13 +15,16 @@ import (
 	"rtvirt/internal/workload"
 )
 
-// This file is the sharded (conservative-PDES) counterpart of Cluster: a
-// Sharded cluster gives every host its own sim.Simulator — its own clock,
-// event queue, and RNG stream — and advances all of them concurrently in
-// sim.ShardSet lookahead windows. All cross-host interaction (client→
-// server request traffic, live-migration handoff, post-migration request
-// forwarding) travels through the shard mailbox with at least the
-// lookahead of delay, which is what makes the windows safe.
+// This file is the cluster engine: a Sharded cluster gives every host its
+// own sim.Simulator — its own clock, event queue, and RNG stream — and
+// advances all of them concurrently in sim.ShardSet lookahead windows
+// (conservative PDES). All cross-host interaction during a window
+// (client→server request traffic, planned live-migration handoff,
+// post-migration request forwarding) travels through the shard mailbox
+// with at least the lookahead of delay, which is what makes the windows
+// safe. Between two Run calls every shard clock has settled at the same
+// instant, so the control calls of control.go (placement, migration,
+// rebalance, host failure) run there and may read and write any host.
 //
 // Ownership discipline (what makes the parallel run race-free AND
 // grouping-invariant): during a window a host's handlers may touch only
@@ -30,8 +33,8 @@ import (
 // run at least one lookahead apart and are therefore separated by a
 // barrier. Agents decide residency from their own local maps — never by
 // peeking at another host's state mid-window. The only cross-host reads
-// are immutable topology (shard pointers, agent handler IDs) fixed before
-// Start.
+// are of state that changes only at barriers: topology (shard pointers,
+// agent handler IDs), host failure flags, and handoff epochs.
 
 // ShardedConfig describes a sharded cluster run.
 type ShardedConfig struct {
@@ -41,19 +44,24 @@ type ShardedConfig struct {
 	// Seed fixes the whole run. Host i's simulator is seeded with
 	// splitmix64(Seed, i), so hosts share no stream structure.
 	Seed uint64
-	// System is the per-host configuration template, with the same
-	// contract as Config.System: topology knobs (PCPUs, Seed, SharedSim)
-	// stay blank — the cluster owns them.
+	// System is the per-host configuration template (stack, costs,
+	// slack). Its topology knobs (PCPUs, Seed, SharedSim) stay blank —
+	// the cluster owns them, and Validate rejects conflicting values.
 	System core.Config
 	// Lookahead is the conservative-window width: the minimum cross-host
 	// latency. Zero selects workload.DefaultNetworkDelay() (19µs, the
 	// paper's measured p99.9 network delay). Every remote client's delay
 	// and the migration downtime must be ≥ Lookahead.
 	Lookahead simtime.Duration
-	// MigrationDowntime / MigrationPerBW form the stop-and-copy blackout
-	// model, as in Config.
+	// Policy picks the host for Place, Migrate(name, nil) and failover.
+	Policy Policy
+	// A migrating VM is dark for MigrationDowntime plus MigrationPerBW per
+	// CPU of its spec's bandwidth (the stop-and-copy blackout model).
 	MigrationDowntime simtime.Duration
 	MigrationPerBW    simtime.Duration
+	// RecoveryDelay is how long a crashed host's VMs stay dark (failure
+	// detection plus restart) before they resume on a survivor.
+	RecoveryDelay simtime.Duration
 	// LinkDelay optionally models per-pair network latency: forwarded
 	// requests chase a migrated VM at LinkDelay(src, dst) instead of the
 	// global Lookahead floor, and the declared migration-pair edges widen
@@ -72,9 +80,9 @@ type ShardedConfig struct {
 	GlobalWindows bool
 }
 
-// DefaultShardedConfig returns a 4-host × 4-CPU RTVirt sharded cluster
-// with the sequential cluster's 50ms+20ms/CPU migration model and the
-// 19µs network-delay lookahead.
+// DefaultShardedConfig returns a 4-host × 4-CPU RTVirt cluster with
+// worst-fit placement, a 50ms+20ms/CPU migration model, a 500ms recovery
+// delay and the 19µs network-delay lookahead.
 func DefaultShardedConfig() ShardedConfig {
 	sys := core.DefaultConfig(core.RTVirt)
 	sys.PCPUs = 0
@@ -85,8 +93,10 @@ func DefaultShardedConfig() ShardedConfig {
 		Seed:              1,
 		System:            sys,
 		Lookahead:         workload.DefaultNetworkDelay(),
+		Policy:            WorstFit,
 		MigrationDowntime: simtime.Millis(50),
 		MigrationPerBW:    simtime.Millis(20),
+		RecoveryDelay:     simtime.Millis(500),
 	}
 }
 
@@ -101,6 +111,9 @@ func (cfg ShardedConfig) Validate() error {
 	if cfg.MigrationDowntime < cfg.Lookahead {
 		return fmt.Errorf("cluster: migration downtime %v below lookahead %v — the handoff would outrun the conservative window",
 			cfg.MigrationDowntime, cfg.Lookahead)
+	}
+	if cfg.RecoveryDelay < 0 {
+		return fmt.Errorf("cluster: negative recovery delay %v", cfg.RecoveryDelay)
 	}
 	if cfg.System.SharedSim != nil {
 		return errors.New("cluster: sharded Config.System.SharedSim must be nil; every host gets its own simulator")
@@ -134,11 +147,12 @@ const (
 	// Arg0 the sampled CPU demand in ns (0 = declared slice), Arg1 the
 	// task index within the deployment.
 	evAgentReq uint16 = iota
-	// evAgentMigOut starts a live migration on the source host: Owner the
-	// deployment, Arg0 the target host index.
+	// evAgentMigOut starts a planned live migration on the source host:
+	// Owner the deployment, Arg0 the target host index.
 	evAgentMigOut
-	// evAgentMigIn completes it on the target: Owner the deployment, Arg0
-	// the downtime charged.
+	// evAgentMigIn ends a blackout on the target: Owner the deployment,
+	// Arg0 the handoff epoch it was sent under, Arg1 1 for a failover
+	// restart and 0 for a migration.
 	evAgentMigIn
 )
 
@@ -164,10 +178,11 @@ type AgentStats struct {
 	// constraint.
 	Throttled uint64
 	// SkippedMigrations counts planned migrations that fired after the VM
-	// had already left (or toward its current host) and were ignored.
+	// had already left (or toward its current or a failed host) and were
+	// ignored.
 	SkippedMigrations uint64
-	// FailedDeploys counts migrations whose target admission failed; the
-	// VM stays dark.
+	// FailedDeploys counts handoffs whose target admission failed; the
+	// VM goes Pending until the next barrier re-places it.
 	FailedDeploys uint64
 }
 
@@ -194,10 +209,22 @@ type ShardHost struct {
 	Sys   *core.System
 
 	agent *hostAgent
+	// failed marks a crashed host (see FailHost). Written only at
+	// barriers, so agents may read any host's flag mid-window.
+	failed bool
 }
 
 // Agent exposes the host's traffic statistics.
 func (h *ShardHost) Agent() AgentStats { return h.agent.Stats }
+
+// Failed reports whether the host has crashed (see Sharded.FailHost).
+func (h *ShardHost) Failed() bool { return h.failed }
+
+// ReservedBandwidth reports the host's current RT reservations in CPUs.
+func (h *ShardHost) ReservedBandwidth() float64 { return h.Sys.AllocatedBandwidth() }
+
+// Capacity reports the host's RT capacity in CPUs.
+func (h *ShardHost) Capacity() float64 { return float64(h.Sys.Host.NumPCPUs()) }
 
 // ShardedDeployment is a VM placed on a sharded cluster. Between runs all
 // fields are stable to read; during a window only the resident host
@@ -217,18 +244,38 @@ type ShardedDeployment struct {
 	// blackout — controllers are torn down with the guest and rebuilt
 	// fresh on the target).
 	ctrl []*guest.AdaptiveController
+	// charged is the RT reservation the VM held when it was last torn
+	// down: what its handoff must find free on the target.
+	charged float64
+	// darkSince is the instant of that teardown; landing charges the time
+	// since to BlackoutTotal.
+	darkSince simtime.Time
+	// epoch names the live handoff: FailHost bumps it when it redirects a
+	// handoff away from a crashed target, so the stale one is ignored.
+	epoch int64
 
+	// Migrations counts completed live migrations, Failovers restarts
+	// after a host failure or from Pending.
 	Migrations    int
+	Failovers     int
 	BlackoutTotal simtime.Duration
 	migrating     bool
+	pending       bool
 }
 
-// HostIndex reports the host the deployment resides on (the migration
-// target from the moment the stop-and-copy begins).
+// HostIndex reports the host the deployment resides on (the handoff
+// target from the moment the stop-and-copy begins; for a Pending VM, the
+// host it was last bound for).
 func (d *ShardedDeployment) HostIndex() int { return d.hostIdx }
 
-// Migrating reports whether a stop-and-copy blackout is in flight.
+// Migrating reports whether a blackout with a known target is in flight:
+// a migration's stop-and-copy or a failover's recovery delay.
 func (d *ShardedDeployment) Migrating() bool { return d.migrating }
+
+// Pending reports whether the VM is dark with no host to go to: its
+// handoff found the target full, or a host failure found no room. The
+// next barrier re-places it.
+func (d *ShardedDeployment) Pending() bool { return d.pending }
 
 // Guest exposes the current guest OS (nil during a blackout).
 func (d *ShardedDeployment) Guest() *guest.OS { return d.guest }
@@ -273,9 +320,10 @@ type RemoteClient struct {
 func (cl *RemoteClient) Sent() int { return cl.sent }
 
 // Sharded is a cluster of per-host logical processes under conservative
-// windowed synchronization. Build it with NewSharded, place VMs with
-// Deploy, attach traffic with AddRemoteClient, optionally PlanMigration,
-// then Start and Run.
+// windowed synchronization. Build it with NewSharded, place VMs with Place
+// (by policy) or Deploy (on an explicit host), attach traffic with
+// AddRemoteClient, optionally PlanMigration, then Start and Run. Between
+// runs the control calls of control.go move VMs and fail hosts.
 type Sharded struct {
 	Cfg   ShardedConfig
 	Set   *sim.ShardSet
@@ -284,20 +332,12 @@ type Sharded struct {
 	deps       []*ShardedDeployment
 	byName     map[string]*ShardedDeployment
 	clients    []*RemoteClient
-	plans      []migPlan
 	nextTaskID int
 	started    bool
 }
 
-// migPlan records one planned migration's endpoints for topology
-// declaration: src is the VM's host when the plan was laid (where the
-// stop-and-copy event sits), dst the target.
-type migPlan struct {
-	src, dst int
-}
-
-// NewSharded builds the hosts, one simulator each. It panics on an
-// incoherent configuration, mirroring New.
+// NewSharded builds the hosts, one simulator each. It panics on a
+// configuration that fails Validate.
 func NewSharded(cfg ShardedConfig) *Sharded {
 	if cfg.Lookahead == 0 {
 		cfg.Lookahead = workload.DefaultNetworkDelay()
@@ -307,6 +347,9 @@ func NewSharded(cfg ShardedConfig) *Sharded {
 	}
 	c := &Sharded{Cfg: cfg, Set: sim.NewShardSet(cfg.Lookahead),
 		byName: map[string]*ShardedDeployment{}}
+	if !cfg.GlobalWindows {
+		c.Set.UseDeclaredTopology()
+	}
 	for i := 0; i < cfg.Hosts; i++ {
 		sh := c.Set.NewShard(splitSeed(cfg.Seed, uint64(i)))
 		sysCfg := cfg.System
@@ -335,20 +378,30 @@ func (c *Sharded) Lookup(name string) (*ShardedDeployment, bool) {
 	return d, ok
 }
 
-// Deploy admits a VM onto an explicit host (placement policy is the
-// caller's business in a sharded run — it is decided before Start, when
-// global state is still cheap to read).
+// Deploy admits a VM onto an explicit live host. It is legal before
+// Start and at any barrier (between runs); after Start the VM's tasks
+// begin at once.
 func (c *Sharded) Deploy(host int, spec VMSpec) (*ShardedDeployment, error) {
-	if c.started {
-		return nil, errors.New("cluster: Deploy after Start")
+	c.settle()
+	if host < 0 || host >= len(c.Hosts) || c.Hosts[host].failed {
+		return nil, fmt.Errorf("cluster: host %d out of range or failed", host)
 	}
-	if host < 0 || host >= len(c.Hosts) {
-		return nil, fmt.Errorf("cluster: host %d out of range", host)
+	d, err := c.newDeployment(spec)
+	if err != nil {
+		return nil, err
 	}
+	if err := c.admit(d, host); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// newDeployment builds an unplaced deployment for spec with fresh tasks.
+func (c *Sharded) newDeployment(spec VMSpec) (*ShardedDeployment, error) {
 	if _, dup := c.byName[spec.Name]; dup {
 		return nil, fmt.Errorf("cluster: VM %q already placed", spec.Name)
 	}
-	d := &ShardedDeployment{Spec: spec, id: int32(len(c.deps)), hostIdx: host}
+	d := &ShardedDeployment{Spec: spec, id: int32(len(c.deps))}
 	for _, ts := range spec.Tasks {
 		var t *task.Task
 		if ts.Kind == task.Background {
@@ -360,19 +413,33 @@ func (c *Sharded) Deploy(host int, spec VMSpec) (*ShardedDeployment, error) {
 		d.tasks = append(d.tasks, t)
 	}
 	d.lat = make([]metrics.LatencyRecorder, len(d.tasks))
+	return d, nil
+}
+
+// admit deploys a new VM on host if the host's admission takes it and the
+// handoffs in flight toward the host still fit.
+func (c *Sharded) admit(d *ShardedDeployment, host int) error {
 	if err := c.deployGuest(d, host); err != nil {
-		return nil, err
+		return err
+	}
+	if c.load(host) > c.Hosts[host].Capacity()+1e-9 {
+		c.undeploy(d)
+		return fmt.Errorf("%w: host%d's free bandwidth is promised to handoffs in flight", ErrNoHostFits, host)
 	}
 	c.Hosts[host].agent.resident[d.id] = struct{}{}
 	c.deps = append(c.deps, d)
-	c.byName[spec.Name] = d
-	return d, nil
+	c.byName[d.Spec.Name] = d
+	if c.started {
+		c.startTasks(d, c.Set.Now())
+	}
+	return nil
 }
 
 // deployGuest creates the guest on the host and registers the
 // deployment's tasks, wiring each task's completion callback to the
 // deployment-owned latency recorder. Reused task objects keep their
-// deadline statistics across migrations, exactly like Cluster.deploy.
+// deadline statistics across migrations. On failure nothing is left on
+// the host.
 func (c *Sharded) deployGuest(d *ShardedDeployment, host int) error {
 	vcpus := d.Spec.VCPUs
 	if vcpus <= 0 {
@@ -382,30 +449,22 @@ func (c *Sharded) deployGuest(d *ShardedDeployment, host int) error {
 	if err != nil {
 		return err
 	}
-	for i, t := range d.tasks {
+	d.guest = g
+	for _, t := range d.tasks {
 		if err := g.Register(t); err != nil {
-			for _, prev := range d.tasks[:i] {
-				_ = g.Unregister(prev)
-			}
-			c.Hosts[host].Sys.Host.RemoveVM(g.VM())
+			c.undeploy(d)
 			return fmt.Errorf("cluster: admitting %q on host%d: %w", t.Name, host, err)
 		}
 	}
-	d.guest = g
 	d.hostIdx = host
 	d.wireStats()
-	d.ctrl = nil
 	for i, ts := range d.Spec.Tasks {
 		if ts.Adaptive == nil {
 			continue
 		}
 		ct, err := guest.NewAdaptiveController(g, d.tasks[i], *ts.Adaptive)
 		if err != nil {
-			for _, t := range d.tasks {
-				_ = g.Unregister(t)
-			}
-			c.Hosts[host].Sys.Host.RemoveVM(g.VM())
-			d.guest = nil
+			c.undeploy(d)
 			return fmt.Errorf("cluster: controller for %q on host%d: %w", ts.Name, host, err)
 		}
 		if d.ctrl == nil {
@@ -414,6 +473,63 @@ func (c *Sharded) deployGuest(d *ShardedDeployment, host int) error {
 		d.ctrl[i] = ct
 	}
 	return nil
+}
+
+// undeploy destroys the deployment's guest: queued jobs are abandoned
+// (visible as misses), reservations released and the VM removed from its
+// host. Controllers die with the guest — their stale window timers no-op
+// once stopped, and the next deploy builds fresh ones.
+func (c *Sharded) undeploy(d *ShardedDeployment) {
+	if err := d.guest.Shutdown(); err != nil {
+		panic(fmt.Sprintf("cluster: tearing down %q: %v", d.Spec.Name, err))
+	}
+	for _, ct := range d.ctrl {
+		if ct != nil {
+			ct.Stop()
+		}
+	}
+	d.ctrl = nil
+	d.guest = nil
+}
+
+// teardown is the stop-and-copy instant on the VM's current host: the
+// guest is destroyed, and the reservation it held is remembered as the
+// bandwidth its handoff must find free.
+func (c *Sharded) teardown(d *ShardedDeployment, now simtime.Time) {
+	d.charged = d.guest.AllocatedBandwidth()
+	c.undeploy(d)
+	delete(c.Hosts[d.hostIdx].agent.resident, d.id)
+	d.darkSince = now
+}
+
+// land resumes a dark VM on host at now: it becomes resident there, its
+// tasks restart, and the blackout since teardown is charged.
+func (c *Sharded) land(d *ShardedDeployment, host int, now simtime.Time) error {
+	if err := c.deployGuest(d, host); err != nil {
+		return err
+	}
+	a := c.Hosts[host].agent
+	a.resident[d.id] = struct{}{}
+	delete(a.fwd, d.id)
+	d.BlackoutTotal += now.Sub(d.darkSince)
+	c.startTasks(d, now)
+	return nil
+}
+
+// migrationDowntime is the stop-and-copy blackout of d: base plus a term
+// proportional to its spec's bandwidth.
+func (c *Sharded) migrationDowntime(d *ShardedDeployment) simtime.Duration {
+	return c.Cfg.MigrationDowntime +
+		simtime.Duration(float64(c.Cfg.MigrationPerBW)*d.Spec.Bandwidth())
+}
+
+// migIn is the handoff event that ends d's blackout on host to.
+func (c *Sharded) migIn(d *ShardedDeployment, to int, failover bool) sim.Payload {
+	p := sim.Payload{Handler: c.Hosts[to].agent.id, Kind: evAgentMigIn, Owner: d.id, Arg0: d.epoch}
+	if failover {
+		p.Arg1 = 1
+	}
+	return p
 }
 
 // Controller returns task i's adaptive controller on the resident host
@@ -486,12 +602,15 @@ func (c *Sharded) AddRemoteClient(clientHost int, d *ShardedDeployment, taskIdx 
 	}
 	cl.id = c.Hosts[clientHost].Shard.Sim().RegisterHandler(cl)
 	c.clients = append(c.clients, cl)
+	c.narrowEdge(clientHost, d.hostIdx, delay)
 	return cl, nil
 }
 
 // PlanMigration schedules a live migration of d to host `to` at the
 // absolute instant at. Plans are laid before Start; a plan that fires
-// after the VM already moved elsewhere is counted and skipped.
+// after the VM already moved elsewhere is counted and skipped. The
+// (source, target) edge carries both the handoff, at the downtime, and
+// the requests forwarded after it, at the link delay.
 func (c *Sharded) PlanMigration(at simtime.Time, d *ShardedDeployment, to int) error {
 	if c.started {
 		return errors.New("cluster: PlanMigration after Start")
@@ -505,7 +624,7 @@ func (c *Sharded) PlanMigration(at simtime.Time, d *ShardedDeployment, to int) e
 	src := c.Hosts[d.hostIdx]
 	src.Shard.Sim().PostAt(at, sim.Payload{Handler: src.agent.id,
 		Kind: evAgentMigOut, Owner: d.id, Arg0: int64(to)})
-	c.plans = append(c.plans, migPlan{src: d.hostIdx, dst: to})
+	c.narrowEdge(d.hostIdx, to, min(c.hopDelay(d.hostIdx, to), c.Cfg.MigrationDowntime))
 	return nil
 }
 
@@ -525,36 +644,17 @@ func (c *Sharded) hopDelay(from, to int) simtime.Duration {
 	return d
 }
 
-// declareTopology hands the shard set the actual communication graph so
-// it can window per edge instead of on the global minimum. Every
-// cross-shard message the sharded cluster can emit travels one of three
-// edges, all known before Start: a client's (client host → home host) hop
-// at its own network delay, a planned migration's (source → target) hop
-// at the blackout downtime (≥ MigrationDowntime), or a forwarded request
-// on that same (source → target) pair at hopDelay — forwards only chase
-// fired plans, and a plan only fires on the host that laid it. Parallel
-// declarations keep the minimum delay per pair.
-func (c *Sharded) declareTopology() {
-	c.Set.UseDeclaredTopology()
-	min := make(map[[2]int]simtime.Duration)
-	narrow := func(from, to int, l simtime.Duration) {
-		k := [2]int{from, to}
-		if cur, ok := min[k]; !ok || l < cur {
-			min[k] = l
-		}
+// narrowEdge hands the shard set one edge of the cluster's actual
+// communication graph, so it can window per edge instead of on the global
+// minimum: every cross-shard message travels an edge declared when the
+// client, plan or move that sends it is made. A parallel declaration keeps
+// the minimum delay per pair. Under GlobalWindows nothing is declared.
+func (c *Sharded) narrowEdge(from, to int, l simtime.Duration) {
+	if c.Cfg.GlobalWindows {
+		return
 	}
-	for _, cl := range c.clients {
-		narrow(cl.Host, int(cl.homeHost), cl.Delay)
-	}
-	for _, p := range c.plans {
-		l := c.hopDelay(p.src, p.dst)
-		if c.Cfg.MigrationDowntime < l {
-			l = c.Cfg.MigrationDowntime
-		}
-		narrow(p.src, p.dst, l)
-	}
-	for k, l := range min {
-		c.Set.SetEdgeLookahead(k[0], k[1], l)
+	if cur := c.Set.EdgeLookahead(from, to); cur == 0 || l < cur {
+		c.Set.SetEdgeLookahead(from, to, l)
 	}
 }
 
@@ -565,9 +665,6 @@ func (c *Sharded) Start() {
 		panic("cluster: Start called twice")
 	}
 	c.started = true
-	if !c.Cfg.GlobalWindows {
-		c.declareTopology()
-	}
 	for _, h := range c.Hosts {
 		h.Sys.Start()
 	}
@@ -583,8 +680,10 @@ func (c *Sharded) Start() {
 
 // Run advances the whole cluster by d using up to groups concurrent
 // executors. Any group count produces bit-identical results; groups > 1
-// only changes the wall clock.
+// only changes the wall clock. Its start is a barrier: Pending VMs are
+// re-placed first.
 func (c *Sharded) Run(d simtime.Duration, groups int) {
+	c.settle()
 	c.Set.RunFor(d, groups)
 }
 
@@ -639,58 +738,43 @@ func (a *hostAgent) request(now simtime.Time, ev sim.Payload) {
 	a.Stats.Dropped++
 }
 
-// migrateOut is the stop-and-copy instant on the source host.
+// migrateOut is a planned migration's stop-and-copy instant on the source
+// host. A plan toward a failed host is skipped like one whose VM left.
 func (a *hostAgent) migrateOut(now simtime.Time, ev sim.Payload) {
 	d := a.c.deps[ev.Owner]
 	target := int(ev.Arg0)
-	if _, here := a.resident[d.id]; !here || target == a.host {
+	if _, here := a.resident[d.id]; !here || target == a.host || a.c.Hosts[target].failed {
 		a.Stats.SkippedMigrations++
 		return
 	}
-	bw := d.Spec.Bandwidth()
-	downtime := a.c.Cfg.MigrationDowntime +
-		simtime.Duration(float64(a.c.Cfg.MigrationPerBW)*bw)
-	// Tear down on the source: queued jobs are abandoned (visible as
-	// misses), reservations released.
-	if err := d.guest.Shutdown(); err != nil {
-		panic(fmt.Sprintf("cluster: migrating %q out of host%d: %v", d.Spec.Name, a.host, err))
-	}
-	// Controllers die with the source guest: their stale window timers
-	// no-op once stopped, and the target deploy builds fresh ones.
-	for _, ct := range d.ctrl {
-		if ct != nil {
-			ct.Stop()
-		}
-	}
-	d.ctrl = nil
-	d.guest = nil
+	a.c.teardown(d, now)
 	d.migrating = true
 	d.hostIdx = target
-	delete(a.resident, d.id)
 	a.fwd[d.id] = int32(target)
-	th := a.c.Hosts[target]
-	a.c.Hosts[a.host].Shard.PostRemote(th.Shard, now.Add(downtime),
-		sim.Payload{Handler: th.agent.id, Kind: evAgentMigIn,
-			Owner: d.id, Arg0: int64(downtime)})
+	a.c.Hosts[a.host].Shard.PostRemote(a.c.Hosts[target].Shard,
+		now.Add(a.c.migrationDowntime(d)), a.c.migIn(d, target, false))
 }
 
-// migrateIn ends the blackout on the target host.
+// migrateIn ends a blackout on the target host. A handoff FailHost
+// redirected elsewhere is stale and ignored; one the target cannot admit
+// (it filled up since the move began) leaves the VM Pending.
 func (a *hostAgent) migrateIn(now simtime.Time, ev sim.Payload) {
 	d := a.c.deps[ev.Owner]
-	downtime := simtime.Duration(ev.Arg0)
-	d.migrating = false
-	d.Migrations++
-	d.BlackoutTotal += downtime
-	if err := a.c.deployGuest(d, a.host); err != nil {
-		// Admission failed on the target (it filled up since planning):
-		// the VM stays dark. Deterministic and visible, like a pending
-		// failover.
-		a.Stats.FailedDeploys++
+	if ev.Arg0 != d.epoch {
 		return
 	}
-	a.resident[d.id] = struct{}{}
-	delete(a.fwd, d.id)
-	a.c.startTasks(d, now)
+	d.migrating = false
+	if err := a.c.land(d, a.host, now); err != nil {
+		a.Stats.FailedDeploys++
+		d.pending = true
+		delete(a.fwd, d.id) // a stale forward would bounce requests back
+		return
+	}
+	if ev.Arg1 != 0 {
+		d.Failovers++
+	} else {
+		d.Migrations++
+	}
 }
 
 // HandleSimEvent implements sim.Handler for the remote client.
@@ -734,13 +818,26 @@ func (c *Sharded) DigestString() string {
 	fmt.Fprintf(&b, "events=%d windows=%d now=%d\n", c.Set.EventsFired(), c.Set.Windows(), c.Set.Now())
 	for i, h := range c.Hosts {
 		st := h.agent.Stats
-		fmt.Fprintf(&b, "host%d events=%d clock=%d alloc=%.6f delivered=%d forwarded=%d dropped=%d throttled=%d skipmig=%d faildeploy=%d\n",
+		fmt.Fprintf(&b, "host%d events=%d clock=%d alloc=%.6f delivered=%d forwarded=%d dropped=%d throttled=%d skipmig=%d faildeploy=%d",
 			i, h.Shard.Sim().EventsFired(), int64(h.Shard.Sim().Now()), h.Sys.AllocatedBandwidth(),
 			st.Delivered, st.Forwarded, st.Dropped, st.Throttled, st.SkippedMigrations, st.FailedDeploys)
+		if h.failed {
+			b.WriteString(" failed=true")
+		}
+		b.WriteByte('\n')
 	}
 	for _, d := range c.deps {
-		fmt.Fprintf(&b, "vm %s host=%d migs=%d blackout=%d migrating=%v dark=%v\n",
+		fmt.Fprintf(&b, "vm %s host=%d migs=%d blackout=%d migrating=%v dark=%v",
 			d.Spec.Name, d.hostIdx, d.Migrations, int64(d.BlackoutTotal), d.migrating, d.guest == nil)
+		// Failover fields appear only when set, so digests of worlds
+		// without host failures stay byte-identical to the old goldens.
+		if d.Failovers != 0 {
+			fmt.Fprintf(&b, " failovers=%d", d.Failovers)
+		}
+		if d.pending {
+			b.WriteString(" pending=true")
+		}
+		b.WriteByte('\n')
 		for i, t := range d.tasks {
 			st := t.Stats()
 			lat := &d.lat[i]

@@ -8,17 +8,17 @@ import (
 	"rtvirt/internal/task"
 )
 
-// Fork deep-copies the sharded cluster — every host's simulator, the
-// in-flight mailbox messages, every deployment (including mid-migration
-// ones whose guest is torn down and whose completion event sits in the
-// target host's queue), agents' residency/forwarding state, and the
-// remote clients — into an independent replica. Both continuations replay
-// bit-identically under any executor group count.
+// Fork deep-copies the sharded cluster — every host's simulator and
+// failure flag, the in-flight mailbox messages, every deployment
+// (including mid-migration, recovering and Pending ones whose guest is
+// torn down and whose handoff event sits in the target host's queue),
+// agents' residency/forwarding state, and the remote clients — into an
+// independent replica. Both continuations replay bit-identically under any
+// executor group count.
 func (c *Sharded) Fork() (*Sharded, *clone.Ctx, error) {
 	ctx := clone.New()
 	nc := &Sharded{
 		Cfg:        c.Cfg,
-		plans:      append([]migPlan(nil), c.plans...),
 		nextTaskID: c.nextTaskID,
 		started:    c.started,
 		byName:     make(map[string]*ShardedDeployment, len(c.byName)),
@@ -32,10 +32,11 @@ func (c *Sharded) Fork() (*Sharded, *clone.Ctx, error) {
 	nc.Hosts = make([]*ShardHost, len(c.Hosts))
 	for i, h := range c.Hosts {
 		nc.Hosts[i] = &ShardHost{
-			Name:  h.Name,
-			Shard: clone.Get(ctx, h.Shard),
-			Sys:   h.Sys.ForkWith(ctx),
-			agent: clone.Get(ctx, h.agent),
+			Name:   h.Name,
+			Shard:  clone.Get(ctx, h.Shard),
+			Sys:    h.Sys.ForkWith(ctx),
+			agent:  clone.Get(ctx, h.agent),
+			failed: h.failed,
 		}
 	}
 	for _, d := range c.deps {
@@ -122,9 +123,14 @@ func cloneShardedDeployment(ctx *clone.Ctx, d *ShardedDeployment) *ShardedDeploy
 		Spec:          d.Spec,
 		id:            d.id,
 		hostIdx:       d.hostIdx,
+		charged:       d.charged,
+		darkSince:     d.darkSince,
+		epoch:         d.epoch,
 		Migrations:    d.Migrations,
+		Failovers:     d.Failovers,
 		BlackoutTotal: d.BlackoutTotal,
 		migrating:     d.migrating,
+		pending:       d.pending,
 	}
 	ctx.Put(d, nd)
 	if d.guest != nil {

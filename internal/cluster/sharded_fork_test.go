@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"rtvirt/internal/check"
@@ -88,5 +90,54 @@ func TestShardedForkMidMigration(t *testing.T) {
 	if d.Migrations != 1 || fd.Migrations != 1 || d.Migrating() || fd.Migrating() {
 		t.Errorf("straddled migration did not complete on both sides: orig migs=%d/%v fork migs=%d/%v",
 			d.Migrations, d.Migrating(), fd.Migrations, fd.Migrating())
+	}
+}
+
+// TestClusterForkDeterminism forks a cluster while a host failure's
+// recovery handoffs are still in flight — the fork boundary cuts between
+// the crash and the failover — and pins that the forked future is
+// bit-identical to the uninterrupted run.
+func TestClusterForkDeterminism(t *testing.T) {
+	build := func() *Sharded {
+		cfg := DefaultShardedConfig()
+		cfg.Hosts = 3
+		cfg.PCPUs = 2
+		cfg.Seed = 5
+		c := NewSharded(cfg)
+		for i := 0; i < 4; i++ {
+			if _, err := c.Place(vmSpec(fmt.Sprintf("vm%d", i), 2, 10+int64(i)*5)); err != nil {
+				t.Fatalf("place vm%d: %v", i, err)
+			}
+		}
+		c.Start()
+		c.Run(simtime.Second, 1)
+		d, _ := c.Lookup("vm0")
+		if affected := c.FailHost(c.Hosts[d.HostIndex()]); len(affected) == 0 {
+			t.Fatal("failing vm0's host affected no deployments")
+		}
+		// 100ms into the 500ms RecoveryDelay: the recovery handoffs are
+		// pending kernel events that any fork must carry across.
+		c.Run(100*simtime.Millisecond, 1)
+		return c
+	}
+
+	cold := build()
+	cold.Run(2*simtime.Second, 1)
+	want := cold.DigestString()
+
+	base := build()
+	fc, _, err := base.Fork()
+	if err != nil {
+		t.Fatalf("cluster fork: %v", err)
+	}
+	fc.Run(2*simtime.Second, 2)
+	if got := fc.DigestString(); got != want {
+		t.Fatalf("forked cluster diverges from cold run:\n--- fork ---\n%s--- cold ---\n%s", got, want)
+	}
+	if !strings.Contains(want, "failovers=1") {
+		t.Fatalf("no failovers happened — the recovery handoffs never crossed the fork:\n%s", want)
+	}
+	if now := base.Set.Now(); now != simtime.Time(simtime.Second+100*simtime.Millisecond) {
+		t.Errorf("base cluster advanced to %v by running its fork", now)
 	}
 }

@@ -420,8 +420,8 @@ func TestShardedMigrationForwarding(t *testing.T) {
 // TestShardedLinkDelay pins the per-pair link-delay model: forwarded
 // requests pay LinkDelay(src, dst) instead of the global lookahead floor,
 // the run stays deterministic across executor groups, and a LinkDelay
-// returning less than the lookahead panics loudly (at Start, where
-// declareTopology first prices the migration edges).
+// returning less than the lookahead panics loudly (at PlanMigration,
+// which prices the migration edge).
 func TestShardedLinkDelay(t *testing.T) {
 	build := func(link func(int, int) simtime.Duration) (*Sharded, *ShardedDeployment) {
 		t.Helper()
@@ -532,5 +532,76 @@ func TestShardedClientValidation(t *testing.T) {
 	}
 	if _, err := c.AddRemoteClient(1, d, 0, c.Cfg.Lookahead, nil, nil, 0); err == nil {
 		t.Error("nil inter-arrival accepted")
+	}
+}
+
+// TestShardedBarrierControl drives a client-fed VM through a barrier-time
+// migration and then a crash of its new host: requests that still reach
+// the old hosts chase it along the forward edges the moves declared (the
+// crashed host's agent keeps forwarding), a client-free VM's move
+// declares no edge at all, and the whole run is identical at any executor
+// group count.
+func TestShardedBarrierControl(t *testing.T) {
+	run := func(groups int) *Sharded {
+		cfg := DefaultShardedConfig()
+		cfg.Hosts = 3
+		cfg.MigrationDowntime = simtime.Millis(20)
+		cfg.MigrationPerBW = simtime.Millis(10)
+		cfg.RecoveryDelay = simtime.Millis(30)
+		c := NewSharded(cfg)
+		srv, err := c.Deploy(0, VMSpec{Name: "srv", VCPUs: 1, Tasks: []TaskSpec{
+			{Name: "req", Kind: task.Sporadic,
+				Params: task.Params{Slice: simtime.Micros(100), Period: simtime.Micros(500)}},
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.AddRemoteClient(2, srv, 0, cfg.Lookahead,
+			dist.Constant{D: simtime.Micros(700)}, nil, 0); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Deploy(2, vmSpec("quiet", 2, 10)); err != nil {
+			t.Fatal(err)
+		}
+		c.Start()
+		c.Run(simtime.Millis(50), groups)
+		if _, err := c.Migrate("srv", c.Hosts[1]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Migrate("quiet", c.Hosts[1]); err != nil {
+			t.Fatal(err)
+		}
+		c.Run(simtime.Millis(100), groups)
+		if affected := c.FailHost(c.Hosts[1]); len(affected) != 2 {
+			t.Fatalf("crash affected %d VMs, want 2", len(affected))
+		}
+		c.Run(simtime.Millis(100), groups)
+		c.Finish()
+		return c
+	}
+	c := run(1)
+	srv, _ := c.Lookup("srv")
+	if srv.Migrations != 1 || srv.Failovers != 1 || srv.Guest() == nil {
+		t.Fatalf("srv: migrations=%d failovers=%d dark=%v", srv.Migrations, srv.Failovers, srv.Guest() == nil)
+	}
+	r := srv.HostIndex()
+	if got, want := c.Set.EdgeLookahead(0, 1), c.hopDelay(0, 1); got != want {
+		t.Errorf("migration forward edge 0->1 = %v, want %v", got, want)
+	}
+	if got, want := c.Set.EdgeLookahead(1, r), c.hopDelay(1, r); got != want {
+		t.Errorf("failover forward edge 1->%d = %v, want %v", r, got, want)
+	}
+	if got := c.Set.EdgeLookahead(2, 1); got != 0 {
+		t.Errorf("client-free VM's move declared edge 2->1 = %v", got)
+	}
+	if c.Hosts[0].Agent().Forwarded == 0 || c.Hosts[1].Agent().Forwarded == 0 {
+		t.Errorf("requests did not chase the VM: host0 forwarded %d, crashed host1 %d",
+			c.Hosts[0].Agent().Forwarded, c.Hosts[1].Agent().Forwarded)
+	}
+	for _, g := range []int{2, 3} {
+		if got := run(g).DigestString(); got != c.DigestString() {
+			t.Errorf("groups=%d digest differs from sequential:\n--- groups=1 ---\n%s--- groups=%d ---\n%s",
+				g, c.DigestString(), g, got)
+		}
 	}
 }

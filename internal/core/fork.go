@@ -26,7 +26,7 @@ func (sys *System) Fork() (*System, *clone.Ctx, error) {
 
 // ForkWith assembles the forked System wrapper inside an existing clone
 // pass. The simulator must already have been forked into ctx (Fork does
-// this; the cluster layer does it once for all hosts on the shared clock).
+// this; a sharded cluster forks every host's simulator with its shard set).
 func (sys *System) ForkWith(ctx *clone.Ctx) *System {
 	if n, ok := ctx.Lookup(sys); ok {
 		return n.(*System)
