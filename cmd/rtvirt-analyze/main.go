@@ -15,7 +15,8 @@
 // digest) for offline inspection.
 //
 // The exit status gates CI: 0 when every scenario's own stack admits its
-// workload, 1 when any does not.
+// workload, 1 when any does not, and 2 on a usage error (a missing
+// argument or an out-of-range flag, rejected before any analysis).
 //
 // Usage:
 //
@@ -32,6 +33,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"os"
 
 	"rtvirt/internal/analyze"
@@ -40,17 +42,58 @@ import (
 	"rtvirt/internal/trace"
 )
 
+// options holds the analysis flags.
+type options struct {
+	quantumUS int64
+	periodUS  int64
+	slackUS   int64
+	pcpus     int
+}
+
+func defaultOptions() options { return options{quantumUS: 1000, slackUS: 500} }
+
+// maxUS is the largest µs flag value the simulated clock can hold.
+const maxUS = math.MaxInt64 / int64(simtime.Microsecond)
+
+// validate rejects flag values the analysis would otherwise replace with
+// a default or misuse silently: a zero quantum or slack means "default"
+// to analyze.Options, and a negative value would shrink reservations.
+func (o options) validate() error {
+	switch {
+	case o.quantumUS < 1:
+		return fmt.Errorf("-quantum-us must be positive, got %d", o.quantumUS)
+	case o.quantumUS > maxUS:
+		return fmt.Errorf("-quantum-us %d overflows the simulated clock", o.quantumUS)
+	case o.periodUS < 0:
+		return fmt.Errorf("-period-us must be 0 (sweep) or positive, got %d", o.periodUS)
+	case o.periodUS > maxUS:
+		return fmt.Errorf("-period-us %d overflows the simulated clock", o.periodUS)
+	case o.slackUS < 1:
+		return fmt.Errorf("-slack-us must be positive, got %d", o.slackUS)
+	case o.slackUS > maxUS:
+		return fmt.Errorf("-slack-us %d overflows the simulated clock", o.slackUS)
+	case o.pcpus < 0:
+		return fmt.Errorf("-pcpus must be 0 (the scenario's count) or positive, got %d", o.pcpus)
+	}
+	return nil
+}
+
 func main() {
+	o := defaultOptions()
+	flag.Int64Var(&o.quantumUS, "quantum-us", o.quantumUS, "server budget quantum in µs (CARTS uses 1000)")
+	flag.Int64Var(&o.periodUS, "period-us", o.periodUS, "fix every server period to this many µs (0 = sweep)")
+	flag.Int64Var(&o.slackUS, "slack-us", o.slackUS, "RTVirt per-VCPU budget slack in µs")
+	flag.IntVar(&o.pcpus, "pcpus", o.pcpus, "override the scenario's physical CPU count (0 = keep it)")
 	var (
-		quantumUS = flag.Int64("quantum-us", 1000, "server budget quantum in µs (CARTS uses 1000)")
-		periodUS  = flag.Int64("period-us", 0, "fix every server period to this many µs (0 = sweep)")
-		slackUS   = flag.Int64("slack-us", 500, "RTVirt per-VCPU budget slack in µs")
-		pcpus     = flag.Int("pcpus", 0, "override the scenario's physical CPU count")
-		jsonOut   = flag.Bool("json", false, "emit the full analysis as JSON")
-		outPath   = flag.String("o", "", "write the report to this file instead of stdout")
-		replay    = flag.Bool("replay", false, "treat arguments as JSONL telemetry streams from rtvirt-sim -trace")
+		jsonOut = flag.Bool("json", false, "emit the full analysis as JSON")
+		outPath = flag.String("o", "", "write the report to this file instead of stdout")
+		replay  = flag.Bool("replay", false, "treat arguments as JSONL telemetry streams from rtvirt-sim -trace")
 	)
 	flag.Parse()
+	if err := o.validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "rtvirt-analyze: %v\n", err)
+		os.Exit(2)
+	}
 	if flag.NArg() < 1 {
 		fmt.Fprintln(os.Stderr, "usage: rtvirt-analyze [flags] <scenario.json> [more scenarios...]")
 		fmt.Fprintln(os.Stderr, "       rtvirt-analyze -replay <events.jsonl> [more traces...]")
@@ -97,14 +140,14 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if *pcpus > 0 {
-			sc.PCPUs = *pcpus
+		if o.pcpus > 0 {
+			sc.PCPUs = o.pcpus
 		}
 
 		h, err := analyze.Analyze(sc, analyze.Options{
-			Quantum: simtime.Micros(*quantumUS),
-			Period:  simtime.Micros(*periodUS),
-			Slack:   simtime.Micros(*slackUS),
+			Quantum: simtime.Micros(o.quantumUS),
+			Period:  simtime.Micros(o.periodUS),
+			Slack:   simtime.Micros(o.slackUS),
 		})
 		if err != nil {
 			log.Fatal(err)

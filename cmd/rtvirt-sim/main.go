@@ -45,6 +45,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"os"
 
 	"rtvirt/internal/runner"
@@ -53,18 +54,46 @@ import (
 	"rtvirt/internal/trace"
 )
 
+// options holds the numeric flags, the ones validate checks.
+type options struct {
+	svgMS    int64
+	parallel int
+}
+
+func defaultOptions() options { return options{svgMS: 100} }
+
+// validate rejects flag values that would otherwise surface only after
+// the scenario has run (an SVG window the renderer refuses) or be
+// replaced silently (a negative worker count).
+func (o options) validate() error {
+	switch {
+	case o.svgMS < 1:
+		return fmt.Errorf("-svg-ms must be positive, got %d", o.svgMS)
+	case o.svgMS > math.MaxInt64/int64(simtime.Millisecond):
+		return fmt.Errorf("-svg-ms %d overflows the simulated clock", o.svgMS)
+	case o.parallel < 0:
+		return fmt.Errorf("-parallel must be 0 (GOMAXPROCS) or positive, got %d", o.parallel)
+	}
+	return nil
+}
+
 func main() {
+	o := defaultOptions()
 	var (
 		traceOut  = flag.String("trace", "", "stream every telemetry event to this JSONL file (re-ingest with rtvirt-analyze -replay)")
 		traceCSV  = flag.String("trace-csv", "", "write the schedule trace to this CSV file")
 		traceJSON = flag.String("trace-json", "", "write the schedule trace to this JSON file")
 		traceSVG  = flag.String("trace-svg", "", "render the schedule as an SVG Gantt chart to this file")
-		svgWindow = flag.Int64("svg-ms", 100, "SVG window length in simulated milliseconds")
 		summary   = flag.Bool("summary", false, "print a per-VCPU/per-PCPU schedule digest")
-		parallel  = flag.Int("parallel", 0, "workers when running multiple scenarios (0 = GOMAXPROCS, 1 = sequential)")
 	)
+	flag.Int64Var(&o.svgMS, "svg-ms", o.svgMS, "SVG window length in simulated milliseconds")
+	flag.IntVar(&o.parallel, "parallel", o.parallel, "workers when running multiple scenarios (0 = GOMAXPROCS, 1 = sequential)")
 	flag.Parse()
-	runner.SetDefault(*parallel)
+	if err := o.validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "rtvirt-sim: %v\n", err)
+		os.Exit(2)
+	}
+	runner.SetDefault(o.parallel)
 	if flag.NArg() < 1 {
 		fmt.Fprintln(os.Stderr, "usage: rtvirt-sim [flags] <scenario.json> [more scenarios...]")
 		flag.PrintDefaults()
@@ -148,13 +177,13 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			to := rtvirtTime(*svgWindow)
+			to := rtvirtTime(o.svgMS)
 			if err := res.Trace.WriteSVG(sf, res.PCPUs, 0, to); err != nil {
 				sf.Close()
 				log.Fatal(err)
 			}
 			sf.Close()
-			fmt.Printf("schedule Gantt (first %dms) written to %s\n", *svgWindow, *traceSVG)
+			fmt.Printf("schedule Gantt (first %dms) written to %s\n", o.svgMS, *traceSVG)
 		}
 		if res.Trace.Dropped() > 0 {
 			fmt.Printf("note: %d trace records dropped (cap)\n", res.Trace.Dropped())

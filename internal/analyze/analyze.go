@@ -44,6 +44,23 @@ type Options struct {
 	MaxProcs int
 }
 
+// validate rejects negative options: zero selects a default, but a
+// negative quantum, period, slack or CPU cap has no meaning, and letting
+// one through would shrink reservations below the task demand.
+func (o Options) validate() error {
+	switch {
+	case o.Quantum < 0:
+		return fmt.Errorf("analyze: negative quantum %v", o.Quantum)
+	case o.Period < 0:
+		return fmt.Errorf("analyze: negative server period %v", o.Period)
+	case o.Slack < 0:
+		return fmt.Errorf("analyze: negative slack %v", o.Slack)
+	case o.MaxProcs < 0:
+		return fmt.Errorf("analyze: negative gEDF CPU cap %d", o.MaxProcs)
+	}
+	return nil
+}
+
 func (o Options) withDefaults() Options {
 	if o.Quantum == 0 {
 		o.Quantum = simtime.Millis(1)
@@ -120,9 +137,12 @@ type HostAnalysis struct {
 }
 
 // Analyze derives the admission plan for a scenario. The scenario must
-// already pass Validate; tasks with kind "background" are excluded from
-// reservations and merely counted.
+// pass Validate and no option may be negative; tasks with kind
+// "background" are excluded from reservations and merely counted.
 func Analyze(sc scenario.Scenario, opt Options) (HostAnalysis, error) {
+	if err := opt.validate(); err != nil {
+		return HostAnalysis{}, err
+	}
 	opt = opt.withDefaults()
 	if err := sc.Validate(); err != nil {
 		return HostAnalysis{}, err

@@ -209,6 +209,37 @@ func TestAnalyzeRejectsInvalidScenario(t *testing.T) {
 	}
 }
 
+// TestAnalyzeRejectsNegativeOptions pins that a negative option is an
+// error, not a silent default or a shrunken reservation: a -1ms slack
+// used to cut the RTVirt allocation below the task demand and a -5µs
+// quantum to report a negative saving.
+func TestAnalyzeRejectsNegativeOptions(t *testing.T) {
+	sc := scenario.Scenario{
+		Stack: "rtvirt", PCPUs: 2,
+		VMs: []scenario.VM{vm("v", 1, periodic("ctl", 2000, 10000))},
+	}
+	for _, tc := range []struct {
+		name string
+		opt  Options
+		want string
+	}{
+		{"quantum", Options{Quantum: -simtime.Micros(5)}, "quantum"},
+		{"period", Options{Period: -simtime.Micros(100)}, "period"},
+		{"slack", Options{Slack: -simtime.Millis(1)}, "slack"},
+		{"max procs", Options{MaxProcs: -3}, "CPU cap"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h, err := Analyze(sc, tc.opt)
+			if err == nil {
+				t.Fatalf("accepted: RTVirt allocated %.3f CPUs, saving %.1f%%", h.RTVirtAllocated, h.SavingPct)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %q does not name the %s", err, tc.want)
+			}
+		})
+	}
+}
+
 // Property: for random feasible scenarios, every per-VCPU static interface
 // is individually schedulable, interface bandwidth dominates the fluid
 // task bandwidth, and the analyzer's RTVirt total never exceeds RT-Xen's.

@@ -48,10 +48,11 @@ type ShardedConfig struct {
 	// slack). Its topology knobs (PCPUs, Seed, SharedSim) stay blank —
 	// the cluster owns them, and Validate rejects conflicting values.
 	System core.Config
-	// Lookahead is the conservative-window width: the minimum cross-host
-	// latency. Zero selects workload.DefaultNetworkDelay() (19µs, the
-	// paper's measured p99.9 network delay). Every remote client's delay
-	// and the migration downtime must be ≥ Lookahead.
+	// Lookahead is the minimum cross-host latency, the floor of every
+	// edge the cluster declares to its shard set. Zero selects
+	// workload.DefaultNetworkDelay() (19µs, the paper's measured p99.9
+	// network delay). Every remote client's delay and the migration
+	// downtime must be ≥ Lookahead.
 	Lookahead simtime.Duration
 	// Policy picks the host for Place, Migrate(name, nil) and failover.
 	Policy Policy
@@ -71,13 +72,6 @@ type ShardedConfig struct {
 	// and must never return less than Lookahead; the first undershooting
 	// hop panics.
 	LinkDelay func(src, dst int) simtime.Duration
-	// GlobalWindows disables per-edge topology declaration: the shard set
-	// windows on the single global Lookahead for every pair, as before
-	// per-edge synchronization existed. Results are identical either way
-	// (modulo the window count). It is the reference that
-	// TestShardedPerEdgeVsGlobalWindows and TestShardedRackWorld compare
-	// per-edge windowing against.
-	GlobalWindows bool
 }
 
 // DefaultShardedConfig returns a 4-host × 4-CPU RTVirt cluster with
@@ -345,11 +339,7 @@ func NewSharded(cfg ShardedConfig) *Sharded {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	c := &Sharded{Cfg: cfg, Set: sim.NewShardSet(cfg.Lookahead),
-		byName: map[string]*ShardedDeployment{}}
-	if !cfg.GlobalWindows {
-		c.Set.UseDeclaredTopology()
-	}
+	c := &Sharded{Cfg: cfg, Set: sim.NewShardSet(), byName: map[string]*ShardedDeployment{}}
 	for i := 0; i < cfg.Hosts; i++ {
 		sh := c.Set.NewShard(splitSeed(cfg.Seed, uint64(i)))
 		sysCfg := cfg.System
@@ -648,11 +638,8 @@ func (c *Sharded) hopDelay(from, to int) simtime.Duration {
 // communication graph, so it can window per edge instead of on the global
 // minimum: every cross-shard message travels an edge declared when the
 // client, plan or move that sends it is made. A parallel declaration keeps
-// the minimum delay per pair. Under GlobalWindows nothing is declared.
+// the minimum delay per pair.
 func (c *Sharded) narrowEdge(from, to int, l simtime.Duration) {
-	if c.Cfg.GlobalWindows {
-		return
-	}
 	if cur := c.Set.EdgeLookahead(from, to); cur == 0 || l < cur {
 		c.Set.SetEdgeLookahead(from, to, l)
 	}

@@ -197,19 +197,38 @@ func stripWindowCount(t *testing.T, digest string) string {
 	return fields[0] + " " + fields[2] + "\n" + rest
 }
 
+// declareGlobalWindows declares every host pair at the cluster's
+// Lookahead: the complete graph, whose walk distances are the lookahead
+// between hosts and twice it around a cycle — classic global windows.
+// Every edge the cluster declares itself has at least that lookahead, and
+// a parallel declaration keeps the minimum, so the complete graph stays
+// in force whatever the world declares afterwards. It is the reference
+// the per-edge window counts are measured against.
+func declareGlobalWindows(c *Sharded) {
+	for from := range c.Hosts {
+		for to := range c.Hosts {
+			if from != to {
+				c.Set.SetEdgeLookahead(from, to, c.Cfg.Lookahead)
+			}
+		}
+	}
+}
+
 // TestShardedPerEdgeVsGlobalWindows runs the same heterogeneous world
-// once windowed on declared per-edge lookaheads (the default) and once on
-// the single global minimum (Cfg.GlobalWindows), and checks the two are
-// identical in every observable except the window count — which the
-// declared topology must cut substantially.
+// once windowed on the edges the cluster declares and once on the
+// complete graph at the global Lookahead (declareGlobalWindows), and
+// checks the two are identical in every observable except the window
+// count — which the declared topology must cut substantially.
 func TestShardedPerEdgeVsGlobalWindows(t *testing.T) {
 	span := simtime.Millis(300)
 	run := func(global bool) *Sharded {
 		c := buildShardedWith(t, func(cfg *ShardedConfig) {
 			cfg.MigrationDowntime = simtime.Millis(10)
 			cfg.MigrationPerBW = simtime.Millis(5)
-			cfg.GlobalWindows = global
 		}, simtime.Time(0).Add(simtime.Millis(40)))
+		if global {
+			declareGlobalWindows(c)
+		}
 		c.Start()
 		c.Run(span, 2)
 		c.Finish()
@@ -256,7 +275,8 @@ func rackLinkDelay(src, dst int) simtime.Duration {
 // serves two cache VMs (a sporadic server, a periodic RT task and a
 // background hog), each fed by clients on hosts h+1 and h+2 at the
 // rack-distance link delay, and one planned migration per host but the
-// last ripples through the ring.
+// last ripples through the ring. With globalWindows it windows on the
+// complete graph (declareGlobalWindows).
 func buildRackWorld(t *testing.T, globalWindows bool) *Sharded {
 	t.Helper()
 	const hosts = rackHosts
@@ -264,9 +284,11 @@ func buildRackWorld(t *testing.T, globalWindows bool) *Sharded {
 	cfg.Hosts = hosts
 	cfg.PCPUs = 4
 	cfg.Seed = 1
-	cfg.GlobalWindows = globalWindows
 	cfg.LinkDelay = rackLinkDelay
 	c := NewSharded(cfg)
+	if globalWindows {
+		declareGlobalWindows(c)
+	}
 	for h := 0; h < hosts; h++ {
 		for v := 0; v < 2; v++ {
 			spec := VMSpec{
@@ -307,8 +329,8 @@ func buildRackWorld(t *testing.T, globalWindows bool) *Sharded {
 // TestShardedRackWorld pins the rack cluster's determinism and window
 // contract on 8 hosts for one simulated second: executor groups 1/2/4/8
 // produce byte-identical cluster digests and per-host dispatch streams,
-// the same world windowed on the single global lookahead
-// (Cfg.GlobalWindows) matches in everything but the window count, and
+// the same world windowed on the complete graph at the global lookahead
+// (declareGlobalWindows) matches in everything but the window count, and
 // the declared rack topology cuts that window count at least 4× (8,070
 // per-edge vs 43,962 global when this test was written).
 func TestShardedRackWorld(t *testing.T) {

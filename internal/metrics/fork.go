@@ -6,26 +6,9 @@ import "rtvirt/internal/simtime"
 // without sorting: reading a percentile lazily sorts the sample slice, and a
 // clone must never mutate the recorder it forked from.
 func (l *LatencyRecorder) Clone() LatencyRecorder {
-	n := LatencyRecorder{
-		sorted: l.sorted,
-		sum:    l.sum,
-		count:  l.count,
-		max:    l.max,
-	}
+	n := LatencyRecorder{sorted: l.sorted, sum: l.sum}
 	if l.samples != nil {
 		n.samples = append([]simtime.Duration(nil), l.samples...)
 	}
-	if l.est != nil {
-		n.est = make([]*P2Quantile, len(l.est))
-		for i, e := range l.est {
-			n.est[i] = e.Clone()
-		}
-	}
 	return n
-}
-
-// Clone returns an independent copy of the estimator (all state is inline).
-func (e *P2Quantile) Clone() *P2Quantile {
-	ne := *e
-	return &ne
 }

@@ -36,13 +36,14 @@ func (r *drainRecorder) ForkHandler(*clone.Ctx) Handler { panic("drainRecorder: 
 func TestSteadyStateZeroAlloc(t *testing.T) {
 	const shards = 6
 	l := simtime.Micros(19)
-	set := NewShardSet(l)
+	set := NewShardSet()
 	recs := make([]*drainRecorder, shards)
 	for i := range recs {
 		sh := set.NewShard(uint64(i) + 1)
 		recs[i] = &drainRecorder{}
 		sh.Sim().RegisterHandler(recs[i])
 	}
+	declareComplete(set, l)
 	set.RunUntil(0, 1) // sizes the coordinator's scratch
 	all := set.Shards()
 	edge := make([]int64, shards*shards) // the test's mirror of edgeSeq

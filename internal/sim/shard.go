@@ -17,7 +17,7 @@ import (
 //
 // The synchronization protocol is classic conservative null-message-free
 // windowing, generalized to a per-edge lookahead matrix (distance-matrix
-// synchronization). Every directed shard pair (j→i) has a lookahead
+// synchronization). Every declared directed edge (j→i) has a lookahead
 // L(j→i): a message emitted by j at local time t arrives no earlier than
 // t + L(j→i), and PostRemote enforces exactly that edge's bound. Let
 // D(j,i) be the min-plus shortest-walk distance from j to i over the edge
@@ -45,20 +45,19 @@ import (
 // to the horizon; shards whose upstreams sit far in the future run
 // correspondingly far ahead instead of stalling at a global minimum.
 //
-// Two topology modes share the loop. By default the graph is complete
-// with the uniform global lookahead L — then D(j,i) = L off-diagonal and
-// D(i,i) = 2L, so B_i reduces to T + L for every shard except the
-// earliest, whose bound is min(second + L, T + 2L) (T = global min,
-// second = min over the rest): the PR-7 protocol, plus a frontier shard
-// that runs up to a window ahead. Declaring any edge via SetEdgeLookahead
-// switches the set to explicit topology: only declared edges may carry
-// messages (PostRemote panics otherwise), undeclared pairs impose no
-// window constraint, and the coordinator prunes its per-round work to
-// candidate shards — the previous round's active set, shards that just
-// received mail, and the shards reachable from the actives — since no
-// other shard's bound or next-time can have changed. When an active
-// shard reaches every shard (a ring's closure does), the candidates are
-// simply all shards, already in ID order, and the closure is skipped.
+// The topology is declared: SetEdgeLookahead names every edge that may
+// carry messages (PostRemote panics on any other pair), undeclared pairs
+// impose no window constraint, and the coordinator prunes its per-round
+// work to candidate shards — the previous round's active set, shards
+// that just received mail, and the shards reachable from the actives —
+// since no other shard's bound or next-time can have changed. When an
+// active shard reaches every shard (a ring's closure does), the
+// candidates are simply all shards, already in ID order, and the closure
+// is skipped. A caller that wants classic global windows declares the
+// complete graph at one lookahead L: then D(j,i) = L off-diagonal and
+// D(i,i) = 2L, so B_i is T + L for every shard but the earliest, whose
+// bound is min(second + L, T + 2L) (T = global min, second = min over
+// the rest).
 //
 // Coordinator costs follow the near edges, not the n² shard pairs: shard
 // next-times live in a 4-ary min-heap (shardHeap), so termination and
@@ -127,12 +126,7 @@ func satAddDur(a, b simtime.Duration) simtime.Duration {
 // ShardSet owns the shards of one sharded simulation and coordinates
 // their windowed execution.
 type ShardSet struct {
-	lookahead simtime.Duration
-	shards    []*Shard
-
-	// explicit flips the set from the default complete-graph/uniform-
-	// lookahead topology to declared edges only.
-	explicit bool
+	shards []*Shard
 	// edges maps edgeKey(from, to) to that edge's lookahead.
 	edges map[uint64]simtime.Duration
 
@@ -145,12 +139,12 @@ type ShardSet struct {
 	heap      shardHeap
 	keys      []simtime.Time // heap key storage, indexed by shard ID
 	bounds    []simtime.Time // per-shard window bound, indexed by shard ID
-	inbound   [][]edgeRef    // sealed adjacency (explicit mode)
+	inbound   [][]edgeRef    // sealed adjacency
 	outbound  [][]int32
 	allIDs    []int32
 	active    []int32 // this round's active shards, ID order
 	actPrev   []int32 // previous round's active shards
-	cand      []int32 // candidate scratch (explicit mode)
+	cand      []int32 // candidate scratch
 	candEpoch []uint64
 	epoch     uint64
 	mailed    []int32       // shards that received mail in the last drain, as a set
@@ -164,35 +158,14 @@ func edgeKey(from, to int) uint64 {
 	return uint64(uint32(from))<<32 | uint64(uint32(to))
 }
 
-// NewShardSet creates an empty shard set with the given global lookahead
-// — the default lookahead of every edge until SetEdgeLookahead declares
-// an explicit topology. It must be positive (a zero lookahead admits no
-// concurrency: every window would be empty).
-func NewShardSet(lookahead simtime.Duration) *ShardSet {
-	if lookahead <= 0 {
-		panic(fmt.Sprintf("sim: shard set needs a positive lookahead, got %v", lookahead))
-	}
-	return &ShardSet{lookahead: lookahead}
-}
-
-// Lookahead reports the global (default-edge) lookahead.
-func (ss *ShardSet) Lookahead() simtime.Duration { return ss.lookahead }
-
-// UseDeclaredTopology switches the set to explicit topology without
-// declaring an edge yet: from then on only edges declared through
-// SetEdgeLookahead exist — PostRemote on any other pair panics, and
-// undeclared pairs impose no window constraint on each other.
-func (ss *ShardSet) UseDeclaredTopology() {
-	if ss.inRun {
-		panic("sim: UseDeclaredTopology during RunUntil")
-	}
-	ss.explicit = true
-}
+// NewShardSet creates an empty shard set with no edges: until
+// SetEdgeLookahead declares some, no shard may post to another and every
+// shard runs straight to the horizon.
+func NewShardSet() *ShardSet { return &ShardSet{} }
 
 // SetEdgeLookahead declares the directed edge from→to with lookahead d:
 // every PostRemote on that edge must arrive at least d after the sender's
-// clock. The first declaration switches the set to explicit topology (see
-// UseDeclaredTopology). Redeclaring an edge overwrites its lookahead.
+// clock. Redeclaring an edge overwrites its lookahead.
 func (ss *ShardSet) SetEdgeLookahead(from, to int, d simtime.Duration) {
 	if ss.inRun {
 		panic("sim: SetEdgeLookahead during RunUntil")
@@ -209,7 +182,6 @@ func (ss *ShardSet) SetEdgeLookahead(from, to int, d simtime.Duration) {
 	if from == to {
 		panic(fmt.Sprintf("sim: SetEdgeLookahead self-edge %d->%d (local work uses PostAt and needs no lookahead)", from, to))
 	}
-	ss.explicit = true
 	if ss.edges == nil {
 		ss.edges = make(map[uint64]simtime.Duration)
 	}
@@ -217,13 +189,9 @@ func (ss *ShardSet) SetEdgeLookahead(from, to int, d simtime.Duration) {
 }
 
 // EdgeLookahead reports the lookahead PostRemote enforces on from→to: the
-// declared value in explicit topology (0 if the edge does not exist), the
-// global lookahead otherwise.
+// declared value, or 0 if the edge does not exist.
 func (ss *ShardSet) EdgeLookahead(from, to int) simtime.Duration {
-	if ss.explicit {
-		return ss.edges[edgeKey(from, to)]
-	}
-	return ss.lookahead
+	return ss.edges[edgeKey(from, to)]
 }
 
 // NewShard adds a shard running on a fresh Simulator seeded with seed.
@@ -283,13 +251,13 @@ func (sh *Shard) Sim() *Simulator { return sh.sim }
 // PostRemote buffers a typed event for delivery into another shard's
 // queue at the absolute instant at. The arrival must respect the edge's
 // lookahead (at ≥ now + L(this→to)): that bound is exactly what lets the
-// target shard run its window without waiting for this one. In explicit
-// topology the edge must have been declared — undeclared pairs are
-// non-edges the window bounds ignore, so a message on one could rewind
-// the target. Messages are held in the sender's outbox and delivered into
-// the target queue at the next barrier, in an order independent of
-// executor grouping. Posting to the shard itself panics — local work uses
-// PostAt and needs no lookahead.
+// target shard run its window without waiting for this one. The edge
+// must have been declared — undeclared pairs are non-edges the window
+// bounds ignore, so a message on one could rewind the target. Messages
+// are held in the sender's outbox and delivered into the target queue at
+// the next barrier, in an order independent of executor grouping.
+// Posting to the shard itself panics — local work uses PostAt and needs
+// no lookahead.
 func (sh *Shard) PostRemote(to *Shard, at simtime.Time, p Payload) {
 	if to == nil || to.set != sh.set {
 		panic("sim: PostRemote to a shard of a different set")
@@ -297,14 +265,10 @@ func (sh *Shard) PostRemote(to *Shard, at simtime.Time, p Payload) {
 	if to == sh {
 		panic("sim: PostRemote to own shard (use PostAt)")
 	}
-	l := sh.set.lookahead
-	if sh.set.explicit {
-		var ok bool
-		l, ok = sh.set.edges[edgeKey(sh.id, to.id)]
-		if !ok {
-			panic(fmt.Sprintf("sim: PostRemote on undeclared edge %d->%d (declare its lookahead with SetEdgeLookahead)",
-				sh.id, to.id))
-		}
+	l, ok := sh.set.edges[edgeKey(sh.id, to.id)]
+	if !ok {
+		panic(fmt.Sprintf("sim: PostRemote on undeclared edge %d->%d (declare its lookahead with SetEdgeLookahead)",
+			sh.id, to.id))
 	}
 	if min := sh.sim.Now().Add(l); at < min {
 		panic(fmt.Sprintf("sim: PostRemote at %v violates lookahead %v on edge %d->%d (now %v, earliest legal %v)",
@@ -442,34 +406,11 @@ func (ss *ShardSet) sealTopology() {
 	}
 }
 
-// selectUniform picks the active shards and bounds for one window under
-// the default complete-graph topology, where D(j,i) = L off-diagonal and
-// D(i,i) = 2L (out and back). With T the global minimum and second the
-// minimum over the other shards, every shard's bound min is T + L —
-// except the earliest shard itself, which runs to min(second + L, T + 2L):
-// its nearest other upstream is at second, but its own output can
-// boomerang back by T + 2L, so the frontier runs up to a full window
-// ahead without waiting on idle peers.
-func (ss *ShardSet) selectUniform(end simtime.Time) {
-	rootID, minT := ss.heap.min()
-	w := minT.Add(ss.lookahead)
-	ss.active = ss.heap.collectBelow(w, end, ss.active[:0])
-	slices.Sort(ss.active)
-	for _, id := range ss.active {
-		ss.bounds[id] = w
-	}
-	rb := minT.Add(ss.lookahead).Add(ss.lookahead)
-	if s := ss.heap.secondKey().Add(ss.lookahead); s < rb {
-		rb = s
-	}
-	ss.bounds[rootID] = rb
-}
-
-// selectExplicit picks the active shards and bounds for one window under
-// declared topology. Only candidate shards are examined: the previous
-// round's actives (their next-times advanced), shards that just received
-// mail (their next-times may have moved up), and shards reachable from
-// the actives (a bound term t_j + D(j,i) can only grow when j fires).
+// selectWindow picks the active shards and bounds for one window. Only
+// candidate shards are examined: the previous round's actives (their
+// next-times advanced), shards that just received mail (their next-times
+// may have moved up), and shards reachable from the actives (a bound
+// term t_j + D(j,i) can only grow when j fires).
 // Any other shard kept both its next-time and its bound, so if it was
 // inactive it still is. When an active shard reaches every shard the
 // candidates are all shards, and the closure is skipped.
@@ -477,7 +418,7 @@ func (ss *ShardSet) selectUniform(end simtime.Time) {
 // Each bound scan walks i's terms nearest first and stops at the first
 // term with tmin + D ≥ b (tmin the global minimum next-time): every later
 // term has t_j ≥ tmin and D at least as large, so none can lower b.
-func (ss *ShardSet) selectExplicit(first bool, end simtime.Time) {
+func (ss *ShardSet) selectWindow(first bool, end simtime.Time) {
 	cand := ss.allIDs
 	if !first && !slices.ContainsFunc(ss.actPrev, func(id int32) bool {
 		return len(ss.outbound[id]) == len(ss.shards)
@@ -504,7 +445,7 @@ func (ss *ShardSet) selectExplicit(first bool, end simtime.Time) {
 		cand = c
 	}
 
-	_, tmin := ss.heap.min()
+	tmin := ss.heap.min()
 	ss.active = ss.active[:0]
 	for _, id := range cand {
 		t := ss.heap.keyOf(id)
@@ -568,9 +509,7 @@ func (ss *ShardSet) RunUntil(end simtime.Time, groups int) {
 	for len(ss.inbox) < n {
 		ss.inbox = append(ss.inbox, nil)
 	}
-	if ss.explicit {
-		ss.sealTopology()
-	}
+	ss.sealTopology()
 
 	var bp *runner.BarrierPool
 	if groups > 1 {
@@ -587,14 +526,10 @@ func (ss *ShardSet) RunUntil(end simtime.Time, groups int) {
 
 	first := true
 	for {
-		if _, minT := ss.heap.min(); minT > end {
+		if ss.heap.min() > end {
 			break
 		}
-		if ss.explicit {
-			ss.selectExplicit(first, end)
-		} else {
-			ss.selectUniform(end)
-		}
+		ss.selectWindow(first, end)
 		first = false
 		if len(ss.active) == 0 {
 			// Unreachable if the candidate bookkeeping is right: the
@@ -648,12 +583,7 @@ func (ss *ShardSet) Fork(ctx *clone.Ctx) (*ShardSet, error) {
 	if ss.inRun {
 		panic("sim: Fork during RunUntil")
 	}
-	nss := &ShardSet{
-		lookahead: ss.lookahead,
-		explicit:  ss.explicit,
-		edges:     maps.Clone(ss.edges),
-		windows:   ss.windows,
-	}
+	nss := &ShardSet{edges: maps.Clone(ss.edges), windows: ss.windows}
 	ctx.Put(ss, nss)
 	nss.shards = make([]*Shard, len(ss.shards))
 	for i, sh := range ss.shards {

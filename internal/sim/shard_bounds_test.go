@@ -85,7 +85,7 @@ type meshWorld struct {
 // buildMeshWorld declares edges over n shards; shard i starts ticking at
 // 0 when ticks(i) > 0 and stays idle until mailed otherwise.
 func buildMeshWorld(seed uint64, n int, edges []meshEdge, ticks func(i int) int, hops int64) *meshWorld {
-	set := NewShardSet(simtime.Micros(19))
+	set := NewShardSet()
 	w := &meshWorld{set: set, edges: edges, hops: hops}
 	for i := 0; i < n; i++ {
 		set.NewShard(seed + uint64(i)*0x9e3779b97f4a7c15)
@@ -176,7 +176,7 @@ func walkDistances(n int, edges []meshEdge) []simtime.Duration {
 
 // checkBounds installs the differential check: at the first event of
 // every window (run with one group, so nothing else touches the
-// coordinator meanwhile) the active set and bounds selectExplicit chose
+// coordinator meanwhile) the active set and bounds selectWindow chose
 // must equal the brute force over all shards, B_i = min_j t_j + D(j,i),
 // active iff t_i ≤ end and t_i < B_i. It returns the count of windows
 // checked.
@@ -225,10 +225,14 @@ func (w *meshWorld) checkBounds(t *testing.T) *uint64 {
 // early exit — with the brute-force bound in every window, on topologies
 // that exercise each: the 64-shard rack ring (every shard reaches every
 // shard), a sparse chain with unreachable and isolated shards (B = ∞),
-// a full matrix of heterogeneous lookaheads, and a ring whose shards
-// sleep on far-future timers while mail lands below their keys. Window
-// counts, event counts and digests are pinned to the values a coordinator
-// scanning every bound term of every candidate produces.
+// a full matrix of heterogeneous lookaheads, a ring whose shards sleep on
+// far-future timers while mail lands below their keys, and the complete
+// graph at one 19µs lookahead (classic global windows). Window counts,
+// event counts and digests are pinned to the values a coordinator
+// scanning every bound term of every candidate produces; the complete
+// graph's are also the values of the former uniform-lookahead protocol,
+// which windowed every pair on one global lookahead without declared
+// edges.
 func TestShardExplicitBoundsDifferential(t *testing.T) {
 	all := func(k int) func(int) int { return func(int) int { return k } }
 	var hetero []meshEdge
@@ -282,6 +286,17 @@ func TestShardExplicitBoundsDifferential(t *testing.T) {
 			}
 			return w
 		}, simtime.Time(simtime.Millis(5)), 29, 298, 0x1db1f2461f0a17e9},
+		{"complete-uniform", func() *meshWorld {
+			var edges []meshEdge
+			for from := 0; from < 8; from++ {
+				for to := 0; to < 8; to++ {
+					if from != to {
+						edges = append(edges, meshEdge{from, to, simtime.Micros(19)})
+					}
+				}
+			}
+			return buildMeshWorld(5, 8, edges, all(60), 2)
+		}, simtime.Time(simtime.Millis(6)), 197, 1173, 0x14c974097e5b4f8e},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

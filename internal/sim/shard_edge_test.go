@@ -15,10 +15,9 @@ func pingEdgeLookahead(from, to int) simtime.Duration {
 	return simtime.Micros(19) + simtime.Micros(int64((from*31+to*17)%11)*7)
 }
 
-// buildPingWorldEdges is buildPingWorld with the full heterogeneous edge
-// matrix declared, switching the set to explicit topology. The pinger
-// derives its post delay from EdgeLookahead, so the same handler drives
-// both topologies.
+// buildPingWorldEdges is buildPingWorld with the complete graph
+// redeclared at heterogeneous lookaheads. The pinger derives its post
+// delay from EdgeLookahead, so the same handler drives both worlds.
 func buildPingWorldEdges(seed uint64, shards int) *pingWorld {
 	w := buildPingWorld(seed, shards)
 	for from := 0; from < shards; from++ {
@@ -47,7 +46,7 @@ func mustPanicContaining(t *testing.T, name, want string, fn func()) {
 }
 
 func TestSetEdgeLookaheadValidation(t *testing.T) {
-	set := NewShardSet(simtime.Micros(19))
+	set := NewShardSet()
 	set.NewShard(1)
 	set.NewShard(2)
 
@@ -70,10 +69,9 @@ func TestSetEdgeLookaheadValidation(t *testing.T) {
 		set.SetEdgeLookahead(1, 1, simtime.Micros(20))
 	})
 
-	// None of the rejected calls may have flipped the set to explicit
-	// topology: the default edge still reports the global lookahead.
-	if got := set.EdgeLookahead(0, 1); got != simtime.Micros(19) {
-		t.Fatalf("EdgeLookahead(0,1) = %v after rejected declarations, want the 19µs global", got)
+	// None of the rejected calls may have declared an edge.
+	if got := set.EdgeLookahead(0, 1); got != 0 {
+		t.Fatalf("EdgeLookahead(0,1) = %v after rejected declarations, want 0", got)
 	}
 
 	set.SetEdgeLookahead(0, 1, simtime.Micros(40))
@@ -85,14 +83,14 @@ func TestSetEdgeLookaheadValidation(t *testing.T) {
 	if got := set.EdgeLookahead(0, 1); got != simtime.Micros(25) {
 		t.Fatalf("EdgeLookahead(0,1) = %v after redeclaration, want 25µs", got)
 	}
-	// Explicit topology: the undeclared reverse direction is a non-edge.
+	// The undeclared reverse direction is a non-edge.
 	if got := set.EdgeLookahead(1, 0); got != 0 {
-		t.Fatalf("EdgeLookahead(1,0) = %v for an undeclared edge in explicit topology, want 0", got)
+		t.Fatalf("EdgeLookahead(1,0) = %v for an undeclared edge, want 0", got)
 	}
 }
 
 func TestPostRemotePerEdgeValidation(t *testing.T) {
-	set := NewShardSet(simtime.Micros(19))
+	set := NewShardSet()
 	a := set.NewShard(1)
 	b := set.NewShard(2)
 	c := set.NewShard(3)
@@ -102,7 +100,7 @@ func TestPostRemotePerEdgeValidation(t *testing.T) {
 	mustPanicContaining(t, "undeclared edge", "undeclared edge", func() {
 		a.PostRemote(c, simtime.Time(simtime.Millis(1)), Payload{})
 	})
-	// Legal under the 19µs global, illegal under the edge's own 100µs.
+	// Legal at the other edge's 30µs, illegal under this edge's own 100µs.
 	mustPanicContaining(t, "edge lookahead violation", "lookahead", func() {
 		a.PostRemote(b, simtime.Time(simtime.Micros(50)), Payload{})
 	})
@@ -118,7 +116,7 @@ func TestPostRemotePerEdgeValidation(t *testing.T) {
 // chainNode is the 3-shard chain fixture's handler: A ticks locally and
 // streams messages down the A→B (fast) edge, B relays down the B→C
 // (slow) edge, C consumes. Each node folds what it sees into a hash, so
-// the digest pins times, order, and routing across topology modes.
+// the digest pins times, order, and routing across topologies.
 type chainNode struct {
 	sh    *Shard
 	next  *Shard // nil at the tail
@@ -130,7 +128,7 @@ type chainNode struct {
 	// windowsAtLast records the coordinator's window counter when this
 	// node fires its final tick — the direct observation that a shard
 	// with no inbound walk runs to the horizon in the very first window
-	// under declared topology.
+	// on the chain.
 	windowsAtLast uint64
 }
 
@@ -167,11 +165,13 @@ type chainWorld struct {
 	nodes [3]*chainNode
 }
 
-// buildChainWorld wires A→B→C. With declare, the two edges are the whole
+// buildChainWorld wires A→B→C. With chain, the two edges are the whole
 // topology: A has no inbound walk at all (bound ∞), C has no outbound.
-func buildChainWorld(declare bool) *chainWorld {
+// Without it, the complete graph at the fastest edge's lookahead is
+// declared — global windows, the reference the chain is measured against.
+func buildChainWorld(chain bool) *chainWorld {
 	fast, slow := simtime.Micros(20), simtime.Micros(500)
-	set := NewShardSet(fast) // global floor = the fastest edge
+	set := NewShardSet()
 	w := &chainWorld{set: set}
 	for i := 0; i < 3; i++ {
 		set.NewShard(uint64(i) + 1)
@@ -183,9 +183,11 @@ func buildChainWorld(declare bool) *chainWorld {
 	for _, n := range w.nodes {
 		n.id = n.sh.Sim().RegisterHandler(n)
 	}
-	if declare {
+	if chain {
 		set.SetEdgeLookahead(0, 1, fast)
 		set.SetEdgeLookahead(1, 2, slow)
+	} else {
+		declareComplete(set, fast)
 	}
 	sh[0].Sim().PostAt(0, Payload{Handler: w.nodes[0].id, Kind: evChainTick})
 	return w
@@ -199,11 +201,12 @@ func (w *chainWorld) digest() []uint64 {
 	return append(out, w.set.EventsFired(), uint64(w.set.Now()))
 }
 
-// TestShardChainPerEdgeWindows is the tentpole's kernel-level fixture:
-// declared topology must collapse the chain's window count by an order of
-// magnitude while producing bit-identical results, and the head shard —
-// which nothing can reach — must finish its entire event stream inside
-// window 1 instead of crawling at the global lookahead.
+// TestShardChainPerEdgeWindows is the kernel-level per-edge fixture:
+// declaring only the chain's two edges must collapse the window count by
+// an order of magnitude against the complete graph at the fast edge's
+// lookahead (global windows) while producing bit-identical results, and
+// the head shard — which nothing can reach — must finish its entire event
+// stream inside window 1 instead of crawling at the global lookahead.
 func TestShardChainPerEdgeWindows(t *testing.T) {
 	end := simtime.Time(simtime.Millis(5))
 
@@ -213,28 +216,28 @@ func TestShardChainPerEdgeWindows(t *testing.T) {
 	declared.set.RunUntil(end, 1)
 
 	if !equalU64(global.digest(), declared.digest()) {
-		t.Fatalf("topology modes diverged: global %v declared %v", global.digest(), declared.digest())
+		t.Fatalf("chain and complete-graph windows diverged: global %v chain %v", global.digest(), declared.digest())
 	}
 	if got := declared.nodes[2].recvd; got != 200 {
 		t.Fatalf("tail received %d messages, want 200", got)
 	}
 	wg, wd := global.set.Windows(), declared.set.Windows()
 	if wd*10 > wg {
-		t.Errorf("declared topology ran %d windows vs %d global — want at least a 10× collapse", wd, wg)
+		t.Errorf("chain topology ran %d windows vs %d global — want at least a 10× collapse", wd, wg)
 	}
 	if got := declared.nodes[0].windowsAtLast; got != 1 {
-		t.Errorf("no-inbound head finished in window %d under declared topology, want 1", got)
+		t.Errorf("no-inbound head finished in window %d on the chain, want 1", got)
 	}
 	if got := global.nodes[0].windowsAtLast; got < 50 {
 		t.Errorf("head finished in window %d under the global lookahead — fixture too easy (want ≥ 50)", got)
 	}
 
-	// Grouping invariance holds in explicit topology too.
+	// Grouping invariance holds on the chain too.
 	for _, groups := range []int{2, 3} {
 		wrld := buildChainWorld(true)
 		wrld.set.RunUntil(end, groups)
 		if !equalU64(wrld.digest(), declared.digest()) {
-			t.Errorf("groups=%d diverged under declared topology", groups)
+			t.Errorf("groups=%d diverged on the chain", groups)
 		}
 		if wrld.set.Windows() != wd {
 			t.Errorf("groups=%d window count %d != sequential %d", groups, wrld.set.Windows(), wd)

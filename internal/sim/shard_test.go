@@ -79,12 +79,26 @@ type pingWorld struct {
 	pingers []*pinger
 }
 
+// declareComplete declares every edge between the set's shards at
+// lookahead l: the complete graph, whose walk distances are l between
+// shards and 2l around a cycle — classic global windows of width l.
+func declareComplete(set *ShardSet, l simtime.Duration) {
+	for from := range set.Shards() {
+		for to := range set.Shards() {
+			if from != to {
+				set.SetEdgeLookahead(from, to, l)
+			}
+		}
+	}
+}
+
 func buildPingWorld(seed uint64, shards int) *pingWorld {
-	set := NewShardSet(simtime.Micros(19))
+	set := NewShardSet()
 	w := &pingWorld{set: set}
 	for i := 0; i < shards; i++ {
 		set.NewShard(seed + uint64(i)*0x9e3779b97f4a7c15)
 	}
+	declareComplete(set, simtime.Micros(19))
 	for _, sh := range set.Shards() {
 		p := &pinger{sh: sh, peers: set.Shards(), limit: 200, hash: 14695981039346656037}
 		p.id = sh.Sim().RegisterHandler(p)
@@ -152,15 +166,16 @@ func TestShardSetResume(t *testing.T) {
 }
 
 func TestPostRemoteLookaheadViolationPanics(t *testing.T) {
-	set := NewShardSet(simtime.Micros(19))
+	set := NewShardSet()
 	a := set.NewShard(1)
 	b := set.NewShard(2)
+	declareComplete(set, simtime.Micros(19))
 	defer func() {
 		r := recover()
 		if r == nil {
 			t.Fatal("PostRemote below the lookahead bound did not panic")
 		}
-		if msg, ok := r.(string); !ok || !strings.Contains(msg, "lookahead") {
+		if msg, ok := r.(string); !ok || !strings.Contains(msg, "violates lookahead") {
 			t.Fatalf("unexpected panic: %v", r)
 		}
 	}()
@@ -168,9 +183,9 @@ func TestPostRemoteLookaheadViolationPanics(t *testing.T) {
 }
 
 func TestPostRemoteSelfAndForeignPanic(t *testing.T) {
-	set := NewShardSet(simtime.Micros(19))
+	set := NewShardSet()
 	a := set.NewShard(1)
-	other := NewShardSet(simtime.Micros(19)).NewShard(9)
+	other := NewShardSet().NewShard(9)
 
 	mustPanic := func(name string, fn func()) {
 		defer func() {
@@ -182,7 +197,6 @@ func TestPostRemoteSelfAndForeignPanic(t *testing.T) {
 	}
 	mustPanic("self-post", func() { a.PostRemote(a, simtime.Time(simtime.Micros(100)), Payload{}) })
 	mustPanic("foreign-set post", func() { a.PostRemote(other, simtime.Time(simtime.Micros(100)), Payload{}) })
-	mustPanic("zero lookahead", func() { NewShardSet(0) })
 }
 
 // TestShardSetFork forks a sharded world mid-run — including messages
@@ -222,7 +236,7 @@ func TestShardSetFork(t *testing.T) {
 
 // TestShardIdleShard checks a shard with no events never blocks progress.
 func TestShardIdleShard(t *testing.T) {
-	set := NewShardSet(simtime.Micros(19))
+	set := NewShardSet()
 	a := set.NewShard(1)
 	_ = set.NewShard(2) // stays empty
 	p := &pinger{sh: a, peers: []*Shard{a}, limit: 0, hash: 1}

@@ -5,18 +5,13 @@ import "rtvirt/internal/simtime"
 // shardHeap is a 4-ary min-heap over shard IDs keyed by each shard's
 // earliest pending event time. It is the coordinator's index in the
 // windowed run loop: the root answers "may the run terminate?" in O(1),
-// updates after a window touch only the shards that actually fired or
-// received mail (O(active·log n) instead of an O(n) rescan), and the
-// heap-ordered array lets the uniform-lookahead path enumerate the
-// shards below a cutoff by a pruned descent that visits only matching
-// subtrees. Ties break toward the lower shard ID, so the root is a pure
-// function of the key vector — independent of update history.
+// and updates after a window touch only the shards that actually fired
+// or received mail (O(active·log n) instead of an O(n) rescan). Callers
+// read the root's key, never which shard holds it, so ties need no order.
 type shardHeap struct {
 	key []simtime.Time // indexed by shard ID
 	ids []int32        // heap-ordered shard IDs
 	pos []int32        // shard ID -> index in ids
-	// stack is the reusable pruned-descent scratch.
-	stack []int32
 }
 
 // init (re)builds the heap over keys; the slice is retained and read
@@ -40,13 +35,7 @@ func (h *shardHeap) init(keys []simtime.Time) {
 	}
 }
 
-func (h *shardHeap) less(a, b int32) bool {
-	ka, kb := h.key[a], h.key[b]
-	if ka != kb {
-		return ka < kb
-	}
-	return a < b
-}
+func (h *shardHeap) less(a, b int32) bool { return h.key[a] < h.key[b] }
 
 // update moves shard id to key t and restores heap order.
 func (h *shardHeap) update(id int32, t simtime.Time) {
@@ -97,47 +86,8 @@ func (h *shardHeap) siftDown(i int) {
 	}
 }
 
-// min returns the shard with the earliest pending event and its time.
-func (h *shardHeap) min() (int32, simtime.Time) {
-	id := h.ids[0]
-	return id, h.key[id]
-}
-
-// secondKey returns the earliest key excluding the root shard — by the
-// heap property, the minimum over the root's up-to-four children.
-func (h *shardHeap) secondKey() simtime.Time {
-	second := simtime.Never
-	for c := 1; c <= 4 && c < len(h.ids); c++ {
-		if k := h.key[h.ids[c]]; k < second {
-			second = k
-		}
-	}
-	return second
-}
+// min returns the earliest pending event time over all shards.
+func (h *shardHeap) min() simtime.Time { return h.key[h.ids[0]] }
 
 // keyOf reports shard id's current key.
 func (h *shardHeap) keyOf(id int32) simtime.Time { return h.key[id] }
-
-// collectBelow appends to out every shard whose key is strictly below
-// cutoff and at most end, by a heap-property-pruned descent: a subtree
-// whose root fails the test cannot contain a match. Output order is heap
-// order, not ID order — callers sort.
-func (h *shardHeap) collectBelow(cutoff, end simtime.Time, out []int32) []int32 {
-	if len(h.ids) == 0 {
-		return out
-	}
-	h.stack = append(h.stack[:0], 0)
-	for len(h.stack) > 0 {
-		i := int(h.stack[len(h.stack)-1])
-		h.stack = h.stack[:len(h.stack)-1]
-		id := h.ids[i]
-		if k := h.key[id]; k >= cutoff || k > end {
-			continue
-		}
-		out = append(out, id)
-		for c := 4*i + 1; c <= 4*i+4 && c < len(h.ids); c++ {
-			h.stack = append(h.stack, int32(c))
-		}
-	}
-	return out
-}

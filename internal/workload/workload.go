@@ -45,9 +45,9 @@ const (
 
 // DefaultNetworkDelay is the modelled client→server network latency: the
 // paper's measured 99.9th-percentile inter-host delay (19µs, §4.2). Beyond
-// workload fidelity it is the natural conservative-PDES lookahead for
-// sharded cluster runs — no cross-host interaction can land sooner — so
-// sim.NewShardSet callers default their window width to it.
+// workload fidelity it is the natural conservative-PDES lookahead floor
+// for sharded cluster runs — no cross-host interaction can land sooner —
+// so cluster.ShardedConfig.Lookahead defaults to it.
 func DefaultNetworkDelay() simtime.Duration { return simtime.Micros(19) }
 
 // RTApp is the rt-app periodic load generator: it takes a time slice and
