@@ -28,6 +28,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -101,44 +102,60 @@ func main() {
 		os.Exit(2)
 	}
 
-	out := io.Writer(os.Stdout)
-	if *outPath != "" {
-		f, err := os.Create(*outPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer f.Close()
-		out = f
+	status, err := run(os.Stdout, o, *outPath, *jsonOut, *replay, flag.Args())
+	if err != nil {
+		log.Fatal(err)
 	}
+	os.Exit(status)
+}
 
-	if *replay {
-		for i, path := range flag.Args() {
-			if flag.NArg() > 1 || i > 0 {
+// run analyses (or, with replay, re-ingests) every input and writes the
+// report to stdout, or to outPath when it is set. The file is created only
+// after every input has been opened and parsed — the report is rendered in
+// memory first — so a run that fails on its input leaves no file behind.
+// The status is the worst admission verdict (see exitCode).
+func run(stdout io.Writer, o options, outPath string, jsonOut, replay bool, paths []string) (int, error) {
+	if outPath == "" {
+		return report(stdout, o, jsonOut, replay, paths)
+	}
+	var buf bytes.Buffer
+	status, err := report(&buf, o, jsonOut, replay, paths)
+	if err != nil {
+		return 0, err
+	}
+	return status, os.WriteFile(outPath, buf.Bytes(), 0o666)
+}
+
+// report writes the analysis (or replay) of every input to out.
+func report(out io.Writer, o options, jsonOut, replay bool, paths []string) (int, error) {
+	if replay {
+		for i, path := range paths {
+			if len(paths) > 1 {
 				fmt.Fprintf(out, "==== %s ====\n", path)
 			}
 			if err := replayTrace(out, path); err != nil {
-				log.Fatal(err)
+				return 0, err
 			}
-			if i < flag.NArg()-1 {
+			if i < len(paths)-1 {
 				fmt.Fprintln(out)
 			}
 		}
-		return
+		return 0, nil
 	}
 
 	status := 0
-	for i, path := range flag.Args() {
-		if flag.NArg() > 1 {
+	for i, path := range paths {
+		if len(paths) > 1 {
 			fmt.Fprintf(out, "==== %s ====\n", path)
 		}
 		f, err := os.Open(path)
 		if err != nil {
-			log.Fatal(err)
+			return 0, err
 		}
 		sc, err := scenario.Parse(f)
 		f.Close()
 		if err != nil {
-			log.Fatal(err)
+			return 0, err
 		}
 		if o.pcpus > 0 {
 			sc.PCPUs = o.pcpus
@@ -150,14 +167,14 @@ func main() {
 			Slack:   simtime.Micros(o.slackUS),
 		})
 		if err != nil {
-			log.Fatal(err)
+			return 0, err
 		}
 
-		if *jsonOut {
+		if jsonOut {
 			enc := json.NewEncoder(out)
 			enc.SetIndent("", "  ")
 			if err := enc.Encode(h); err != nil {
-				log.Fatal(err)
+				return 0, err
 			}
 		} else {
 			print(out, h)
@@ -165,11 +182,11 @@ func main() {
 		if c := exitCode(sc, h); c > status {
 			status = c
 		}
-		if i < flag.NArg()-1 {
+		if i < len(paths)-1 {
 			fmt.Fprintln(out)
 		}
 	}
-	os.Exit(status)
+	return status, nil
 }
 
 // replayTrace re-ingests one JSONL telemetry stream through the standard

@@ -1,6 +1,12 @@
 package main
 
 import (
+	"errors"
+	"fmt"
+	"io"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -47,5 +53,30 @@ func TestValidate(t *testing.T) {
 				t.Fatalf("error %q does not name %s", err, tc.wantErr)
 			}
 		})
+	}
+}
+
+// TestOutputOnlyAfterInput checks that -o creates its file only once every
+// input has been read: a missing scenario or trace fails the run and leaves
+// no report behind, and a good scenario still writes one.
+func TestOutputOnlyAfterInput(t *testing.T) {
+	dir := t.TempDir()
+	missing := filepath.Join(dir, "missing.json")
+	for _, replay := range []bool{false, true} {
+		out := filepath.Join(dir, fmt.Sprintf("report-%v.txt", replay))
+		if _, err := run(io.Discard, defaultOptions(), out, false, replay, []string{missing}); err == nil {
+			t.Fatalf("replay=%v: missing input accepted", replay)
+		}
+		if _, err := os.Stat(out); !errors.Is(err, fs.ErrNotExist) {
+			t.Fatalf("replay=%v: failed run left %s behind (stat: %v)", replay, out, err)
+		}
+	}
+
+	out := filepath.Join(dir, "report.txt")
+	if _, err := run(io.Discard, defaultOptions(), out, false, false, []string{"../../examples/scenarios/mixed.json"}); err != nil {
+		t.Fatal(err)
+	}
+	if b, err := os.ReadFile(out); err != nil || !strings.Contains(string(b), "host:") {
+		t.Fatalf("report %q (err %v), want the host summary", b, err)
 	}
 }

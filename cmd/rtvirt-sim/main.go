@@ -111,7 +111,7 @@ func main() {
 			err error
 		}
 		results := runner.Map(0, flag.Args(), func(path string) outcome {
-			res, err := runScenario(path, scenario.Options{})
+			res, err := runScenario(path, "", scenario.Options{})
 			return outcome{res, err}
 		})
 		for i, o := range results {
@@ -127,29 +127,15 @@ func main() {
 		return
 	}
 
-	opts := scenario.Options{Trace: tracing}
-	var jsonl *trace.JSONL
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer f.Close()
-		jsonl = trace.NewJSONL(f)
-		opts.Sinks = append(opts.Sinks, jsonl)
-	}
-	res, err := runScenario(flag.Arg(0), opts)
+	res, err := runScenario(flag.Arg(0), *traceOut, scenario.Options{Trace: tracing})
 	if err != nil {
 		log.Fatal(err)
 	}
 	report(res)
-	if jsonl != nil {
-		if err := jsonl.Flush(); err != nil {
-			log.Fatal(err)
-		}
+	if *traceOut != "" {
 		fmt.Printf("\ntelemetry (%d events) written to %s\n", res.Events.Total(), *traceOut)
 	}
-	if tracing || jsonl != nil {
+	if tracing || *traceOut != "" {
 		fmt.Printf("events: %s\n", res.Events)
 	}
 
@@ -191,8 +177,11 @@ func main() {
 	}
 }
 
-// runScenario parses and executes one scenario file.
-func runScenario(path string, opts scenario.Options) (*scenario.Result, error) {
+// runScenario parses and executes one scenario file. With traceOut set
+// it streams every telemetry event to that JSONL file, which is created
+// only once the scenario has parsed, so a run that fails on its input
+// leaves no file behind.
+func runScenario(path, traceOut string, opts scenario.Options) (*scenario.Result, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -202,7 +191,23 @@ func runScenario(path string, opts scenario.Options) (*scenario.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return scenario.Run(sc, opts)
+	if traceOut == "" {
+		return scenario.Run(sc, opts)
+	}
+	tf, err := os.Create(traceOut)
+	if err != nil {
+		return nil, err
+	}
+	jsonl := trace.NewJSONL(tf)
+	opts.Sinks = append(opts.Sinks, jsonl)
+	res, err := scenario.Run(sc, opts)
+	if err == nil {
+		err = jsonl.Flush()
+	}
+	if cerr := tf.Close(); err == nil {
+		err = cerr
+	}
+	return res, err
 }
 
 // report prints the per-task timeliness summary for one run.

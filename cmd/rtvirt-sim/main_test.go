@@ -1,8 +1,15 @@
 package main
 
 import (
+	"bytes"
+	"errors"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"rtvirt/internal/scenario"
 )
 
 // TestValidate checks that the SVG window and worker count are rejected
@@ -39,5 +46,31 @@ func TestValidate(t *testing.T) {
 				t.Fatalf("error %q does not name %s", err, tc.wantErr)
 			}
 		})
+	}
+}
+
+// TestTraceOnlyAfterInput checks that -trace creates its JSONL file only
+// once the scenario has parsed: a missing scenario fails the run and leaves
+// no file behind, and a good scenario streams its events into one.
+func TestTraceOnlyAfterInput(t *testing.T) {
+	dir := t.TempDir()
+	out := filepath.Join(dir, "t.jsonl")
+	if _, err := runScenario(filepath.Join(dir, "missing.json"), out, scenario.Options{}); err == nil {
+		t.Fatal("missing scenario accepted")
+	}
+	if _, err := os.Stat(out); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("failed run left %s behind (stat: %v)", out, err)
+	}
+
+	res, err := runScenario("../../examples/scenarios/mixed.json", out, scenario.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lines := bytes.Count(b, []byte("\n")); uint64(lines) != res.Events.Total() {
+		t.Fatalf("trace holds %d lines, the run counted %d events", lines, res.Events.Total())
 	}
 }

@@ -85,3 +85,40 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 		}
 	})
 }
+
+// BenchmarkPickJob times one guest-level pick, asked of each VCPU in turn,
+// on a four-VCPU guest whose twelve periodic tasks have all released a
+// job: pEDF reads the asking VCPU's queue head, gEDF scans every VCPU's
+// queue for the earliest job not running elsewhere. queued is the number
+// of jobs the queues hold at the timed instant.
+func BenchmarkPickJob(b *testing.B) {
+	for _, mode := range []struct {
+		name string
+		gedf bool
+	}{{"pEDF", false}, {"gEDF", true}} {
+		b.Run(mode.name, func(b *testing.B) {
+			cfg := DefaultConfig()
+			cfg.GEDF = mode.gedf
+			s, _, g := setup(b, 2, 4, cfg)
+			for i := 0; i < 12; i++ {
+				tk := task.New(i, "t", task.Periodic, pp(int64(1+i%3), 40))
+				if err := g.Register(tk); err != nil {
+					b.Fatal(err)
+				}
+				s.After(0, func(now simtime.Time) { g.ReleaseJob(tk, 0) })
+			}
+			s.RunFor(simtime.Millis(1))
+			queued := 0
+			for _, vs := range g.vcpus {
+				queued += len(vs.ready.items)
+			}
+			now := s.Now()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				g.PickJob(g.vcpus[i%len(g.vcpus)].v, now)
+			}
+			b.ReportMetric(float64(queued), "queued")
+		})
+	}
+}

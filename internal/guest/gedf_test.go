@@ -11,7 +11,7 @@ import (
 
 // gedfSetup builds a host with the cross-layer test scheduler and a gEDF
 // guest with the given VCPU count.
-func gedfSetup(t *testing.T, pcpus, vcpus int) (*sim.Simulator, *hv.Host, *OS) {
+func gedfSetup(t testing.TB, pcpus, vcpus int) (*sim.Simulator, *hv.Host, *OS) {
 	t.Helper()
 	s := sim.New(11)
 	h := hv.NewHost(s, pcpus, &clSched{}, hv.CostModel{})

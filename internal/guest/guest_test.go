@@ -93,7 +93,7 @@ func (s *clSched) Schedule(p *hv.PCPU, now simtime.Time) hv.Decision {
 	return hv.Decision{RunFor: simtime.Infinite}
 }
 
-func setup(t *testing.T, pcpus, vcpus int, cfg Config) (*sim.Simulator, *hv.Host, *OS) {
+func setup(t testing.TB, pcpus, vcpus int, cfg Config) (*sim.Simulator, *hv.Host, *OS) {
 	t.Helper()
 	s := sim.New(7)
 	h := hv.NewHost(s, pcpus, &clSched{}, hv.CostModel{})

@@ -439,11 +439,20 @@ func (s *Scheduler) Schedule(p *hv.PCPU, now simtime.Time) hv.Decision {
 	work := 0
 	best := int32(-1)
 	bestPrio := prioOver + 1
-	bestPos := 0
+	bestNext := 0
 	hot := s.h.Hot()
 	pid := int32(p.ID)
+	// Removals can leave the cursor at or past n: reduce it once, then
+	// wrap each step with a compare.
+	j := 0
+	if n > 0 {
+		j = s.cursor % n
+	}
 	for i := 0; i < n; i++ {
-		id := s.vcpus[(s.cursor+i)%n]
+		id := s.vcpus[j]
+		if j++; j == n {
+			j = 0
+		}
 		work++
 		if hs := hot[id]; !hs.Runnable || (hs.PCPU >= 0 && hs.PCPU != pid) {
 			continue
@@ -451,7 +460,7 @@ func (s *Scheduler) Schedule(p *hv.PCPU, now simtime.Time) hv.Decision {
 		if pr := prio(&s.st[id]); pr < bestPrio && pr != prioParked {
 			bestPrio = pr
 			best = id
-			bestPos = i
+			bestNext = j
 			if pr == prioBoost {
 				break
 			}
@@ -460,7 +469,7 @@ func (s *Scheduler) Schedule(p *hv.PCPU, now simtime.Time) hv.Decision {
 	if best < 0 {
 		return hv.Decision{VCPU: nil, RunFor: simtime.Infinite, Work: work}
 	}
-	s.cursor = (s.cursor + bestPos + 1) % n
+	s.cursor = bestNext
 	st := &s.st[best]
 	st.runningOn = pid
 	st.lastAt = now

@@ -11,8 +11,8 @@
 // RTVirt's cross-layer twist is where the deadlines come from: each guest
 // publishes, per VCPU, the next earliest deadline of its RTAs through
 // shared memory, plus the worst-case activation period of its sporadic
-// RTAs. The host takes the minimum across all VCPUs as the next global
-// deadline, clamped below by the configured minimum global slice.
+// RTAs. The host takes the minimum across all real-time VCPUs as the next
+// global deadline, clamped below by the configured minimum global slice.
 //
 // Within a slice, execution is quota-based and work-conserving: each PCPU
 // serves its wrap-layout entries greedily in layout order. When every VCPU
@@ -92,10 +92,11 @@ type pcpuState struct {
 	// idx maps a VCPU ID to its entry's position in entries for the
 	// current slice, -1 otherwise (a VCPU holds at most one entry per
 	// PCPU: wrap placement is contiguous, and wrapPlace visits each PCPU
-	// once). Sized to the host's ID space and rebuilt per slice with the
-	// storage reused, it turns the per-decision entry searches (wake
-	// preemption, rescue scans, charge attribution) from linear sweeps
-	// into O(1) flat-array lookups.
+	// once). Sized to the host's ID space, it turns the per-decision entry
+	// searches (wake preemption, rescue scans, charge attribution) from
+	// linear sweeps into O(1) flat-array lookups. rebuild resets only the
+	// slots of the outgoing layout's entries, so a boundary costs the
+	// layout's size, not the ID space's.
 	idx []int32
 	// firstLive is the index of the first entry with quota left. Entries
 	// exhaust monotonically within a slice in wrap order, so Schedule can
@@ -130,7 +131,12 @@ type Scheduler struct {
 	id  int32 // typed-event handler ID
 
 	vcpus []*hv.VCPU // all VCPUs in admission order
-	pcpu  []*pcpuState
+	// rtv is the filter of vcpus that rebuild lays out: the RT VCPUs with
+	// a positive budget, in admission order. Membership changes only
+	// through admission, removal and reservation updates (refreshRT), so a
+	// slice boundary walks the real-time VCPUs alone.
+	rtv  []*hv.VCPU
+	pcpu []*pcpuState
 
 	sliceStart, sliceEnd simtime.Time
 	boundaryEv           eventq.Handle
@@ -260,10 +266,7 @@ func (s *Scheduler) armTaxWindow(now simtime.Time) {
 // over the window: factor = max(floor, usage/entitlement), smoothed 50/50
 // with the previous factor so a briefly idle VM is not squeezed instantly.
 func (s *Scheduler) settleTax(now simtime.Time) {
-	for _, v := range s.vcpus {
-		if !v.RT || v.Res.Budget <= 0 {
-			continue
-		}
+	for _, v := range s.rtv {
 		prev := *grow(&s.taxFactor, v.ID)
 		if prev == 0 {
 			prev = 1.0
@@ -339,8 +342,24 @@ func (s *Scheduler) AdmitVCPU(v *hv.VCPU) error {
 			hv.ErrAdmission, s.rtBandwidth(v, v.Res), s.capacity())
 	}
 	s.vcpus = append(s.vcpus, v)
+	s.refreshRT()
 	*grow(&s.carry, v.ID) = 0
 	return nil
+}
+
+// refreshRT recomputes rtv from vcpus, reusing its storage. Stale pointers
+// past the new length are cleared so a removed VCPU is not kept alive.
+func (s *Scheduler) refreshRT() {
+	old := len(s.rtv)
+	s.rtv = s.rtv[:0]
+	for _, v := range s.vcpus {
+		if v.RT && v.Res.Budget > 0 {
+			s.rtv = append(s.rtv, v)
+		}
+	}
+	if old > len(s.rtv) {
+		clear(s.rtv[len(s.rtv):old])
+	}
 }
 
 // RemoveVCPU implements hv.HostScheduler.
@@ -351,6 +370,7 @@ func (s *Scheduler) RemoveVCPU(v *hv.VCPU, now simtime.Time) {
 			break
 		}
 	}
+	s.refreshRT()
 	if v.ID < len(s.carry) {
 		s.carry[v.ID] = 0
 	}
@@ -379,6 +399,7 @@ func (s *Scheduler) UpdateVCPU(v *hv.VCPU, res hv.Reservation, now simtime.Time)
 	}
 	s.emitVerdict(v, res, now, true)
 	v.Res = res
+	s.refreshRT()
 	if s.started {
 		s.replanKick(now)
 	}
@@ -422,34 +443,6 @@ func (s *Scheduler) HandleHypercall(hc hv.Hypercall, now simtime.Time) error {
 	}
 }
 
-// nextGlobalDeadline computes the next global deadline after t0 from the
-// shared-memory words of every VCPU (§3.3): published next deadlines plus
-// the sporadic worst-case floors, clamped into [MinSlice, MaxSlice].
-func (s *Scheduler) nextGlobalDeadline(t0 simtime.Time) simtime.Time {
-	d := simtime.Never
-	for _, v := range s.vcpus {
-		if !v.RT || v.Res.Budget <= 0 {
-			continue
-		}
-		if slot := v.DeadlineSlot; slot > t0 && slot < d {
-			d = slot
-		}
-		if f := v.SporadicFloor; f > 0 {
-			if wc := t0.Add(f); wc < d {
-				d = wc
-			}
-		}
-	}
-	lo, hi := t0.Add(s.cfg.MinSlice), t0.Add(s.cfg.MaxSlice)
-	if d < lo {
-		d = lo
-	}
-	if d > hi {
-		d = hi
-	}
-	return d
-}
-
 // replanKick rebuilds the plan and re-dispatches every PCPU. Never call it
 // from inside Schedule (the kernel dispatch loop is not re-entrant).
 func (s *Scheduler) replanKick(now simtime.Time) {
@@ -464,31 +457,28 @@ func (s *Scheduler) replanKick(now simtime.Time) {
 // layout. It does not kick the PCPUs.
 func (s *Scheduler) rebuild(now simtime.Time) {
 	// Charge outstanding run time to the old entries before truncating;
-	// the entries' backing arrays are reused by the new layout.
+	// the entries' backing arrays are reused by the new layout, and their
+	// idx slots are the only ones not -1.
 	for _, ps := range s.pcpu {
 		s.chargeRun(ps, now)
+		for i := range ps.entries {
+			ps.idx[ps.entries[i].v.ID] = -1
+		}
 		ps.entries = ps.entries[:0]
 		ps.lastEntry = -1
 	}
 	s.h.Sim.Cancel(s.boundaryEv)
 	s.boundaryEv = eventq.Handle{}
 
-	deadline := s.nextGlobalDeadline(now)
-	slice := deadline.Sub(now)
-	s.sliceStart, s.sliceEnd = now, deadline
-	s.Boundaries++
-	s.SlicesTotal += slice
-
-	// Sort RT VCPUs by effective next deadline (earliest first) so urgent
-	// VCPUs sit early in the wrap layout; the sporadic worst-case floor
-	// counts as a deadline just like in nextGlobalDeadline, so a
+	// One pass over the RT VCPUs yields each one's effective next deadline
+	// — its published slot, or the sporadic worst-case floor if sooner —
+	// and their minimum, the next global deadline (§3.3). Sorting by it
+	// (earliest first) puts urgent VCPUs early in the wrap layout, so a
 	// latency-sensitive sporadic VCPU (e.g. memcached) is served at the
 	// front of each slice. Ties break on ID for determinism.
+	deadline := simtime.Never
 	rt := s.rt[:0]
-	for _, v := range s.vcpus {
-		if !v.RT || v.Res.Budget <= 0 {
-			continue
-		}
+	for _, v := range s.rtv {
 		d := simtime.Never
 		if slot := v.DeadlineSlot; slot > now {
 			d = slot
@@ -499,9 +489,16 @@ func (s *Scheduler) rebuild(now simtime.Time) {
 			}
 		}
 		rt = append(rt, rtVCPU{v: v, key: d})
+		deadline = min(deadline, d)
 	}
 	slices.SortFunc(rt, cmpRT)
 	s.rt = rt
+	deadline = min(max(deadline, now.Add(s.cfg.MinSlice)), now.Add(s.cfg.MaxSlice))
+
+	slice := deadline.Sub(now)
+	s.sliceStart, s.sliceEnd = now, deadline
+	s.Boundaries++
+	s.SlicesTotal += slice
 
 	// Model the O(log n) + O(n) boundary work (§4.5) on PCPU 0.
 	n := len(rt)
@@ -595,16 +592,14 @@ func (s *Scheduler) rebuild(now simtime.Time) {
 	// scratch until a later rebuild overwrites its slot.
 	clear(rt)
 
-	// Reindex the new layout. Positions are final only here: wrapPlace may
-	// have prepended continuation fragments. The ID-indexed slice is reused
-	// and re-filled with -1.
+	// Index the new layout. Positions are final only here: wrapPlace may
+	// have prepended continuation fragments. The ID-indexed slice is reused:
+	// the outgoing entries' slots were reset above, and it only grows when
+	// the host has handed out new IDs.
 	ids := s.h.NumIDs()
 	for _, ps := range s.pcpu {
 		for len(ps.idx) < ids {
 			ps.idx = append(ps.idx, -1)
-		}
-		for i := range ps.idx {
-			ps.idx[i] = -1
 		}
 		for i := range ps.entries {
 			ps.idx[ps.entries[i].v.ID] = int32(i)
@@ -940,14 +935,20 @@ func (s *Scheduler) pickBackground(p *hv.PCPU, work *int) *hv.VCPU {
 	ps := s.pcpu[p.ID]
 	hot := s.h.Hot()
 	pid := int32(p.ID)
+	// Removals can leave the cursor at or past n: reduce it once, then
+	// wrap each step with a compare.
+	j := ps.bgCursor % n
 	for i := 0; i < n; i++ {
-		v := s.vcpus[(ps.bgCursor+i)%n]
+		v := s.vcpus[j]
+		if j++; j == n {
+			j = 0
+		}
 		*work++
 		if s.cfg.NonWorkConserving && v.RT && v.Res.Budget > 0 {
 			continue // pure DP-WRAP: no leftover for reserved VCPUs
 		}
 		if hs := &hot[v.ID]; hs.Runnable && (hs.PCPU < 0 || hs.PCPU == pid) {
-			ps.bgCursor = (ps.bgCursor + i + 1) % n
+			ps.bgCursor = j
 			return v
 		}
 	}

@@ -13,8 +13,9 @@ import (
 // idle-tax state, and the pending boundary/tax timers. With the hot state
 // in flat value slices, most of the fork is plain slice copies — only the
 // VCPU pointers inside entries and the admission-order list need remapping
-// through ctx. rebuild's scratch (rt, pinnedFill) holds nothing between
-// slices, so the fork is left with none and grows its own.
+// through ctx; rtv is recomputed from the remapped list. rebuild's scratch
+// (rt, pinnedFill) holds nothing between slices, so the fork is left with
+// none and grows its own.
 func (s *Scheduler) ForkHandler(ctx *clone.Ctx) sim.Handler {
 	if n, ok := ctx.Lookup(s); ok {
 		return n.(*Scheduler)
@@ -38,6 +39,7 @@ func (s *Scheduler) ForkHandler(ctx *clone.Ctx) sim.Handler {
 	for i, v := range s.vcpus {
 		ns.vcpus[i] = clone.Get(ctx, v)
 	}
+	ns.refreshRT()
 	ns.carry = append([]int64(nil), s.carry...)
 	ns.taxFactor = append([]float64(nil), s.taxFactor...)
 	ns.windowUse = append([]simtime.Duration(nil), s.windowUse...)

@@ -412,15 +412,29 @@ func (s *Scheduler) pickBackground(p *hv.PCPU, work *int) *hv.VCPU {
 	if n == 0 {
 		return nil
 	}
+	if len(s.runq.v) == n {
+		// Every host VCPU is a queued server (the queue holds only host
+		// VCPUs), so the scan would examine and skip all n: charge it
+		// without walking.
+		*work += n
+		return nil
+	}
 	hot := s.h.Hot()
+	pid := int32(p.ID)
+	// Removals can leave the cursor at or past n: reduce it once, then
+	// wrap each step with a compare.
+	j := s.bgCursor % n
 	for i := 0; i < n; i++ {
-		v := all[(s.bgCursor+i)%n]
+		v := all[j]
+		if j++; j == n {
+			j = 0
+		}
 		*work++
 		if s.isServer(v) {
 			continue
 		}
-		if hs := hot[v.ID]; hs.Runnable && (hs.PCPU < 0 || hs.PCPU == int32(p.ID)) {
-			s.bgCursor = (s.bgCursor + i + 1) % n
+		if hs := hot[v.ID]; hs.Runnable && (hs.PCPU < 0 || hs.PCPU == pid) {
+			s.bgCursor = j
 			return v
 		}
 	}

@@ -1,6 +1,10 @@
 package rtxen
 
-import "rtvirt/internal/hv"
+import (
+	"sort"
+
+	"rtvirt/internal/hv"
+)
 
 // runq is the global runqueue as RT-Xen publishes it: a list of VCPU IDs
 // kept sorted by (deadline, ID). Every admitted RT VCPU with budget appears
@@ -48,20 +52,31 @@ func (r *runq) Remove(srv []serverState, id int32) {
 	srv[id].pos = -1
 }
 
-// Fix restores sorted order after id's deadline changed, shifting the
-// members between its old and new slot by one.
+// Fix restores sorted order after id's deadline changed. The rest of the
+// list is still sorted, so the new slot is found by binary search on the
+// side id moved toward; the members in between shift by one in a single
+// copy, and only their positions are rewritten.
 func (r *runq) Fix(srv []serverState, id int32) {
 	i := int(srv[id].pos)
-	for ; i > 0 && rqLess(srv, id, r.v[i-1]); i-- {
-		r.v[i] = r.v[i-1]
-		srv[r.v[i]].pos = int32(i)
+	v := r.v
+	switch {
+	case i > 0 && rqLess(srv, id, v[i-1]):
+		// Earlier: the first member of v[:i] that id precedes.
+		j := sort.Search(i, func(k int) bool { return rqLess(srv, id, v[k]) })
+		copy(v[j+1:i+1], v[j:i])
+		v[j] = id
+		for k := j; k <= i; k++ {
+			srv[v[k]].pos = int32(k)
+		}
+	case i+1 < len(v) && rqLess(srv, v[i+1], id):
+		// Later: the last member of v[i+1:] that precedes id.
+		j := i + sort.Search(len(v)-i-1, func(k int) bool { return !rqLess(srv, v[i+1+k], id) })
+		copy(v[i:j], v[i+1:j+1])
+		v[j] = id
+		for k := i; k <= j; k++ {
+			srv[v[k]].pos = int32(k)
+		}
 	}
-	for ; i+1 < len(r.v) && rqLess(srv, r.v[i+1], id); i++ {
-		r.v[i] = r.v[i+1]
-		srv[r.v[i]].pos = int32(i)
-	}
-	r.v[i] = id
-	srv[id].pos = int32(i)
 }
 
 // pickEDF scans the list in order and returns the first server that has
