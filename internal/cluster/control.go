@@ -136,7 +136,7 @@ func (c *Sharded) forward(d *ShardedDeployment, from, to int) {
 	if from == to {
 		return
 	}
-	c.Hosts[from].agent.fwd[d.id] = int32(to)
+	c.Hosts[from].agent.setForward(d.id, int32(to))
 	if slices.ContainsFunc(c.clients, func(cl *RemoteClient) bool { return cl.dep == d }) {
 		c.narrowEdge(from, to, c.hopDelay(from, to))
 	}
@@ -225,7 +225,7 @@ func (c *Sharded) FailHost(h *ShardHost) []*ShardedDeployment {
 			c.send(d, i, cs[0], now.Add(c.Cfg.RecoveryDelay), true)
 		} else {
 			d.pending = true
-			delete(h.agent.fwd, d.id)
+			h.agent.setForward(d.id, -1)
 		}
 	}
 	return affected

@@ -187,11 +187,12 @@ type hostAgent struct {
 	host int
 	id   int32
 
-	// resident marks deployments currently served by this host.
-	resident map[int32]struct{}
-	// fwd maps a departed deployment to the host it migrated to, so late
-	// requests chase it with one extra hop per move.
-	fwd map[int32]int32
+	// resident[id] marks deployment id as currently served by this host.
+	resident []bool
+	// fwd[id] is the host deployment id migrated to from here, so late
+	// requests chase it with one extra hop per move; -1 when it has none.
+	// Both slices are indexed by deployment ID and grow on write.
+	fwd []int32
 
 	Stats AgentStats
 }
@@ -350,8 +351,7 @@ func NewSharded(cfg ShardedConfig) *Sharded {
 			Name:  fmt.Sprintf("host%d", i),
 			Shard: sh,
 			Sys:   core.NewSystem(sysCfg),
-			agent: &hostAgent{c: c, host: i,
-				resident: map[int32]struct{}{}, fwd: map[int32]int32{}},
+			agent: &hostAgent{c: c, host: i},
 		}
 		h.agent.id = sh.Sim().RegisterHandler(h.agent)
 		c.Hosts = append(c.Hosts, h)
@@ -416,7 +416,7 @@ func (c *Sharded) admit(d *ShardedDeployment, host int) error {
 		c.undeploy(d)
 		return fmt.Errorf("%w: host%d's free bandwidth is promised to handoffs in flight", ErrNoHostFits, host)
 	}
-	c.Hosts[host].agent.resident[d.id] = struct{}{}
+	c.Hosts[host].agent.setResident(d.id, true)
 	c.deps = append(c.deps, d)
 	c.byName[d.Spec.Name] = d
 	if c.started {
@@ -488,7 +488,7 @@ func (c *Sharded) undeploy(d *ShardedDeployment) {
 func (c *Sharded) teardown(d *ShardedDeployment, now simtime.Time) {
 	d.charged = d.guest.AllocatedBandwidth()
 	c.undeploy(d)
-	delete(c.Hosts[d.hostIdx].agent.resident, d.id)
+	c.Hosts[d.hostIdx].agent.setResident(d.id, false)
 	d.darkSince = now
 }
 
@@ -499,8 +499,8 @@ func (c *Sharded) land(d *ShardedDeployment, host int, now simtime.Time) error {
 		return err
 	}
 	a := c.Hosts[host].agent
-	a.resident[d.id] = struct{}{}
-	delete(a.fwd, d.id)
+	a.setResident(d.id, true)
+	a.setForward(d.id, -1)
 	d.BlackoutTotal += now.Sub(d.darkSince)
 	c.startTasks(d, now)
 	return nil
@@ -696,10 +696,39 @@ func (a *hostAgent) HandleSimEvent(now simtime.Time, ev sim.Payload) {
 	}
 }
 
+// isResident reports whether deployment id is served by this host.
+func (a *hostAgent) isResident(id int32) bool {
+	return int(id) < len(a.resident) && a.resident[id]
+}
+
+// setResident marks or clears deployment id as served by this host.
+func (a *hostAgent) setResident(id int32, here bool) {
+	for int(id) >= len(a.resident) {
+		a.resident = append(a.resident, false)
+	}
+	a.resident[id] = here
+}
+
+// forward reports the host deployment id moved to from here, or -1.
+func (a *hostAgent) forward(id int32) int32 {
+	if int(id) < len(a.fwd) {
+		return a.fwd[id]
+	}
+	return -1
+}
+
+// setForward points deployment id's late requests at host to (-1: none).
+func (a *hostAgent) setForward(id, to int32) {
+	for int(id) >= len(a.fwd) {
+		a.fwd = append(a.fwd, -1)
+	}
+	a.fwd[id] = to
+}
+
 // request delivers (or forwards, or drops) one remote request.
 func (a *hostAgent) request(now simtime.Time, ev sim.Payload) {
 	d := a.c.deps[ev.Owner]
-	if _, here := a.resident[d.id]; here {
+	if a.isResident(d.id) {
 		t := d.tasks[ev.Arg1]
 		if t.Kind == task.Sporadic && t.EarliestNextRelease() > now {
 			a.Stats.Throttled++
@@ -709,7 +738,7 @@ func (a *hostAgent) request(now simtime.Time, ev sim.Payload) {
 		a.Stats.Delivered++
 		return
 	}
-	if tgt, ok := a.fwd[d.id]; ok {
+	if tgt := a.forward(d.id); tgt >= 0 {
 		// The VM moved: chase it with one more network hop at the pair's
 		// link delay. The payload is re-addressed verbatim, so demand and
 		// task index survive.
@@ -730,14 +759,14 @@ func (a *hostAgent) request(now simtime.Time, ev sim.Payload) {
 func (a *hostAgent) migrateOut(now simtime.Time, ev sim.Payload) {
 	d := a.c.deps[ev.Owner]
 	target := int(ev.Arg0)
-	if _, here := a.resident[d.id]; !here || target == a.host || a.c.Hosts[target].failed {
+	if !a.isResident(d.id) || target == a.host || a.c.Hosts[target].failed {
 		a.Stats.SkippedMigrations++
 		return
 	}
 	a.c.teardown(d, now)
 	d.migrating = true
 	d.hostIdx = target
-	a.fwd[d.id] = int32(target)
+	a.setForward(d.id, int32(target))
 	a.c.Hosts[a.host].Shard.PostRemote(a.c.Hosts[target].Shard,
 		now.Add(a.c.migrationDowntime(d)), a.c.migIn(d, target, false))
 }
@@ -754,7 +783,7 @@ func (a *hostAgent) migrateIn(now simtime.Time, ev sim.Payload) {
 	if err := a.c.land(d, a.host, now); err != nil {
 		a.Stats.FailedDeploys++
 		d.pending = true
-		delete(a.fwd, d.id) // a stale forward would bounce requests back
+		a.setForward(d.id, -1) // a stale forward would bounce requests back
 		return
 	}
 	if ev.Arg1 != 0 {

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"slices"
+
 	"rtvirt/internal/clone"
 	"rtvirt/internal/guest"
 	"rtvirt/internal/metrics"
@@ -57,7 +59,7 @@ func (c *Sharded) Fork() (*Sharded, *clone.Ctx, error) {
 }
 
 // ForkHandler implements sim.Handler. Agents only reference host-local
-// maps and the cluster wrapper (already memoized by Fork), so the clone
+// state and the cluster wrapper (already memoized by Fork), so the clone
 // is self-contained whichever sim forks first.
 func (a *hostAgent) ForkHandler(ctx *clone.Ctx) sim.Handler {
 	if n, ok := ctx.Lookup(a); ok {
@@ -68,16 +70,10 @@ func (a *hostAgent) ForkHandler(ctx *clone.Ctx) sim.Handler {
 		host:     a.host,
 		id:       a.id,
 		Stats:    a.Stats,
-		resident: make(map[int32]struct{}, len(a.resident)),
-		fwd:      make(map[int32]int32, len(a.fwd)),
+		resident: slices.Clone(a.resident),
+		fwd:      slices.Clone(a.fwd),
 	}
 	ctx.Put(a, na)
-	for id := range a.resident {
-		na.resident[id] = struct{}{}
-	}
-	for id, to := range a.fwd {
-		na.fwd[id] = to
-	}
 	return na
 }
 

@@ -15,8 +15,12 @@ import (
 // mallocsDuring counts the heap allocations run makes. It first returns
 // free memory to the OS, so the runtime's background scavenger has no
 // work to schedule meanwhile (arming its timer can grow a timer heap,
-// which would be counted as the simulation's).
+// which would be counted as the simulation's). Like testing.AllocsPerRun,
+// it measures with one P: restarting the world after ReadMemStats can
+// otherwise wake the idle P on a new OS thread, whose m and g0 records
+// are five heap objects that would be counted as the simulation's too.
 func mallocsDuring(run func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var before, after runtime.MemStats
 	debug.FreeOSMemory()
 	runtime.ReadMemStats(&before)

@@ -32,9 +32,8 @@ func (g *OS) cloneOS(ctx *clone.Ctx) *OS {
 		host:      clone.Get(ctx, g.host),
 		sim:       clone.Get(ctx, g.sim),
 		handlerID: g.handlerID,
-		nextOwner: g.nextOwner,
 		tasks:     make(map[*task.Task]*taskState, len(g.tasks)),
-		byOwner:   make(map[int32]*taskState, len(g.byOwner)),
+		byOwner:   make([]*taskState, len(g.byOwner)),
 	}
 	ctx.Put(g, ng)
 	// After ctx.Put so the VM's Guest.ForkDriver recursion memo-hits us.

@@ -578,3 +578,52 @@ func TestSetAttrTriggersReshuffle(t *testing.T) {
 		t.Fatalf("failed SetAttr changed reservations: %g", total)
 	}
 }
+
+// TestReleaseJobNeedsRegistration pins ReleaseJob's registration check,
+// which finds the task through the owner ID the task carries: a task
+// never registered, registered only with another guest, or unregistered
+// again panics, and a task registered with two guests releases on each.
+func TestReleaseJobNeedsRegistration(t *testing.T) {
+	_, h, g := setup(t, 2, 1, DefaultConfig())
+	other, err := NewOS(h, "vm1", DefaultConfig(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustPanic := func(what string, g *OS, tk *task.Task) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("ReleaseJob on a task %s did not panic", what)
+			}
+		}()
+		g.ReleaseJob(tk, 0)
+	}
+	never := task.New(0, "never", task.Sporadic, pp(1, 50))
+	mustPanic("never registered", g, never)
+	elsewhere := task.New(1, "elsewhere", task.Sporadic, pp(1, 50))
+	if err := other.Register(elsewhere); err != nil {
+		t.Fatal(err)
+	}
+	mustPanic("registered with another guest", g, elsewhere)
+	both := task.New(2, "both", task.Sporadic, pp(1, 50))
+	if err := g.Register(both); err != nil {
+		t.Fatal(err)
+	}
+	if err := other.Register(both); err != nil {
+		t.Fatal(err)
+	}
+	if j := g.ReleaseJob(both, 0); j == nil || j.Task != both {
+		t.Fatalf("release on the first of two guests returned %+v", j)
+	}
+	if err := other.Unregister(both); err != nil {
+		t.Fatal(err)
+	}
+	mustPanic("unregistered from the guest", other, both)
+	if j := g.ReleaseJob(both, 0); j == nil {
+		t.Fatal("release after leaving the other guest returned no job")
+	}
+	if err := g.Unregister(both); err != nil {
+		t.Fatal(err)
+	}
+	mustPanic("unregistered from every guest", g, both)
+}

@@ -88,9 +88,10 @@ type OS struct {
 	// everything downstream of it, such as Shutdown's unregister sequence —
 	// is deterministic (map iteration is not).
 	order []*taskState
-	// byOwner resolves the Owner field of typed events back to the task.
-	byOwner   map[int32]*taskState
-	nextOwner int32
+	// byOwner resolves the Owner field of typed events back to the task:
+	// owner IDs are dense and never reused, and a departed task's entry
+	// is nil.
+	byOwner []*taskState
 	// free pools completed jobs for ReleaseJob; it grows to the peak live count.
 	free []*task.Job
 }
@@ -133,7 +134,7 @@ func NewOS(host *hv.Host, name string, cfg Config, nVCPUs int) (*OS, error) {
 		cfg.VCPUCapacity = 1.0
 	}
 	g := &OS{cfg: cfg, host: host, sim: host.Sim,
-		tasks: map[*task.Task]*taskState{}, byOwner: map[int32]*taskState{}}
+		tasks: map[*task.Task]*taskState{}}
 	g.handlerID = host.Sim.RegisterHandler(g)
 	g.vm = host.NewVM(name, g)
 	for i := 0; i < nVCPUs; i++ {
@@ -189,16 +190,16 @@ func (g *OS) Tasks() []*task.Task {
 // track records a freshly admitted task: assigns its owner ID (the stable
 // handle typed kernel events use to reach it) and indexes it.
 func (g *OS) track(ts *taskState) {
-	ts.owner = g.nextOwner
-	g.nextOwner++
+	ts.owner = int32(len(g.byOwner))
+	ts.t.GuestSlot = ts.owner
 	g.tasks[ts.t] = ts
-	g.byOwner[ts.owner] = ts
+	g.byOwner = append(g.byOwner, ts)
 	g.order = append(g.order, ts)
 }
 
 func (g *OS) untrack(ts *taskState) {
 	delete(g.tasks, ts.t)
-	delete(g.byOwner, ts.owner)
+	g.byOwner[ts.owner] = nil
 	for i, x := range g.order {
 		if x == ts {
 			g.order = append(g.order[:i], g.order[i+1:]...)
@@ -442,9 +443,15 @@ func (g *OS) SetDemandFn(t *task.Task, fn func() simtime.Duration) {
 // record: the pointer is valid until the job's completion has been
 // handled, after which JobCompleted zeroes it for reuse (see task.Job).
 func (g *OS) ReleaseJob(t *task.Task, demand simtime.Duration) *task.Job {
-	ts, ok := g.tasks[t]
-	if !ok {
-		panic("guest: ReleaseJob on unregistered task")
+	var ts *taskState
+	if o := uint(t.GuestSlot); o < uint(len(g.byOwner)) {
+		ts = g.byOwner[o]
+	}
+	if ts == nil || ts.t != t {
+		// Not registered here, or registered with another guest since.
+		if ts = g.tasks[t]; ts == nil {
+			panic("guest: ReleaseJob on unregistered task")
+		}
 	}
 	if demand <= 0 {
 		if ts.demandFn != nil {
@@ -520,7 +527,7 @@ func (g *OS) StartPeriodic(t *task.Task, start simtime.Time) {
 func (g *OS) HandleSimEvent(now simtime.Time, ev sim.Payload) {
 	switch ev.Kind {
 	case evPeriodicTick:
-		if ts, ok := g.byOwner[ev.Owner]; ok {
+		if ts := g.byOwner[ev.Owner]; ts != nil {
 			g.periodicTick(ts, now)
 		}
 	default:
@@ -530,9 +537,6 @@ func (g *OS) HandleSimEvent(now simtime.Time, ev sim.Payload) {
 
 func (g *OS) periodicTick(ts *taskState, now simtime.Time) {
 	ts.releaseEv = eventq.Handle{}
-	if g.tasks[ts.t] != ts {
-		return // unregistered meanwhile
-	}
 	// Arm the next tick before releasing so the deadline publication that
 	// happens inside ReleaseJob sees a fresh next-release time.
 	ts.nextRelease = now.Add(ts.t.Params().Period)

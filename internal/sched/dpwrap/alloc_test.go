@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"testing"
 
+	"rtvirt/internal/clone"
+	"rtvirt/internal/eventq"
 	"rtvirt/internal/guest"
 	"rtvirt/internal/hv"
 	"rtvirt/internal/sim"
@@ -76,16 +78,47 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 }
 
 // BenchmarkRebuild times one global-slice rebuild (sort, wrap layout,
-// reindex) on the Figure 5a RTVirt host.
+// reindex, boundary post) on the Figure 5a RTVirt host with no boundary
+// event pending, as the boundary handler runs it once its event has
+// fired. Each rebuild posts a boundary, so the ops rotate over
+// rebuildForks forks of the warm host, and the posted boundaries are
+// cancelled outside the timer once per round.
 func BenchmarkRebuild(b *testing.B) {
 	s, _, sched := fig5aHost(b, simtime.Seconds(1))
 	now := s.Now()
+	forks := make([]*Scheduler, rebuildForks)
+	for i := range forks {
+		ctx := clone.New()
+		if _, err := s.Fork(ctx); err != nil {
+			b.Fatal(err)
+		}
+		forks[i] = clone.Get(ctx, sched)
+		forks[i].rebuild(now) // a fork starts with no rebuild scratch
+	}
+	settle := func() {
+		for _, f := range forks {
+			f.h.Sim.Cancel(f.boundaryEv)
+			f.boundaryEv = eventq.Handle{}
+		}
+	}
+	settle()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sched.rebuild(now)
+		k := i % len(forks)
+		if k == 0 && i > 0 {
+			b.StopTimer()
+			settle()
+			b.StartTimer()
+		}
+		forks[k].rebuild(now)
 	}
 }
+
+// rebuildForks is how many forks BenchmarkRebuild rotates over: each
+// timer stop perturbs the ops after it, so a round must be long, and each
+// fork is a whole host, so the rotation must stay small.
+const rebuildForks = 64
 
 // BenchmarkSchedule times one DP-WRAP pick on the Figure 5a RTVirt host,
 // alternating its two PCPUs; work/op is the modeled scan length the pick

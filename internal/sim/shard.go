@@ -3,7 +3,6 @@ package sim
 import (
 	"cmp"
 	"fmt"
-	"maps"
 	"slices"
 
 	"rtvirt/internal/clone"
@@ -92,6 +91,9 @@ type Shard struct {
 	// (and hence the fresh seqs assigned in the target queue) independent
 	// of executor grouping.
 	edgeSeq []uint64
+	// edgeL[to] is the declared lookahead of the (this shard → to) edge,
+	// or 0 if there is none.
+	edgeL []simtime.Duration
 }
 
 // remoteMsg is one buffered cross-shard message.
@@ -127,8 +129,6 @@ func satAddDur(a, b simtime.Duration) simtime.Duration {
 // their windowed execution.
 type ShardSet struct {
 	shards []*Shard
-	// edges maps edgeKey(from, to) to that edge's lookahead.
-	edges map[uint64]simtime.Duration
 
 	windows uint64
 	inRun   bool
@@ -151,11 +151,6 @@ type ShardSet struct {
 	inbox     [][]remoteMsg // drain scratch, indexed by target shard ID
 	curEnd    simtime.Time
 	curGroups int
-}
-
-// edgeKey packs a directed shard pair into the edges map key.
-func edgeKey(from, to int) uint64 {
-	return uint64(uint32(from))<<32 | uint64(uint32(to))
 }
 
 // NewShardSet creates an empty shard set with no edges: until
@@ -182,16 +177,16 @@ func (ss *ShardSet) SetEdgeLookahead(from, to int, d simtime.Duration) {
 	if from == to {
 		panic(fmt.Sprintf("sim: SetEdgeLookahead self-edge %d->%d (local work uses PostAt and needs no lookahead)", from, to))
 	}
-	if ss.edges == nil {
-		ss.edges = make(map[uint64]simtime.Duration)
-	}
-	ss.edges[edgeKey(from, to)] = d
+	ss.shards[from].edgeL[to] = d
 }
 
 // EdgeLookahead reports the lookahead PostRemote enforces on from→to: the
 // declared value, or 0 if the edge does not exist.
 func (ss *ShardSet) EdgeLookahead(from, to int) simtime.Duration {
-	return ss.edges[edgeKey(from, to)]
+	if from < 0 || from >= len(ss.shards) || to < 0 || to >= len(ss.shards) {
+		return 0
+	}
+	return ss.shards[from].edgeL[to]
 }
 
 // NewShard adds a shard running on a fresh Simulator seeded with seed.
@@ -206,6 +201,7 @@ func (ss *ShardSet) NewShard(seed uint64) *Shard {
 	for _, s := range ss.shards {
 		for len(s.edgeSeq) < len(ss.shards) {
 			s.edgeSeq = append(s.edgeSeq, 0)
+			s.edgeL = append(s.edgeL, 0)
 		}
 	}
 	return sh
@@ -265,8 +261,8 @@ func (sh *Shard) PostRemote(to *Shard, at simtime.Time, p Payload) {
 	if to == sh {
 		panic("sim: PostRemote to own shard (use PostAt)")
 	}
-	l, ok := sh.set.edges[edgeKey(sh.id, to.id)]
-	if !ok {
+	l := sh.edgeL[to.id]
+	if l == 0 {
 		panic(fmt.Sprintf("sim: PostRemote on undeclared edge %d->%d (declare its lookahead with SetEdgeLookahead)",
 			sh.id, to.id))
 	}
@@ -367,10 +363,11 @@ func (ss *ShardSet) sealTopology() {
 	for i := range d {
 		d[i] = simtime.Infinite
 	}
-	for k, l := range ss.edges {
-		from, to := int(k>>32), int(uint32(k))
-		if l < d[from*n+to] {
-			d[from*n+to] = l
+	for from, sh := range ss.shards {
+		for to, l := range sh.edgeL {
+			if l > 0 {
+				d[from*n+to] = l
+			}
 		}
 	}
 	for k := 0; k < n; k++ {
@@ -583,7 +580,7 @@ func (ss *ShardSet) Fork(ctx *clone.Ctx) (*ShardSet, error) {
 	if ss.inRun {
 		panic("sim: Fork during RunUntil")
 	}
-	nss := &ShardSet{edges: maps.Clone(ss.edges), windows: ss.windows}
+	nss := &ShardSet{windows: ss.windows}
 	ctx.Put(ss, nss)
 	nss.shards = make([]*Shard, len(ss.shards))
 	for i, sh := range ss.shards {
@@ -591,6 +588,7 @@ func (ss *ShardSet) Fork(ctx *clone.Ctx) (*ShardSet, error) {
 			id:      sh.id,
 			set:     nss,
 			edgeSeq: append([]uint64(nil), sh.edgeSeq...),
+			edgeL:   append([]simtime.Duration(nil), sh.edgeL...),
 		}
 		if len(sh.outbox) > 0 {
 			nsh.outbox = append([]remoteMsg(nil), sh.outbox...)

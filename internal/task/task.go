@@ -111,6 +111,11 @@ type Task struct {
 	// important RTAs are less likely to miss.
 	Priority int
 
+	// GuestSlot is the task's owner ID in the guest OS it was last
+	// registered with, kept there by that guest so its release path finds
+	// the task without a lookup. Nothing else reads it.
+	GuestSlot int32
+
 	// OnJobDone, if set, is invoked whenever a job completes or is
 	// abandoned; workloads use it to record latencies. j is valid only
 	// for the duration of the call: once a completion has been handled
