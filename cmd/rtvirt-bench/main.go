@@ -351,11 +351,8 @@ func runBisect(seed uint64, secs int64) {
 			return sys
 		}
 	}
-	res, err := rtvirt.Bisect(build(rtvirt.StackRTXen), build(rtvirt.StackTwoLevelEDF),
+	res := rtvirt.Bisect(build(rtvirt.StackRTXen), build(rtvirt.StackTwoLevelEDF),
 		horizon, 100*rtvirt.Microsecond)
-	if err != nil {
-		log.Fatal(err)
-	}
 	fmt.Println("Bisect — deferrable (rt-xen) vs polling (two-level-edf) servers, same workload")
 	fmt.Println(res.Render())
 }

@@ -10,9 +10,9 @@ import (
 
 // DispatchDigest folds the dispatch stream into an FNV-1a hash over the
 // fields two runs of the same world must agree on — when, which PCPU,
-// which virtual CPU. It mirrors the digest experiments.Bisect probes
-// with, so a mismatch found here can be handed to the bisector to pin the
-// first divergent dispatch.
+// which virtual CPU. experiments.Bisect probes with it too, so a mismatch
+// found here can be handed to the bisector to pin the first divergent
+// dispatch.
 type DispatchDigest struct {
 	hash uint64
 	n    int
@@ -55,17 +55,15 @@ func (d *DispatchDigest) Equal(o *DispatchDigest) bool {
 
 // ForkIdentity is the fork bit-identity oracle: it forks sys at its
 // current instant, runs the original and the fork for span each, and
-// compares their dispatch streams, which PR-4's state model guarantees to
-// be identical. The fork starts with a fresh disabled bus, so only the
-// digest attached here observes it; the original keeps its existing sinks
-// (any armed Suite continues auditing the remainder of the run). Returns
-// a Violation on divergence, nil when identical; the error reports a
-// fork that could not be taken (pending closure events).
-func ForkIdentity(sys *core.System, span simtime.Duration) (*Violation, error) {
-	forked, _, err := sys.Fork()
-	if err != nil {
-		return nil, fmt.Errorf("check: fork identity: %w", err)
-	}
+// compares their dispatch streams, which the state model guarantees to be
+// identical: every pending event is a typed payload and every piece of
+// layer state, a task's demand override included, is forked. The fork
+// starts with a fresh disabled bus, so only the digest attached here
+// observes it; the original keeps its existing sinks (any armed Suite
+// continues auditing the remainder of the run). Returns a Violation on
+// divergence, nil when identical.
+func ForkIdentity(sys *core.System, span simtime.Duration) *Violation {
+	forked, _ := sys.Fork()
 	at := sys.Sim.Now()
 	orig, twin := NewDispatchDigest(), NewDispatchDigest()
 	sys.Host.TraceTo(orig)
@@ -78,9 +76,9 @@ func ForkIdentity(sys *core.System, span simtime.Duration) (*Violation, error) {
 			Oracle: "fork-identity",
 			Detail: fmt.Sprintf("fork at %v diverged over %v: original %d dispatches (digest %016x), fork %d (digest %016x)",
 				at, span, orig.Events(), orig.Sum(), twin.Events(), twin.Sum()),
-		}, nil
+		}
 	}
-	return nil, nil
+	return nil
 }
 
 var _ trace.Sink = (*DispatchDigest)(nil)

@@ -223,7 +223,7 @@ func buildTwoServerRTXen(t *testing.T) *core.System {
 			t.Fatal(err)
 		}
 		tk := newBackgroundTask(t, g)
-		sys.Sim.At(0, func(simtime.Time) { g.ReleaseJob(tk, simtime.Duration(1<<60)) })
+		g.ReleaseAt(tk, 0, simtime.Duration(1<<60))
 	}
 	return sys
 }

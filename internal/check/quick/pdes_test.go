@@ -6,13 +6,14 @@ import (
 	"testing"
 
 	"rtvirt/internal/core"
+	"rtvirt/internal/sim"
 )
 
 // TestPDESIdentityOnGeneratedWorlds runs the sharded identity oracle
 // directly on a few generated scenarios.
 func TestPDESIdentityOnGeneratedWorlds(t *testing.T) {
 	for caseN := 0; caseN < 3; caseN++ {
-		seed := splitmix64(7, uint64(caseN))
+		seed := sim.SplitSeed(7, uint64(caseN))
 		sc := Generate(rand.New(rand.NewSource(int64(seed))))
 		sc.Seconds = 1
 		sc.Seed = seed
@@ -51,7 +52,7 @@ func TestRunIncludesPDESAxis(t *testing.T) {
 // TestBuildPDESReplicates pins the replica topology: every admitted VM
 // appears once per host and sporadic tasks get a remote client.
 func TestBuildPDESReplicates(t *testing.T) {
-	seed := splitmix64(3, 0)
+	seed := sim.SplitSeed(3, 0)
 	sc := Generate(rand.New(rand.NewSource(int64(seed))))
 	sc.Seconds = 1
 	c, err := buildPDES(sc, seed)

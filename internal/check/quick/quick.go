@@ -17,6 +17,7 @@ import (
 	"rtvirt/internal/core"
 	"rtvirt/internal/experiments"
 	"rtvirt/internal/scenario"
+	"rtvirt/internal/sim"
 	"rtvirt/internal/simtime"
 )
 
@@ -24,7 +25,7 @@ import (
 // selects the default; only Seed and N are usually set.
 type Config struct {
 	// Seed fixes the whole run: case k draws its scenario and its
-	// simulation streams from splitmix64(Seed, k).
+	// simulation streams from sim.SplitSeed(Seed, k).
 	Seed uint64
 	// N is the number of generated scenarios (default 25). Each runs once
 	// per stack.
@@ -78,20 +79,6 @@ type Report struct {
 // AllStacks is the default stack set.
 var AllStacks = []core.Stack{core.RTVirt, core.RTXen, core.TwoLevelEDF, core.Credit}
 
-// splitmix64 derives case k's seed from the run seed — well-mixed so
-// neighboring cases share no stream structure, and never zero (zero means
-// "default" to the scenario loader).
-func splitmix64(seed, k uint64) uint64 {
-	z := seed + (k+1)*0x9E3779B97F4A7C15
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	z ^= z >> 31
-	if z == 0 {
-		z = 1
-	}
-	return z
-}
-
 // Run executes the quickcheck harness and returns its report. Failures
 // come back shrunk; the run itself never returns an error for a violating
 // or unbuildable scenario (those are Failures and Skipped respectively).
@@ -116,7 +103,7 @@ func Run(cfg Config) *Report {
 		rep.PDES = len(cfg.Shards)
 	}
 	for i := 0; i < cfg.N; i++ {
-		caseSeed := splitmix64(cfg.Seed, uint64(i))
+		caseSeed := sim.SplitSeed(cfg.Seed, uint64(i))
 		sc := Generate(rand.New(rand.NewSource(int64(caseSeed))))
 		sc.Seconds = cfg.Seconds
 		sc.Seed = caseSeed
@@ -192,14 +179,7 @@ func runOne(sc scenario.Scenario, stack core.Stack, forkCheck bool) ([]check.Vio
 	if forkCheck {
 		half := total / 2
 		w.Sys.Run(half)
-		v, ferr := check.ForkIdentity(w.Sys, total-half)
-		if ferr != nil {
-			// Unforkable world (a pending closure event): fall back to a
-			// plain run; every other oracle still applies.
-			w.Sys.Run(total - half)
-		} else {
-			forkV = v
-		}
+		forkV = check.ForkIdentity(w.Sys, total-half)
 	} else {
 		w.Sys.Run(total)
 	}
@@ -238,17 +218,10 @@ func pinForkDivergence(sc scenario.Scenario, stack core.Stack) string {
 			if !takeFork {
 				return w.Sys
 			}
-			f, _, err := w.Sys.Fork()
-			if err != nil {
-				panic(fmt.Sprintf("quick: bisect fork failed: %v", err))
-			}
+			f, _ := w.Sys.Fork()
 			return f
 		}
 	}
 	total := simtime.Duration(sc.Seconds) * simtime.Second
-	res, err := experiments.Bisect(build(false), build(true), total-total/2, simtime.Millisecond)
-	if err != nil {
-		return fmt.Sprintf("bisect failed: %v", err)
-	}
-	return res.Render()
+	return experiments.Bisect(build(false), build(true), total-total/2, simtime.Millisecond).Render()
 }

@@ -120,10 +120,7 @@ func TestForkIdentityClean(t *testing.T) {
 	}
 	w.Start()
 	w.Sys.Run(simtime.Second)
-	v, err := check.ForkIdentity(w.Sys, simtime.Second)
-	if err != nil {
-		t.Fatalf("ForkIdentity: %v", err)
-	}
+	v := check.ForkIdentity(w.Sys, simtime.Second)
 	if v != nil {
 		t.Fatalf("fork diverged: %v", v)
 	}
@@ -159,10 +156,7 @@ func TestForkIdentityNoisyCosts(t *testing.T) {
 	}
 	w.Start()
 	w.Sys.Run(simtime.Second)
-	v, err := check.ForkIdentity(w.Sys, simtime.Second)
-	if err != nil {
-		t.Fatalf("ForkIdentity: %v", err)
-	}
+	v := check.ForkIdentity(w.Sys, simtime.Second)
 	if v != nil {
 		t.Fatalf("fork diverged under noisy costs: %v", v)
 	}

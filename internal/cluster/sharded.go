@@ -42,7 +42,7 @@ type ShardedConfig struct {
 	Hosts int
 	PCPUs int
 	// Seed fixes the whole run. Host i's simulator is seeded with
-	// splitmix64(Seed, i), so hosts share no stream structure.
+	// sim.SplitSeed(Seed, i), so hosts share no stream structure.
 	Seed uint64
 	// System is the per-host configuration template (stack, costs,
 	// slack). Its topology knobs (PCPUs, Seed, SharedSim) stay blank —
@@ -120,19 +120,6 @@ func (cfg ShardedConfig) Validate() error {
 		return errors.New("cluster: sharded Config.System.Seed must be zero; per-host seeds derive from Config.Seed")
 	}
 	return nil
-}
-
-// splitSeed derives host k's simulator seed from the run seed (splitmix64
-// finalizer — well-mixed, never zero).
-func splitSeed(seed, k uint64) uint64 {
-	z := seed + (k+1)*0x9E3779B97F4A7C15
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	z ^= z >> 31
-	if z == 0 {
-		z = 1
-	}
-	return z
 }
 
 // Typed kernel-event kinds dispatched to each host's agent.
@@ -342,7 +329,7 @@ func NewSharded(cfg ShardedConfig) *Sharded {
 	}
 	c := &Sharded{Cfg: cfg, Set: sim.NewShardSet(), byName: map[string]*ShardedDeployment{}}
 	for i := 0; i < cfg.Hosts; i++ {
-		sh := c.Set.NewShard(splitSeed(cfg.Seed, uint64(i)))
+		sh := c.Set.NewShard(sim.SplitSeed(cfg.Seed, uint64(i)))
 		sysCfg := cfg.System
 		sysCfg.PCPUs = cfg.PCPUs
 		sysCfg.Seed = 0 // unused: the shard's simulator already exists

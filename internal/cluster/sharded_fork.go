@@ -17,7 +17,7 @@ import (
 // agents' residency/forwarding state, and the remote clients — into an
 // independent replica. Both continuations replay bit-identically under any
 // executor group count.
-func (c *Sharded) Fork() (*Sharded, *clone.Ctx, error) {
+func (c *Sharded) Fork() (*Sharded, *clone.Ctx) {
 	ctx := clone.New()
 	nc := &Sharded{
 		Cfg:        c.Cfg,
@@ -26,11 +26,7 @@ func (c *Sharded) Fork() (*Sharded, *clone.Ctx, error) {
 		byName:     make(map[string]*ShardedDeployment, len(c.byName)),
 	}
 	ctx.Put(c, nc)
-	nset, err := c.Set.Fork(ctx)
-	if err != nil {
-		return nil, nil, err
-	}
-	nc.Set = nset
+	nc.Set = c.Set.Fork(ctx)
 	nc.Hosts = make([]*ShardHost, len(c.Hosts))
 	for i, h := range c.Hosts {
 		nc.Hosts[i] = &ShardHost{
@@ -55,7 +51,7 @@ func (c *Sharded) Fork() (*Sharded, *clone.Ctx, error) {
 		ncl.dep = cloneShardedDeployment(ctx, cl.dep)
 		nc.clients = append(nc.clients, ncl)
 	}
-	return nc, ctx, nil
+	return nc, ctx
 }
 
 // ForkHandler implements sim.Handler. Agents only reference host-local

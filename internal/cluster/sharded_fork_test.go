@@ -39,10 +39,7 @@ func TestShardedForkMidMigration(t *testing.T) {
 		sim.Payload{Handler: tgt.agent.id, Kind: evAgentReq,
 			Owner: victim.id, Arg0: 0, Arg1: 0})
 
-	fc, _, err := c.Fork()
-	if err != nil {
-		t.Fatal(err)
-	}
+	fc, _ := c.Fork()
 
 	// The fork must be materially independent.
 	fd, ok := fc.Lookup("vm0-0")
@@ -126,10 +123,7 @@ func TestClusterForkDeterminism(t *testing.T) {
 	want := cold.DigestString()
 
 	base := build()
-	fc, _, err := base.Fork()
-	if err != nil {
-		t.Fatalf("cluster fork: %v", err)
-	}
+	fc, _ := base.Fork()
 	fc.Run(2*simtime.Second, 2)
 	if got := fc.DigestString(); got != want {
 		t.Fatalf("forked cluster diverges from cold run:\n--- fork ---\n%s--- cold ---\n%s", got, want)

@@ -12,16 +12,12 @@ import (
 // future as the original (same events, same random draws, same dispatch
 // decisions). The returned clone context maps every original object to its
 // replica; use clone.Get to remap references the caller holds (tasks,
-// guests, workload drivers).
-//
-// Fork fails if any pending event still carries a closure instead of a
-// typed payload: closures capture the original world and cannot be remapped.
-func (sys *System) Fork() (*System, *clone.Ctx, error) {
+// guests, workload drivers). Every pending event is a typed payload, so
+// Fork cannot fail.
+func (sys *System) Fork() (*System, *clone.Ctx) {
 	ctx := clone.New()
-	if _, err := sys.Sim.Fork(ctx); err != nil {
-		return nil, nil, err
-	}
-	return sys.ForkWith(ctx), ctx, nil
+	sys.Sim.Fork(ctx)
+	return sys.ForkWith(ctx), ctx
 }
 
 // ForkWith assembles the forked System wrapper inside an existing clone

@@ -97,13 +97,13 @@ type liveEvent struct {
 func (d *differ) schedule(at simtime.Time) {
 	id := d.next
 	d.next++
-	h := d.q.Schedule(at, func(simtime.Time) { d.fired = id })
+	h := schedule(&d.q, at, func(simtime.Time) { d.fired = id })
 	d.m.schedule(at, id)
 	d.live = append(d.live, liveEvent{h: h, id: id})
 }
 
 func (d *differ) cancel(i int) {
-	d.q.Cancel(d.live[i].h)
+	cancel(&d.q, d.live[i].h)
 	d.m.cancel(d.live[i].id)
 	d.live = append(d.live[:i], d.live[i+1:]...)
 }
@@ -388,11 +388,11 @@ func steadyStateZeroAlloc(t *testing.T) {
 	nop := func(simtime.Time) {}
 	standing := make([]Handle, 64)
 	for i := range standing {
-		standing[i] = q.Schedule(simtime.Time(1_000_000+i), nop)
+		standing[i] = schedule(&q, simtime.Time(1_000_000+i), nop)
 	}
 	// Warm the free list and the heap's backing array.
 	for i := 0; i < 1024; i++ {
-		q.Schedule(simtime.Time(i), nop)
+		schedule(&q, simtime.Time(i), nop)
 	}
 	for q.Len() > len(standing) {
 		q.Fire()
@@ -402,7 +402,7 @@ func steadyStateZeroAlloc(t *testing.T) {
 	allocs := testing.AllocsPerRun(1000, func() {
 		k := i % len(standing)
 		standing[k] = q.Reschedule(standing[k], now+1_000_000)
-		q.Schedule(now+1, nop)
+		schedule(&q, now+1, nop)
 		q.Fire()
 		now++
 		i++
@@ -423,12 +423,12 @@ func sameInstantZeroAlloc(t *testing.T) {
 	var quantum func(at simtime.Time)
 	quantum = func(at simtime.Time) {
 		now = at
-		q.Schedule(at.Add(ms), quantum)
+		schedule(&q, at.Add(ms), quantum)
 	}
 	standing := make([]Handle, 16)
 	for i := range standing {
-		q.Schedule(simtime.Time(ms), quantum)
-		standing[i] = q.Schedule(simtime.Time(ms), mark)
+		schedule(&q, simtime.Time(ms), quantum)
+		standing[i] = schedule(&q, simtime.Time(ms), mark)
 	}
 	i := 0
 	op := func() {
@@ -436,7 +436,7 @@ func sameInstantZeroAlloc(t *testing.T) {
 		if standing[k].Active() {
 			standing[k] = q.Reschedule(standing[k], now.Add(ms))
 		} else {
-			standing[k] = q.Schedule(now.Add(ms), mark)
+			standing[k] = schedule(&q, now.Add(ms), mark)
 		}
 		q.Fire()
 		i++

@@ -41,16 +41,17 @@
 // pending events, and its root is the earliest one, so PeekTime is a plain
 // field read.
 //
+// Every event is a typed Payload delivered to the queue's Dispatch hook:
+// plain data, so a queue can always be deep-copied (CloneInto).
+//
 // Event records are pooled on a per-queue free list and reused across
-// Schedule calls, so the steady-state hot path (schedule → fire →
+// SchedulePayload calls, so the steady-state hot path (schedule → fire →
 // reschedule) allocates nothing. Because records are recycled, callers
 // hold a generation-checked Handle rather than a raw pointer — a Handle to
 // an event that has fired, been cancelled, or been reused is simply inert.
 package eventq
 
 import (
-	"fmt"
-
 	"rtvirt/internal/clone"
 	"rtvirt/internal/simtime"
 )
@@ -70,11 +71,11 @@ func slot(at simtime.Time) int {
 	return int(uint64(at) * 0x9e3779b97f4a7c15 >> (64 - tailBits))
 }
 
-// Payload is the closure-free form of a scheduled event: plain data naming
-// a registered handler plus a (Kind, Owner) pair and two scalar arguments.
-// Because a Payload captures no pointers, a queue whose pending events all
-// carry payloads can be deep-copied (CloneInto) — the copy re-binds each
-// event to the forked handler of the same ID instead of to stale closures.
+// Payload is the one form of a scheduled event: plain data naming a
+// registered handler plus a (Kind, Owner) pair and two scalar arguments.
+// Because a Payload captures no pointers, a queue can always be
+// deep-copied (CloneInto) — the copy re-binds each event to the forked
+// handler of the same ID.
 //
 // Field meaning is owned by the handler: Kind selects one of its event
 // types, Owner names the entity the event belongs to (a PCPU, VCPU, task,
@@ -88,7 +89,7 @@ type Payload struct {
 	Arg1    int64
 }
 
-// Event is the pooled internal record for one scheduled callback. Callers
+// Event is the pooled internal record for one scheduled event. Callers
 // never hold an *Event directly; they hold a Handle.
 type Event struct {
 	// The fields a sift or a chain step touches come first.
@@ -100,8 +101,7 @@ type Event struct {
 	// a chain head has prev == nil. Both are nil off the queue.
 	next, prev *Event
 	gen        uint64 // bumped on every recycle and reschedule; validates Handles
-	fn         func(now simtime.Time)
-	p          Payload // typed form; used when fn is nil
+	p          Payload
 }
 
 // Handle identifies one scheduled event. The zero Handle is valid and
@@ -135,7 +135,7 @@ func (h Handle) At() simtime.Time {
 // A Queue (like the simulator it drives) is single-threaded; concurrent
 // simulation runs each own their own Queue.
 type Queue struct {
-	// Dispatch receives every fired payload event. The queue's owner (the
+	// Dispatch receives every fired event. The queue's owner (the
 	// simulator) sets it once at construction; it is deliberately not part
 	// of CloneInto so a forked queue is re-bound to its own owner.
 	Dispatch func(now simtime.Time, p Payload)
@@ -158,21 +158,8 @@ func less(a, b *Event) bool {
 	return a.seq < b.seq
 }
 
-// Schedule enqueues fn to run at instant at and returns a Handle that can
-// be used to cancel it.
-func (q *Queue) Schedule(at simtime.Time, fn func(now simtime.Time)) Handle {
-	if fn == nil {
-		panic("eventq: Schedule with nil callback")
-	}
-	e := q.insert(at)
-	e.fn = fn
-	return Handle{e: e, gen: e.gen}
-}
-
-// SchedulePayload enqueues a typed event. It is ordered exactly as a
-// Schedule call at the same instant would be (same seq counter), so
-// converting a closure event to a payload event at the same call site
-// preserves same-instant FIFO order bit for bit.
+// SchedulePayload enqueues the event p to fire at instant at and returns a
+// Handle that can be used to cancel or move it.
 func (q *Queue) SchedulePayload(at simtime.Time, p Payload) Handle {
 	e := q.insert(at)
 	e.p = p
@@ -180,7 +167,7 @@ func (q *Queue) SchedulePayload(at simtime.Time, p Payload) Handle {
 }
 
 // insert allocates (or recycles) a pending record at instant at and links
-// it into the queue. The caller fills in the callback or payload.
+// it into the queue. The caller fills in the payload.
 func (q *Queue) insert(at simtime.Time) *Event {
 	var e *Event
 	if n := len(q.free); n > 0 {
@@ -247,16 +234,16 @@ func (q *Queue) Cancel(h Handle) {
 }
 
 // Reschedule moves a still-pending event to instant at, keeping its
-// callback, and returns the replacement Handle (the one passed in goes
-// inert). It is semantically identical to Cancel followed by Schedule with
-// the same callback — in particular the event is assigned a fresh
-// insertion sequence number, so among events scheduled for the same
-// instant it fires after those already queued, exactly as a fresh insert
-// would. It reuses the record: a lone event moving to an instant with no
+// payload, and returns the replacement Handle (the one passed in goes
+// inert). It is semantically identical to Cancel followed by
+// SchedulePayload with the same payload — in particular the event is
+// assigned a fresh insertion sequence number, so among events scheduled
+// for the same instant it fires after those already queued, exactly as a
+// fresh insert would. It reuses the record: a lone event moving to an instant with no
 // chain to join is re-keyed where it sits with a single sift; otherwise
 // the event is unlinked and placed again.
 //
-// Rescheduling an inactive Handle panics: the callback of a fired or
+// Rescheduling an inactive Handle panics: the payload of a fired or
 // cancelled event is gone, so there is nothing to move — callers that can
 // race a firing check Active first.
 func (q *Queue) Reschedule(h Handle, at simtime.Time) Handle {
@@ -294,10 +281,10 @@ func (q *Queue) PeekTime() simtime.Time {
 	return q.h[0].at
 }
 
-// Fire pops the earliest pending event and invokes its callback with now
-// set to the event's scheduled time. It reports false when the queue is
-// empty. The event record is recycled before the callback runs, so a
-// callback that immediately reschedules reuses it without allocating. A
+// Fire pops the earliest pending event and passes its payload to Dispatch
+// with now set to the event's scheduled time. It reports false when the
+// queue is empty. The event record is recycled before Dispatch runs, so a
+// handler that immediately reschedules reuses it without allocating. A
 // pop whose event has a same-instant successor is O(1); a lone event's pop
 // is one heap descent.
 func (q *Queue) Fire() bool {
@@ -318,13 +305,9 @@ func (q *Queue) Fire() bool {
 	}
 	e.idx = -1
 	q.live--
-	at, fn, p := e.at, e.fn, e.p
+	at, p := e.at, e.p
 	q.recycle(e)
-	if fn != nil {
-		fn(at)
-	} else {
-		q.Dispatch(at, p)
-	}
+	q.Dispatch(at, p)
 	return true
 }
 
@@ -418,7 +401,6 @@ func (q *Queue) siftDown(i int) {
 // outstanding Handles to it.
 func (q *Queue) recycle(e *Event) {
 	e.gen++
-	e.fn = nil
 	e.p = Payload{}
 	q.free = append(q.free, e)
 }
@@ -437,25 +419,15 @@ func (q *Queue) recycle(e *Event) {
 // sequence number than all copied events and starts a chain of its own.
 //
 // Each old record's clone is memoized in ctx so callers can remap the
-// Handles they hold (CloneHandle). CloneInto fails if any pending event
-// still carries a closure: a closure captures pointers into the old world,
-// so copying it would make the fork mutate its parent.
-func (q *Queue) CloneInto(dst *Queue, ctx *clone.Ctx) error {
-	closures := 0
+// Handles they hold (CloneHandle).
+func (q *Queue) CloneInto(dst *Queue, ctx *clone.Ctx) {
 	dst.h = make([]*Event, 0, q.live)
 	for _, head := range q.h {
 		for e := head; e != nil; e = e.next {
-			if e.fn != nil {
-				closures++
-				continue
-			}
 			ne := &Event{at: e.at, seq: e.seq, gen: e.gen, p: e.p}
 			ctx.Put(e, ne)
 			dst.h = append(dst.h, ne)
 		}
-	}
-	if closures > 0 {
-		return fmt.Errorf("eventq: %d pending closure event(s); only typed payload events can be forked", closures)
 	}
 	dst.seq = q.seq
 	dst.live = len(dst.h)
@@ -470,7 +442,6 @@ func (q *Queue) CloneInto(dst *Queue, ctx *clone.Ctx) error {
 			dst.siftDown(i)
 		}
 	}
-	return nil
 }
 
 // CloneHandle maps a Handle into a queue previously copied with CloneInto

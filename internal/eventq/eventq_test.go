@@ -11,6 +11,50 @@ import (
 	"rtvirt/internal/simtime"
 )
 
+// fns is the test-local callback table behind schedule and cancel: a
+// payload's Arg0 indexes its event's func, and a slot returns to the free
+// list when its event fires or is cancelled, so a warm queue schedules
+// without allocating. Tests in this package run one at a time, so one
+// table serves every queue.
+var fns struct {
+	tab  []func(simtime.Time)
+	free []int64
+}
+
+// schedule enqueues fn at instant at as a payload event naming its table
+// slot, and routes q's dispatch through the table.
+func schedule(q *Queue, at simtime.Time, fn func(simtime.Time)) Handle {
+	q.Dispatch = callFn
+	var i int64
+	if n := len(fns.free); n > 0 {
+		i, fns.free = fns.free[n-1], fns.free[:n-1]
+		fns.tab[i] = fn
+	} else {
+		i = int64(len(fns.tab))
+		fns.tab = append(fns.tab, fn)
+	}
+	return q.SchedulePayload(at, Payload{Arg0: i})
+}
+
+// cancel cancels an event posted with schedule and frees its slot.
+func cancel(q *Queue, h Handle) {
+	if h.Active() {
+		releaseFn(h.e.p.Arg0)
+	}
+	q.Cancel(h)
+}
+
+func callFn(now simtime.Time, p Payload) {
+	fn := fns.tab[p.Arg0]
+	releaseFn(p.Arg0)
+	fn(now)
+}
+
+func releaseFn(i int64) {
+	fns.tab[i] = nil
+	fns.free = append(fns.free, i)
+}
+
 // CloneInto of a queue with same-instant chains copies every event as a
 // lone head, and CloneHandle maps handles to a chain's head, middle and
 // tail. The same operations on both queues must then fire the same ids,
@@ -34,9 +78,7 @@ func TestCloneIntoChains(t *testing.T) {
 		}
 	}
 	ctx := clone.New()
-	if err := src.CloneInto(&dst, ctx); err != nil {
-		t.Fatal(err)
-	}
+	src.CloneInto(&dst, ctx)
 	if err := checkInvariants(&dst); err != nil {
 		t.Fatalf("copy: %v", err)
 	}
@@ -69,9 +111,9 @@ func TestCloneIntoChains(t *testing.T) {
 func TestFireOrder(t *testing.T) {
 	var q Queue
 	var got []int
-	q.Schedule(30, func(simtime.Time) { got = append(got, 3) })
-	q.Schedule(10, func(simtime.Time) { got = append(got, 1) })
-	q.Schedule(20, func(simtime.Time) { got = append(got, 2) })
+	schedule(&q, 30, func(simtime.Time) { got = append(got, 3) })
+	schedule(&q, 10, func(simtime.Time) { got = append(got, 1) })
+	schedule(&q, 20, func(simtime.Time) { got = append(got, 2) })
 	for q.Fire() {
 	}
 	want := []int{1, 2, 3}
@@ -87,7 +129,7 @@ func TestFIFOAtSameInstant(t *testing.T) {
 	var got []int
 	for i := 0; i < 100; i++ {
 		i := i
-		q.Schedule(42, func(simtime.Time) { got = append(got, i) })
+		schedule(&q, 42, func(simtime.Time) { got = append(got, i) })
 	}
 	for q.Fire() {
 	}
@@ -101,22 +143,22 @@ func TestFIFOAtSameInstant(t *testing.T) {
 func TestCancel(t *testing.T) {
 	var q Queue
 	fired := false
-	h := q.Schedule(5, func(simtime.Time) { fired = true })
+	h := schedule(&q, 5, func(simtime.Time) { fired = true })
 	if !h.Active() {
 		t.Fatal("freshly scheduled handle not active")
 	}
 	if q.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", q.Len())
 	}
-	q.Cancel(h)
+	cancel(&q, h)
 	if q.Len() != 0 {
 		t.Fatalf("Len after cancel = %d, want 0", q.Len())
 	}
 	if h.Active() {
 		t.Fatal("cancelled handle still active")
 	}
-	q.Cancel(h)        // idempotent
-	q.Cancel(Handle{}) // zero handle is inert
+	cancel(&q, h)        // idempotent
+	cancel(&q, Handle{}) // zero handle is inert
 	for q.Fire() {
 	}
 	if fired {
@@ -129,15 +171,15 @@ func TestCancel(t *testing.T) {
 // driving Len negative and desynchronizing it from the heap.
 func TestCancelAfterFireDoesNotCorruptLen(t *testing.T) {
 	var q Queue
-	h := q.Schedule(1, func(simtime.Time) {})
-	q.Schedule(2, func(simtime.Time) {})
+	h := schedule(&q, 1, func(simtime.Time) {})
+	schedule(&q, 2, func(simtime.Time) {})
 	if !q.Fire() { // fires h's event
 		t.Fatal("Fire returned false")
 	}
 	if h.Active() {
 		t.Fatal("fired handle still active")
 	}
-	q.Cancel(h)
+	cancel(&q, h)
 	if q.Len() != 1 {
 		t.Fatalf("Len after cancel-after-fire = %d, want 1", q.Len())
 	}
@@ -153,11 +195,11 @@ func TestCancelAfterFireDoesNotCorruptLen(t *testing.T) {
 // recycled the same record.
 func TestStaleHandleCannotCancelRecycledEvent(t *testing.T) {
 	var q Queue
-	h1 := q.Schedule(1, func(simtime.Time) {})
+	h1 := schedule(&q, 1, func(simtime.Time) {})
 	q.Fire() // record goes to the free list
 	fired := false
-	h2 := q.Schedule(2, func(simtime.Time) { fired = true }) // reuses the record
-	q.Cancel(h1)                                             // stale — must not touch h2's event
+	h2 := schedule(&q, 2, func(simtime.Time) { fired = true }) // reuses the record
+	cancel(&q, h1)                                             // stale — must not touch h2's event
 	if !h2.Active() {
 		t.Fatal("recycled event killed by stale handle")
 	}
@@ -174,10 +216,10 @@ func TestCancelMiddle(t *testing.T) {
 	var hs []Handle
 	for i := 0; i < 10; i++ {
 		i := i
-		hs = append(hs, q.Schedule(simtime.Time(i), func(simtime.Time) { got = append(got, i) }))
+		hs = append(hs, schedule(&q, simtime.Time(i), func(simtime.Time) { got = append(got, i) }))
 	}
-	q.Cancel(hs[3])
-	q.Cancel(hs[7])
+	cancel(&q, hs[3])
+	cancel(&q, hs[7])
 	for q.Fire() {
 	}
 	if len(got) != 8 {
@@ -195,13 +237,13 @@ func TestPeekTime(t *testing.T) {
 	if q.PeekTime() != simtime.Never {
 		t.Fatal("empty queue PeekTime should be Never")
 	}
-	q.Schedule(99, func(simtime.Time) {})
-	h := q.Schedule(7, func(simtime.Time) {})
+	schedule(&q, 99, func(simtime.Time) {})
+	h := schedule(&q, 7, func(simtime.Time) {})
 	if q.PeekTime() != 7 {
 		t.Fatalf("PeekTime = %v, want 7", q.PeekTime())
 	}
 	// Cancelling the root must advance PeekTime at once.
-	q.Cancel(h)
+	cancel(&q, h)
 	if q.PeekTime() != 99 {
 		t.Fatalf("PeekTime after cancelling head = %v, want 99", q.PeekTime())
 	}
@@ -209,11 +251,11 @@ func TestPeekTime(t *testing.T) {
 
 func TestHandleAt(t *testing.T) {
 	var q Queue
-	h := q.Schedule(1234, func(simtime.Time) {})
+	h := schedule(&q, 1234, func(simtime.Time) {})
 	if h.At() != 1234 {
 		t.Fatalf("At = %v, want 1234", h.At())
 	}
-	q.Cancel(h)
+	cancel(&q, h)
 	if h.At() != simtime.Never {
 		t.Fatalf("At on inert handle = %v, want Never", h.At())
 	}
@@ -222,7 +264,7 @@ func TestHandleAt(t *testing.T) {
 func TestFireReceivesScheduledTime(t *testing.T) {
 	var q Queue
 	var at simtime.Time
-	q.Schedule(777, func(now simtime.Time) { at = now })
+	schedule(&q, 777, func(now simtime.Time) { at = now })
 	q.Fire()
 	if at != 777 {
 		t.Fatalf("callback now = %v, want 777", at)
@@ -239,10 +281,10 @@ func TestRescheduleFromCallbackReusesRecord(t *testing.T) {
 	tick = func(now simtime.Time) {
 		count++
 		if count < 100 {
-			q.Schedule(now+1, tick)
+			schedule(&q, now+1, tick)
 		}
 	}
-	q.Schedule(0, tick)
+	schedule(&q, 0, tick)
 	for q.Fire() {
 	}
 	if count != 100 {
@@ -260,10 +302,10 @@ func TestCompactionBoundsTombstones(t *testing.T) {
 	var q Queue
 	// Repeatedly cancel-and-reschedule a far-future event, the hv.setEvent
 	// pattern, whose cancelled events the clock never reaches.
-	h := q.Schedule(1_000_000, func(simtime.Time) {})
+	h := schedule(&q, 1_000_000, func(simtime.Time) {})
 	for i := 0; i < 10_000; i++ {
-		q.Cancel(h)
-		h = q.Schedule(simtime.Time(1_000_000+i), func(simtime.Time) {})
+		cancel(&q, h)
+		h = schedule(&q, simtime.Time(1_000_000+i), func(simtime.Time) {})
 	}
 	if len(q.h) > 256 {
 		t.Fatalf("heap holds %d entries for 1 live event; cancelled events stayed", len(q.h))
@@ -281,7 +323,7 @@ func TestQuickSortedOrder(t *testing.T) {
 		var fired []simtime.Time
 		for _, v := range times {
 			at := simtime.Time(int64(v) + 1<<15)
-			q.Schedule(at, func(now simtime.Time) { fired = append(fired, now) })
+			schedule(&q, at, func(now simtime.Time) { fired = append(fired, now) })
 		}
 		for q.Fire() {
 		}
@@ -309,7 +351,7 @@ func TestQuickStableOrderWithRecycling(t *testing.T) {
 			for i := 0; i < 1+rng.Intn(20); i++ {
 				id := next
 				next++
-				q.Schedule(at, func(simtime.Time) { got = append(got, id) })
+				schedule(&q, at, func(simtime.Time) { got = append(got, id) })
 			}
 			for q.Fire() {
 			}
@@ -339,7 +381,7 @@ func TestQuickCancelConsistency(t *testing.T) {
 		for i := 0; i < 500; i++ {
 			switch r := rng.Intn(6); {
 			case r <= 2 || len(hs) == 0:
-				h := q.Schedule(simtime.Time(rng.Int63n(1000)), func(now simtime.Time) { fired = append(fired, now) })
+				h := schedule(&q, simtime.Time(rng.Int63n(1000)), func(now simtime.Time) { fired = append(fired, now) })
 				hs = append(hs, h)
 				scheduled++
 			case r <= 4:
@@ -347,7 +389,7 @@ func TestQuickCancelConsistency(t *testing.T) {
 				if h.Active() {
 					cancelled++
 				}
-				q.Cancel(h)
+				cancel(&q, h)
 			default:
 				if q.Fire() {
 					firedCount++
@@ -376,8 +418,8 @@ func TestRescheduleMovesEventInPlace(t *testing.T) {
 	var q Queue
 	var fired []simtime.Time
 	record := func(now simtime.Time) { fired = append(fired, now) }
-	h := q.Schedule(100, record)
-	q.Schedule(60, record)
+	h := schedule(&q, 100, record)
+	schedule(&q, 60, record)
 
 	h2 := q.Reschedule(h, 50) // decrease-key past the other event
 	if h.Active() {
@@ -409,8 +451,8 @@ func TestRescheduleMovesEventInPlace(t *testing.T) {
 func TestRescheduleFIFOSemantics(t *testing.T) {
 	var q Queue
 	var got []string
-	a := q.Schedule(10, func(simtime.Time) { got = append(got, "a") })
-	q.Schedule(10, func(simtime.Time) { got = append(got, "b") })
+	a := schedule(&q, 10, func(simtime.Time) { got = append(got, "a") })
+	schedule(&q, 10, func(simtime.Time) { got = append(got, "b") })
 	q.Reschedule(a, 10) // same instant: a now ranks after b
 	for q.Fire() {
 	}
@@ -421,7 +463,7 @@ func TestRescheduleFIFOSemantics(t *testing.T) {
 
 func TestRescheduleInactivePanics(t *testing.T) {
 	var q Queue
-	h := q.Schedule(1, func(simtime.Time) {})
+	h := schedule(&q, 1, func(simtime.Time) {})
 	q.Fire()
 	defer func() {
 		if recover() == nil {
@@ -438,10 +480,10 @@ func TestRescheduleRootPastTombstone(t *testing.T) {
 	var q Queue
 	var fired []simtime.Time
 	record := func(now simtime.Time) { fired = append(fired, now) }
-	a := q.Schedule(1, record)
-	b := q.Schedule(2, record)
-	q.Schedule(3, record)
-	q.Cancel(b) // below the root
+	a := schedule(&q, 1, record)
+	b := schedule(&q, 2, record)
+	schedule(&q, 3, record)
+	cancel(&q, b) // below the root
 	q.Reschedule(a, 5)
 	if q.PeekTime() != 3 {
 		t.Fatalf("PeekTime = %v, want 3 (cancelled event must not surface)", q.PeekTime())
@@ -461,11 +503,11 @@ func TestFireSkipsTombstoneChain(t *testing.T) {
 	record := func(now simtime.Time) { fired = append(fired, now) }
 	var hs []Handle
 	for i := 1; i <= 8; i++ {
-		hs = append(hs, q.Schedule(simtime.Time(i), record))
+		hs = append(hs, schedule(&q, simtime.Time(i), record))
 	}
 	// Cancel a contiguous run 2..6 behind the live head.
 	for _, h := range hs[1:6] {
-		q.Cancel(h)
+		cancel(&q, h)
 	}
 	if q.PeekTime() != 1 {
 		t.Fatalf("PeekTime = %v, want 1", q.PeekTime())
@@ -498,29 +540,33 @@ func TestScheduleTriggersCompaction(t *testing.T) {
 	nop := func(simtime.Time) {}
 	var hs []Handle
 	for i := 0; i < 400; i++ {
-		hs = append(hs, q.Schedule(simtime.Time(1000+i), nop))
+		hs = append(hs, schedule(&q, simtime.Time(1000+i), nop))
 	}
 	// Cancel the far half (never the head).
 	for _, h := range hs[200:] {
-		q.Cancel(h)
+		cancel(&q, h)
 	}
 	// Fires shrink the live population.
 	for i := 0; i < 120; i++ {
 		q.Fire()
 	}
-	q.Schedule(1_000_000, nop)
+	schedule(&q, 1_000_000, nop)
 	if bound := 2 * q.Len(); len(q.h) >= 64 && len(q.h) > bound {
 		t.Fatalf("heap holds %d slots for %d live events (bound %d)",
 			len(q.h), q.Len(), bound)
 	}
 }
 
+// nopDispatch is the dispatch of the benchmarks whose callbacks do
+// nothing, so they time the queue alone.
+func nopDispatch(simtime.Time, Payload) {}
+
 func BenchmarkScheduleFire(b *testing.B) {
-	var q Queue
+	q := Queue{Dispatch: nopDispatch}
 	rng := rand.New(rand.NewSource(1))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		q.Schedule(simtime.Time(rng.Int63n(1<<30)), func(simtime.Time) {})
+		q.SchedulePayload(simtime.Time(rng.Int63n(1<<30)), Payload{})
 		if q.Len() > 1024 {
 			q.Fire()
 		}
@@ -536,12 +582,11 @@ func BenchmarkScheduleFire(b *testing.B) {
 // and after the intrusive-heap rewrite (the pre-rewrite implementation ran
 // the blend as Cancel+Schedule because it had no in-place reschedule).
 func BenchmarkKernelMix(b *testing.B) {
-	var q Queue
-	nop := func(simtime.Time) {}
+	q := Queue{Dispatch: nopDispatch}
 	rng := rand.New(rand.NewSource(1))
 	standing := make([]Handle, 256)
 	for i := range standing {
-		standing[i] = q.Schedule(simtime.Time(1_000_000+i), nop)
+		standing[i] = q.SchedulePayload(simtime.Time(1_000_000+i), Payload{})
 	}
 	now := simtime.Time(0)
 	b.ReportAllocs()
@@ -549,7 +594,7 @@ func BenchmarkKernelMix(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		k := i % len(standing)
 		standing[k] = q.Reschedule(standing[k], now+1_000_000+simtime.Time(rng.Int63n(1_000_000)))
-		q.Schedule(now+1, nop)
+		q.SchedulePayload(now+1, Payload{})
 		q.Fire()
 		now++
 	}
@@ -559,12 +604,11 @@ func BenchmarkKernelMix(b *testing.B) {
 // move per fresh admission and fire, the shape of a multi-PCPU host where
 // every dispatch re-arms Kick and VCPURecheck events on several PCPUs.
 func BenchmarkKernelMixTimer(b *testing.B) {
-	var q Queue
-	nop := func(simtime.Time) {}
+	q := Queue{Dispatch: nopDispatch}
 	rng := rand.New(rand.NewSource(2))
 	standing := make([]Handle, 256)
 	for i := range standing {
-		standing[i] = q.Schedule(simtime.Time(1_000_000+i), nop)
+		standing[i] = q.SchedulePayload(simtime.Time(1_000_000+i), Payload{})
 	}
 	now := simtime.Time(0)
 	b.ReportAllocs()
@@ -574,7 +618,7 @@ func BenchmarkKernelMixTimer(b *testing.B) {
 			k := (i*4 + j) % len(standing)
 			standing[k] = q.Reschedule(standing[k], now+1_000_000+simtime.Time(rng.Int63n(1_000_000)))
 		}
-		q.Schedule(now+1, nop)
+		q.SchedulePayload(now+1, Payload{})
 		q.Fire()
 		now++
 	}
@@ -586,8 +630,7 @@ func BenchmarkKernelMixTimer(b *testing.B) {
 // faster than any standing timer moves. This stresses the insert/remove
 // sifts rather than reschedule.
 func BenchmarkKernelMixChurn(b *testing.B) {
-	var q Queue
-	nop := func(simtime.Time) {}
+	q := Queue{Dispatch: nopDispatch}
 	rng := rand.New(rand.NewSource(3))
 	var pending [64]Handle
 	now := simtime.Time(4096)
@@ -596,8 +639,8 @@ func BenchmarkKernelMixChurn(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		k := i % len(pending)
 		q.Cancel(pending[k]) // often a stale handle: the no-op cancel path
-		pending[k] = q.Schedule(now+simtime.Time(rng.Int63n(4096)), nop)
-		q.Schedule(now+1, nop)
+		pending[k] = q.SchedulePayload(now+simtime.Time(rng.Int63n(4096)), Payload{})
+		q.SchedulePayload(now+1, Payload{})
 		q.Fire()
 		q.Fire()
 		now++
@@ -619,8 +662,8 @@ func BenchmarkKernelMixAligned(b *testing.B) {
 	quantum := make([]Handle, 15)
 	for i := range quantum {
 		var tick func(now simtime.Time)
-		tick = func(now simtime.Time) { quantum[i] = q.Schedule(now.Add(ms), tick) }
-		quantum[i] = q.Schedule(simtime.Time(ms), tick)
+		tick = func(now simtime.Time) { quantum[i] = schedule(&q, now.Add(ms), tick) }
+		quantum[i] = schedule(&q, simtime.Time(ms), tick)
 	}
 	periods := []simtime.Duration{2 * ms, 3 * ms, 4 * ms, 5 * ms, 10 * ms, 20 * ms}
 	for j := 0; j < 24; j++ {
@@ -628,9 +671,9 @@ func BenchmarkKernelMixAligned(b *testing.B) {
 		var release func(now simtime.Time)
 		release = func(now simtime.Time) {
 			quantum[pcpu] = q.Reschedule(quantum[pcpu], now.Add(ms))
-			q.Schedule(now.Add(period), release)
+			schedule(&q, now.Add(period), release)
 		}
-		q.Schedule(simtime.Time(period), release)
+		schedule(&q, simtime.Time(period), release)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -643,15 +686,15 @@ func BenchmarkKernelMixAligned(b *testing.B) {
 // pending wakeup and schedule a new one. The seed implementation paid a
 // heap.Remove plus a fresh allocation per iteration.
 func BenchmarkCancelReschedule(b *testing.B) {
-	var q Queue
+	q := Queue{Dispatch: nopDispatch}
 	for i := 0; i < 512; i++ {
-		q.Schedule(simtime.Time(1<<40+i), func(simtime.Time) {})
+		q.SchedulePayload(simtime.Time(1<<40+i), Payload{})
 	}
-	h := q.Schedule(1<<20, func(simtime.Time) {})
+	h := q.SchedulePayload(1<<20, Payload{})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q.Cancel(h)
-		h = q.Schedule(simtime.Time(1<<20+i%1024), func(simtime.Time) {})
+		h = q.SchedulePayload(simtime.Time(1<<20+i%1024), Payload{})
 	}
 }

@@ -222,7 +222,7 @@ func runConvergence(seed uint64, dur simtime.Duration) (points []ConvergencePoin
 	tk := task.New(0, "app", task.Periodic,
 		task.Params{Slice: simtime.Micros(100), Period: simtime.Millis(10)})
 	must(g.Register(tk))
-	g.SetDemandFn(tk, func() simtime.Duration { return convDemand })
+	g.SetDemand(tk, convDemand)
 	ctrl, err = guest.NewAdaptiveController(g, tk, guest.AdaptiveConfig{
 		Target:      simtime.Millis(6),
 		Window:      simtime.Millis(20),
@@ -265,7 +265,7 @@ func runBackoff(seed uint64, dur simtime.Duration) *guest.AdaptiveController {
 	tk := task.New(0, "app", task.Periodic,
 		task.Params{Slice: simtime.Millis(2), Period: simtime.Millis(10)})
 	must(g.Register(tk))
-	g.SetDemandFn(tk, func() simtime.Duration { return simtime.Millis(5) })
+	g.SetDemand(tk, simtime.Millis(5))
 	ctrl, err := guest.NewAdaptiveController(g, tk, guest.AdaptiveConfig{
 		Target: simtime.Millis(3),
 		Window: simtime.Millis(50),

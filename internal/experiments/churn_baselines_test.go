@@ -64,6 +64,7 @@ func TestQuickRTXenChurn(t *testing.T) {
 		var live []liveVM
 		id := 100
 		events := 20 + rng.Intn(40)
+		var acts []timedAction
 		for e := 0; e < events; e++ {
 			at := simtime.Time(rng.Int63n(int64(simtime.Seconds(5))))
 			wantCreate := rng.Intn(2) == 0
@@ -72,7 +73,7 @@ func TestQuickRTXenChurn(t *testing.T) {
 			budget := simtime.Duration(bw * float64(period))
 			myID := id
 			id++
-			sys.Sim.At(at, func(now simtime.Time) {
+			acts = append(acts, timedAction{at, func(now simtime.Time) {
 				if wantCreate || len(live) == 0 {
 					g, err := sys.NewServerGuest(fmt.Sprintf("churn%d", myID),
 						[]hv.Reservation{{Budget: budget, Period: period}}, 256)
@@ -96,9 +97,9 @@ func TestQuickRTXenChurn(t *testing.T) {
 						panic(err)
 					}
 				}
-			})
+			}})
 		}
-		sys.Run(6 * simtime.Second)
+		runActing(sys, simtime.Time(6*simtime.Second), acts)
 
 		if r := steady.Stats().MissRatio(); r > 0.01 {
 			t.Logf("seed %d: steady task missed %.4f through churn", seed, r)
@@ -153,13 +154,14 @@ func TestQuickCreditChurn(t *testing.T) {
 		var live []*guest.OS
 		id := 100
 		events := 15 + rng.Intn(30)
+		var acts []timedAction
 		for e := 0; e < events; e++ {
 			at := simtime.Time(rng.Int63n(int64(simtime.Seconds(3))))
 			wantCreate := rng.Intn(2) == 0
 			myID := id
 			id++
 			weight := 64 << rng.Intn(4) // 64..512
-			sys.Sim.At(at, func(now simtime.Time) {
+			acts = append(acts, timedAction{at, func(now simtime.Time) {
 				if wantCreate || len(live) == 0 {
 					g, err := sys.NewWeightedGuest(fmt.Sprintf("churn%d", myID), 1, weight)
 					if err != nil {
@@ -179,9 +181,9 @@ func TestQuickCreditChurn(t *testing.T) {
 						panic(err)
 					}
 				}
-			})
+			}})
 		}
-		sys.Run(4 * simtime.Second)
+		runActing(sys, simtime.Time(4*simtime.Second), acts)
 		if !accountingIdentity(t, seed, sys, 4*simtime.Second) {
 			return false
 		}

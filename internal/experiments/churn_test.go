@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -11,6 +13,27 @@ import (
 	"rtvirt/internal/simtime"
 	"rtvirt/internal/task"
 )
+
+// timedAction is a test's own intervention in a running world.
+type timedAction struct {
+	at simtime.Time
+	do func(now simtime.Time)
+}
+
+// runActing runs sys until end, stopping at each action's instant (in time
+// order, ties in list order) to run it once the events due there fired.
+// Actions past end never run.
+func runActing(sys *core.System, end simtime.Time, acts []timedAction) {
+	slices.SortStableFunc(acts, func(a, b timedAction) int { return cmp.Compare(a.at, b.at) })
+	for _, a := range acts {
+		if a.at > end {
+			break
+		}
+		sys.Sim.RunUntil(a.at)
+		a.do(a.at)
+	}
+	sys.Sim.RunUntil(end)
+}
 
 // Property: arbitrary register/SetAttr/unregister churn never corrupts the
 // system — admission arithmetic stays within capacity, already-running
@@ -50,6 +73,7 @@ func TestQuickDynamicChurn(t *testing.T) {
 		}
 		var live []livetask
 		events := 30 + rng.Intn(60)
+		var acts []timedAction
 		for e := 0; e < events; e++ {
 			at := simtime.Time(rng.Int63n(int64(simtime.Seconds(5))))
 			action := rng.Intn(3)
@@ -59,7 +83,7 @@ func TestQuickDynamicChurn(t *testing.T) {
 			slice := simtime.Duration(bw * float64(period))
 			myID := id
 			id++
-			sys.Sim.At(at, func(now simtime.Time) {
+			acts = append(acts, timedAction{at, func(now simtime.Time) {
 				switch action {
 				case 0: // register + start
 					tk := task.New(myID, fmt.Sprintf("t%d", myID), task.Periodic,
@@ -81,9 +105,9 @@ func TestQuickDynamicChurn(t *testing.T) {
 						_ = lt.g.SetAttr(lt.tk, task.Params{Slice: slice, Period: period})
 					}
 				}
-			})
+			}})
 		}
-		sys.Run(6 * simtime.Second)
+		runActing(sys, simtime.Time(6*simtime.Second), acts)
 		sys.Host.Sync()
 
 		// Steady task: ≥99% of deadlines through the churn.

@@ -86,7 +86,7 @@ type fig4seg struct {
 }
 
 // fig4run drives the dynamic experiment as a typed event handler, so a
-// mid-run Figure-4 world is plain forkable state (no closures in flight).
+// mid-run Figure-4 world is plain forkable state.
 type fig4run struct {
 	cfg      Figure4Config
 	sim      *sim.Simulator
@@ -290,8 +290,7 @@ func Figure4Surge(cfg Figure4Config, surges []int, warm, tail simtime.Duration) 
 	}
 	return runner.MapForked(0, surges,
 		func(int, int) world {
-			nsys, ctx, err := sys.Fork()
-			must(err)
+			nsys, ctx := sys.Fork()
 			return world{sys: nsys, r: clone.Get(ctx, r)}
 		},
 		func(_ int, k int, w world) SurgeRow {

@@ -136,10 +136,7 @@ func TestForkDeterminismGolden(t *testing.T) {
 				// recorder to the fork's own bus.
 				base := buildGoldenWorld(stack, seed)
 				base.sys.Run(warm)
-				fsys, ctx, err := base.sys.Fork()
-				if err != nil {
-					t.Fatalf("fork at t=%v: %v", warm, err)
-				}
+				fsys, ctx := base.sys.Fork()
 				fw := goldenWorld{sys: fsys, mc: clone.Get(ctx, base.mc)}
 				for _, tk := range base.tasks {
 					fw.tasks = append(fw.tasks, clone.Get(ctx, tk))
@@ -215,10 +212,7 @@ func TestLoadStepsForkMatchesCold(t *testing.T) {
 
 func TestBisectNoDivergence(t *testing.T) {
 	build := func() *core.System { return buildGoldenWorld(core.RTVirt, 1).sys }
-	res, err := Bisect(build, build, simtime.Second, simtime.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := Bisect(build, build, simtime.Second, simtime.Millisecond)
 	if res.Diverged {
 		t.Fatalf("identical builders reported divergent: %+v", res)
 	}
@@ -231,10 +225,7 @@ func TestBisectFindsDivergence(t *testing.T) {
 	const horizon = simtime.Second
 	buildA := func() *core.System { return buildGoldenWorld(core.RTXen, 1).sys }
 	buildB := func() *core.System { return buildGoldenWorld(core.TwoLevelEDF, 1).sys }
-	res, err := Bisect(buildA, buildB, horizon, 100*simtime.Microsecond)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := Bisect(buildA, buildB, horizon, 100*simtime.Microsecond)
 	if !res.Diverged {
 		t.Fatal("deferrable-server and polling-server stacks never diverged")
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"rtvirt/internal/check"
 	"rtvirt/internal/clone"
 	"rtvirt/internal/core"
 	"rtvirt/internal/metrics"
@@ -89,8 +90,7 @@ func loadStepArm(arm Arm, cfg LoadStepConfig) []LoadStepRow {
 	}
 	return runner.MapForked(0, cfg.Steps,
 		func(int, int) world {
-			nsys, ctx, err := base.Fork()
-			must(err)
+			nsys, ctx := base.Fork()
 			return world{sys: nsys, mc: clone.Get(ctx, mc)}
 		},
 		func(_ int, k int, w world) LoadStepRow {
@@ -155,8 +155,7 @@ func AblationNewcomerForked(seed uint64, duration simtime.Duration) []AblationRo
 
 	return runner.MapForked(0, []bool{false, true},
 		func(int, bool) *core.System {
-			nsys, _, err := base.Fork()
-			must(err)
+			nsys, _ := base.Fork()
 			return nsys
 		},
 		func(_ int, newcomer bool, sys *core.System) AblationRow {
@@ -210,43 +209,6 @@ func vmOrIdle(ev trace.Event) string {
 	return ev.VM
 }
 
-// dispatchDigest hashes the dispatch stream seen on a trace bus (FNV-1a
-// over the fields two schedulers can agree on: when, which PCPU, which
-// virtual CPU — not the granted run length, which is scheduler-specific).
-type dispatchDigest struct {
-	hash uint64
-	n    int
-}
-
-func newDispatchDigest() *dispatchDigest { return &dispatchDigest{hash: 14695981039346656037} }
-
-func (d *dispatchDigest) mix(b byte) { d.hash = (d.hash ^ uint64(b)) * 1099511628211 }
-
-func (d *dispatchDigest) mix64(v uint64) {
-	for i := 0; i < 8; i++ {
-		d.mix(byte(v >> (8 * i)))
-	}
-}
-
-// Consume implements trace.Sink.
-func (d *dispatchDigest) Consume(ev trace.Event) {
-	if ev.Kind != trace.Dispatch {
-		return
-	}
-	d.n++
-	d.mix64(uint64(ev.At))
-	d.mix64(uint64(int64(ev.PCPU)))
-	d.mix64(uint64(int64(ev.VCPU)))
-	for i := 0; i < len(ev.VM); i++ {
-		d.mix(ev.VM[i])
-	}
-	d.mix(0xff)
-}
-
-func (d *dispatchDigest) equal(o *dispatchDigest) bool {
-	return d.hash == o.hash && d.n == o.n
-}
-
 // dispatchLog records the dispatch stream verbatim (final narrow window of
 // the bisection).
 type dispatchLog struct {
@@ -269,7 +231,7 @@ func (l *dispatchLog) Consume(ev trace.Event) {
 // them as the new frontiers (streams still agree) or discards them. The
 // final window, at most `resolution` wide, is replayed once with recording
 // sinks to name the exact pair of events.
-func Bisect(buildA, buildB func() *core.System, horizon, resolution simtime.Duration) (BisectResult, error) {
+func Bisect(buildA, buildB func() *core.System, horizon, resolution simtime.Duration) BisectResult {
 	if resolution <= 0 {
 		resolution = simtime.Millisecond
 	}
@@ -278,40 +240,29 @@ func Bisect(buildA, buildB func() *core.System, horizon, resolution simtime.Dura
 
 	// probe forks both frontiers and runs them `span` ahead, reporting the
 	// dispatch digests and the forks themselves.
-	probe := func(span simtime.Duration) (*core.System, *core.System, *dispatchDigest, *dispatchDigest, error) {
-		na, _, err := fa.Fork()
-		if err != nil {
-			return nil, nil, nil, nil, err
-		}
-		nb, _, err := fb.Fork()
-		if err != nil {
-			return nil, nil, nil, nil, err
-		}
-		da, db := newDispatchDigest(), newDispatchDigest()
+	probe := func(span simtime.Duration) (*core.System, *core.System, *check.DispatchDigest, *check.DispatchDigest) {
+		na, _ := fa.Fork()
+		nb, _ := fb.Fork()
+		da, db := check.NewDispatchDigest(), check.NewDispatchDigest()
 		na.Host.TraceTo(da)
 		nb.Host.TraceTo(db)
 		na.Run(span)
 		nb.Run(span)
 		res.Probes++
-		return na, nb, da, db, nil
+		return na, nb, da, db
 	}
 
 	lo, hi := simtime.Duration(0), horizon
 	// First probe the whole horizon: no divergence means no bisection.
-	if _, _, da, db, err := probe(horizon); err != nil {
-		return res, err
-	} else if da.equal(db) {
-		return res, nil
+	if _, _, da, db := probe(horizon); da.Equal(db) {
+		return res
 	}
 	res.Diverged = true
 
 	for hi-lo > resolution {
 		mid := lo + (hi-lo)/2
-		na, nb, da, db, err := probe(mid - lo)
-		if err != nil {
-			return res, err
-		}
-		if da.equal(db) {
+		na, nb, da, db := probe(mid - lo)
+		if da.Equal(db) {
 			// Streams still agree at mid: the probes become the frontiers.
 			fa, fb, lo = na, nb, mid
 		} else {
@@ -320,14 +271,8 @@ func Bisect(buildA, buildB func() *core.System, horizon, resolution simtime.Dura
 	}
 
 	// Replay the final window with full recording to name the divergence.
-	na, _, err := fa.Fork()
-	if err != nil {
-		return res, err
-	}
-	nb, _, err := fb.Fork()
-	if err != nil {
-		return res, err
-	}
+	na, _ := fa.Fork()
+	nb, _ := fb.Fork()
 	la, lb := &dispatchLog{}, &dispatchLog{}
 	na.Host.TraceTo(la)
 	nb.Host.TraceTo(lb)
@@ -340,22 +285,22 @@ func Bisect(buildA, buildB func() *core.System, horizon, resolution simtime.Dura
 			// Divergence past the recorded window can only mean digests
 			// collided earlier; report the window end.
 			res.At = simtime.Time(hi)
-			return res, nil
+			return res
 		case i >= len(la.events):
 			res.B = lb.events[i]
 			res.At = res.B.At
-			return res, nil
+			return res
 		case i >= len(lb.events):
 			res.A = la.events[i]
 			res.At = res.A.At
-			return res, nil
+			return res
 		case la.events[i] != lb.events[i]:
 			res.A, res.B = la.events[i], lb.events[i]
 			res.At = res.A.At
 			if res.B.At < res.At {
 				res.At = res.B.At
 			}
-			return res, nil
+			return res
 		}
 	}
 }

@@ -57,8 +57,7 @@ func IOBound(seed uint64, duration simtime.Duration) []IORow {
 			g := mustGuest(sys.NewWeightedGuest(fmt.Sprintf("bg%d", i), 1, 256))
 			hog, err := workload.NewCPUHog(g, 100+i, "hog")
 			must(err)
-			hg := hog
-			sys.Sim.At(0, func(now simtime.Time) { g.ReleaseJob(hg.Task, simtime.Duration(1<<60)) })
+			hog.Start(0)
 		}
 		sys.Start()
 		app.Start(0)

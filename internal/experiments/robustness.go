@@ -128,8 +128,7 @@ func robustnessRun(seed uint64, duration simtime.Duration) robustnessSeed {
 	warmSys.Start()
 	warmMC.Start(0)
 	warmSys.Run(d / 2)
-	fsys, fctx, err := warmSys.Fork()
-	must(err)
+	fsys, fctx := warmSys.Fork()
 	fmc := clone.Get(fctx, warmMC)
 	fsys.Run(d - d/2)
 

@@ -54,28 +54,32 @@ func TestSoakMixedWorkload(t *testing.T) {
 		g := mustGuest(sys.NewWeightedGuest(fmt.Sprintf("bg%d", i), 1, 256))
 		hog, err := workload.NewCPUHog(g, 300+i, "hog")
 		must(err)
-		defer func() { _ = hog }()
-		sys.Sim.At(0, func(now simtime.Time) { g.ReleaseJob(hog.Task, simtime.Duration(1<<60)) })
+		hog.Start(0)
 	}
-	// A churn VM registering and unregistering RTAs continuously.
+	// A churn VM registering an RTA every 7 s from 1 s on and
+	// unregistering it 5 s later.
 	gch := mustGuest(sys.NewGuestOpts("churn", core.GuestOpts{VCPUs: 2, MaxVCPUs: 4}))
 	var churned []*task.Task
 	id := 1000
-	var churn func(now simtime.Time)
-	churn = func(now simtime.Time) {
-		prof := workload.VideoProfiles[int(now/simtime.Time(simtime.Seconds(7)))%len(workload.VideoProfiles)]
-		tk := task.New(id, fmt.Sprintf("churn%d", id), task.Periodic, prof.Params)
-		id++
-		if err := gch.Register(tk); err == nil {
-			gch.StartPeriodic(tk, now)
-			churned = append(churned, tk)
-			sys.Sim.After(simtime.Seconds(5), func(at simtime.Time) {
+	dur := 10 * simtime.Minute
+	var acts []timedAction
+	for at := simtime.Time(simtime.Second); at <= simtime.Time(dur); at = at.Add(simtime.Seconds(7)) {
+		var tk *task.Task
+		acts = append(acts, timedAction{at, func(now simtime.Time) {
+			prof := workload.VideoProfiles[int(now/simtime.Time(simtime.Seconds(7)))%len(workload.VideoProfiles)]
+			next := task.New(id, fmt.Sprintf("churn%d", id), task.Periodic, prof.Params)
+			id++
+			if err := gch.Register(next); err == nil {
+				gch.StartPeriodic(next, now)
+				churned = append(churned, next)
+				tk = next
+			}
+		}}, timedAction{at.Add(simtime.Seconds(5)), func(simtime.Time) {
+			if tk != nil {
 				must(gch.Unregister(tk))
-			})
-		}
-		sys.Sim.After(simtime.Seconds(7), churn)
+			}
+		}})
 	}
-	sys.Sim.At(simtime.Time(simtime.Second), churn)
 
 	sys.Start()
 	for _, vs := range steady {
@@ -86,8 +90,7 @@ func TestSoakMixedWorkload(t *testing.T) {
 	}
 	rpc.Start(0)
 
-	dur := 10 * simtime.Minute
-	sys.Run(dur)
+	runActing(sys, simtime.Time(dur), acts)
 	sys.Host.Sync()
 
 	// Steady video: zero misses through all the churn.

@@ -69,7 +69,7 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 			if err := g.Register(tk); err != nil {
 				t.Fatal(err)
 			}
-			s.After(0, func(now simtime.Time) { g.ReleaseJob(tk, 0) })
+			g.ReleaseAt(tk, s.Now(), 0)
 		}
 		s.RunFor(simtime.Millis(1))
 		queued := 0
@@ -105,7 +105,7 @@ func BenchmarkPickJob(b *testing.B) {
 				if err := g.Register(tk); err != nil {
 					b.Fatal(err)
 				}
-				s.After(0, func(now simtime.Time) { g.ReleaseJob(tk, 0) })
+				g.ReleaseAt(tk, s.Now(), 0)
 			}
 			s.RunFor(simtime.Millis(1))
 			queued := 0

@@ -18,11 +18,8 @@ func (g *OS) ForkHandler(ctx *clone.Ctx) sim.Handler { return g.cloneOS(ctx) }
 
 // cloneOS deep-copies the guest: per-VCPU ready queues (heap layout and tie
 // break sequence preserved verbatim), task states with their pending release
-// timers, and the admission bookkeeping. The job pool is not shared: the
-// fork starts with an empty one. Demand functions are NOT carried —
-// they are workload-owned closures, and the workload's own ForkHandler
-// re-installs them on the cloned task set; until it does, releases fall back
-// to the declared slice.
+// timers and demand overrides, and the admission bookkeeping. The job pool
+// is not shared: the fork starts with an empty one.
 func (g *OS) cloneOS(ctx *clone.Ctx) *OS {
 	if n, ok := ctx.Lookup(g); ok {
 		return n.(*OS)
@@ -80,6 +77,7 @@ func cloneTaskState(ctx *clone.Ctx, ts *taskState) *taskState {
 		t:           task.Clone(ctx, ts.t),
 		owner:       ts.owner,
 		nextRelease: ts.nextRelease,
+		demand:      ts.demand,
 	}
 	ctx.Put(ts, nts)
 	nts.os = clone.Get(ctx, ts.os)

@@ -40,10 +40,8 @@ func TestGEDFJobMigratesAcrossVCPUs(t *testing.T) {
 	var aJob, bJob *task.Job
 	keepDone(a, &aJob)
 	keepDone(b, &bJob)
-	s.After(0, func(now simtime.Time) {
-		g.ReleaseJob(a, 0)
-		g.ReleaseJob(b, 0)
-	})
+	g.ReleaseAt(a, s.Now(), 0)
+	g.ReleaseAt(b, s.Now(), 0)
 	s.RunFor(simtime.Millis(6))
 	if !aJob.Done || !bJob.Done {
 		t.Fatalf("jobs not done: a=%v b=%v", aJob.Done, bJob.Done)
@@ -63,7 +61,7 @@ func TestGEDFNeverRunsOneJobTwice(t *testing.T) {
 	if err := g.Register(a); err != nil {
 		t.Fatal(err)
 	}
-	s.After(0, func(now simtime.Time) { g.ReleaseJob(a, 0) })
+	g.ReleaseAt(a, s.Now(), 0)
 	s.RunFor(simtime.Millis(20))
 	st := a.Stats()
 	// A single 6ms job must take exactly 6ms of work — double execution
@@ -87,8 +85,8 @@ func TestGEDFIdleVCPUPicksUpUrgentJob(t *testing.T) {
 	}
 	var shortJob *task.Job
 	keepDone(short, &shortJob)
-	s.After(0, func(now simtime.Time) { g.ReleaseJob(long, 0) })
-	s.After(simtime.Millis(2), func(now simtime.Time) { g.ReleaseJob(short, 0) })
+	g.ReleaseAt(long, s.Now(), 0)
+	g.ReleaseAt(short, s.Now().Add(simtime.Millis(2)), 0)
 	s.RunFor(simtime.Millis(20))
 	if !shortJob.Done || shortJob.Finish > simtime.Time(ppms(4)) {
 		t.Fatalf("short job not served promptly under gEDF: %+v", shortJob)

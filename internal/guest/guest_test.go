@@ -439,7 +439,7 @@ func TestSporadicReleaseRunsJob(t *testing.T) {
 	}
 	var j *task.Job
 	keepDone(sp, &j)
-	s.After(simtime.Millis(10), func(now simtime.Time) { g.ReleaseJob(sp, 0) })
+	g.ReleaseAt(sp, s.Now().Add(simtime.Millis(10)), 0)
 	s.RunFor(simtime.Millis(20))
 	if j == nil || !j.Done || j.Finish != simtime.Time(simtime.Millis(12)) {
 		t.Fatalf("sporadic job state: %+v", j)
@@ -514,19 +514,19 @@ func TestAllocatedBandwidth(t *testing.T) {
 	}
 }
 
-func TestDemandFn(t *testing.T) {
+func TestSetDemand(t *testing.T) {
 	s, _, g := setup(t, 1, 1, DefaultConfig())
 	sp := task.New(0, "sp", task.Sporadic, pp(10, 100))
 	if err := g.Register(sp); err != nil {
 		t.Fatal(err)
 	}
-	g.SetDemandFn(sp, func() simtime.Duration { return simtime.Millis(3) })
+	g.SetDemand(sp, simtime.Millis(3))
 	var j *task.Job
 	keepDone(sp, &j)
-	s.After(0, func(now simtime.Time) { g.ReleaseJob(sp, 0) })
+	g.ReleaseAt(sp, s.Now(), 0)
 	s.RunFor(simtime.Millis(5))
 	if j.Demand != simtime.Millis(3) {
-		t.Fatalf("demand = %v, want 3ms from demand fn", j.Demand)
+		t.Fatalf("demand = %v, want 3ms from SetDemand", j.Demand)
 	}
 }
 

@@ -39,7 +39,7 @@ func TestBGAInsideRTVM(t *testing.T) {
 	}
 	h.Start()
 	g.StartPeriodic(rta, 0)
-	s.After(0, func(now simtime.Time) { g.ReleaseJob(bga, simtime.Seconds(100)) })
+	g.ReleaseAt(bga, s.Now(), simtime.Seconds(100))
 	s.RunFor(simtime.Seconds(5))
 	h.Sync()
 	if st := rta.Stats(); st.Missed != 0 {

@@ -72,6 +72,9 @@ const (
 	// the task's guest-local owner ID (NOT task.ID, which is only unique
 	// within one task set).
 	evPeriodicTick uint16 = iota
+	// evRelease releases one job of a task (ReleaseAt): Owner is the
+	// task's owner ID and Arg0 the job's demand.
+	evRelease
 )
 
 // OS is the guest operating system of one VM.
@@ -120,9 +123,9 @@ type taskState struct {
 	// periodic release machinery
 	releaseEv   eventq.Handle
 	nextRelease simtime.Time
-	// DemandFn, when set, draws each job's actual demand; nil means the
-	// declared slice.
-	demandFn func() simtime.Duration
+	// demand, when positive, is each job's actual demand in place of the
+	// declared slice (SetDemand).
+	demand simtime.Duration
 }
 
 // NewOS creates a VM named name on host with the given guest config, and
@@ -428,20 +431,33 @@ func (g *OS) Shutdown() error {
 
 // ---- job release ----
 
-// SetDemandFn installs a per-job demand sampler for t (nil = declared
-// slice). Used by workloads with variable actual demand (memcached).
-func (g *OS) SetDemandFn(t *task.Task, fn func() simtime.Duration) {
+// SetDemand makes every job of t that is released without an explicit
+// demand run for d instead of its declared slice (0 restores the slice).
+// It models tasks whose actual demand differs from what they declare.
+func (g *OS) SetDemand(t *task.Task, d simtime.Duration) {
 	ts, ok := g.tasks[t]
 	if !ok {
-		panic("guest: SetDemandFn on unregistered task")
+		panic("guest: SetDemand on unregistered task")
 	}
-	ts.demandFn = fn
+	ts.demand = d
 }
 
-// ReleaseJob activates task t now with the given demand (0 = use declared
-// slice or the demand function) and returns the job. The guest owns the
-// record: the pointer is valid until the job's completion has been
-// handled, after which JobCompleted zeroes it for reuse (see task.Job).
+// ReleaseAt schedules one release of t at instant at with the given demand
+// (as ReleaseJob). The release is a guest event, so it survives a Fork; a
+// task that has left the guest by then releases nothing.
+func (g *OS) ReleaseAt(t *task.Task, at simtime.Time, demand simtime.Duration) eventq.Handle {
+	ts, ok := g.tasks[t]
+	if !ok {
+		panic("guest: ReleaseAt on unregistered task")
+	}
+	return g.sim.PostAt(at, sim.Payload{Handler: g.handlerID, Kind: evRelease, Owner: ts.owner, Arg0: int64(demand)})
+}
+
+// ReleaseJob activates task t now with the given demand (0 = use the
+// demand set by SetDemand, else the declared slice) and returns the job.
+// The guest owns the record: the pointer is valid until the job's
+// completion has been handled, after which JobCompleted zeroes it for
+// reuse (see task.Job).
 func (g *OS) ReleaseJob(t *task.Task, demand simtime.Duration) *task.Job {
 	var ts *taskState
 	if o := uint(t.GuestSlot); o < uint(len(g.byOwner)) {
@@ -454,8 +470,8 @@ func (g *OS) ReleaseJob(t *task.Task, demand simtime.Duration) *task.Job {
 		}
 	}
 	if demand <= 0 {
-		if ts.demandFn != nil {
-			demand = ts.demandFn()
+		if ts.demand > 0 {
+			demand = ts.demand
 		} else {
 			demand = t.Params().Slice
 		}
@@ -506,7 +522,7 @@ func (g *OS) ReleaseJob(t *task.Task, demand simtime.Duration) *task.Job {
 }
 
 // StartPeriodic begins periodic releases of t at the given start instant;
-// each release draws demand from the task's demand function or slice.
+// each release runs for the task's SetDemand override or its slice.
 func (g *OS) StartPeriodic(t *task.Task, start simtime.Time) {
 	ts, ok := g.tasks[t]
 	if !ok {
@@ -529,6 +545,10 @@ func (g *OS) HandleSimEvent(now simtime.Time, ev sim.Payload) {
 	case evPeriodicTick:
 		if ts := g.byOwner[ev.Owner]; ts != nil {
 			g.periodicTick(ts, now)
+		}
+	case evRelease:
+		if ts := g.byOwner[ev.Owner]; ts != nil {
+			g.ReleaseJob(ts.t, simtime.Duration(ev.Arg0))
 		}
 	default:
 		panic(fmt.Sprintf("guest: unknown event kind %d", ev.Kind))

@@ -38,7 +38,7 @@ func (s *migrSched) Schedule(p *PCPU, now simtime.Time) Decision {
 		other := s.h.PCPUs()[s.next]
 		// Kick the other PCPU 1ns after this allocation expires, so the
 		// VCPU has been undispatched by then and can migrate.
-		s.h.Sim.At(now.Add(simtime.Millis(1)+1), func(at simtime.Time) {
+		callAt(s.h.Sim, now.Add(simtime.Millis(1)+1), func(at simtime.Time) {
 			s.h.Kick(other, at)
 		})
 		return Decision{VCPU: s.v, RunFor: simtime.Millis(1), Work: 1}
@@ -56,7 +56,7 @@ func TestMigrationAccounting(t *testing.T) {
 	}
 	h.Start()
 	tk := task.NewBackground(0, "hog")
-	s.After(0, func(now simtime.Time) {
+	callAfter(s, 0, func(now simtime.Time) {
 		g.submit(v, tk.Release(now, simtime.Millis(50)), now)
 	})
 	s.RunFor(simtime.Millis(200))
@@ -89,11 +89,11 @@ func TestHypercallCostChargedToRunningVCPU(t *testing.T) {
 	v, _ := vm.AddVCPU(true, Reservation{}, 0)
 	h.Start()
 	tk := task.NewBackground(0, "t")
-	s.After(0, func(now simtime.Time) {
+	callAfter(s, 0, func(now simtime.Time) {
 		g.submit(v, tk.Release(now, simtime.Millis(5)), now)
 	})
 	// Hypercall at 2ms while the job runs: completion slips by 10µs.
-	s.After(simtime.Millis(2), func(now simtime.Time) {
+	callAfter(s, simtime.Millis(2), func(now simtime.Time) {
 		err := h.SchedRTVirt(Hypercall{Flag: IncBW, VCPU: v,
 			Res: Reservation{Budget: simtime.Millis(1), Period: simtime.Millis(10)}})
 		if err != ErrNoCrossLayer {
@@ -119,10 +119,10 @@ func TestChargeScheduleWorkDelaysExecution(t *testing.T) {
 	v, _ := vm.AddVCPU(true, Reservation{}, 0)
 	h.Start()
 	tk := task.NewBackground(0, "t")
-	s.After(0, func(now simtime.Time) {
+	callAfter(s, 0, func(now simtime.Time) {
 		g.submit(v, tk.Release(now, simtime.Millis(3)), now)
 	})
-	s.After(simtime.Millis(1), func(now simtime.Time) {
+	callAfter(s, simtime.Millis(1), func(now simtime.Time) {
 		h.ChargeScheduleWork(h.PCPUs()[0], simtime.Micros(200))
 	})
 	s.RunFor(simtime.Millis(50))
@@ -147,7 +147,7 @@ func TestSyncIsIdempotentAndExact(t *testing.T) {
 	v, _ := vm.AddVCPU(true, Reservation{}, 0)
 	h.Start()
 	tk := task.NewBackground(0, "t")
-	s.After(0, func(now simtime.Time) {
+	callAfter(s, 0, func(now simtime.Time) {
 		g.submit(v, tk.Release(now, simtime.Millis(10)), now)
 	})
 	s.RunFor(simtime.Millis(4))
@@ -179,10 +179,10 @@ func TestVCPURecheckSwitchesJobs(t *testing.T) {
 	h.Start()
 	tk := task.NewBackground(0, "t")
 	long := tk.Release(0, simtime.Millis(20))
-	s.After(0, func(now simtime.Time) { g.submit(v, long, now) })
+	callAfter(s, 0, func(now simtime.Time) { g.submit(v, long, now) })
 	// At 5ms, inject an urgent job at the queue head and recheck.
 	urgent := tk.Release(simtime.Time(simtime.Millis(5)), simtime.Millis(1))
-	s.After(simtime.Millis(5), func(now simtime.Time) {
+	callAfter(s, simtime.Millis(5), func(now simtime.Time) {
 		g.queues[v] = append([]*task.Job{urgent}, g.queues[v]...)
 		h.VCPURecheck(v, now)
 	})
@@ -211,7 +211,7 @@ func TestHostAccessors(t *testing.T) {
 		t.Fatalf("StartTime = %v", h.StartTime())
 	}
 	tk := task.NewBackground(0, "t")
-	s.After(0, func(now simtime.Time) { g.submit(v, tk.Release(now, simtime.Millis(7)), now) })
+	callAfter(s, 0, func(now simtime.Time) { g.submit(v, tk.Release(now, simtime.Millis(7)), now) })
 	s.RunFor(simtime.Millis(20))
 	h.Sync()
 	if h.TotalRunTime() != simtime.Millis(7) {

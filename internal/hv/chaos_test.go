@@ -120,7 +120,7 @@ func TestQuickKernelConservation(t *testing.T) {
 			at := simtime.Time(rng.Int63n(int64(simtime.Seconds(2))))
 			v := vcpus[rng.Intn(len(vcpus))]
 			demand := simtime.Duration(1 + rng.Int63n(int64(simtime.Millis(20))))
-			s.At(at, func(now simtime.Time) {
+			callAt(s, at, func(now simtime.Time) {
 				j := tk.Release(now, demand)
 				allJobs = append(allJobs, j)
 				g.queues[v] = append(g.queues[v], j)

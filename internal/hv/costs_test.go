@@ -165,7 +165,7 @@ func TestMigrationAccountingWithWorkingSet(t *testing.T) {
 	}
 	h.Start()
 	tk := task.NewBackground(0, "hog")
-	s.After(0, func(now simtime.Time) {
+	callAfter(s, 0, func(now simtime.Time) {
 		g.submit(v, tk.Release(now, simtime.Millis(50)), now)
 	})
 	s.RunFor(simtime.Millis(100))

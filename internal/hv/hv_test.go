@@ -111,7 +111,7 @@ func TestSingleJobRunsToCompletion(t *testing.T) {
 	}
 	h.Start()
 	tk := task.New(0, "t0", task.Periodic, task.Params{Slice: simtime.Millis(3), Period: simtime.Millis(100)})
-	s.After(simtime.Millis(5), func(now simtime.Time) {
+	callAfter(s, simtime.Millis(5), func(now simtime.Time) {
 		g.submit(v, tk.Release(now, simtime.Millis(3)), now)
 	})
 	s.RunFor(simtime.Seconds(1))
@@ -141,7 +141,7 @@ func TestCostsDelayExecution(t *testing.T) {
 	v, _ := vm.AddVCPU(true, Reservation{}, 0)
 	h.Start()
 	tk := task.New(0, "t0", task.Periodic, task.Params{Slice: simtime.Millis(1), Period: simtime.Millis(100)})
-	s.After(simtime.Millis(5), func(now simtime.Time) {
+	callAfter(s, simtime.Millis(5), func(now simtime.Time) {
 		g.submit(v, tk.Release(now, simtime.Millis(1)), now)
 	})
 	s.RunFor(simtime.Seconds(1))
@@ -171,7 +171,7 @@ func TestTwoVCPUsShareOnePCPU(t *testing.T) {
 	h.Start()
 	t1 := task.New(0, "t1", task.Background, task.Params{})
 	t2 := task.New(1, "t2", task.Background, task.Params{})
-	s.After(0, func(now simtime.Time) {
+	callAfter(s, 0, func(now simtime.Time) {
 		g.submit(v1, t1.Release(now, simtime.Millis(30)), now)
 		g.submit(v2, t2.Release(now, simtime.Millis(30)), now)
 	})
@@ -196,7 +196,7 @@ func TestJobsQueueFIFOWithinVCPU(t *testing.T) {
 	v, _ := vm.AddVCPU(true, Reservation{}, 0)
 	h.Start()
 	tk := task.NewBackground(0, "bg")
-	s.After(0, func(now simtime.Time) {
+	callAfter(s, 0, func(now simtime.Time) {
 		g.submit(v, tk.Release(now, simtime.Millis(2)), now)
 		g.submit(v, tk.Release(now, simtime.Millis(3)), now)
 	})
@@ -217,10 +217,10 @@ func TestIdleVCPUBlocksAndWakes(t *testing.T) {
 	v, _ := vm.AddVCPU(true, Reservation{}, 0)
 	h.Start()
 	tk := task.NewBackground(0, "bg")
-	s.After(simtime.Millis(1), func(now simtime.Time) {
+	callAfter(s, simtime.Millis(1), func(now simtime.Time) {
 		g.submit(v, tk.Release(now, simtime.Millis(1)), now)
 	})
-	s.After(simtime.Millis(50), func(now simtime.Time) {
+	callAfter(s, simtime.Millis(50), func(now simtime.Time) {
 		g.submit(v, tk.Release(now, simtime.Millis(1)), now)
 	})
 	s.RunFor(simtime.Millis(100))
@@ -249,7 +249,7 @@ func TestMultiPCPUParallelism(t *testing.T) {
 	h.Start()
 	tk1 := task.NewBackground(0, "a")
 	tk2 := task.NewBackground(1, "b")
-	s.After(0, func(now simtime.Time) {
+	callAfter(s, 0, func(now simtime.Time) {
 		g.submit(v1, tk1.Release(now, simtime.Millis(20)), now)
 		g.submit(v2, tk2.Release(now, simtime.Millis(20)), now)
 	})

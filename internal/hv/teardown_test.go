@@ -39,7 +39,7 @@ func TestTracerReceivesEvents(t *testing.T) {
 	v, _ := vm.AddVCPU(true, Reservation{}, 0)
 	h.Start()
 	tk := task.New(0, "t", task.Periodic, task.Params{Slice: simtime.Millis(1), Period: simtime.Millis(10)})
-	s.After(simtime.Millis(1), func(now simtime.Time) {
+	callAfter(s, simtime.Millis(1), func(now simtime.Time) {
 		g.submit(v, tk.Release(now, simtime.Millis(1)), now)
 	})
 	s.RunFor(simtime.Millis(20))
@@ -49,7 +49,7 @@ func TestTracerReceivesEvents(t *testing.T) {
 	// Detaching all sinks must stop the stream.
 	h.Bus().Reset()
 	before := tr.done
-	s.After(0, func(now simtime.Time) {
+	callAfter(s, 0, func(now simtime.Time) {
 		g.submit(v, tk.Release(now, simtime.Millis(1)), now)
 	})
 	s.RunFor(simtime.Millis(20))
@@ -67,7 +67,7 @@ func TestVMTotalRun(t *testing.T) {
 	h.Start()
 	t0 := task.New(0, "a", task.Periodic, task.Params{Slice: simtime.Millis(3), Period: simtime.Millis(100)})
 	t1 := task.New(1, "b", task.Periodic, task.Params{Slice: simtime.Millis(5), Period: simtime.Millis(100)})
-	s.After(0, func(now simtime.Time) {
+	callAfter(s, 0, func(now simtime.Time) {
 		g.submit(v0, t0.Release(now, simtime.Millis(3)), now)
 		g.submit(v1, t1.Release(now, simtime.Millis(5)), now)
 	})
@@ -85,11 +85,11 @@ func TestAllocEndDuringDispatch(t *testing.T) {
 	v, _ := vm.AddVCPU(true, Reservation{}, 0)
 	h.Start()
 	tk := task.New(0, "t", task.Periodic, task.Params{Slice: simtime.Millis(8), Period: simtime.Millis(100)})
-	s.After(0, func(now simtime.Time) {
+	callAfter(s, 0, func(now simtime.Time) {
 		g.submit(v, tk.Release(now, simtime.Millis(8)), now)
 	})
 	var allocEnd simtime.Time
-	s.At(simtime.Time(simtime.Millis(4)), func(now simtime.Time) {
+	callAt(s, simtime.Time(simtime.Millis(4)), func(now simtime.Time) {
 		allocEnd = h.PCPUs()[0].AllocEnd()
 	})
 	s.RunFor(simtime.Millis(50))
@@ -110,12 +110,12 @@ func TestRemoveVMWhileRunning(t *testing.T) {
 
 	t1 := task.New(0, "doomed-t", task.Periodic, task.Params{Slice: simtime.Millis(20), Period: simtime.Millis(100)})
 	t2 := task.New(1, "survivor-t", task.Periodic, task.Params{Slice: simtime.Millis(2), Period: simtime.Millis(100)})
-	s.After(0, func(now simtime.Time) {
+	callAfter(s, 0, func(now simtime.Time) {
 		g.submit(v1, t1.Release(now, simtime.Millis(20)), now)
 		g.submit(v2, t2.Release(now, simtime.Millis(2)), now)
 	})
 	// vm1 occupies the single PCPU; tear it down mid-job.
-	s.At(simtime.Time(simtime.Millis(5)), func(now simtime.Time) {
+	callAt(s, simtime.Time(simtime.Millis(5)), func(now simtime.Time) {
 		g.queues[v1] = nil // guest forgets the doomed queue first
 		h.RemoveVM(vm1)
 	})
@@ -211,10 +211,10 @@ func TestVCPURecheckPreemptsGuestJob(t *testing.T) {
 
 	slow := task.New(0, "slow", task.Periodic, task.Params{Slice: simtime.Millis(10), Period: simtime.Millis(100)})
 	urgent := task.New(1, "urgent", task.Periodic, task.Params{Slice: simtime.Millis(1), Period: simtime.Millis(100)})
-	s.After(0, func(now simtime.Time) {
+	callAfter(s, 0, func(now simtime.Time) {
 		g.submit(v, slow.Release(now, simtime.Millis(10)), 5, now)
 	})
-	s.At(simtime.Time(simtime.Millis(2)), func(now simtime.Time) {
+	callAt(s, simtime.Time(simtime.Millis(2)), func(now simtime.Time) {
 		g.submit(v, urgent.Release(now, simtime.Millis(1)), 1, now)
 		h.VCPURecheck(v, now)
 	})
@@ -249,14 +249,14 @@ func TestVCPURecheckIdlesEmptiedQueue(t *testing.T) {
 	tk := task.New(0, "t", task.Periodic, task.Params{Slice: simtime.Millis(10), Period: simtime.Millis(100)})
 	other := task.New(1, "o", task.Periodic, task.Params{Slice: simtime.Millis(1), Period: simtime.Millis(100)})
 	var job *task.Job
-	s.After(0, func(now simtime.Time) {
+	callAfter(s, 0, func(now simtime.Time) {
 		job = tk.Release(now, simtime.Millis(10))
 		g.submit(v, job, 1, now)
 		g.submit(w, other.Release(now, simtime.Millis(1)), 1, now)
 	})
 	// The guest drops its only job (e.g. the task was killed) and pokes
 	// the kernel: the VCPU must idle and the other VM take the PCPU.
-	s.At(simtime.Time(simtime.Millis(2)), func(now simtime.Time) {
+	callAt(s, simtime.Time(simtime.Millis(2)), func(now simtime.Time) {
 		g.queues[v] = nil
 		job.Abandon(now)
 		h.VCPURecheck(v, now)
@@ -277,7 +277,7 @@ func TestVCPURecheckUndispatchedNoop(t *testing.T) {
 	vm := h.NewVM("vm0", g)
 	v, _ := vm.AddVCPU(true, Reservation{}, 0)
 	h.Start()
-	s.After(simtime.Millis(1), func(now simtime.Time) {
+	callAfter(s, simtime.Millis(1), func(now simtime.Time) {
 		h.VCPURecheck(v, now) // not dispatched anywhere: must not panic
 	})
 	s.RunFor(simtime.Millis(10))

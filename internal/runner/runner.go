@@ -9,7 +9,7 @@
 // points, Robustness' seeds, Table 6's scenarios — and this package is the
 // single fan-out primitive they all share.
 //
-// Results are always delivered in the order the specs were submitted, so
+// Results are always delivered in the order the items were submitted, so
 // the output of a parallel sweep is bit-for-bit identical to the
 // sequential one; only the wall clock differs.
 package runner
@@ -45,38 +45,10 @@ func Default() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Spec is one self-contained run: a label for diagnostics plus the
-// closure that executes it.
-type Spec struct {
-	// Key identifies the run (e.g. "fig3/NH-Dec/seed1").
-	Key string
-	// Run executes one full simulation and returns its result. It must not
-	// share mutable state with any other spec.
-	Run func() any
-}
-
-// Result pairs a spec's key with its outcome. Results come back in the
-// order the specs went in, regardless of completion order.
-type Result struct {
-	Key   string
-	Value any
-}
-
-// Run executes the specs on parallel workers (parallel <= 0 means
-// Default()) and returns their results in input order. A panic in any
-// spec is captured and re-raised in the caller after all workers have
-// drained, annotated with the spec's key.
-func Run(specs []Spec, parallel int) []Result {
-	out := make([]Result, len(specs))
-	forEach(len(specs), parallel, func(i int) {
-		out[i] = Result{Key: specs[i].Key, Value: specs[i].Run()}
-	})
-	return out
-}
-
 // Map applies fn to every item on parallel workers (parallel <= 0 means
-// Default()) and returns the results in input order — the generic form of
-// Run for typed sweeps.
+// Default()) and returns the results in input order. A panic in any item
+// is captured and re-raised in the caller after all workers have drained,
+// annotated with the item's index.
 func Map[T, R any](parallel int, items []T, fn func(T) R) []R {
 	out := make([]R, len(items))
 	forEach(len(items), parallel, func(i int) { out[i] = fn(items[i]) })

@@ -33,25 +33,8 @@ func TestMapIdx(t *testing.T) {
 	}
 }
 
-func TestRunKeysAndOrder(t *testing.T) {
-	specs := make([]Spec, 10)
-	for i := range specs {
-		i := i
-		specs[i] = Spec{Key: fmt.Sprintf("run%d", i), Run: func() any { return i * 10 }}
-	}
-	res := Run(specs, 4)
-	for i, r := range res {
-		if r.Key != fmt.Sprintf("run%d", i) || r.Value.(int) != i*10 {
-			t.Fatalf("res[%d] = %+v", i, r)
-		}
-	}
-}
-
 func TestEmpty(t *testing.T) {
 	if got := Map(4, nil, func(int) int { return 1 }); len(got) != 0 {
-		t.Fatalf("want empty, got %v", got)
-	}
-	if got := Run(nil, 4); len(got) != 0 {
 		t.Fatalf("want empty, got %v", got)
 	}
 }

@@ -617,10 +617,7 @@ func (w *World) Start() {
 			b.lat = &client.Latency
 			client.Start(0)
 		case "background":
-			g, tk := b.guest, b.task
-			w.Sys.Sim.At(0, func(now simtime.Time) {
-				g.ReleaseJob(tk, simtime.Duration(1<<60))
-			})
+			b.guest.ReleaseAt(b.task, 0, simtime.Duration(1<<60))
 		case "evader":
 			b.evader.Start(0)
 		}

@@ -35,7 +35,7 @@ func newVM(t *testing.T, h *hv.Host, name string, weight int) *guest.OS {
 }
 
 func startHog(s *sim.Simulator, g *guest.OS, tk *task.Task) {
-	s.After(0, func(now simtime.Time) { g.ReleaseJob(tk, simtime.Seconds(10000)) })
+	g.ReleaseAt(tk, s.Now(), simtime.Seconds(10000))
 }
 
 func TestProportionalShareByWeight(t *testing.T) {
@@ -88,7 +88,7 @@ func TestBoostGivesLowWakeLatency(t *testing.T) {
 	startHog(s, gH, hog)
 	for i := int64(0); i < 100; i++ {
 		at := simtime.Time(ms(13*i + 3))
-		s.At(at, func(now simtime.Time) { gL.ReleaseJob(srv, 0) })
+		gL.ReleaseAt(srv, at, 0)
 	}
 	s.RunFor(simtime.Seconds(2))
 	// With BOOST the request preempts the hog after at most the ratelimit.
@@ -116,7 +116,7 @@ func TestRatelimitDefersPreemption(t *testing.T) {
 	h.Start()
 	startHog(s, gH, hog)
 	// Release right after the hog's dispatch so the ratelimit must delay us.
-	s.At(simtime.Time(ms(30)+simtime.Micros(100)), func(now simtime.Time) { gL.ReleaseJob(srv, 0) })
+	gL.ReleaseAt(srv, simtime.Time(ms(30)+simtime.Micros(100)), 0)
 	s.RunFor(simtime.Seconds(1))
 	if lat.Count() != 1 {
 		t.Fatalf("request not served: %d", lat.Count())
@@ -156,13 +156,13 @@ func TestOverStateStarvesTail(t *testing.T) {
 	h.Start()
 	// Burst of back-to-back heavy requests to exhaust credits, then more.
 	for i := int64(0); i < 200; i++ {
-		s.At(simtime.Time(ms(5*i+1)), func(now simtime.Time) {
-			if srv.EarliestNextRelease() <= now {
-				gL.ReleaseJob(srv, 0)
-			}
-		})
+		now := simtime.Time(ms(5*i + 1))
+		s.RunUntil(now)
+		if srv.EarliestNextRelease() <= now {
+			gL.ReleaseJob(srv, 0)
+		}
 	}
-	s.RunFor(simtime.Seconds(2))
+	s.RunUntil(simtime.Time(simtime.Seconds(2)))
 	if lat.Count() < 5 {
 		t.Fatalf("too few requests served: %d", lat.Count())
 	}

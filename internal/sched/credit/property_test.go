@@ -37,7 +37,7 @@ func TestQuickCapEnforcement(t *testing.T) {
 			return false
 		}
 		h.Start()
-		s.After(0, func(now simtime.Time) { g.ReleaseJob(hog, simtime.Seconds(1000)) })
+		g.ReleaseAt(hog, s.Now(), simtime.Seconds(1000))
 		dur := simtime.Seconds(3)
 		s.RunFor(dur)
 		h.Sync()
@@ -81,8 +81,8 @@ func TestQuickWeightProportionality(t *testing.T) {
 			return false
 		}
 		h.Start()
-		s.After(0, func(now simtime.Time) { gA.ReleaseJob(ha, simtime.Seconds(1000)) })
-		s.After(0, func(now simtime.Time) { gB.ReleaseJob(hb, simtime.Seconds(1000)) })
+		gA.ReleaseAt(ha, s.Now(), simtime.Seconds(1000))
+		gB.ReleaseAt(hb, s.Now(), simtime.Seconds(1000))
 		s.RunFor(simtime.Seconds(10))
 		h.Sync()
 		runA, runB := float64(gA.VM().TotalRun()), float64(gB.VM().TotalRun())

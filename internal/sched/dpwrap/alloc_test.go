@@ -89,9 +89,7 @@ func BenchmarkRebuild(b *testing.B) {
 	forks := make([]*Scheduler, rebuildForks)
 	for i := range forks {
 		ctx := clone.New()
-		if _, err := s.Fork(ctx); err != nil {
-			b.Fatal(err)
-		}
+		s.Fork(ctx)
 		forks[i] = clone.Get(ctx, sched)
 		forks[i].rebuild(now) // a fork starts with no rebuild scratch
 	}

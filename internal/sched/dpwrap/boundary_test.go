@@ -203,10 +203,7 @@ func TestOnePassBoundaryDifferential(t *testing.T) {
 		}
 
 		ctx := clone.New()
-		ns, err := s.Fork(ctx)
-		if err != nil {
-			t.Fatalf("seed %d: fork: %v", seed, err)
-		}
+		ns := s.Fork(ctx)
 		fsched := clone.Get(ctx, sched)
 		if len(fsched.rtv) != len(sched.rtv) {
 			t.Fatalf("seed %d: fork's rtv holds %d VCPUs, want %d", seed, len(fsched.rtv), len(sched.rtv))

@@ -200,8 +200,7 @@ func TestSporadicMeetsDeadline(t *testing.T) {
 	g2.StartPeriodic(per, 0)
 	// Fire sporadic requests at awkward instants.
 	for _, at := range []int64{13, 113, 217, 331, 449, 500, 617} {
-		at := at
-		s.At(simtime.Time(ms(at)), func(now simtime.Time) { g.ReleaseJob(sp, 0) })
+		g.ReleaseAt(sp, simtime.Time(ms(at)), 0)
 	}
 	s.RunFor(simtime.Seconds(1))
 	if st := sp.Stats(); st.Missed != 0 || st.Completed != 7 {
@@ -227,9 +226,7 @@ func TestBackgroundVMGetsLeftover(t *testing.T) {
 	}
 	h.Start()
 	g.StartPeriodic(tk, 0)
-	s.After(0, func(now simtime.Time) {
-		gbg.ReleaseJob(hog, simtime.Seconds(100)) // effectively infinite
-	})
+	gbg.ReleaseAt(hog, s.Now(), simtime.Seconds(100)) // effectively infinite
 	s.RunFor(simtime.Seconds(10))
 	h.Sync()
 	if st := tk.Stats(); st.Missed != 0 {
@@ -251,12 +248,11 @@ func TestDynamicBandwidthChange(t *testing.T) {
 	}
 	h.Start()
 	g.StartPeriodic(tk, 0)
-	s.After(simtime.Seconds(2), func(now simtime.Time) {
-		if err := g.SetAttr(tk, pp(8, 10)); err != nil {
-			t.Errorf("SetAttr: %v", err)
-		}
-	})
-	s.RunFor(simtime.Seconds(5))
+	s.RunFor(simtime.Seconds(2))
+	if err := g.SetAttr(tk, pp(8, 10)); err != nil {
+		t.Errorf("SetAttr: %v", err)
+	}
+	s.RunFor(simtime.Seconds(3))
 	if st := tk.Stats(); st.Missed > 1 {
 		// One miss is tolerated at the transition instant (the job in
 		// flight was released under the old parameters).

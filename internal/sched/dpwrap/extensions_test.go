@@ -42,13 +42,10 @@ func TestIdleTaxSqueezesIdleClaim(t *testing.T) {
 	if f := sched.TaxFactor(v); f != 1.0 {
 		t.Fatalf("initial tax factor %v, want 1", f)
 	}
-	// Release one tiny job per 100ms: usage ≈ 0.5%.
-	var drip func(now simtime.Time)
-	drip = func(now simtime.Time) {
-		gIdle.ReleaseJob(idler, simtime.Micros(500))
-		s.After(simtime.Millis(100), drip)
+	// Release one tiny job per 100ms through both 2s phases: usage ≈ 0.5%.
+	for at := simtime.Time(0); at <= simtime.Time(simtime.Seconds(4)); at = at.Add(simtime.Millis(100)) {
+		gIdle.ReleaseAt(idler, at, simtime.Micros(500))
 	}
-	s.After(0, drip)
 	s.RunFor(simtime.Seconds(2))
 	f := sched.TaxFactor(v)
 	if f > 0.5 {
@@ -71,6 +68,9 @@ func TestIdleTaxSqueezesIdleClaim(t *testing.T) {
 	s.RunFor(simtime.Seconds(2))
 	if st := busy.Stats(); st.MissRatio() > 0.02 {
 		t.Fatalf("newcomer missed %.2f%% next to a taxed idler", 100*st.MissRatio())
+	}
+	if st := idler.Stats(); st.Released != 41 {
+		t.Fatalf("idler released %d drip jobs over 4s, want 41", st.Released)
 	}
 }
 
@@ -142,25 +142,22 @@ func TestNoMigratePinsVCPU(t *testing.T) {
 	pinned := guests[1].VM().VCPUs[0]
 	pinned.NoMigrate = true
 
-	// Track the pinned VCPU's PCPU over time.
+	h.Start()
+	for i, tk := range tasks {
+		guests[i].StartPeriodic(tk, 0)
+	}
+	// Track the pinned VCPU's PCPU over time, sampling every 100µs.
 	migrations := 0
 	lastPCPU := -1
-	var watch func(now simtime.Time)
-	watch = func(now simtime.Time) {
+	for at := simtime.Time(0); at <= simtime.Time(simtime.Seconds(3)); at = at.Add(simtime.Micros(100)) {
+		s.RunUntil(at)
 		if p := pinned.OnPCPU(); p != nil {
 			if lastPCPU >= 0 && p.ID != lastPCPU {
 				migrations++
 			}
 			lastPCPU = p.ID
 		}
-		s.After(simtime.Micros(100), watch)
 	}
-	h.Start()
-	for i, tk := range tasks {
-		guests[i].StartPeriodic(tk, 0)
-	}
-	s.After(0, watch)
-	s.RunFor(simtime.Seconds(3))
 	if migrations != 0 {
 		t.Fatalf("pinned VCPU migrated %d times", migrations)
 	}
@@ -206,7 +203,7 @@ func TestRTCapacityReservesBackgroundShare(t *testing.T) {
 	}
 	h.Start()
 	g.StartPeriodic(fit, 0)
-	s.After(0, func(now simtime.Time) { gbg.ReleaseJob(hog, simtime.Seconds(100)) })
+	gbg.ReleaseAt(hog, s.Now(), simtime.Seconds(100))
 	s.RunFor(simtime.Seconds(5))
 	h.Sync()
 	// The hog gets the reserved 20%.

@@ -58,7 +58,7 @@ func TestQuickReservationIsolation(t *testing.T) {
 			if err := g.Register(tk); err != nil {
 				break
 			}
-			g.SetDemandFn(tk, func() simtime.Duration { return 2 * slice })
+			g.SetDemand(tk, 2*slice)
 			vms = append(vms, vmInfo{g: g, tk: tk, bw: tk.Params().Bandwidth()})
 			budget -= bw
 			id++

@@ -64,21 +64,31 @@ func TestQuickSporadicTimeliness(t *testing.T) {
 		gP.StartPeriodic(per, 0)
 
 		// Drive each sporadic task with random triggers ≥ its min
-		// inter-arrival apart.
-		for i, tk := range sps {
-			g := guests[i]
-			tk := tk
-			var fire func(now simtime.Time)
-			fire = func(now simtime.Time) {
-				if tk.EarliestNextRelease() <= now {
-					g.ReleaseJob(tk, 0)
-				}
-				gap := tk.Params().Period + simtime.Duration(rng.Int63n(int64(simtime.Millis(50))))
-				s.After(gap, fire)
-			}
-			s.After(simtime.Duration(rng.Int63n(int64(simtime.Millis(20)))), fire)
+		// inter-arrival apart: run to the earliest trigger, act, draw the
+		// task's next one.
+		next := make([]simtime.Time, len(sps))
+		for i := range sps {
+			next[i] = simtime.Time(rng.Int63n(int64(simtime.Millis(20))))
 		}
-		s.RunFor(simtime.Seconds(5))
+		end := simtime.Time(simtime.Seconds(5))
+		for len(sps) > 0 {
+			i := 0
+			for j := range next {
+				if next[j] < next[i] {
+					i = j
+				}
+			}
+			now := next[i]
+			if now > end {
+				break
+			}
+			s.RunUntil(now)
+			if tk := sps[i]; tk.EarliestNextRelease() <= now {
+				guests[i].ReleaseJob(tk, 0)
+			}
+			next[i] = now.Add(sps[i].Params().Period + simtime.Duration(rng.Int63n(int64(simtime.Millis(50)))))
+		}
+		s.RunUntil(end)
 		for _, tk := range sps {
 			st := tk.Stats()
 			if st.Released == 0 {

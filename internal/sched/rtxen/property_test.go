@@ -35,7 +35,7 @@ func TestQuickBudgetEnforcement(t *testing.T) {
 			return false
 		}
 		h.Start()
-		s.After(0, func(now simtime.Time) { g.ReleaseJob(hog, simtime.Seconds(1000)) })
+		g.ReleaseAt(hog, s.Now(), simtime.Seconds(1000))
 		dur := simtime.Seconds(2)
 		s.RunFor(dur)
 		h.Sync()

@@ -100,7 +100,7 @@ func TestDeferrableServerServesLateArrival(t *testing.T) {
 	}
 	h.Start()
 	// Arrive 4ms into the server period; budget must still be 5ms.
-	s.At(simtime.Time(ms(14)), func(now simtime.Time) { g.ReleaseJob(sp, 0) })
+	g.ReleaseAt(sp, simtime.Time(ms(14)), 0)
 	s.RunFor(simtime.Seconds(1))
 	st := sp.Stats()
 	if st.Completed != 1 || st.Missed != 0 {
@@ -205,7 +205,7 @@ func TestBackgroundVMRunsOnLeftover(t *testing.T) {
 	}
 	h.Start()
 	g.StartPeriodic(tk, 0)
-	s.After(0, func(now simtime.Time) { gbg.ReleaseJob(hog, simtime.Seconds(100)) })
+	gbg.ReleaseAt(hog, s.Now(), simtime.Seconds(100))
 	s.RunFor(simtime.Seconds(4))
 	h.Sync()
 	if st := tk.Stats(); st.Missed != 0 {
@@ -263,6 +263,7 @@ func TestEventDrivenReducesScheduleCalls(t *testing.T) {
 		h := hv.NewHost(s, 2, New(cfg), hv.CostModel{ScheduleBase: hv.ConstCost(simtime.Microsecond)})
 		var missed int
 		var tasks []*task.Task
+		var guests []*guest.OS
 		for i := 0; i < 4; i++ {
 			gcfg := guest.Config{CrossLayer: false, VCPUCapacity: 1.0}
 			g, err := guest.NewOS(h, fmt.Sprintf("vm%d", i), gcfg, 0)
@@ -277,10 +278,12 @@ func TestEventDrivenReducesScheduleCalls(t *testing.T) {
 				t.Fatal(err)
 			}
 			tasks = append(tasks, tk)
-			defer func(g *guest.OS, tk *task.Task) {}(g, tk)
-			s.After(0, func(now simtime.Time) { g.StartPeriodic(tk, now) })
+			guests = append(guests, g)
 		}
 		h.Start()
+		for i, tk := range tasks {
+			guests[i].StartPeriodic(tk, 0)
+		}
 		s.RunFor(simtime.Seconds(5))
 		for _, tk := range tasks {
 			missed += tk.Stats().Missed

@@ -8,9 +8,8 @@ import (
 	"rtvirt/internal/simtime"
 )
 
-// Payload is the typed, closure-free event form (see eventq.Payload). Every
-// layer that wants its pending timers to survive a Fork schedules payloads
-// via PostAt/PostAfter instead of closures via At/After.
+// Payload is the one event form (see eventq.Payload): every layer posts
+// its timers as payloads via PostAt/PostAfter, so they survive a Fork.
 type Payload = eventq.Payload
 
 // Handler receives typed events and participates in forking. Each stateful
@@ -55,13 +54,10 @@ func (s *Simulator) dispatch(now simtime.Time, p Payload) {
 // fork fires the same events in the same order), and every registered
 // handler. The copy and the original then evolve independently; running
 // the fork is bit-identical to running the original from the same instant.
-//
-// Fork fails if any pending event carries a closure — closures capture the
-// old world, so layers that want forkability must schedule typed payloads.
 // Objects outside the handler graph that hold simulator references (tasks,
 // metrics recorders) are cloned transitively through ctx by the handlers
 // that own them.
-func (s *Simulator) Fork(ctx *clone.Ctx) (*Simulator, error) {
+func (s *Simulator) Fork(ctx *clone.Ctx) *Simulator {
 	if s.inStep {
 		panic("sim: Fork from inside an event callback")
 	}
@@ -69,9 +65,7 @@ func (s *Simulator) Fork(ctx *clone.Ctx) (*Simulator, error) {
 	ctx.Put(s, ns)
 	ctx.Put(s.rng, ns.rng)
 	ns.q.Dispatch = ns.dispatch
-	if err := s.q.CloneInto(&ns.q, ctx); err != nil {
-		return nil, err
-	}
+	s.q.CloneInto(&ns.q, ctx)
 	// Handlers clone in registration order; earlier layers (the host) pull
 	// later ones (schedulers, guest drivers) through ctx as they reach
 	// them, so by the time the loop arrives most entries are memo hits.
@@ -79,5 +73,5 @@ func (s *Simulator) Fork(ctx *clone.Ctx) (*Simulator, error) {
 	for i, h := range s.handlers {
 		ns.handlers[i] = h.ForkHandler(ctx)
 	}
-	return ns, nil
+	return ns
 }

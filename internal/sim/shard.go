@@ -576,7 +576,7 @@ func (ss *ShardSet) RunFor(d simtime.Duration, groups int) {
 // the forked twins. Shard clones are memoized before any simulator forks,
 // mirroring the Put-before-fill rule. Coordinator scratch (heap, bounds,
 // candidate sets) is per-run state and is rebuilt by the next RunUntil.
-func (ss *ShardSet) Fork(ctx *clone.Ctx) (*ShardSet, error) {
+func (ss *ShardSet) Fork(ctx *clone.Ctx) *ShardSet {
 	if ss.inRun {
 		panic("sim: Fork during RunUntil")
 	}
@@ -597,11 +597,7 @@ func (ss *ShardSet) Fork(ctx *clone.Ctx) (*ShardSet, error) {
 		nss.shards[i] = nsh
 	}
 	for i, sh := range ss.shards {
-		nsim, err := sh.sim.Fork(ctx)
-		if err != nil {
-			return nil, fmt.Errorf("sim: forking shard %d: %w", i, err)
-		}
-		nss.shards[i].sim = nsim
+		nss.shards[i].sim = sh.sim.Fork(ctx)
 	}
-	return nss, nil
+	return nss
 }

@@ -278,10 +278,7 @@ func TestShardSetForkPerEdge(t *testing.T) {
 		Payload{Handler: 0, Kind: evPingPong, Arg0: 42})
 
 	ctx := clone.New()
-	nset, err := w.set.Fork(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	nset := w.set.Fork(ctx)
 	for from := 0; from < 4; from++ {
 		for to := 0; to < 4; to++ {
 			if from == to {

@@ -215,10 +215,7 @@ func TestShardSetFork(t *testing.T) {
 	}
 
 	ctx := clone.New()
-	nset, err := w.set.Fork(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	nset := w.set.Fork(ctx)
 	if got := len(nset.Shards()[1].outbox); got != 1 {
 		t.Fatalf("fork lost the in-flight mailbox message (outbox len %d)", got)
 	}

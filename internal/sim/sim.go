@@ -3,8 +3,10 @@
 //
 // All of the virtualized-host machinery (internal/hv, internal/guest, the
 // schedulers, the workloads) runs on top of a single Simulator. The kernel
-// is strictly single-threaded: callbacks run one at a time in global time
-// order, so no package above this one needs locks.
+// is strictly single-threaded: events run one at a time in global time
+// order, so no package above this one needs locks. Every event is a typed
+// Payload delivered to a registered Handler (see fork.go), so a simulator
+// can always be forked.
 package sim
 
 import (
@@ -39,9 +41,6 @@ func (s *Simulator) Now() simtime.Time { return s.now }
 // RNG returns the simulator's deterministic random source.
 func (s *Simulator) RNG() *RNG { return s.rng }
 
-// Seed reports the seed this simulator was created with. Forks inherit it.
-func (s *Simulator) Seed() uint64 { return s.seed }
-
 // DerivedRNG returns a fresh generator whose stream is a pure function of
 // (seed, tag) — it never consumes a draw from the main stream, so adding a
 // derived stream cannot perturb existing event sequences. Layers that need
@@ -49,10 +48,21 @@ func (s *Simulator) Seed() uint64 { return s.seed }
 // one from a stable tag such as their handler ID; two layers with distinct
 // tags get decorrelated streams.
 func (s *Simulator) DerivedRNG(tag uint64) *RNG {
-	z := s.seed + (tag+1)*0x9e3779b97f4a7c15
+	return NewRNG(SplitSeed(s.seed, tag))
+}
+
+// SplitSeed derives stream k's seed from seed with the splitmix64
+// finalizer, so neighbouring streams share no structure. The result is
+// never zero, since callers read a zero seed as "use the default".
+func SplitSeed(seed, k uint64) uint64 {
+	z := seed + (k+1)*0x9e3779b97f4a7c15
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return NewRNG(z ^ (z >> 31))
+	z ^= z >> 31
+	if z == 0 {
+		z = 1
+	}
+	return z
 }
 
 // EventsFired reports how many events have executed so far.
@@ -61,27 +71,10 @@ func (s *Simulator) EventsFired() uint64 { return s.fired }
 // Pending reports the number of events waiting to run.
 func (s *Simulator) Pending() int { return s.q.Len() }
 
-// At schedules fn to run at the absolute instant at. Scheduling in the past
-// panics: that is always a logic error in a discrete-event model.
-func (s *Simulator) At(at simtime.Time, fn func(now simtime.Time)) eventq.Handle {
-	if at < s.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, s.now))
-	}
-	return s.q.Schedule(at, fn)
-}
-
-// After schedules fn to run d from now.
-func (s *Simulator) After(d simtime.Duration, fn func(now simtime.Time)) eventq.Handle {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: scheduling event %v in the past", d))
-	}
-	return s.At(s.now.Add(d), fn)
-}
-
 // PostAt schedules a typed event at the absolute instant at, delivered to
-// the registered handler named by p.Handler. Typed events order exactly
-// like At calls made at the same point (shared seq counter), and — unlike
-// closures — survive Fork. Scheduling in the past panics.
+// the registered handler named by p.Handler. Events at the same instant
+// fire in the order they were posted. Scheduling in the past panics: that
+// is always a logic error in a discrete-event model.
 func (s *Simulator) PostAt(at simtime.Time, p Payload) eventq.Handle {
 	if at < s.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, s.now))
@@ -104,9 +97,9 @@ func (s *Simulator) PostAfter(d simtime.Duration, p Payload) eventq.Handle {
 func (s *Simulator) Cancel(h eventq.Handle) { s.q.Cancel(h) }
 
 // Reschedule moves a still-pending event to the absolute instant at,
-// keeping its callback, and returns the replacement handle (the one passed
-// in goes inert). It is the in-place equivalent of Cancel followed by At
-// with the same callback — including FIFO ordering among same-instant
+// keeping its payload, and returns the replacement handle (the one passed
+// in goes inert). It is the in-place equivalent of Cancel followed by
+// PostAt with the same payload — including FIFO ordering among same-instant
 // events — and reuses the event's record: a lone event is re-keyed with a
 // single heap sift, and one sharing its instant with others moves between
 // same-instant chains (see eventq). Rescheduling into the past or an

@@ -5,13 +5,47 @@ import (
 	"testing"
 	"testing/quick"
 
+	"rtvirt/internal/clone"
+	"rtvirt/internal/eventq"
 	"rtvirt/internal/simtime"
 )
 
+// calls is a test-local handler that runs the func its payload indexes,
+// so the kernel tests below can schedule behaviour inline.
+type calls struct {
+	s   *Simulator
+	id  int32
+	fns []func(simtime.Time)
+}
+
+func newCalls(s *Simulator) *calls {
+	c := &calls{s: s}
+	c.id = s.RegisterHandler(c)
+	return c
+}
+
+func (c *calls) post(fn func(simtime.Time)) Payload {
+	c.fns = append(c.fns, fn)
+	return Payload{Handler: c.id, Arg0: int64(len(c.fns) - 1)}
+}
+
+func (c *calls) at(at simtime.Time, fn func(simtime.Time)) eventq.Handle {
+	return c.s.PostAt(at, c.post(fn))
+}
+
+func (c *calls) after(d simtime.Duration, fn func(simtime.Time)) eventq.Handle {
+	return c.s.PostAfter(d, c.post(fn))
+}
+
+func (c *calls) HandleSimEvent(now simtime.Time, p Payload) { c.fns[p.Arg0](now) }
+
+func (c *calls) ForkHandler(*clone.Ctx) Handler { panic("calls: not forkable") }
+
 func TestClockAdvances(t *testing.T) {
 	s := New(1)
+	c := newCalls(s)
 	var at simtime.Time
-	s.After(simtime.Millis(5), func(now simtime.Time) { at = now })
+	c.after(simtime.Millis(5), func(now simtime.Time) { at = now })
 	if !s.Step() {
 		t.Fatal("Step returned false with a pending event")
 	}
@@ -25,9 +59,10 @@ func TestClockAdvances(t *testing.T) {
 
 func TestRunUntilStopsAtBoundary(t *testing.T) {
 	s := New(1)
+	c := newCalls(s)
 	var fired []simtime.Time
 	for _, ms := range []int64{1, 2, 3, 4, 5} {
-		s.At(simtime.Time(simtime.Millis(ms)), func(now simtime.Time) { fired = append(fired, now) })
+		c.at(simtime.Time(simtime.Millis(ms)), func(now simtime.Time) { fired = append(fired, now) })
 	}
 	s.RunUntil(simtime.Time(simtime.Millis(3)))
 	if len(fired) != 3 {
@@ -47,15 +82,16 @@ func TestRunUntilStopsAtBoundary(t *testing.T) {
 
 func TestSchedulingInsideCallback(t *testing.T) {
 	s := New(1)
+	c := newCalls(s)
 	count := 0
 	var tick func(now simtime.Time)
 	tick = func(now simtime.Time) {
 		count++
 		if count < 10 {
-			s.After(simtime.Millis(1), tick)
+			c.after(simtime.Millis(1), tick)
 		}
 	}
-	s.After(0, tick)
+	c.after(0, tick)
 	s.Drain(100)
 	if count != 10 {
 		t.Fatalf("ticks = %d, want 10", count)
@@ -67,20 +103,22 @@ func TestSchedulingInsideCallback(t *testing.T) {
 
 func TestPastSchedulingPanics(t *testing.T) {
 	s := New(1)
-	s.After(simtime.Millis(1), func(simtime.Time) {})
+	c := newCalls(s)
+	c.after(simtime.Millis(1), func(simtime.Time) {})
 	s.RunFor(simtime.Millis(2))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("scheduling in the past did not panic")
 		}
 	}()
-	s.At(0, func(simtime.Time) {})
+	c.at(0, func(simtime.Time) {})
 }
 
 func TestCancelPending(t *testing.T) {
 	s := New(1)
+	c := newCalls(s)
 	fired := false
-	e := s.After(simtime.Millis(1), func(simtime.Time) { fired = true })
+	e := c.after(simtime.Millis(1), func(simtime.Time) { fired = true })
 	s.Cancel(e)
 	s.Drain(10)
 	if fired {
@@ -91,10 +129,11 @@ func TestCancelPending(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	run := func() []uint64 {
 		s := New(42)
+		c := newCalls(s)
 		var vals []uint64
 		for i := 0; i < 32; i++ {
 			d := simtime.Duration(s.RNG().Int63n(int64(simtime.Millis(10))))
-			s.After(d, func(simtime.Time) { vals = append(vals, s.RNG().Uint64()) })
+			c.after(d, func(simtime.Time) { vals = append(vals, s.RNG().Uint64()) })
 		}
 		s.Drain(100)
 		return vals
@@ -194,9 +233,10 @@ func TestSplitIndependence(t *testing.T) {
 
 func TestRescheduleMovesEvent(t *testing.T) {
 	s := New(1)
+	c := newCalls(s)
 	var order []string
-	h := s.At(100, func(simtime.Time) { order = append(order, "moved") })
-	s.At(50, func(simtime.Time) { order = append(order, "fixed") })
+	h := c.at(100, func(simtime.Time) { order = append(order, "moved") })
+	c.at(50, func(simtime.Time) { order = append(order, "fixed") })
 	h = s.Reschedule(h, 10) // earlier than the fixed event
 	s.RunUntil(30)
 	if len(order) != 1 || order[0] != "moved" {
@@ -205,7 +245,7 @@ func TestRescheduleMovesEvent(t *testing.T) {
 	if h.Active() {
 		t.Fatal("handle still active after its event fired")
 	}
-	h2 := s.At(200, func(simtime.Time) { order = append(order, "late") })
+	h2 := c.at(200, func(simtime.Time) { order = append(order, "late") })
 	s.Reschedule(h2, 60) // later move still lands before the horizon
 	s.RunUntil(1000)
 	if len(order) != 3 || order[1] != "fixed" || order[2] != "late" {
@@ -215,8 +255,9 @@ func TestRescheduleMovesEvent(t *testing.T) {
 
 func TestRescheduleIntoPastPanics(t *testing.T) {
 	s := New(1)
-	h := s.At(100, func(simtime.Time) {})
-	s.At(50, func(simtime.Time) {})
+	c := newCalls(s)
+	h := c.at(100, func(simtime.Time) {})
+	c.at(50, func(simtime.Time) {})
 	s.RunUntil(60)
 	defer func() {
 		if recover() == nil {
@@ -231,12 +272,13 @@ func TestRescheduleIntoPastPanics(t *testing.T) {
 // rides on the same peek. EventsFired is the observable loop count.
 func TestRunUntilFiresExactlyPending(t *testing.T) {
 	s := New(1)
+	c := newCalls(s)
 	const before, after = 37, 5
 	for i := 0; i < before; i++ {
-		s.At(simtime.Time(10+i), func(simtime.Time) {})
+		c.at(simtime.Time(10+i), func(simtime.Time) {})
 	}
 	for i := 0; i < after; i++ {
-		s.At(simtime.Time(1000+i), func(simtime.Time) {})
+		c.at(simtime.Time(1000+i), func(simtime.Time) {})
 	}
 	s.RunUntil(500)
 	if got := s.EventsFired(); got != before {
@@ -252,9 +294,10 @@ func TestRunUntilFiresExactlyPending(t *testing.T) {
 
 func TestDrainBudgetPanics(t *testing.T) {
 	s := New(1)
+	c := newCalls(s)
 	var tick func(simtime.Time)
-	tick = func(simtime.Time) { s.After(1, tick) }
-	s.After(0, tick)
+	tick = func(simtime.Time) { c.after(1, tick) }
+	c.after(0, tick)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("runaway Drain did not panic")

@@ -74,20 +74,6 @@ func (m *Memcached) ForkHandler(ctx *clone.Ctx) sim.Handler {
 }
 
 // ForkHandler implements sim.Handler.
-func (h *CPUHog) ForkHandler(ctx *clone.Ctx) sim.Handler {
-	if n, ok := ctx.Lookup(h); ok {
-		return n.(*CPUHog)
-	}
-	nh := &CPUHog{
-		Task:  task.Clone(ctx, h.Task),
-		Guest: clone.Get(ctx, h.Guest),
-		id:    h.id,
-	}
-	ctx.Put(h, nh)
-	return nh
-}
-
-// ForkHandler implements sim.Handler.
 func (a *IOApp) ForkHandler(ctx *clone.Ctx) sim.Handler {
 	if n, ok := ctx.Lookup(a); ok {
 		return n.(*IOApp)

@@ -15,8 +15,8 @@ import (
 	"rtvirt/internal/task"
 )
 
-// Typed kernel-event kinds. Each workload instance is its own sim.Handler,
-// so kinds only need to be unique within one workload type.
+// Typed kernel-event kinds. Each workload that posts events is its own
+// sim.Handler, so kinds only need to be unique within one workload type.
 const (
 	// evClientFire sends the next sporadic trigger.
 	evClientFire uint16 = iota
@@ -24,8 +24,6 @@ const (
 	evClientRelease
 	// evMemcachedArrive delivers the next memcached request.
 	evMemcachedArrive
-	// evHogStart releases the CPU hog's effectively infinite job.
-	evHogStart
 	// evIOArrive delivers the next two-phase request.
 	evIOArrive
 	// evIOPhase2 re-releases a request after its device wait; Arg0 is the
@@ -334,8 +332,6 @@ func (m *Memcached) Sent() int { return m.sent }
 type CPUHog struct {
 	Task  *task.Task
 	Guest *guest.OS
-
-	id int32
 }
 
 // NewCPUHog registers a background CPU-bound task on g.
@@ -344,24 +340,12 @@ func NewCPUHog(g *guest.OS, id int, name string) (*CPUHog, error) {
 	if err := g.Register(t); err != nil {
 		return nil, err
 	}
-	h := &CPUHog{Task: t, Guest: g}
-	h.id = g.VM().Host().Sim.RegisterHandler(h)
-	return h, nil
+	return &CPUHog{Task: t, Guest: g}, nil
 }
 
 // Start releases one effectively infinite job at the given instant.
 func (h *CPUHog) Start(at simtime.Time) {
-	h.Guest.VM().Host().Sim.PostAt(at, sim.Payload{Handler: h.id, Kind: evHogStart})
-}
-
-// HandleSimEvent implements sim.Handler.
-func (h *CPUHog) HandleSimEvent(now simtime.Time, ev sim.Payload) {
-	switch ev.Kind {
-	case evHogStart:
-		h.Guest.ReleaseJob(h.Task, simtime.Duration(1<<60))
-	default:
-		panic(fmt.Sprintf("workload: unknown hog event kind %d", ev.Kind))
-	}
+	h.Guest.ReleaseAt(h.Task, at, simtime.Duration(1<<60))
 }
 
 // MissSummary aggregates deadline statistics over a set of tasks.
