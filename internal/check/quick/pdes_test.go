@@ -29,7 +29,8 @@ func TestPDESIdentityOnGeneratedWorlds(t *testing.T) {
 }
 
 // TestRunIncludesPDESAxis checks that the harness drives the sharded
-// oracle by default and that SkipPDES removes exactly those runs.
+// oracle by default and that a one-entry Shards removes exactly those
+// runs.
 func TestRunIncludesPDESAxis(t *testing.T) {
 	cfg := Config{
 		Seed: 11, N: 2, Seconds: 1,
@@ -37,7 +38,7 @@ func TestRunIncludesPDESAxis(t *testing.T) {
 		SkipFork: true,
 	}
 	with := Run(cfg)
-	cfg.SkipPDES = true
+	cfg.Shards = []int{1}
 	without := Run(cfg)
 	if got := with.Runs - without.Runs; got != cfg.N {
 		t.Errorf("PDES axis added %d runs, want %d", got, cfg.N)

@@ -40,9 +40,8 @@ type Config struct {
 	// oracle: each scenario is replicated onto a small sharded cluster and
 	// run once per group count, and every digest must match the first
 	// entry's (default DefaultShards = 1, 2, 4). A single entry disables
-	// the comparison; so does SkipPDES.
-	Shards   []int
-	SkipPDES bool
+	// the comparison.
+	Shards []int
 	// MaxShrinkRuns caps the simulations the shrinker may spend per
 	// failure (default 200).
 	MaxShrinkRuns int
@@ -99,7 +98,7 @@ func Run(cfg Config) *Report {
 		cfg.Shards = DefaultShards
 	}
 	rep := &Report{Seed: cfg.Seed, Cases: cfg.N}
-	if !cfg.SkipPDES && len(cfg.Shards) >= 2 {
+	if len(cfg.Shards) >= 2 {
 		rep.PDES = len(cfg.Shards)
 	}
 	for i := 0; i < cfg.N; i++ {
@@ -132,7 +131,7 @@ func Run(cfg Config) *Report {
 			}
 			rep.Failures = append(rep.Failures, f)
 		}
-		if cfg.SkipPDES || len(cfg.Shards) < 2 {
+		if len(cfg.Shards) < 2 {
 			continue
 		}
 		// The sharded-PDES identity oracle is stack-independent (the

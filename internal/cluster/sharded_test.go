@@ -85,9 +85,10 @@ type shardedRun struct {
 	c      *Sharded
 }
 
-// runSharded advances c for span on the given executor group count,
-// recording each host's dispatch stream.
-func runSharded(t *testing.T, c *Sharded, groups int, span simtime.Duration) shardedRun {
+// runSharded advances c on the given executor group count, one Run call
+// per chunk with no control call between them, recording each host's
+// dispatch stream.
+func runSharded(t *testing.T, c *Sharded, groups int, chunks ...simtime.Duration) shardedRun {
 	t.Helper()
 	digs := make([]*check.DispatchDigest, len(c.Hosts))
 	for i, h := range c.Hosts {
@@ -95,7 +96,9 @@ func runSharded(t *testing.T, c *Sharded, groups int, span simtime.Duration) sha
 		h.Sys.Host.TraceTo(digs[i])
 	}
 	c.Start()
-	c.Run(span, groups)
+	for _, d := range chunks {
+		c.Run(d, groups)
+	}
 	c.Finish()
 	sums := make([]uint64, len(digs))
 	for i, d := range digs {
@@ -367,6 +370,39 @@ func TestShardedRackWorld(t *testing.T) {
 		t.Errorf("per-edge windows %d vs global %d — want at least a 4× reduction", pw, gw)
 	}
 	t.Logf("windows: per-edge %d, global %d (%.1fx)", pw, gw, float64(gw)/float64(pw))
+}
+
+// TestShardedRackWorldChunking pins chunking invariance on the 8-host
+// rack world: one Run over a second matches any split of it into
+// consecutive Run calls in the cluster digest (all but its window count),
+// the per-host dispatch streams and the event count, at 1 and 2 executor
+// groups.
+func TestShardedRackWorldChunking(t *testing.T) {
+	ms := simtime.Millis
+	splits := [][]simtime.Duration{
+		{ms(500), ms(500)},
+		{ms(333), ms(333), ms(334)},
+		{simtime.Micros(123457), ms(400), simtime.Micros(476543)},
+	}
+	for _, g := range []int{1, 2} {
+		one := runSharded(t, buildRackWorld(t, false), g, simtime.Second)
+		for _, split := range splits {
+			got := runSharded(t, buildRackWorld(t, false), g, split...)
+			if stripWindowCount(t, got.digest) != stripWindowCount(t, one.digest) {
+				t.Errorf("groups=%d split %v: digest differs from one Run:\n--- one ---\n%s--- split ---\n%s",
+					g, split, one.digest, got.digest)
+			}
+			for i := range got.disp {
+				if got.disp[i] != one.disp[i] {
+					t.Errorf("groups=%d split %v: host%d dispatch digest %016x != one Run's %016x",
+						g, split, i, got.disp[i], one.disp[i])
+				}
+			}
+			if ge, oe := got.c.Set.EventsFired(), one.c.Set.EventsFired(); ge != oe {
+				t.Errorf("groups=%d split %v: %d events, one Run fired %d", g, split, ge, oe)
+			}
+		}
+	}
 }
 
 // TestShardedMigrationForwarding pins the traffic protocol around a live

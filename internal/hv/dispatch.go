@@ -12,9 +12,6 @@ import (
 // eventRef aliases the event handle type so vcpu.go stays import-light.
 type eventRef = eventq.Handle
 
-// DebugVM, when non-empty, logs job execution for the named VM.
-var DebugVM string
-
 // advance applies elapsed time on PCPU p up to now: overhead first, then
 // job execution on the dispatched VCPU. Completion is detected here; the
 // follow-up (picking the next job) happens in refresh/dispatch.
@@ -55,9 +52,6 @@ func (h *Host) advance(p *PCPU, now simtime.Time) {
 	}
 	v.TotalRun += run
 	p.BusyTime += run
-	if DebugVM != "" && v.VM.Name == DebugVM {
-		fmt.Printf("[hv] %v..%v %v ran job seq=%d rem %v -> %v\n", start, now, v, j.Seq, j.Remaining, j.Remaining-run)
-	}
 	if j.Consume(run) {
 		j.Complete(now)
 		v.curJob = nil
@@ -111,13 +105,7 @@ func (h *Host) continueVCPU(p *PCPU, now simtime.Time) {
 	v := p.cur
 	j := v.VM.Guest.PickJob(v, now)
 	if j == nil {
-		hs := &h.hot[v.ID]
-		hs.Runnable = false
-		hs.PCPU = -1
-		v.curJob = nil
-		p.cur = nil
-		h.emitDispatch(p, nil, now, 0)
-		h.sched.VCPUIdle(v, now)
+		h.block(p, v, now)
 		h.dispatch(p, now)
 		return
 	}
@@ -130,6 +118,19 @@ func (h *Host) continueVCPU(p *PCPU, now simtime.Time) {
 	}
 	v.curJob = j
 	h.armEvent(p, now)
+}
+
+// block takes the dispatched VCPU v off PCPU p because its guest has no
+// job: v stops being runnable and the host scheduler is told it idles.
+// The caller re-runs the scheduler on p.
+func (h *Host) block(p *PCPU, v *VCPU, now simtime.Time) {
+	hs := &h.hot[v.ID]
+	hs.Runnable = false
+	hs.PCPU = -1
+	v.curJob = nil
+	p.cur = nil
+	h.emitDispatch(p, nil, now, 0)
+	h.sched.VCPUIdle(v, now)
 }
 
 // armEvent schedules the next kernel event for p: the earlier of the host
@@ -221,14 +222,7 @@ func (h *Host) dispatch(p *PCPU, now simtime.Time) {
 		}
 		j := p.cur.VM.Guest.PickJob(p.cur, now)
 		if j == nil {
-			v := p.cur
-			hs := &h.hot[v.ID]
-			hs.Runnable = false
-			hs.PCPU = -1
-			v.curJob = nil
-			p.cur = nil
-			h.emitDispatch(p, nil, now, 0)
-			h.sched.VCPUIdle(v, now)
+			h.block(p, p.cur, now)
 			continue
 		}
 		p.cur.curJob = j
@@ -267,32 +261,12 @@ func (h *Host) VCPURecheck(v *VCPU, now simtime.Time) {
 	}
 	p := h.pcpus[pi]
 	// As in Kick, the standing kernel event stays pending: every path below
-	// ends in setEvent (via refresh, armEvent, or dispatch), which moves it
-	// in place.
+	// ends in setEvent (via refresh or continueVCPU), which moves it in
+	// place.
 	h.advance(p, now)
 	if p.cur != v { // completed & switched during advance
 		h.refresh(p, now)
 		return
 	}
-	j := v.VM.Guest.PickJob(v, now)
-	if j == nil {
-		hs := &h.hot[v.ID]
-		hs.Runnable = false
-		hs.PCPU = -1
-		v.curJob = nil
-		p.cur = nil
-		h.emitDispatch(p, nil, now, 0)
-		h.sched.VCPUIdle(v, now)
-		h.dispatch(p, now)
-		return
-	}
-	if j != v.curJob {
-		cost := h.Costs.GuestSwitch.Sample(h.costRNG)
-		h.Overhead.GuestSwitches++
-		h.Overhead.GuestSwitchTime += cost
-		p.chargeOverhead(now, cost)
-		h.emitGuestSwitch(v, j, now)
-		v.curJob = j
-	}
-	h.armEvent(p, now)
+	h.continueVCPU(p, now)
 }

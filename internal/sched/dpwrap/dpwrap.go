@@ -34,9 +34,6 @@ import (
 	"rtvirt/internal/trace"
 )
 
-// Trace enables debug logging of slice layouts and decisions.
-var Trace bool
-
 // Config tunes the scheduler.
 type Config struct {
 	// MinSlice is the smallest allowed global slice, bounding scheduling
@@ -607,16 +604,6 @@ func (s *Scheduler) rebuild(now simtime.Time) {
 		ps.firstLive = 0
 	}
 
-	if Trace {
-		fmt.Printf("[dpwrap] rebuild at %v: slice [%v,%v) len=%v\n",
-			now, s.sliceStart, s.sliceEnd, slice)
-		for pi, ps := range s.pcpu {
-			for _, e := range ps.entries {
-				fmt.Printf("  pcpu%d %v quota=%v\n", pi, e.v, e.remaining)
-			}
-		}
-	}
-
 	s.boundaryEv = s.h.Sim.PostAt(deadline, sim.Payload{Handler: s.id, Kind: evBoundary})
 }
 
@@ -836,9 +823,6 @@ func (s *Scheduler) Schedule(p *hv.PCPU, now simtime.Time) hv.Decision {
 		if run <= 0 {
 			continue
 		}
-		if Trace {
-			fmt.Printf("[dpwrap] %v sched pcpu%d -> %v for %v (quota)\n", now, p.ID, e.v, run)
-		}
 		ps.lastEntry, ps.lastAt = i, now
 		return hv.Decision{VCPU: e.v, RunFor: run, Work: work}
 	}
@@ -846,9 +830,6 @@ func (s *Scheduler) Schedule(p *hv.PCPU, now simtime.Time) hv.Decision {
 		ps.lastEntry = -1
 		ps.lastAt = now
 		return hv.Decision{VCPU: bg, RunFor: horizon, Work: work}
-	}
-	if Trace {
-		fmt.Printf("[dpwrap] %v sched pcpu%d -> idle until %v\n", now, p.ID, s.sliceEnd)
 	}
 	ps.lastEntry = -1
 	ps.lastAt = now

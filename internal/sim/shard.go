@@ -4,9 +4,9 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"sync"
 
 	"rtvirt/internal/clone"
-	"rtvirt/internal/runner"
 	"rtvirt/internal/simtime"
 )
 
@@ -64,9 +64,9 @@ import (
 // sorted by walk distance, so its scan stops at the first term that even
 // the globally-earliest next-time cannot bring below the running min; the
 // barrier drain buckets messages into per-target inboxes of a few
-// messages each; and multi-group execution reuses persistent workers
-// through a sense-reversing barrier (runner.BarrierPool) instead of
-// paying a pool handoff per window.
+// messages each; and multi-group execution hands each window's shares
+// to persistent executor goroutines over one unbuffered channel, which
+// allocates nothing per window.
 //
 // Determinism does not depend on how shards are grouped onto executors:
 // each shard's intra-window execution is single-threaded on its own
@@ -348,6 +348,60 @@ func (ss *ShardSet) execWindow(g int) {
 	}
 }
 
+// shareResult reports one executor group's share of a window: the value
+// its execWindow panicked with, or nil.
+type shareResult struct {
+	group int
+	value any
+}
+
+// executor runs the shares the coordinator sends on start until start is
+// closed, answering each on done. A panic is recovered and sent back, so
+// the executor stays alive and the coordinator still joins every group.
+func (ss *ShardSet) executor(start <-chan int, done chan<- shareResult, exited *sync.WaitGroup) {
+	defer exited.Done()
+	for g := range start {
+		done <- shareResult{group: g, value: ss.runShare(g)}
+	}
+}
+
+// runShare runs group g's share of the window and returns what it
+// panicked with, or nil.
+func (ss *ShardSet) runShare(g int) (value any) {
+	defer func() { value = recover() }()
+	ss.execWindow(g)
+	return nil
+}
+
+// execShares runs one window on groups executor groups: it sends shares
+// 1..groups-1 to the executors, runs share 0 itself, and joins one result
+// per share. The channel operations order the window's plain memory: the
+// coordinator's writes happen before each executor's receive, and each
+// executor's writes happen before the coordinator's receive of its
+// result. Every group finishes the window before any panic propagates;
+// the lowest group's panic wins, so share 0's own panic propagates
+// unchanged once the others have joined.
+func (ss *ShardSet) execShares(groups int, start chan<- int, done <-chan shareResult) {
+	for g := 1; g < groups; g++ {
+		start <- g
+	}
+	var first shareResult
+	func() {
+		defer func() {
+			for g := 1; g < groups; g++ {
+				r := <-done
+				if r.value != nil && (first.value == nil || r.group < first.group) {
+					first = r
+				}
+			}
+		}()
+		ss.execWindow(0)
+	}()
+	if first.value != nil {
+		panic(fmt.Sprintf("sim: executor group %d panicked: %v", first.group, first.value))
+	}
+}
+
 // sealTopology turns the declared edges into the min-plus shortest-walk
 // distance matrix (Floyd–Warshall; the diagonal starts at ∞, so D(i,i)
 // converges to the shortest cycle through i, never zero) and flattens it
@@ -508,10 +562,20 @@ func (ss *ShardSet) RunUntil(end simtime.Time, groups int) {
 	}
 	ss.sealTopology()
 
-	var bp *runner.BarrierPool
+	var start chan int
+	var done chan shareResult
 	if groups > 1 {
-		bp = runner.NewBarrierPool(groups-1, func(w int) { ss.execWindow(w + 1) })
-		defer bp.Close()
+		start = make(chan int)
+		done = make(chan shareResult)
+		var exited sync.WaitGroup
+		exited.Add(groups - 1)
+		for i := 1; i < groups; i++ {
+			go ss.executor(start, done, &exited)
+		}
+		defer func() {
+			close(start)
+			exited.Wait()
+		}()
 	}
 
 	// Deliver anything buffered before the run, then index the next-times.
@@ -542,7 +606,7 @@ func (ss *ShardSet) RunUntil(end simtime.Time, groups int) {
 		case groups == 1:
 			ss.execWindow(0)
 		default:
-			bp.Round(func() { ss.execWindow(0) })
+			ss.execShares(groups, start, done)
 		}
 
 		for _, id := range ss.active {

@@ -1,8 +1,11 @@
 package sim
 
 import (
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"rtvirt/internal/clone"
 	"rtvirt/internal/simtime"
@@ -247,5 +250,74 @@ func TestShardIdleShard(t *testing.T) {
 		if sh.Sim().Now() != simtime.Time(simtime.Millis(1)) {
 			t.Fatalf("shard %d clock %v, want 1ms", sh.ID(), sh.Sim().Now())
 		}
+	}
+}
+
+// boomer counts its events, or panics on the first one when boom is set.
+type boomer struct {
+	boom  bool
+	id    int
+	fired int
+}
+
+func (b *boomer) HandleSimEvent(now simtime.Time, ev Payload) {
+	if b.boom {
+		panic(fmt.Sprintf("boom %d", b.id))
+	}
+	b.fired++
+}
+
+func (b *boomer) ForkHandler(*clone.Ctx) Handler { panic("boomer: not forkable") }
+
+// TestShardExecutorPanic pins the executor groups' panic contract. Four
+// shards with no edges all run in the first window, shard i in executor
+// group i. Every group finishes the window before RunUntil re-raises, the
+// lowest panicking group wins (share 0's own panic value unchanged, any
+// other group's named in the message), and no executor goroutine outlives
+// the run.
+func TestShardExecutorPanic(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	const shards, events = 4, 10
+	for _, tc := range []struct {
+		panics []int
+		want   string
+	}{
+		{[]int{0, 2}, "boom 0"},
+		{[]int{2, 3}, "sim: executor group 2 panicked: boom 2"},
+		{[]int{1}, "sim: executor group 1 panicked: boom 1"},
+	} {
+		set := NewShardSet()
+		bs := make([]*boomer, shards)
+		for i := range bs {
+			sh := set.NewShard(uint64(i + 1))
+			bs[i] = &boomer{id: i}
+			h := sh.Sim().RegisterHandler(bs[i])
+			for k := 1; k <= events; k++ {
+				sh.Sim().PostAt(simtime.Time(simtime.Micros(int64(k))), Payload{Handler: h})
+			}
+		}
+		for _, i := range tc.panics {
+			bs[i].boom = true
+		}
+		func() {
+			defer func() {
+				if r := recover(); r != tc.want {
+					t.Errorf("panics %v: RunUntil raised %v, want %q", tc.panics, r, tc.want)
+				}
+			}()
+			set.RunUntil(simtime.Time(simtime.Millis(1)), shards)
+		}()
+		for i, b := range bs {
+			if !b.boom && b.fired != events {
+				t.Errorf("panics %v: shard %d fired %d of %d events before the re-raise", tc.panics, i, b.fired, events)
+			}
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > baseline {
+		t.Errorf("%d goroutines after the runs, %d before: executors leaked", n, baseline)
 	}
 }
