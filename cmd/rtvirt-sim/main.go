@@ -26,7 +26,7 @@
 //	        {"name": "ctl", "kind": "periodic", "slice_us": 2000,
 //	         "period_us": 10000, "phase_ms": 0, "priority": 0},
 //	        {"name": "srv", "kind": "sporadic", "slice_us": 500,
-//	         "period_us": 5000, "rate_hz": 50},
+//	         "period_us": 5000, "rate_hz": 50},                // 0 = 10 Hz; at most 10000
 //	        {"name": "batch", "kind": "background"}
 //	      ]
 //	    }

@@ -113,11 +113,7 @@ func buildPDES(sc scenario.Scenario, seed uint64) (*cluster.Sharded, error) {
 				if ts.Kind != "sporadic" {
 					continue
 				}
-				rate := ts.RateHz
-				if rate <= 0 {
-					rate = 10
-				}
-				mean := simtime.Duration(1e9 / rate) // ns between requests
+				mean := simtime.Duration(1e9 / ts.Rate()) // ns between requests
 				cl, err := c.AddRemoteClient((h+1)%cfg.Hosts, d, i,
 					pdesClientDelay(cfg.Lookahead, seed, h, vi, i),
 					dist.Uniform{Lo: mean / 2, Hi: mean + mean/2}, nil, 0)
@@ -127,7 +123,7 @@ func buildPDES(sc scenario.Scenario, seed uint64) (*cluster.Sharded, error) {
 				if ts.Arrivals != nil {
 					// Open-loop production traffic drives the remote
 					// stream too — each client clones its own process.
-					cl.Proc = ts.Arrivals.Process()
+					cl.Arrivals = ts.Arrivals.Process()
 				}
 			}
 		}

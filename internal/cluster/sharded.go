@@ -269,37 +269,23 @@ func (d *ShardedDeployment) Tasks() []*task.Task { return d.tasks }
 func (d *ShardedDeployment) Latency(i int) *metrics.LatencyRecorder { return &d.lat[i] }
 
 // RemoteClient drives a deployment's task from another host, like the
-// paper's TCP clients: inter-arrival times and per-request demand are
-// sampled client-side from the client host's RNG, and each request
-// crosses the network (≥ lookahead) through the shard mailbox to the
-// deployment's build-time home host.
+// paper's TCP clients: its request Source draws gaps and per-request
+// demand client-side from the client host's RNG, and each request crosses
+// the network (≥ lookahead) through the shard mailbox to the deployment's
+// build-time home host.
 type RemoteClient struct {
+	workload.Source
 	Host    int // client host index
 	TaskIdx int
 	// Delay is the client→server network latency (≥ the cluster
 	// lookahead).
 	Delay simtime.Duration
-	// Inter is the inter-arrival distribution; Service the per-request
-	// CPU demand (nil = the task's declared slice).
-	Inter   dist.Duration
-	Service dist.Duration
-	// Proc, when set before Start, replaces Inter with a time-varying
-	// open-loop arrival process (diurnal/MMPP/flash-crowd production
-	// traffic). Inter stays required as the declared fallback.
-	Proc workload.ArrivalProcess
-	// Requests bounds the stream (0 = unbounded).
-	Requests int
 
 	c        *Sharded
 	dep      *ShardedDeployment
 	homeHost int32
 	id       int32
-	sent     int
-	rng      *sim.RNG
 }
-
-// Sent reports the number of requests issued so far.
-func (cl *RemoteClient) Sent() int { return cl.sent }
 
 // Sharded is a cluster of per-host logical processes under conservative
 // windowed synchronization. Build it with NewSharded, place VMs with Place
@@ -550,8 +536,11 @@ func (c *Sharded) startTasks(d *ShardedDeployment, now simtime.Time) {
 }
 
 // AddRemoteClient attaches a request stream for d.tasks[taskIdx], driven
-// from clientHost. The client's network delay must be ≥ the lookahead and
-// the client must sit on a different host than the VM's home.
+// from clientHost with Renewal gaps drawn from inter, demand drawn from
+// service (nil = the task's declared slice) and a cap of requests (0 =
+// unbounded); set Arrivals before Start for a time-varying process. The
+// client's network delay must be ≥ the lookahead and the client must sit
+// on a different host than the VM's home.
 func (c *Sharded) AddRemoteClient(clientHost int, d *ShardedDeployment, taskIdx int,
 	delay simtime.Duration, inter dist.Duration, service dist.Duration, requests int) (*RemoteClient, error) {
 	if c.started {
@@ -572,10 +561,13 @@ func (c *Sharded) AddRemoteClient(clientHost int, d *ShardedDeployment, taskIdx 
 	if inter == nil {
 		return nil, errors.New("cluster: remote client needs an inter-arrival distribution")
 	}
+	if requests < 0 {
+		return nil, fmt.Errorf("cluster: negative request cap %d", requests)
+	}
 	cl := &RemoteClient{
 		Host: clientHost, TaskIdx: taskIdx, Delay: delay,
-		Inter: inter, Service: service, Requests: requests,
 		c: c, dep: d, homeHost: int32(d.hostIdx),
+		Source: workload.Source{Arrivals: workload.Renewal{D: inter}, Demand: service, Requests: requests},
 	}
 	cl.id = c.Hosts[clientHost].Shard.Sim().RegisterHandler(cl)
 	c.clients = append(c.clients, cl)
@@ -647,7 +639,7 @@ func (c *Sharded) Start() {
 	}
 	for _, cl := range c.clients {
 		s := c.Hosts[cl.Host].Shard.Sim()
-		cl.rng = s.RNG().Split()
+		cl.Open(s.RNG().Split())
 		s.PostAt(0, sim.Payload{Handler: cl.id, Kind: evRemoteFire})
 	}
 }
@@ -716,13 +708,11 @@ func (a *hostAgent) setForward(id, to int32) {
 func (a *hostAgent) request(now simtime.Time, ev sim.Payload) {
 	d := a.c.deps[ev.Owner]
 	if a.isResident(d.id) {
-		t := d.tasks[ev.Arg1]
-		if t.Kind == task.Sporadic && t.EarliestNextRelease() > now {
+		if workload.Deliver(d.guest, d.tasks[ev.Arg1], simtime.Duration(ev.Arg0), now) {
+			a.Stats.Delivered++
+		} else {
 			a.Stats.Throttled++
-			return
 		}
-		d.guest.ReleaseJob(t, simtime.Duration(ev.Arg0))
-		a.Stats.Delivered++
 		return
 	}
 	if tgt := a.forward(d.id); tgt >= 0 {
@@ -785,26 +775,16 @@ func (cl *RemoteClient) HandleSimEvent(now simtime.Time, ev sim.Payload) {
 	if ev.Kind != evRemoteFire {
 		panic(fmt.Sprintf("cluster: unknown client event kind %d", ev.Kind))
 	}
-	if cl.Requests > 0 && cl.sent >= cl.Requests {
+	demand, ok := cl.Send()
+	if !ok {
 		return
-	}
-	cl.sent++
-	var demand int64
-	if cl.Service != nil {
-		demand = int64(cl.Service.Sample(cl.rng))
 	}
 	home := cl.c.Hosts[cl.homeHost]
 	mine := cl.c.Hosts[cl.Host].Shard
 	mine.PostRemote(home.Shard, now.Add(cl.Delay), sim.Payload{
 		Handler: home.agent.id, Kind: evAgentReq,
-		Owner: cl.dep.id, Arg0: demand, Arg1: int64(cl.TaskIdx)})
-	if cl.Requests <= 0 || cl.sent < cl.Requests {
-		var gap simtime.Duration
-		if cl.Proc != nil {
-			gap = cl.Proc.Next(now, cl.rng)
-		} else {
-			gap = cl.Inter.Sample(cl.rng)
-		}
+		Owner: cl.dep.id, Arg0: int64(demand), Arg1: int64(cl.TaskIdx)})
+	if gap, ok := cl.Gap(now); ok {
 		mine.Sim().PostAfter(gap, sim.Payload{Handler: cl.id, Kind: evRemoteFire})
 	}
 }
@@ -857,7 +837,7 @@ func (c *Sharded) DigestString() string {
 		}
 	}
 	for i, cl := range c.clients {
-		fmt.Fprintf(&b, "client%d host=%d vm=%s sent=%d\n", i, cl.Host, cl.dep.Spec.Name, cl.sent)
+		fmt.Fprintf(&b, "client%d host=%d vm=%s sent=%d\n", i, cl.Host, cl.dep.Spec.Name, cl.Sent())
 	}
 	return b.String()
 }

@@ -81,22 +81,13 @@ func (cl *RemoteClient) ForkHandler(ctx *clone.Ctx) sim.Handler {
 		return n.(*RemoteClient)
 	}
 	ncl := &RemoteClient{
+		Source:   cl.Source.Clone(),
 		Host:     cl.Host,
 		TaskIdx:  cl.TaskIdx,
 		Delay:    cl.Delay,
-		Inter:    cl.Inter,
-		Service:  cl.Service,
-		Requests: cl.Requests,
 		c:        clone.Get(ctx, cl.c),
 		homeHost: cl.homeHost,
 		id:       cl.id,
-		sent:     cl.sent,
-	}
-	if cl.Proc != nil {
-		ncl.Proc = cl.Proc.Clone()
-	}
-	if cl.rng != nil {
-		ncl.rng = cl.rng.Clone()
 	}
 	ctx.Put(cl, ncl)
 	return ncl

@@ -591,6 +591,9 @@ func TestShardedClientValidation(t *testing.T) {
 	if _, err := c.AddRemoteClient(1, d, 0, c.Cfg.Lookahead, nil, nil, 0); err == nil {
 		t.Error("nil inter-arrival accepted")
 	}
+	if _, err := c.AddRemoteClient(1, d, 0, c.Cfg.Lookahead, inter, nil, -1); err == nil {
+		t.Error("negative request cap accepted")
+	}
 }
 
 // TestShardedBarrierControl drives a client-fed VM through a barrier-time

@@ -28,14 +28,11 @@ type FidelityConfig struct {
 	// paper; the default keeps the 2×(12+2) simulation grid affordable).
 	Duration simtime.Duration
 	PCPUs    int
-	// Requests is the sporadic request count for Figure 3's variant runs
-	// (unused by the periodic groups; kept for parity with Figure3Config).
-	Requests int
 }
 
 // DefaultFidelityConfig mirrors the §4 setups at a practical run length.
 func DefaultFidelityConfig() FidelityConfig {
-	return FidelityConfig{Seed: 1, Duration: simtime.Seconds(10), PCPUs: 15, Requests: 100}
+	return FidelityConfig{Seed: 1, Duration: simtime.Seconds(10), PCPUs: 15}
 }
 
 // FidelityRow is one scheduler comparison under both cost models. Lower is
@@ -104,8 +101,7 @@ func FidelityAblation(cfg FidelityConfig) FidelityResult {
 		Calib:   describeModel(&calib),
 	}
 
-	f3 := Figure3Config{Seed: cfg.Seed, Duration: cfg.Duration, PCPUs: cfg.PCPUs,
-		Requests: cfg.Requests}
+	f3 := Figure3Config{Seed: cfg.Seed, Duration: cfg.Duration, PCPUs: cfg.PCPUs}
 	res.Fig3[0] = Figure3(f3)
 	f3.Costs = &calib
 	res.Fig3[1] = Figure3(f3)

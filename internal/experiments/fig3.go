@@ -195,8 +195,9 @@ func deployGroup(sys *core.System, group RTAGroup, ifaces []csa.Interface, cfg F
 	for _, t := range tasks {
 		g := guestOf(sys, t)
 		if cfg.Sporadic {
-			sc := workload.NewSporadicClientFor(g, t,
-				dist.Uniform{Lo: ms(100), Hi: simtime.Seconds(1)}, cfg.Requests)
+			sc := workload.NewClient(g, t,
+				workload.Renewal{D: dist.Uniform{Lo: ms(100), Hi: simtime.Seconds(1)}})
+			sc.Requests = cfg.Requests
 			sc.Start(0)
 		} else {
 			g.StartPeriodic(t, 0)

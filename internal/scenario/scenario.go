@@ -261,7 +261,8 @@ type TaskSpec struct {
 	PeriodUS int64  `json:"period_us"`
 	// PhaseMS delays the first periodic release.
 	PhaseMS int64 `json:"phase_ms"`
-	// RateHz drives sporadic arrivals (default 10).
+	// RateHz drives the closed-form sporadic client (0 = 10 Hz; at most
+	// 10 kHz, the rate its 100µs gap floor allows).
 	RateHz float64 `json:"rate_hz"`
 	// Priority expresses relative importance (0 = normal); with the VM's
 	// priority_slack it buys proportionally more budget headroom.
@@ -275,6 +276,19 @@ type TaskSpec struct {
 	// Evader tunes a kind:"evader" tick-evasion attacker (optional; the
 	// zero config learns the tick period).
 	Evader *EvaderSpec `json:"evader,omitempty"`
+}
+
+// closedFormMinGap floors the closed-form sporadic client's gaps, so no
+// rate_hz above one request per closedFormMinGap can be met.
+const closedFormMinGap = 100 * simtime.Microsecond
+
+// Rate is the closed-form sporadic client's request rate in Hz: RateHz, or
+// 10 Hz when it is 0.
+func (ts TaskSpec) Rate() float64 {
+	if ts.RateHz == 0 {
+		return 10
+	}
+	return ts.RateHz
 }
 
 // TaskResult is one task's outcome.
@@ -371,6 +385,9 @@ func (sc Scenario) Validate() error {
 		for _, ts := range vm.Tasks {
 			if ts.Priority < 0 {
 				return fmt.Errorf("scenario: task %q has negative priority", ts.Name)
+			}
+			if maxHz := float64(simtime.Second / closedFormMinGap); !(ts.RateHz >= 0 && ts.RateHz <= maxHz) {
+				return fmt.Errorf("scenario: task %q rate_hz must be in [0, %g], got %v", ts.Name, maxHz, ts.RateHz)
 			}
 			switch ts.Kind {
 			case "", "periodic", "sporadic":
@@ -597,22 +614,16 @@ func (w *World) Start() {
 			b.guest.StartPeriodic(b.task,
 				simtime.Time(simtime.Millis(b.spec.PhaseMS)))
 		case "sporadic":
+			var client *workload.Client
 			if b.spec.Arrivals != nil {
-				client := workload.NewOpenLoopClientFor(b.guest, b.task,
-					b.spec.Arrivals.process())
-				client.NetworkDelay = w.netDelay
-				b.lat = &client.Latency
-				client.Start(0)
-				break
+				client = workload.NewClient(b.guest, b.task, b.spec.Arrivals.process())
+			} else {
+				rate := b.spec.Rate()
+				mean := simtime.Duration(float64(simtime.Second) / rate)
+				client = workload.NewClient(b.guest, b.task, workload.Renewal{
+					D: dist.Normal{MeanD: mean, Stddev: mean / 4, Min: closedFormMinGap}})
+				client.Requests = int(w.Seconds)*int(rate) + 16
 			}
-			rate := b.spec.RateHz
-			if rate <= 0 {
-				rate = 10
-			}
-			mean := simtime.Duration(float64(simtime.Second) / rate)
-			client := workload.NewSporadicClientFor(b.guest, b.task,
-				dist.Normal{MeanD: mean, Stddev: mean / 4, Min: simtime.Micros(100)},
-				int(w.Seconds)*int(rate)+16)
 			client.NetworkDelay = w.netDelay
 			b.lat = &client.Latency
 			client.Start(0)

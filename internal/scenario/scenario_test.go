@@ -101,6 +101,9 @@ func TestValidate(t *testing.T) {
 		{"negative slack", `{"vms": [{"name": "a", "slack_us": -1}]}`},
 		{"hotplug below vcpus", `{"vms": [{"name": "a", "vcpus": 4, "max_vcpus": 2}]}`},
 		{"negative priority", `{"vms": [{"name": "a", "tasks": [{"name": "t", "slice_us": 1, "period_us": 5, "priority": -2}]}]}`},
+		{"negative rate_hz", `{"vms": [{"name": "a", "tasks": [{"name": "t", "kind": "sporadic", "slice_us": 1, "period_us": 5, "rate_hz": -5}]}]}`},
+		{"rate_hz past the 100µs gap floor", `{"vms": [{"name": "a", "tasks": [{"name": "t", "kind": "sporadic", "slice_us": 1, "period_us": 5, "rate_hz": 10001}]}]}`},
+		{"overflowing rate_hz", `{"vms": [{"name": "a", "tasks": [{"name": "t", "kind": "sporadic", "slice_us": 1, "period_us": 5, "rate_hz": 1e30}]}]}`},
 		{"negative cost", `{"costs": {"context_switch": -1}, "vms": [{"name": "a"}]}`},
 		{"unknown cost field", `{"costs": {"warp_us": 1}, "vms": [{"name": "a"}]}`},
 	}
@@ -111,6 +114,14 @@ func TestValidate(t *testing.T) {
 		}
 		if err := sc.Validate(); err == nil {
 			t.Errorf("%s: validated", c.name)
+		}
+	}
+	// The rate range's ends stay valid: 0 selects the 10 Hz default.
+	for _, hz := range []float64{0, 10000} {
+		sc := Scenario{VMs: []VM{{Name: "a", Tasks: []TaskSpec{
+			{Name: "t", Kind: "sporadic", SliceUS: 1, PeriodUS: 5, RateHz: hz}}}}}
+		if err := sc.Validate(); err != nil {
+			t.Errorf("rate_hz %v rejected: %v", hz, err)
 		}
 	}
 }

@@ -18,8 +18,8 @@ import (
 // trip is lossless.
 
 // ArrivalSpec selects exactly one open-loop arrival process for a
-// sporadic task. When present, the task is driven by an OpenLoopClient
-// instead of the closed-form SporadicClient.
+// sporadic task. When present, it replaces the Renewal gaps of the task's
+// closed-form client, which then has no request cap.
 type ArrivalSpec struct {
 	Poisson *PoissonSpec    `json:"poisson,omitempty"`
 	Diurnal *DiurnalSpec    `json:"diurnal,omitempty"`

@@ -25,26 +25,22 @@ func (a *RTApp) Fork(ctx *clone.Ctx) *RTApp {
 }
 
 // ForkHandler implements sim.Handler.
-func (c *SporadicClient) ForkHandler(ctx *clone.Ctx) sim.Handler {
+func (c *Client) ForkHandler(ctx *clone.Ctx) sim.Handler {
 	if n, ok := ctx.Lookup(c); ok {
-		return n.(*SporadicClient)
+		return n.(*Client)
 	}
-	nc := &SporadicClient{
+	nc := &Client{
+		Source:       c.Source.Clone(),
 		Task:         task.Clone(ctx, c.Task),
 		Guest:        clone.Get(ctx, c.Guest),
-		InterArrival: c.InterArrival,
 		NetworkDelay: c.NetworkDelay,
-		Requests:     c.Requests,
 		Latency:      c.Latency.Clone(),
-		sent:         c.sent,
+		Throttled:    c.Throttled,
 		sim:          clone.Get(ctx, c.sim),
-		rng:          cloneRNG(c.rng),
 		id:           c.id,
 	}
 	ctx.Put(c, nc)
-	nc.Task.OnJobDone = func(j *task.Job) {
-		nc.Latency.Add(j.Finish.Sub(j.Release))
-	}
+	nc.Task.OnJobDone = nc.jobDone
 	return nc
 }
 
@@ -58,12 +54,8 @@ func (m *Memcached) ForkHandler(ctx *clone.Ctx) sim.Handler {
 		Guest:   clone.Get(ctx, m.Guest),
 		Cfg:     m.Cfg,
 		Latency: m.Latency.Clone(),
-		inter:   m.inter,
-		service: m.service,
+		src:     m.src.Clone(),
 		sim:     clone.Get(ctx, m.sim),
-		rng:     cloneRNG(m.rng),
-		sent:    m.sent,
-		stopped: m.stopped,
 		id:      m.id,
 	}
 	ctx.Put(m, nm)
@@ -85,11 +77,8 @@ func (a *IOApp) ForkHandler(ctx *clone.Ctx) sim.Handler {
 		Latency:       a.Latency.Clone(),
 		CPULatency:    a.CPULatency.Clone(),
 		SLOViolations: a.SLOViolations,
-		inter:         a.inter,
+		src:           a.src.Clone(),
 		sim:           clone.Get(ctx, a.sim),
-		rng:           cloneRNG(a.rng),
-		sent:          a.sent,
-		stopped:       a.stopped,
 		id:            a.id,
 		pending:       make(map[*task.Job]simtime.Time, len(a.pending)),
 		phase1:        make(map[*task.Job]simtime.Time, len(a.phase1)),
@@ -103,29 +92,6 @@ func (a *IOApp) ForkHandler(ctx *clone.Ctx) sim.Handler {
 		na.phase1[task.CloneJob(ctx, j)] = at
 	}
 	return na
-}
-
-// ForkHandler implements sim.Handler.
-func (c *OpenLoopClient) ForkHandler(ctx *clone.Ctx) sim.Handler {
-	if n, ok := ctx.Lookup(c); ok {
-		return n.(*OpenLoopClient)
-	}
-	nc := &OpenLoopClient{
-		Task:         task.Clone(ctx, c.Task),
-		Guest:        clone.Get(ctx, c.Guest),
-		Arrivals:     c.Arrivals.Clone(),
-		NetworkDelay: c.NetworkDelay,
-		Service:      c.Service,
-		Latency:      c.Latency.Clone(),
-		Offered:      c.Offered,
-		Throttled:    c.Throttled,
-		sim:          clone.Get(ctx, c.sim),
-		rng:          cloneRNG(c.rng),
-		id:           c.id,
-	}
-	ctx.Put(c, nc)
-	nc.Task.OnJobDone = nc.jobDone
-	return nc
 }
 
 // ForkHandler implements sim.Handler.
@@ -151,12 +117,4 @@ func (e *TickEvader) ForkHandler(ctx *clone.Ctx) sim.Handler {
 	ctx.Put(e, ne)
 	ne.Task.OnJobDone = ne.jobDone
 	return ne
-}
-
-// cloneRNG copies a workload's split RNG stream; nil before Start.
-func cloneRNG(r *sim.RNG) *sim.RNG {
-	if r == nil {
-		return nil
-	}
-	return r.Clone()
 }

@@ -29,7 +29,7 @@ type IOAppConfig struct {
 	ReservePeriod simtime.Duration
 	// Rate is the request arrival rate per second.
 	Rate float64
-	// Requests bounds the stream (0 = unlimited).
+	// Requests bounds the stream (0 = unlimited; negative is rejected).
 	Requests int
 }
 
@@ -61,12 +61,11 @@ type IOApp struct {
 	// SLOViolations counts requests exceeding the end-to-end SLO.
 	SLOViolations int
 
-	inter   dist.Duration
-	sim     *sim.Simulator
-	rng     *sim.RNG
-	sent    int
-	stopped bool
-	id      int32
+	// src sends the requests; the device waits draw from its RNG stream
+	// too.
+	src Source
+	sim *sim.Simulator
+	id  int32
 
 	// pending maps a phase-2 job to its request arrival time.
 	pending map[*task.Job]simtime.Time
@@ -77,7 +76,7 @@ type IOApp struct {
 // NewIOApp registers the application's RTA on g. The reservation covers
 // the summed CPU demand per SLO period.
 func NewIOApp(g *guest.OS, id int, cfg IOAppConfig) (*IOApp, error) {
-	if cfg.SLO <= 0 || cfg.Rate <= 0 || cfg.Compute1 <= 0 || cfg.Compute2 <= 0 {
+	if cfg.SLO <= 0 || cfg.Rate <= 0 || cfg.Compute1 <= 0 || cfg.Compute2 <= 0 || cfg.Requests < 0 {
 		return nil, fmt.Errorf("workload: invalid IO app config %+v", cfg)
 	}
 	period := cfg.ReservePeriod
@@ -94,10 +93,14 @@ func NewIOApp(g *guest.OS, id int, cfg IOAppConfig) (*IOApp, error) {
 		Task:  t,
 		Guest: g,
 		Cfg:   cfg,
-		// The declared reservation assumes the sporadic contract: at most
-		// one request per SLO period. The arrival process honours it (gaps
-		// clamped at the SLO), like the paper's TCP-triggered clients.
-		inter:   dist.Normal{MeanD: mean, Stddev: mean / 4, Min: cfg.SLO},
+		src: Source{
+			// The declared reservation assumes the sporadic contract: at
+			// most one request per SLO period. The arrival process honours
+			// it (gaps clamped at the SLO), like the paper's TCP-triggered
+			// clients.
+			Arrivals: Renewal{D: dist.Normal{MeanD: mean, Stddev: mean / 4, Min: cfg.SLO}},
+			Requests: cfg.Requests,
+		},
 		sim:     g.VM().Host().Sim,
 		pending: map[*task.Job]simtime.Time{},
 		phase1:  map[*task.Job]simtime.Time{},
@@ -109,7 +112,7 @@ func NewIOApp(g *guest.OS, id int, cfg IOAppConfig) (*IOApp, error) {
 
 // Start begins the request stream.
 func (a *IOApp) Start(at simtime.Time) {
-	a.rng = a.sim.RNG().Split()
+	a.src.Open(a.sim.RNG().Split())
 	a.sim.PostAt(at, sim.Payload{Handler: a.id, Kind: evIOArrive})
 }
 
@@ -127,19 +130,20 @@ func (a *IOApp) HandleSimEvent(now simtime.Time, ev sim.Payload) {
 }
 
 // Stop ends the request stream.
-func (a *IOApp) Stop() { a.stopped = true }
+func (a *IOApp) Stop() { a.src.Stop() }
 
 // Sent reports the number of requests issued.
-func (a *IOApp) Sent() int { return a.sent }
+func (a *IOApp) Sent() int { return a.src.Sent() }
 
 func (a *IOApp) arrive(now simtime.Time) {
-	if a.stopped || (a.Cfg.Requests > 0 && a.sent >= a.Cfg.Requests) {
+	if _, ok := a.src.Send(); !ok {
 		return
 	}
-	a.sent++
 	j := a.Guest.ReleaseJob(a.Task, a.Cfg.Compute1)
 	a.phase1[j] = now
-	a.sim.PostAt(now.Add(a.inter.Sample(a.rng)), sim.Payload{Handler: a.id, Kind: evIOArrive})
+	if gap, ok := a.src.Gap(now); ok {
+		a.sim.PostAt(now.Add(gap), sim.Payload{Handler: a.id, Kind: evIOArrive})
+	}
 }
 
 func (a *IOApp) jobDone(j *task.Job) {
@@ -151,7 +155,7 @@ func (a *IOApp) jobDone(j *task.Job) {
 		}
 		// Phase 1 done: the request leaves the CPU for its device wait,
 		// then re-enters the run queue for phase 2.
-		wait := a.Cfg.IOWait.Sample(a.rng)
+		wait := a.Cfg.IOWait.Sample(a.src.rng)
 		a.sim.PostAfter(wait, sim.Payload{Handler: a.id, Kind: evIOPhase2, Arg0: int64(arrival)})
 		return
 	}

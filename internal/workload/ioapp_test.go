@@ -91,4 +91,9 @@ func TestIOAppInvalidConfig(t *testing.T) {
 	if _, err := NewIOApp(g, 0, IOAppConfig{}); err == nil {
 		t.Fatal("zero config accepted")
 	}
+	cfg := DefaultIOAppConfig()
+	cfg.Requests = -1
+	if _, err := NewIOApp(g, 0, cfg); err == nil {
+		t.Fatal("negative request cap accepted")
+	}
 }

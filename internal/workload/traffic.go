@@ -5,11 +5,8 @@ import (
 	"math"
 
 	"rtvirt/internal/dist"
-	"rtvirt/internal/guest"
-	"rtvirt/internal/metrics"
 	"rtvirt/internal/sim"
 	"rtvirt/internal/simtime"
-	"rtvirt/internal/task"
 )
 
 // This file models open-loop production traffic: request streams whose
@@ -22,7 +19,7 @@ import (
 // stream, so the same seed yields the same arrival sequence on every run
 // and across forks.
 
-// ArrivalProcess generates inter-arrival gaps for an open-loop stream.
+// ArrivalProcess generates the inter-arrival gaps of a request Source.
 // Next returns the gap from `now` to the next arrival; implementations
 // may carry state (MMPP does), so Clone must deep-copy for forked runs.
 type ArrivalProcess interface {
@@ -40,6 +37,21 @@ func expGap(rng *sim.RNG, rateHz float64) simtime.Duration {
 	}
 	return g
 }
+
+// Renewal is a renewal arrival process: independent gaps drawn from D,
+// like the closed-form clients' Uniform(100ms, 1s) gaps of §4.2.
+type Renewal struct {
+	D dist.Duration
+}
+
+// Next implements ArrivalProcess.
+func (r Renewal) Next(_ simtime.Time, rng *sim.RNG) simtime.Duration { return r.D.Sample(rng) }
+
+// Clone implements ArrivalProcess (stateless: the value is its own clone).
+func (r Renewal) Clone() ArrivalProcess { return r }
+
+// String implements ArrivalProcess.
+func (r Renewal) String() string { return fmt.Sprintf("renewal(%v)", r.D) }
 
 // Poisson is a homogeneous Poisson arrival process at RateHz.
 type Poisson struct {
@@ -234,96 +246,4 @@ func (f FlashCrowd) Clone() ArrivalProcess {
 // String implements ArrivalProcess.
 func (f FlashCrowd) String() string {
 	return fmt.Sprintf("flash(%.3g/s base, %d surges)", f.BaseHz, len(f.Surges))
-}
-
-// OpenLoopClient drives a sporadic task with an ArrivalProcess: requests
-// arrive on the process's schedule regardless of how the server is doing
-// (open loop, like production traffic — a slow server builds a queue, it
-// does not slow the clients). Sporadic releases that would violate the
-// task's declared minimum inter-arrival are counted as Throttled, making
-// burst-past-declared-rate pressure visible instead of silent.
-type OpenLoopClient struct {
-	Task  *task.Task
-	Guest *guest.OS
-
-	// Arrivals is the open-loop arrival process.
-	Arrivals ArrivalProcess
-	// NetworkDelay separates the client-side send from the job release.
-	NetworkDelay simtime.Duration
-	// Service draws each request's CPU demand; nil uses the declared slice.
-	Service dist.Duration
-
-	// Latency records response times (release → completion).
-	Latency metrics.LatencyRecorder
-	// Offered counts requests sent; Throttled those suppressed by the
-	// sporadic minimum inter-arrival constraint.
-	Offered   int
-	Throttled int
-
-	sim *sim.Simulator
-	rng *sim.RNG
-	id  int32
-}
-
-// NewOpenLoopClient registers a sporadic task on g and wires an open-loop
-// client driving it.
-func NewOpenLoopClient(g *guest.OS, id int, name string, p task.Params, proc ArrivalProcess) (*OpenLoopClient, error) {
-	t := task.New(id, name, task.Sporadic, p)
-	if err := g.Register(t); err != nil {
-		return nil, err
-	}
-	return NewOpenLoopClientFor(g, t, proc), nil
-}
-
-// NewOpenLoopClientFor wires an open-loop client onto an already-registered
-// sporadic task.
-func NewOpenLoopClientFor(g *guest.OS, t *task.Task, proc ArrivalProcess) *OpenLoopClient {
-	c := &OpenLoopClient{
-		Task:         t,
-		Guest:        g,
-		Arrivals:     proc,
-		NetworkDelay: DefaultNetworkDelay(),
-		sim:          g.VM().Host().Sim,
-	}
-	c.id = c.sim.RegisterHandler(c)
-	t.OnJobDone = c.jobDone
-	return c
-}
-
-func (c *OpenLoopClient) jobDone(j *task.Job) {
-	c.Latency.Add(j.Finish.Sub(j.Release))
-}
-
-// Start schedules the request stream beginning at the given instant.
-func (c *OpenLoopClient) Start(at simtime.Time) {
-	c.rng = c.sim.RNG().Split()
-	c.sim.PostAt(at, sim.Payload{Handler: c.id, Kind: evOpenLoopFire})
-}
-
-// HandleSimEvent implements sim.Handler.
-func (c *OpenLoopClient) HandleSimEvent(now simtime.Time, ev sim.Payload) {
-	switch ev.Kind {
-	case evOpenLoopFire:
-		c.fire(now)
-	case evOpenLoopRelease:
-		if c.Task.EarliestNextRelease() <= now {
-			c.Guest.ReleaseJob(c.Task, simtime.Duration(ev.Arg0))
-		} else {
-			c.Throttled++
-		}
-	default:
-		panic(fmt.Sprintf("workload: unknown open-loop event kind %d", ev.Kind))
-	}
-}
-
-func (c *OpenLoopClient) fire(now simtime.Time) {
-	c.Offered++
-	var demand int64
-	if c.Service != nil {
-		demand = int64(c.Service.Sample(c.rng))
-	}
-	c.sim.PostAt(now.Add(c.NetworkDelay),
-		sim.Payload{Handler: c.id, Kind: evOpenLoopRelease, Arg0: demand})
-	c.sim.PostAt(now.Add(c.Arrivals.Next(now, c.rng)),
-		sim.Payload{Handler: c.id, Kind: evOpenLoopFire})
 }

@@ -18,9 +18,11 @@ import (
 // Typed kernel-event kinds. Each workload that posts events is its own
 // sim.Handler, so kinds only need to be unique within one workload type.
 const (
-	// evClientFire sends the next sporadic trigger.
+	// evClientFire sends the client's next request and schedules the
+	// following one.
 	evClientFire uint16 = iota
-	// evClientRelease delivers a trigger after the network delay.
+	// evClientRelease delivers a request after the network delay; Arg0 is
+	// its sampled CPU demand in ns (0 = declared slice).
 	evClientRelease
 	// evMemcachedArrive delivers the next memcached request.
 	evMemcachedArrive
@@ -29,12 +31,6 @@ const (
 	// evIOPhase2 re-releases a request after its device wait; Arg0 is the
 	// request's original arrival time.
 	evIOPhase2
-	// evOpenLoopFire sends the next open-loop request and schedules the
-	// following one from the arrival process.
-	evOpenLoopFire
-	// evOpenLoopRelease delivers an open-loop request after the network
-	// delay; Arg0 is the sampled CPU demand in ns (0 = declared slice).
-	evOpenLoopRelease
 	// evEvaderProbe releases one of the tick evader's short learning jobs.
 	evEvaderProbe
 	// evEvaderBurst releases the evader's between-ticks work burst.
@@ -71,95 +67,81 @@ func (a *RTApp) Start(at simtime.Time) { a.Guest.StartPeriodic(a.Task, at) }
 // Stop unregisters the task.
 func (a *RTApp) Stop() error { return a.Guest.Unregister(a.Task) }
 
-// SporadicClient triggers a sporadic RTA over the (modelled) network, like
-// the TCP clients of §4.2: requests arrive with random inter-arrival times
-// and each triggers one job with deadline one period after arrival.
-type SporadicClient struct {
+// Client drives a sporadic task from a request Source over the modelled
+// network, like the TCP clients of §4.2 (Renewal gaps) or production
+// traffic (an open-loop ArrivalProcess): requests arrive on the source's
+// schedule regardless of how the server is doing, and each one releases a
+// job with its sampled demand after NetworkDelay. A request that arrives
+// before the task's declared minimum inter-arrival has passed is counted
+// as Throttled, so burst-past-declared-rate pressure is visible, not
+// silent.
+type Client struct {
+	Source
 	Task  *task.Task
 	Guest *guest.OS
 
-	// InterArrival is the gap distribution (the paper uses
-	// Uniform(100ms, 1s)).
-	InterArrival dist.Duration
 	// NetworkDelay is added between the client send and the job release.
 	// The paper measured a 99.9th-percentile network delay of 19µs and
 	// excludes it from the NIC-to-NIC metric; it is modelled for fidelity.
 	NetworkDelay simtime.Duration
-	// Requests is the number of triggers to send (100 per RTA in §4.2).
-	Requests int
 
 	// Latency records response times (job release → completion).
 	Latency metrics.LatencyRecorder
+	// Throttled counts requests suppressed by the sporadic minimum
+	// inter-arrival constraint.
+	Throttled int
 
-	sent int
-	sim  *sim.Simulator
-	rng  *sim.RNG
-	id   int32
+	sim *sim.Simulator
+	id  int32
 }
 
-// NewSporadicClient registers a sporadic task on g and prepares a client
-// driving it.
-func NewSporadicClient(g *guest.OS, id int, name string, p task.Params, inter dist.Duration, requests int) (*SporadicClient, error) {
-	t := task.New(id, name, task.Sporadic, p)
-	if err := g.Register(t); err != nil {
-		return nil, err
-	}
-	return NewSporadicClientFor(g, t, inter, requests), nil
-}
-
-// NewSporadicClientFor wires a client onto an already-registered sporadic
-// task.
-func NewSporadicClientFor(g *guest.OS, t *task.Task, inter dist.Duration, requests int) *SporadicClient {
-	c := &SporadicClient{
+// NewClient wires a client onto the already-registered sporadic task t,
+// drawing its gaps from arrivals. The stream is unbounded until its
+// Requests cap is set.
+func NewClient(g *guest.OS, t *task.Task, arrivals ArrivalProcess) *Client {
+	c := &Client{
+		Source:       Source{Arrivals: arrivals},
 		Task:         t,
 		Guest:        g,
-		InterArrival: inter,
 		NetworkDelay: DefaultNetworkDelay(),
-		Requests:     requests,
 		sim:          g.VM().Host().Sim,
 	}
 	c.id = c.sim.RegisterHandler(c)
-	t.OnJobDone = func(j *task.Job) {
-		c.Latency.Add(j.Finish.Sub(j.Release))
-	}
+	t.OnJobDone = c.jobDone
 	return c
 }
 
+func (c *Client) jobDone(j *task.Job) {
+	c.Latency.Add(j.Finish.Sub(j.Release))
+}
+
 // Start schedules the request stream beginning at the given instant.
-func (c *SporadicClient) Start(at simtime.Time) {
-	c.rng = c.sim.RNG().Split()
+func (c *Client) Start(at simtime.Time) {
+	c.Open(c.sim.RNG().Split())
 	c.sim.PostAt(at, sim.Payload{Handler: c.id, Kind: evClientFire})
 }
 
 // HandleSimEvent implements sim.Handler.
-func (c *SporadicClient) HandleSimEvent(now simtime.Time, ev sim.Payload) {
+func (c *Client) HandleSimEvent(now simtime.Time, ev sim.Payload) {
 	switch ev.Kind {
 	case evClientFire:
-		c.fire(now)
+		demand, ok := c.Send()
+		if !ok {
+			return
+		}
+		c.sim.PostAt(now.Add(c.NetworkDelay),
+			sim.Payload{Handler: c.id, Kind: evClientRelease, Arg0: int64(demand)})
+		if gap, ok := c.Gap(now); ok {
+			c.sim.PostAt(now.Add(gap), sim.Payload{Handler: c.id, Kind: evClientFire})
+		}
 	case evClientRelease:
-		// Sporadic model: honour the minimum inter-arrival constraint.
-		if c.Task.EarliestNextRelease() <= now {
-			c.Guest.ReleaseJob(c.Task, 0)
+		if !Deliver(c.Guest, c.Task, simtime.Duration(ev.Arg0), now) {
+			c.Throttled++
 		}
 	default:
 		panic(fmt.Sprintf("workload: unknown client event kind %d", ev.Kind))
 	}
 }
-
-func (c *SporadicClient) fire(now simtime.Time) {
-	if c.sent >= c.Requests {
-		return
-	}
-	c.sent++
-	c.sim.PostAt(now.Add(c.NetworkDelay), sim.Payload{Handler: c.id, Kind: evClientRelease})
-	if c.sent < c.Requests {
-		c.sim.PostAt(now.Add(c.InterArrival.Sample(c.rng)),
-			sim.Payload{Handler: c.id, Kind: evClientFire})
-	}
-}
-
-// Sent reports the number of requests issued so far.
-func (c *SporadicClient) Sent() int { return c.sent }
 
 // VideoProfile is one row of Table 3: the timeliness characteristics of a
 // VLC transcoding thread at a given frame rate.
@@ -219,7 +201,8 @@ type MemcachedConfig struct {
 	// Service is the per-request CPU demand distribution; nil uses the
 	// default calibrated to Table 4's dedicated-CPU measurements.
 	Service dist.Duration
-	// Requests bounds the stream (0 = unlimited until Stop).
+	// Requests bounds the stream (0 = unlimited until Stop; negative is
+	// rejected).
 	Requests int
 }
 
@@ -256,18 +239,14 @@ type Memcached struct {
 	// Latency is the NIC-to-NIC latency distribution (Figure 5, Table 4).
 	Latency metrics.LatencyRecorder
 
-	inter   dist.Duration
-	service dist.Duration
-	sim     *sim.Simulator
-	rng     *sim.RNG
-	sent    int
-	stopped bool
-	id      int32
+	src Source
+	sim *sim.Simulator
+	id  int32
 }
 
 // NewMemcached registers the memcached RTA on g with the given config.
 func NewMemcached(g *guest.OS, id int, cfg MemcachedConfig) (*Memcached, error) {
-	if cfg.SLO <= 0 || cfg.Rate <= 0 {
+	if cfg.SLO <= 0 || cfg.Rate <= 0 || cfg.Requests < 0 {
 		return nil, fmt.Errorf("workload: invalid memcached config %+v", cfg)
 	}
 	t := task.New(id, fmt.Sprintf("memcached-%d", id), task.Sporadic,
@@ -276,18 +255,22 @@ func NewMemcached(g *guest.OS, id int, cfg MemcachedConfig) (*Memcached, error) 
 		return nil, err
 	}
 	mean := simtime.Duration(1e9 / cfg.Rate)
+	service := cfg.Service
+	if service == nil {
+		service = DefaultServiceDist()
+	}
 	m := &Memcached{
 		Task:  t,
 		Guest: g,
 		Cfg:   cfg,
-		// §4.4: inter-arrival times follow a normal distribution with an
-		// average rate of 100 queries per second.
-		inter:   dist.Normal{MeanD: mean, Stddev: mean / 4, Min: simtime.Micros(100)},
-		service: cfg.Service,
-		sim:     g.VM().Host().Sim,
-	}
-	if m.service == nil {
-		m.service = DefaultServiceDist()
+		src: Source{
+			// §4.4: inter-arrival times follow a normal distribution with
+			// an average rate of 100 queries per second.
+			Arrivals: Renewal{D: dist.Normal{MeanD: mean, Stddev: mean / 4, Min: simtime.Micros(100)}},
+			Demand:   service,
+			Requests: cfg.Requests,
+		},
+		sim: g.VM().Host().Sim,
 	}
 	m.id = m.sim.RegisterHandler(m)
 	t.OnJobDone = func(j *task.Job) {
@@ -298,12 +281,12 @@ func NewMemcached(g *guest.OS, id int, cfg MemcachedConfig) (*Memcached, error) 
 
 // Start begins the request stream at the given instant.
 func (m *Memcached) Start(at simtime.Time) {
-	m.rng = m.sim.RNG().Split()
+	m.src.Open(m.sim.RNG().Split())
 	m.sim.PostAt(at, sim.Payload{Handler: m.id, Kind: evMemcachedArrive})
 }
 
 // Stop ends the request stream after in-flight work completes.
-func (m *Memcached) Stop() { m.stopped = true }
+func (m *Memcached) Stop() { m.src.Stop() }
 
 // HandleSimEvent implements sim.Handler.
 func (m *Memcached) HandleSimEvent(now simtime.Time, ev sim.Payload) {
@@ -315,17 +298,21 @@ func (m *Memcached) HandleSimEvent(now simtime.Time, ev sim.Payload) {
 	}
 }
 
+// arrive releases a request at its NIC arrival, with no network delay and
+// no sporadic throttle: Figure 5a's server takes every request.
 func (m *Memcached) arrive(now simtime.Time) {
-	if m.stopped || (m.Cfg.Requests > 0 && m.sent >= m.Cfg.Requests) {
+	demand, ok := m.src.Send()
+	if !ok {
 		return
 	}
-	m.sent++
-	m.Guest.ReleaseJob(m.Task, m.service.Sample(m.rng))
-	m.sim.PostAt(now.Add(m.inter.Sample(m.rng)), sim.Payload{Handler: m.id, Kind: evMemcachedArrive})
+	m.Guest.ReleaseJob(m.Task, demand)
+	if gap, ok := m.src.Gap(now); ok {
+		m.sim.PostAt(now.Add(gap), sim.Payload{Handler: m.id, Kind: evMemcachedArrive})
+	}
 }
 
 // Sent reports the number of requests issued so far.
-func (m *Memcached) Sent() int { return m.sent }
+func (m *Memcached) Sent() int { return m.src.Sent() }
 
 // CPUHog is a best-effort CPU-bound process (the non-RTA contenders of
 // §4.4's first experiment).

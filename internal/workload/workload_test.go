@@ -46,11 +46,12 @@ func TestRTAppRunsPeriodically(t *testing.T) {
 
 func TestSporadicClientDrivesRequests(t *testing.T) {
 	s, h, g := rig(t, 1)
-	c, err := NewSporadicClient(g, 0, "sp", task.Params{Slice: ms(2), Period: ms(20)},
-		dist.Uniform{Lo: ms(100), Hi: simtime.Seconds(1)}, 100)
-	if err != nil {
+	tk := task.New(0, "sp", task.Sporadic, task.Params{Slice: ms(2), Period: ms(20)})
+	if err := g.Register(tk); err != nil {
 		t.Fatal(err)
 	}
+	c := NewClient(g, tk, Renewal{D: dist.Uniform{Lo: ms(100), Hi: simtime.Seconds(1)}})
+	c.Requests = 100
 	h.Start()
 	c.Start(0)
 	s.RunFor(simtime.Seconds(120))
@@ -174,6 +175,11 @@ func TestMemcachedInvalidConfig(t *testing.T) {
 	_, _, g := rig(t, 1)
 	if _, err := NewMemcached(g, 0, MemcachedConfig{}); err == nil {
 		t.Fatal("zero config accepted")
+	}
+	cfg := DefaultMemcachedConfig()
+	cfg.Requests = -1
+	if _, err := NewMemcached(g, 0, cfg); err == nil {
+		t.Fatal("negative request cap accepted")
 	}
 }
 

@@ -35,6 +35,7 @@
 package rtvirt
 
 import (
+	"fmt"
 	"io"
 
 	"rtvirt/internal/analyze"
@@ -165,8 +166,9 @@ func CloneGet[T comparable](ctx *CloneCtx, v T) T { return clone.Get(ctx, v) }
 type (
 	// RTApp is the rt-app periodic load generator of §4.2.
 	RTApp = workload.RTApp
-	// SporadicClient triggers a sporadic RTA over the network (§4.2).
-	SporadicClient = workload.SporadicClient
+	// Client drives a sporadic RTA from a request stream over the network
+	// (§4.2).
+	Client = workload.Client
 	// VideoStream is a VLC transcoding thread (§4.3, Table 3).
 	VideoStream = workload.VideoStream
 	// VideoProfile is one row of Table 3.
@@ -190,10 +192,18 @@ func NewRTApp(g *Guest, id int, name string, p Params) (*RTApp, error) {
 	return workload.NewRTApp(g, id, name, p)
 }
 
-// NewSporadicClient registers a sporadic task on g driven by a client with
-// the given inter-arrival distribution.
-func NewSporadicClient(g *Guest, id int, name string, p Params, inter DurationDist, requests int) (*SporadicClient, error) {
-	return workload.NewSporadicClient(g, id, name, p, inter, requests)
+// NewSporadicClient registers a sporadic task on g driven by a client that
+// sends requests (0 = unbounded) at gaps drawn from inter, like §4.2's TCP
+// clients.
+func NewSporadicClient(g *Guest, id int, name string, p Params, inter DurationDist, requests int) (*Client, error) {
+	if requests < 0 {
+		return nil, fmt.Errorf("rtvirt: negative request cap %d", requests)
+	}
+	t := task.New(id, name, task.Sporadic, p)
+	if err := g.Register(t); err != nil {
+		return nil, err
+	}
+	return AttachSporadicClient(g, t, inter, requests), nil
 }
 
 // NewVideoStream registers a transcoding RTA for the given frame rate.
@@ -227,10 +237,13 @@ func NewCPUHog(g *Guest, id int, name string) (*CPUHog, error) {
 // NewBackgroundTask creates a best-effort task with no deadline.
 func NewBackgroundTask(id int, name string) *Task { return task.NewBackground(id, name) }
 
-// AttachSporadicClient wires an arrival client onto an already-registered
-// sporadic task.
-func AttachSporadicClient(g *Guest, t *Task, inter DurationDist, requests int) *SporadicClient {
-	return workload.NewSporadicClientFor(g, t, inter, requests)
+// AttachSporadicClient wires a client onto an already-registered sporadic
+// task: it sends requests (0 = unbounded; negative panics at Start) at
+// gaps drawn from inter.
+func AttachSporadicClient(g *Guest, t *Task, inter DurationDist, requests int) *Client {
+	c := workload.NewClient(g, t, workload.Renewal{D: inter})
+	c.Requests = requests
+	return c
 }
 
 // VideoProfiles reproduces Table 3 of the paper.

@@ -244,9 +244,13 @@ func TestPublicAPIWorkloadZoo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := rtvirt.NewSporadicClient(srvVM, 1, "rpc",
-		rtvirt.Params{Slice: 200 * rtvirt.Microsecond, Period: 5 * rtvirt.Millisecond},
-		rtvirt.UniformDist(10*rtvirt.Millisecond, 30*rtvirt.Millisecond), 50)
+	rpc := rtvirt.Params{Slice: 200 * rtvirt.Microsecond, Period: 5 * rtvirt.Millisecond}
+	gaps := rtvirt.UniformDist(10*rtvirt.Millisecond, 30*rtvirt.Millisecond)
+	if _, err := rtvirt.NewSporadicClient(srvVM, 1, "rpc", rpc, gaps, -1); err == nil {
+		t.Fatal("negative request cap accepted")
+	}
+	var sp *rtvirt.Client
+	sp, err = rtvirt.NewSporadicClient(srvVM, 1, "rpc", rpc, gaps, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
