@@ -141,19 +141,7 @@ func gcd(a, b int64) int64 {
 // Schedulable reports whether the EDF task set fits on the interface:
 // dbf(t) ≤ sbf(t) at every deadline up to the horizon.
 func Schedulable(tasks []task.Params, iface Interface) bool {
-	var util float64
-	for _, p := range tasks {
-		util += p.Bandwidth()
-	}
-	if util > iface.Bandwidth()+1e-12 {
-		return false
-	}
-	for _, t := range testPoints(tasks, horizon(tasks)) {
-		if DBF(tasks, t) > SBF(iface, t) {
-			return false
-		}
-	}
-	return true
+	return newDemand(tasks).fits(iface)
 }
 
 // MinBudget computes the smallest budget Θ for which the task set is
@@ -168,29 +156,77 @@ func MinBudget(tasks []task.Params, period simtime.Duration) (simtime.Duration, 
 // (whole milliseconds in §4.2); passing that resolution reproduces the
 // paper's interfaces, while 1ns gives the continuous optimum.
 func MinBudgetQ(tasks []task.Params, period, quantum simtime.Duration) (simtime.Duration, bool) {
+	return newDemand(tasks).minBudget(period, quantum)
+}
+
+// demand tabulates what the schedulability test needs of one task set:
+// its utilization, the test points up to the horizon and the dbf at each.
+// None of it depends on the interface, so one table serves every probe of
+// every candidate period.
+type demand struct {
+	util float64
+	pts  []simtime.Duration
+	dbf  []simtime.Duration
+}
+
+func newDemand(tasks []task.Params) demand {
+	d := demand{pts: testPoints(tasks, horizon(tasks))}
+	for _, p := range tasks {
+		d.util += p.Bandwidth()
+	}
+	d.dbf = make([]simtime.Duration, len(d.pts))
+	for i, t := range d.pts {
+		d.dbf[i] = DBF(tasks, t)
+	}
+	return d
+}
+
+// fits reports whether the tabulated task set is schedulable on iface:
+// dbf(t) ≤ sbf(t) at every test point.
+func (d demand) fits(iface Interface) bool {
+	if d.util > iface.Bandwidth()+1e-12 {
+		return false
+	}
+	for i, t := range d.pts {
+		if d.dbf[i] > SBF(iface, t) {
+			return false
+		}
+	}
+	return true
+}
+
+// minBudget searches the budgets k·quantum, the last capped at the period,
+// for the least one that fits. sbf is monotone in Θ, so the least fitting
+// multiple is the continuous optimum rounded up to the quantum.
+func (d demand) minBudget(period, quantum simtime.Duration) (simtime.Duration, bool) {
 	if quantum <= 0 {
 		quantum = 1
 	}
-	if !Schedulable(tasks, Interface{Period: period, Budget: period}) {
+	if !d.fits(Interface{Period: period, Budget: period}) {
 		return 0, false
 	}
-	lo, hi := simtime.Duration(0), period
-	// Binary search: Schedulable is monotone in Θ.
+	// budget(n) is the period; for a period ≤ 0, n = 0 and the period is
+	// the only budget.
+	var n int64
+	if period > 0 {
+		n = (int64(period)-1)/int64(quantum) + 1
+	}
+	budget := func(k int64) simtime.Duration {
+		if k >= n {
+			return period
+		}
+		return simtime.Duration(k) * quantum
+	}
+	lo, hi := int64(0), n
 	for lo < hi {
 		mid := lo + (hi-lo)/2
-		if Schedulable(tasks, Interface{Period: period, Budget: mid}) {
+		if d.fits(Interface{Period: period, Budget: budget(mid)}) {
 			hi = mid
 		} else {
 			lo = mid + 1
 		}
 	}
-	if r := hi % quantum; r != 0 {
-		hi += quantum - r
-	}
-	if hi > period {
-		hi = period
-	}
-	return hi, true
+	return budget(hi), true
 }
 
 // BestInterface searches the candidate periods for the minimal-bandwidth
@@ -203,13 +239,14 @@ func BestInterface(tasks []task.Params, candidates []simtime.Duration) (Interfac
 
 // BestInterfaceQ is BestInterface with budgets quantized (see MinBudgetQ).
 func BestInterfaceQ(tasks []task.Params, candidates []simtime.Duration, quantum simtime.Duration) (Interface, bool) {
+	d := newDemand(tasks)
 	best := Interface{}
 	found := false
 	for _, period := range candidates {
 		if period <= 0 {
 			continue
 		}
-		theta, ok := MinBudgetQ(tasks, period, quantum)
+		theta, ok := d.minBudget(period, quantum)
 		if !ok {
 			continue
 		}
@@ -223,15 +260,21 @@ func BestInterfaceQ(tasks []task.Params, candidates []simtime.Duration, quantum 
 }
 
 // DefaultCandidates returns the period grid used to configure the
-// experiments: every millisecond from 1ms up to the smallest task period.
+// experiments: every millisecond from 1ms up to the smallest task period,
+// or nil if no task has a positive period.
 func DefaultCandidates(tasks []task.Params) []simtime.Duration {
 	minP := simtime.Infinite
+	positive := false
 	for _, p := range tasks {
 		if p.Period < minP {
 			minP = p.Period
 		}
+		positive = positive || p.Period > 0
 	}
-	var out []simtime.Duration
+	if !positive {
+		return nil
+	}
+	out := make([]simtime.Duration, 0, max(minP/simtime.Millis(1), 1))
 	for p := simtime.Millis(1); p <= minP; p += simtime.Millis(1) {
 		out = append(out, p)
 	}

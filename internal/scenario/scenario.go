@@ -622,7 +622,7 @@ func (w *World) Start() {
 				mean := simtime.Duration(float64(simtime.Second) / rate)
 				client = workload.NewClient(b.guest, b.task, workload.Renewal{
 					D: dist.Normal{MeanD: mean, Stddev: mean / 4, Min: closedFormMinGap}})
-				client.Requests = int(w.Seconds)*int(rate) + 16
+				client.Requests = int(math.Ceil(float64(w.Seconds)*rate)) + 16
 			}
 			client.NetworkDelay = w.netDelay
 			b.lat = &client.Latency

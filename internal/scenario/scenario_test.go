@@ -359,3 +359,29 @@ func TestCostsOverride(t *testing.T) {
 			costly.Overhead.CtxSwitchTime, def.Overhead.CtxSwitchTime)
 	}
 }
+
+// A fractional rate_hz is not truncated before it sizes the closed-form
+// client's request cap: 100 s at 0.5 Hz releases about 50 requests, not 16.
+func TestFractionalRateRequestCap(t *testing.T) {
+	sc, err := Parse(strings.NewReader(`{
+  "stack": "rtvirt",
+  "pcpus": 1,
+  "seconds": 100,
+  "seed": 1,
+  "vms": [
+    {"name": "rt", "vcpus": 1, "tasks": [
+      {"name": "srv", "kind": "sporadic", "slice_us": 500, "period_us": 5000, "rate_hz": 0.5}
+    ]}
+  ]
+}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(sc, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Tasks[0].Stats.Released; got < 35 || got > 66 {
+		t.Fatalf("0.5 Hz over 100 s released %d requests, want about 50 (cap 66)", got)
+	}
+}
