@@ -93,7 +93,7 @@ func (g *fifoGuest) submit(v *VCPU, j *task.Job, now simtime.Time) {
 	g.h.VCPUWake(v, now)
 }
 
-func testHost(t *testing.T, pcpus int, costs CostModel) (*sim.Simulator, *Host, *fifoSched) {
+func testHost(t testing.TB, pcpus int, costs CostModel) (*sim.Simulator, *Host, *fifoSched) {
 	t.Helper()
 	s := sim.New(1)
 	sched := &fifoSched{quantum: simtime.Millis(10)}

@@ -35,6 +35,7 @@ func FuzzScenarioJSON(f *testing.F) {
 		"tasks":[{"name":"ev","kind":"evader","evader":{"tick_us":10000,"guard_us":300}}]}]}`))
 	f.Add([]byte(`{"vms":[{"name":"h","tasks":[{"name":"ev","kind":"evader"}]}]}`))
 	f.Add([]byte(`{"vms":[{"name":"r","tasks":[{"name":"s","kind":"sporadic","slice_us":100,"period_us":7000,"rate_hz":-5}]}]}`))
+	f.Add([]byte(`{"vms":[{"name":"p","tasks":[{"name":"t","slice_us":1,"period_us":1000000000000}]}]}`))
 	f.Add([]byte(`{"vms":[]}`))
 	f.Add([]byte(`not json`))
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -278,6 +278,15 @@ type TaskSpec struct {
 	Evader *EvaderSpec `json:"evader,omitempty"`
 }
 
+// maxPeriodUS bounds every task and server period_us (and so every slice
+// and budget, which may not exceed their period): 100 s, far above the
+// 3–50 ms periods the experiments and generated scenarios use. Offline
+// analysis tries one CSA server period per millisecond up to the smallest
+// task period, so an unbounded period made its cost grow with the input
+// (10¹² µs would ask for about 8 GB), and past about 9.2·10¹⁵ µs the
+// conversion to simulated time overflows.
+const maxPeriodUS = 100_000_000
+
 // closedFormMinGap floors the closed-form sporadic client's gaps, so no
 // rate_hz above one request per closedFormMinGap can be met.
 const closedFormMinGap = 100 * simtime.Microsecond
@@ -382,6 +391,12 @@ func (sc Scenario) Validate() error {
 			return fmt.Errorf("scenario: VM %q max_vcpus %d below vcpus %d",
 				vm.Name, vm.MaxVCPUs, vm.VCPUs)
 		}
+		for i, srv := range vm.Servers {
+			if srv.PeriodUS > maxPeriodUS {
+				return fmt.Errorf("scenario: VM %q server %d period_us %d above the %dµs maximum",
+					vm.Name, i, srv.PeriodUS, maxPeriodUS)
+			}
+		}
 		for _, ts := range vm.Tasks {
 			if ts.Priority < 0 {
 				return fmt.Errorf("scenario: task %q has negative priority", ts.Name)
@@ -394,6 +409,10 @@ func (sc Scenario) Validate() error {
 				if ts.SliceUS <= 0 || ts.PeriodUS <= 0 || ts.SliceUS > ts.PeriodUS {
 					return fmt.Errorf("scenario: task %q has invalid (slice=%dµs, period=%dµs)",
 						ts.Name, ts.SliceUS, ts.PeriodUS)
+				}
+				if ts.PeriodUS > maxPeriodUS {
+					return fmt.Errorf("scenario: task %q period_us %d above the %dµs maximum",
+						ts.Name, ts.PeriodUS, maxPeriodUS)
 				}
 			case "background", "evader":
 			default:

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -104,6 +105,9 @@ func TestValidate(t *testing.T) {
 		{"negative rate_hz", `{"vms": [{"name": "a", "tasks": [{"name": "t", "kind": "sporadic", "slice_us": 1, "period_us": 5, "rate_hz": -5}]}]}`},
 		{"rate_hz past the 100µs gap floor", `{"vms": [{"name": "a", "tasks": [{"name": "t", "kind": "sporadic", "slice_us": 1, "period_us": 5, "rate_hz": 10001}]}]}`},
 		{"overflowing rate_hz", `{"vms": [{"name": "a", "tasks": [{"name": "t", "kind": "sporadic", "slice_us": 1, "period_us": 5, "rate_hz": 1e30}]}]}`},
+		{"period 10^12", `{"vms": [{"name": "a", "tasks": [{"name": "t", "slice_us": 1, "period_us": 1000000000000}]}]}`},
+		{"period MaxInt64", `{"vms": [{"name": "a", "tasks": [{"name": "t", "slice_us": 1, "period_us": 9223372036854775807}]}]}`},
+		{"server period 10^12", `{"vms": [{"name": "a", "servers": [{"budget_us": 1, "period_us": 1000000000000}]}]}`},
 		{"negative cost", `{"costs": {"context_switch": -1}, "vms": [{"name": "a"}]}`},
 		{"unknown cost field", `{"costs": {"warp_us": 1}, "vms": [{"name": "a"}]}`},
 	}
@@ -115,6 +119,19 @@ func TestValidate(t *testing.T) {
 		if err := sc.Validate(); err == nil {
 			t.Errorf("%s: validated", c.name)
 		}
+	}
+	// A period past the maximum is rejected by name; the maximum itself
+	// stays valid.
+	for _, us := range []int64{1e12, math.MaxInt64} {
+		sc := Scenario{VMs: []VM{{Name: "a", Tasks: []TaskSpec{{Name: "huge", SliceUS: 1, PeriodUS: us}}}}}
+		if err := sc.Validate(); err == nil || !strings.Contains(err.Error(), `"huge"`) {
+			t.Errorf("period_us %d: error %v, want one naming the task", us, err)
+		}
+	}
+	sc := Scenario{VMs: []VM{{Name: "a", Servers: []ServerSpec{{BudgetUS: 1, PeriodUS: maxPeriodUS}},
+		Tasks: []TaskSpec{{Name: "t", SliceUS: 1, PeriodUS: maxPeriodUS}}}}}
+	if err := sc.Validate(); err != nil {
+		t.Errorf("period_us at the maximum rejected: %v", err)
 	}
 	// The rate range's ends stay valid: 0 selects the 10 Hz default.
 	for _, hz := range []float64{0, 10000} {

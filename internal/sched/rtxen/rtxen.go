@@ -80,8 +80,6 @@ type serverState struct {
 	budget   simtime.Duration // remaining budget in the current period
 	deadline simtime.Time     // end of the current period = EDF priority
 	replEv   eventq.Handle
-	// pos is the server's slot in the sorted runqueue (-1 when removed).
-	pos int32
 	// running tracks the PCPU charging this server, or -1.
 	runningOn int32
 	// active marks the slot as holding an admitted server; background
@@ -180,7 +178,7 @@ func (s *Scheduler) AdmitVCPU(v *hv.VCPU) error {
 		for len(s.srv) <= v.ID {
 			s.srv = append(s.srv, serverState{})
 		}
-		s.srv[v.ID] = serverState{budget: v.Res.Budget, runningOn: -1, pos: -1, active: true}
+		s.srv[v.ID] = serverState{budget: v.Res.Budget, runningOn: -1, active: true}
 		s.runq.Push(s.srv, int32(v.ID))
 		if s.started {
 			s.armReplenish(v, s.h.Sim.Now())
@@ -192,11 +190,10 @@ func (s *Scheduler) AdmitVCPU(v *hv.VCPU) error {
 // RemoveVCPU implements hv.HostScheduler.
 func (s *Scheduler) RemoveVCPU(v *hv.VCPU, now simtime.Time) {
 	if s.isServer(v) {
-		st := s.state(v)
-		if st.pos >= 0 {
-			s.runq.Remove(s.srv, int32(v.ID))
-		}
-		s.h.Sim.Cancel(st.replEv)
+		// Every active server is queued: AdmitVCPU pushes each one it
+		// activates.
+		s.runq.Remove(int32(v.ID))
+		s.h.Sim.Cancel(s.state(v).replEv)
 		s.srv[v.ID] = serverState{}
 	}
 }

@@ -1,15 +1,12 @@
 package rtxen
 
 import (
-	"sort"
-
 	"rtvirt/internal/hv"
 )
 
 // runq is the global runqueue as RT-Xen publishes it: a list of VCPU IDs
 // kept sorted by (deadline, ID). Every admitted RT VCPU with budget appears
-// here whether runnable or not, and each serverState carries its own
-// position, so Remove and Fix know where to start shifting.
+// here whether runnable or not.
 //
 // The published scheduler pays a linear scan per decision, and that cost is
 // what Table 6's schedule-time column measures. pickEDF performs exactly
@@ -21,6 +18,12 @@ import (
 // (the list and the Scheduler's srv array). Methods take the srv slice (and,
 // for pickEDF, the host's hot array) as a parameter rather than a
 // back-pointer so the slice header is always the caller's current one.
+//
+// No server records its own slot, since every move would then rewrite the
+// slot of each member it shifts: Fix and Remove find the server by a
+// forward scan of the flat ID list. Fix's common caller is a
+// replenishment, whose server's old deadline is now, the queue's minimum,
+// so it sits among the first members.
 type runq struct {
 	v []int32
 }
@@ -35,47 +38,65 @@ func rqLess(srv []serverState, a, b int32) bool {
 	return a < b
 }
 
+// index returns id's slot; id must be queued.
+func (r *runq) index(id int32) int {
+	for i, x := range r.v {
+		if x == id {
+			return i
+		}
+	}
+	panic("rtxen: server not in the runqueue")
+}
+
 // Push inserts id.
 func (r *runq) Push(srv []serverState, id int32) {
 	r.v = append(r.v, id)
-	srv[id].pos = int32(len(r.v) - 1)
-	r.Fix(srv, id)
+	r.place(srv, len(r.v)-1)
 }
 
 // Remove deletes id, which must be queued.
-func (r *runq) Remove(srv []serverState, id int32) {
-	i := int(srv[id].pos)
+func (r *runq) Remove(id int32) {
+	i := r.index(id)
 	r.v = append(r.v[:i], r.v[i+1:]...)
-	for ; i < len(r.v); i++ {
-		srv[r.v[i]].pos = int32(i)
-	}
-	srv[id].pos = -1
 }
 
-// Fix restores sorted order after id's deadline changed. The rest of the
+// Fix restores sorted order after id's deadline changed.
+func (r *runq) Fix(srv []serverState, id int32) { r.place(srv, r.index(id)) }
+
+// place moves the member at slot i to its sorted slot. The rest of the
 // list is still sorted, so the new slot is found by binary search on the
-// side id moved toward; the members in between shift by one in a single
-// copy, and only their positions are rewritten.
-func (r *runq) Fix(srv []serverState, id int32) {
-	i := int(srv[id].pos)
+// side the member moved toward, and the members in between shift by one
+// in a single copy.
+func (r *runq) place(srv []serverState, i int) {
 	v := r.v
+	id := v[i]
 	switch {
 	case i > 0 && rqLess(srv, id, v[i-1]):
 		// Earlier: the first member of v[:i] that id precedes.
-		j := sort.Search(i, func(k int) bool { return rqLess(srv, id, v[k]) })
-		copy(v[j+1:i+1], v[j:i])
-		v[j] = id
-		for k := j; k <= i; k++ {
-			srv[v[k]].pos = int32(k)
+		lo, hi := 0, i
+		for lo < hi {
+			m := int(uint(lo+hi) >> 1)
+			if rqLess(srv, id, v[m]) {
+				hi = m
+			} else {
+				lo = m + 1
+			}
 		}
+		copy(v[lo+1:i+1], v[lo:i])
+		v[lo] = id
 	case i+1 < len(v) && rqLess(srv, v[i+1], id):
-		// Later: the last member of v[i+1:] that precedes id.
-		j := i + sort.Search(len(v)-i-1, func(k int) bool { return !rqLess(srv, v[i+1+k], id) })
-		copy(v[i:j], v[i+1:j+1])
-		v[j] = id
-		for k := i; k <= j; k++ {
-			srv[v[k]].pos = int32(k)
+		// Later: past the last member of v[i+1:] that precedes id.
+		lo, hi := i+1, len(v)
+		for lo < hi {
+			m := int(uint(lo+hi) >> 1)
+			if rqLess(srv, v[m], id) {
+				lo = m + 1
+			} else {
+				hi = m
+			}
 		}
+		copy(v[i:lo-1], v[i+1:lo])
+		v[lo-1] = id
 	}
 }
 
@@ -84,10 +105,25 @@ func (r *runq) Fix(srv []serverState, id int32) {
 // its 1-based rank. With no eligible server it returns -1 and the queue
 // length: the scan examined every member. Eligibility reads the host's flat
 // hot array, never the VCPU structs.
+//
+// The three tests fold into one bit so that each member costs a single
+// branch, mispredicted only at the pick; written with && and ||, each
+// test is a data-dependent branch of its own.
 func (r *runq) pickEDF(srv []serverState, hot []hv.VCPUHot, p int32) (int32, int) {
 	for i, id := range r.v {
 		hs := hot[id]
-		if srv[id].budget > 0 && hs.Runnable && (hs.PCPU < 0 || hs.PCPU == p) {
+		// Each test is one bit. budget > 0 iff -budget is negative
+		// (budgets are never negative); the if below compiles to a
+		// zero-extension, not a branch; the PCPU is free iff it is -1 or
+		// p, and (x-1)&^x is negative only when x is 0.
+		ok := uint64(-srv[id].budget) >> 63
+		var run uint64
+		if hs.Runnable {
+			run = 1
+		}
+		x := uint32(hs.PCPU ^ p)
+		free := uint64((uint32(hs.PCPU) | (x-1)&^x) >> 31)
+		if ok&run&free != 0 {
 			return id, i + 1
 		}
 	}
