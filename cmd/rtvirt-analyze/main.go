@@ -198,7 +198,7 @@ func replayTrace(w io.Writer, path string) error {
 	}
 	defer f.Close()
 	rec := &trace.Recorder{}
-	stats := trace.NewStatsSink(0.99)
+	stats := &trace.StatsSink{}
 	n, err := trace.ReadJSONL(f, rec, stats)
 	if err != nil {
 		return err

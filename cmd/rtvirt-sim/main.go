@@ -80,11 +80,10 @@ func (o options) validate() error {
 func main() {
 	o := defaultOptions()
 	var (
-		traceOut  = flag.String("trace", "", "stream every telemetry event to this JSONL file (re-ingest with rtvirt-analyze -replay)")
-		traceCSV  = flag.String("trace-csv", "", "write the schedule trace to this CSV file")
-		traceJSON = flag.String("trace-json", "", "write the schedule trace to this JSON file")
-		traceSVG  = flag.String("trace-svg", "", "render the schedule as an SVG Gantt chart to this file")
-		summary   = flag.Bool("summary", false, "print a per-VCPU/per-PCPU schedule digest")
+		traceOut = flag.String("trace", "", "stream every telemetry event to this JSONL file (re-ingest with rtvirt-analyze -replay)")
+		traceCSV = flag.String("trace-csv", "", "write the schedule trace to this CSV file")
+		traceSVG = flag.String("trace-svg", "", "render the schedule as an SVG Gantt chart to this file")
+		summary  = flag.Bool("summary", false, "print a per-VCPU/per-PCPU schedule digest")
 	)
 	flag.Int64Var(&o.svgMS, "svg-ms", o.svgMS, "SVG window length in simulated milliseconds")
 	flag.IntVar(&o.parallel, "parallel", o.parallel, "workers when running multiple scenarios (0 = GOMAXPROCS, 1 = sequential)")
@@ -99,7 +98,7 @@ func main() {
 		flag.PrintDefaults()
 		os.Exit(2)
 	}
-	tracing := *traceCSV != "" || *traceJSON != "" || *traceSVG != "" || *summary
+	tracing := *traceCSV != "" || *traceSVG != "" || *summary
 	if flag.NArg() > 1 {
 		if tracing || *traceOut != "" {
 			log.Fatal("trace/summary flags require a single scenario")
@@ -147,16 +146,10 @@ func main() {
 			}
 		}
 		if *traceCSV != "" {
-			if err := writeTrace(*traceCSV, res, true); err != nil {
+			if err := writeCSV(*traceCSV, res.Trace); err != nil {
 				log.Fatal(err)
 			}
 			fmt.Printf("schedule trace (%d records) written to %s\n", res.Trace.Len(), *traceCSV)
-		}
-		if *traceJSON != "" {
-			if err := writeTrace(*traceJSON, res, false); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("schedule trace (%d records) written to %s\n", res.Trace.Len(), *traceJSON)
 		}
 		if *traceSVG != "" {
 			sf, err := os.Create(*traceSVG)
@@ -232,16 +225,17 @@ func report(res *scenario.Result) {
 		ov.Percent, ov.ScheduleTime, ov.CtxSwitchTime, ov.Migrations, ov.Hypercalls)
 }
 
-func writeTrace(path string, res *scenario.Result, csv bool) error {
+// writeCSV writes the recorded schedule trace to path as CSV.
+func writeCSV(path string, rec *trace.Recorder) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	if csv {
-		return res.Trace.WriteCSV(f)
+	if err := rec.WriteCSV(f); err != nil {
+		f.Close()
+		return err
 	}
-	return res.Trace.WriteJSON(f)
+	return f.Close()
 }
 
 // rtvirtTime converts milliseconds to a simulated instant.

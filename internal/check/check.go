@@ -116,9 +116,6 @@ func Attach(sys *core.System, opts Opts) *Suite {
 	return &Suite{sys: sys, oracles: oracles}
 }
 
-// Oracles returns the armed oracles.
-func (s *Suite) Oracles() []Oracle { return s.oracles }
-
 // Finish runs every oracle's end-of-run checks and returns all violations
 // ordered by time (stable on oracle order for ties).
 func (s *Suite) Finish() []Violation {

@@ -34,8 +34,7 @@ func TestPDESIdentityOnGeneratedWorlds(t *testing.T) {
 func TestRunIncludesPDESAxis(t *testing.T) {
 	cfg := Config{
 		Seed: 11, N: 2, Seconds: 1,
-		Stacks:   []core.Stack{core.RTVirt},
-		SkipFork: true,
+		Stacks: []core.Stack{core.RTVirt},
 	}
 	with := Run(cfg)
 	cfg.Shards = []int{1}

@@ -34,17 +34,12 @@ type Config struct {
 	Seconds int64
 	// Stacks overrides the stacks exercised (default: all four).
 	Stacks []core.Stack
-	// SkipFork disables the mid-run fork bit-identity probe.
-	SkipFork bool
 	// Shards is the executor-group axis of the sharded-PDES identity
 	// oracle: each scenario is replicated onto a small sharded cluster and
 	// run once per group count, and every digest must match the first
 	// entry's (default DefaultShards = 1, 2, 4). A single entry disables
 	// the comparison.
 	Shards []int
-	// MaxShrinkRuns caps the simulations the shrinker may spend per
-	// failure (default 200).
-	MaxShrinkRuns int
 }
 
 // Failure is one violating run, shrunk to a minimal reproducer. Scenario
@@ -91,9 +86,6 @@ func Run(cfg Config) *Report {
 	if len(cfg.Stacks) == 0 {
 		cfg.Stacks = AllStacks
 	}
-	if cfg.MaxShrinkRuns <= 0 {
-		cfg.MaxShrinkRuns = 200
-	}
 	if len(cfg.Shards) == 0 {
 		cfg.Shards = DefaultShards
 	}
@@ -108,7 +100,7 @@ func Run(cfg Config) *Report {
 		sc.Seed = caseSeed
 		for _, stack := range cfg.Stacks {
 			rep.Runs++
-			vs, err := runOne(sc, stack, !cfg.SkipFork)
+			vs, err := runOne(sc, stack, true)
 			if err != nil {
 				rep.Skipped++
 				continue
@@ -116,7 +108,7 @@ func Run(cfg Config) *Report {
 			if len(vs) == 0 {
 				continue
 			}
-			min, minVs, steps, runs := Shrink(sc, stack, !cfg.SkipFork, cfg.MaxShrinkRuns)
+			min, minVs, steps, runs := Shrink(sc, stack)
 			f := Failure{
 				Case:        i,
 				Stack:       stack.String(),
@@ -157,8 +149,9 @@ func Run(cfg Config) *Report {
 }
 
 // runOne builds sc under stack with the oracle suite armed, runs it (with
-// a half-time fork identity probe unless disabled), and returns the
-// violations. A build error means admission control rejected the world.
+// a half-time fork identity probe when forkCheck is set, as the harness
+// always does), and returns the violations. A build error means admission
+// control rejected the world.
 func runOne(sc scenario.Scenario, stack core.Stack, forkCheck bool) ([]check.Violation, error) {
 	sc.Stack = stack.String()
 	opts := check.Opts{}

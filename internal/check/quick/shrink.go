@@ -6,6 +6,9 @@ import (
 	"rtvirt/internal/scenario"
 )
 
+// maxShrinkRuns caps the simulations Shrink may spend per failure.
+const maxShrinkRuns = 200
+
 // Shrink greedily minimizes a violating scenario by delta-debugging: it
 // repeatedly tries structural reductions — drop a VM, drop a task, drop a
 // server reservation, halve the run length, remove a PCPU — and adopts any
@@ -18,18 +21,18 @@ import (
 // a specific oracle across reductions is fragile (shrinking often morphs a
 // bandwidth breach into the budget breach underneath it), and any minimal
 // violating world is a good reproducer.
-func Shrink(sc scenario.Scenario, stack core.Stack, forkCheck bool, maxRuns int) (scenario.Scenario, []check.Violation, int, int) {
+func Shrink(sc scenario.Scenario, stack core.Stack) (scenario.Scenario, []check.Violation, int, int) {
 	runs := 0
 	probe := func(c scenario.Scenario) []check.Violation {
 		runs++
-		vs, err := runOne(c, stack, forkCheck)
+		vs, err := runOne(c, stack, true)
 		if err != nil {
 			// Build rejections count as "does not fail".
 			return nil
 		}
 		return vs
 	}
-	min, vs, steps := shrinkWith(sc, probe, func() bool { return runs >= maxRuns })
+	min, vs, steps := shrinkWith(sc, probe, func() bool { return runs >= maxShrinkRuns })
 	return min, vs, steps, runs
 }
 

@@ -26,7 +26,6 @@ import (
 	"rtvirt/internal/sched/rtxen"
 	"rtvirt/internal/sim"
 	"rtvirt/internal/simtime"
-	"rtvirt/internal/task"
 )
 
 // Stack selects the scheduling architecture of a System.
@@ -168,7 +167,6 @@ func (sys *System) NewGuestOpts(name string, opts GuestOpts) (*guest.OS, error) 
 	if sys.Cfg.Stack == RTVirt {
 		gc.CrossLayer = true
 		gc.Slack = sys.Cfg.Slack
-		gc.Reshuffle = true
 	}
 	if opts.Slack != nil {
 		gc.Slack = *opts.Slack
@@ -188,7 +186,6 @@ func (sys *System) NewServerGuest(name string, servers []hv.Reservation, weight 
 	if sys.Cfg.Stack == RTVirt {
 		gc.CrossLayer = true
 		gc.Slack = sys.Cfg.Slack
-		gc.Reshuffle = true
 	}
 	g, err := guest.NewOS(sys.Host, name, gc, 0)
 	if err != nil {
@@ -233,15 +230,6 @@ func (sys *System) Run(d simtime.Duration) { sys.Sim.RunFor(d) }
 
 // Now reports the current simulated time.
 func (sys *System) Now() simtime.Time { return sys.Sim.Now() }
-
-// AllTasks returns every task registered across the system's guests.
-func (sys *System) AllTasks() []*task.Task {
-	var out []*task.Task
-	for _, g := range sys.guests {
-		out = append(out, g.Tasks()...)
-	}
-	return out
-}
 
 // AllocatedBandwidth sums the host-level reservations across guests, in
 // CPUs — the "Allocated" metric of Figure 3.

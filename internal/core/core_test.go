@@ -33,8 +33,12 @@ func TestRTVirtStackEndToEnd(t *testing.T) {
 	if bw := sys.AllocatedBandwidth(); bw < 0.5 || bw > 0.6 {
 		t.Fatalf("allocated = %.3f, want ≈0.55 (0.5 + slack)", bw)
 	}
-	if got := len(sys.AllTasks()); got != 1 {
-		t.Fatalf("AllTasks = %d", got)
+	var tasks int
+	for _, g := range sys.Guests() {
+		tasks += len(g.Tasks())
+	}
+	if tasks != 1 {
+		t.Fatalf("tasks across guests = %d, want 1", tasks)
 	}
 	ov := sys.Overhead()
 	if ov.Hypercalls == 0 {

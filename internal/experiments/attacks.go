@@ -147,7 +147,7 @@ func runAttack(c attackCase, seed uint64, dur simtime.Duration) AttackRow {
 	must(err)
 	ecfg := workload.DefaultEvaderConfig()
 	if !c.learn {
-		ecfg.TickPeriod = cfg.Credit.TickEvery
+		ecfg.TickPeriod = credit.TickEvery
 	}
 	ev, err := workload.NewTickEvader(attacker, 1, "evade", ecfg)
 	must(err)

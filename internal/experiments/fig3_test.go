@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"rtvirt/internal/simtime"
+	"rtvirt/internal/workload"
 )
 
 func shortCfg() Figure3Config {
@@ -128,7 +129,7 @@ func TestTable1AndTable5Data(t *testing.T) {
 	if t5[2].RTAs[0] != pp(46, 188) {
 		t.Fatalf("group 3 params wrong: %v", t5[2].RTAs[0])
 	}
-	if len(Table3Profiles()) != 4 {
+	if len(workload.VideoProfiles) != 4 {
 		t.Fatal("Table 3 profiles wrong")
 	}
 }

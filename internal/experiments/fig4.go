@@ -22,19 +22,19 @@ type Figure4Config struct {
 	VMs      int              // 4
 	VCPUs    int              // 4 per VM
 	PCPUs    int              // 15
-	// SampleEvery sets the allocation time-series resolution.
-	SampleEvery simtime.Duration
 }
+
+// fig4SampleEvery is the allocation time-series resolution.
+const fig4SampleEvery = 10 * simtime.Second
 
 // DefaultFigure4Config mirrors §4.3.
 func DefaultFigure4Config() Figure4Config {
 	return Figure4Config{
-		Seed:        1,
-		Duration:    10 * simtime.Minute,
-		VMs:         4,
-		VCPUs:       4,
-		PCPUs:       15,
-		SampleEvery: simtime.Seconds(10),
+		Seed:     1,
+		Duration: 10 * simtime.Minute,
+		VMs:      4,
+		VCPUs:    4,
+		PCPUs:    15,
 	}
 }
 
@@ -183,7 +183,7 @@ func (r *fig4run) sample(now simtime.Time) {
 		r.res.PeakAllocated = total
 	}
 	if now < simtime.Time(r.cfg.Duration) {
-		r.sim.PostAt(now.Add(r.cfg.SampleEvery), sim.Payload{Handler: r.id, Kind: evF4Sample})
+		r.sim.PostAt(now.Add(fig4SampleEvery), sim.Payload{Handler: r.id, Kind: evF4Sample})
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 
 	"rtvirt/internal/simtime"
 	"rtvirt/internal/task"
-	"rtvirt/internal/workload"
 )
 
 func ms(n int64) simtime.Duration { return simtime.Millis(n) }
@@ -59,6 +58,3 @@ func Table5Groups() []RTAGroup {
 }
 
 func groupName(i int) string { return fmt.Sprintf("Group %d", i) }
-
-// Table3Profiles re-exports the video streaming profiles (Table 3).
-func Table3Profiles() []workload.VideoProfile { return workload.VideoProfiles }

@@ -458,21 +458,23 @@ func TestBackgroundRegisterNoAdmission(t *testing.T) {
 }
 
 func TestReshuffleDefragments(t *testing.T) {
-	cfg := DefaultConfig()
-	_, _, g := setup(t, 4, 2, cfg)
 	// vcpu0: 0.5; vcpu1: 0.5. New task 0.6 fits nowhere, but repacking
 	// 0.5+0.5 onto vcpu0 frees vcpu1 entirely.
-	a := task.New(0, "a", task.Periodic, pp(5, 10))
-	b := task.New(1, "b", task.Periodic, pp(5, 10))
-	if err := g.Register(a); err != nil {
-		t.Fatal(err)
+	fragmentThenAdd := func(cfg Config) (*OS, error) {
+		_, _, g := setup(t, 4, 2, cfg)
+		a := task.New(0, "a", task.Periodic, pp(5, 10))
+		b := task.New(1, "b", task.Periodic, pp(5, 10))
+		if err := g.Register(a); err != nil {
+			t.Fatal(err)
+		}
+		// Force b onto vcpu1 to create fragmentation.
+		if err := g.RegisterOn(b, 1); err != nil {
+			t.Fatal(err)
+		}
+		return g, g.Register(task.New(2, "c", task.Periodic, pp(6, 10)))
 	}
-	// Force b onto vcpu1 to create fragmentation.
-	if err := g.RegisterOn(b, 1); err != nil {
-		t.Fatal(err)
-	}
-	c := task.New(2, "c", task.Periodic, pp(6, 10))
-	if err := g.Register(c); err != nil {
+	g, err := fragmentThenAdd(DefaultConfig())
+	if err != nil {
 		t.Fatal(err)
 	}
 	// c (0.6) must coexist: the packing is {a,b} or {a,c} etc.; total 1.6
@@ -485,6 +487,16 @@ func TestReshuffleDefragments(t *testing.T) {
 	total := g.VCPUBandwidth(0) + g.VCPUBandwidth(1)
 	if total < 1.6-1e-9 || total > 1.6+1e-9 {
 		t.Fatalf("total bandwidth = %g, want 1.6", total)
+	}
+
+	// A static guest's VCPUs are fixed offline: it never repacks, so the
+	// same request fails and the fragmented placement stays as it was.
+	g, err = fragmentThenAdd(Config{CrossLayer: false, VCPUCapacity: 1.0})
+	if !errors.Is(err, ErrNoCapacity) {
+		t.Fatalf("static guest: err = %v, want ErrNoCapacity", err)
+	}
+	if b0, b1 := g.VCPUBandwidth(0), g.VCPUBandwidth(1); b0 != 0.5 || b1 != 0.5 {
+		t.Fatalf("static guest repacked: vcpu bandwidths %g, %g, want 0.5, 0.5", b0, b1)
 	}
 }
 

@@ -22,7 +22,10 @@ import (
 // Config tunes a guest OS instance.
 type Config struct {
 	// CrossLayer enables the RTVirt paravirtual interface: reservation
-	// hypercalls on task changes and deadline-slot publication.
+	// hypercalls on task changes and deadline-slot publication. A
+	// cross-layer guest also repacks tasks across its VCPUs when a request
+	// does not fit due to fragmentation (§3.2); a static guest's VCPUs are
+	// fixed offline, so it only tries first fit.
 	CrossLayer bool
 	// Slack is added to each VCPU's budget to absorb scheduling overhead
 	// (500µs in the paper's evaluation). Only meaningful with CrossLayer.
@@ -32,9 +35,6 @@ type Config struct {
 	// VCPUCapacity is the maximum total task bandwidth admitted per VCPU
 	// (default 1.0 when zero).
 	VCPUCapacity float64
-	// Reshuffle allows repacking tasks across VCPUs when a request does
-	// not fit due to fragmentation (§3.2).
-	Reshuffle bool
 	// PrioritySlack scales each VCPU's budget slack by (1 + highest task
 	// priority) — §6's priority-proportional slack, giving important RTAs
 	// a larger overhead margin.
@@ -54,7 +54,6 @@ func DefaultConfig() Config {
 		CrossLayer:   true,
 		Slack:        simtime.Micros(500),
 		VCPUCapacity: 1.0,
-		Reshuffle:    true,
 	}
 }
 
@@ -351,7 +350,7 @@ func (g *OS) SetAttr(t *task.Task, p task.Params) error {
 	// Must move to another VCPU: find one with room for the new bandwidth.
 	dst := g.findFit(newBW, vs)
 	if dst == nil {
-		if g.cfg.Reshuffle {
+		if g.cfg.CrossLayer {
 			// Give up only after a repack attempt fails.
 			if err := g.reshuffleFor(ts, p); err == nil {
 				g.emitVerdict(t, ts.vs, p.Slice, true)
@@ -656,7 +655,7 @@ func (g *OS) findFit(bw float64, skip *vcpuState) *vcpuState {
 // reshuffle, then CPU hotplug (§3.2).
 func (g *OS) place(ts *taskState, bw float64) (*vcpuState, error) {
 	vs := g.findFit(bw, nil)
-	if vs == nil && g.cfg.Reshuffle {
+	if vs == nil && g.cfg.CrossLayer {
 		if targets, ok := g.planRepack(ts, bw); ok {
 			if err := g.applyRepack(targets); err != nil {
 				return nil, err

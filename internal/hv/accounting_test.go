@@ -214,8 +214,12 @@ func TestHostAccessors(t *testing.T) {
 	callAfter(s, 0, func(now simtime.Time) { g.submit(v, tk.Release(now, simtime.Millis(7)), now) })
 	s.RunFor(simtime.Millis(20))
 	h.Sync()
-	if h.TotalRunTime() != simtime.Millis(7) {
-		t.Fatalf("TotalRunTime = %v", h.TotalRunTime())
+	var busy simtime.Duration
+	for _, p := range h.PCPUs() {
+		busy += p.BusyTime
+	}
+	if busy != simtime.Millis(7) {
+		t.Fatalf("PCPU busy time = %v, want 7ms", busy)
 	}
 	if h.OverheadPercent() != 0 {
 		t.Fatalf("OverheadPercent = %v with zero costs", h.OverheadPercent())

@@ -67,9 +67,6 @@ func NewHost(s *sim.Simulator, m int, sched HostScheduler, costs CostModel) *Hos
 	return h
 }
 
-// HandlerID returns the host's typed-event handler ID.
-func (h *Host) HandlerID() int32 { return h.handlerID }
-
 // Host event kinds.
 const (
 	// evPCPUTimer is the one kernel event per PCPU: the host allocation
@@ -332,15 +329,6 @@ func (h *Host) RemoveVM(vm *VM) {
 			}
 		}
 	}
-}
-
-// TotalRunTime sums job execution time across all PCPUs.
-func (h *Host) TotalRunTime() simtime.Duration {
-	var total simtime.Duration
-	for _, p := range h.pcpus {
-		total += p.BusyTime
-	}
-	return total
 }
 
 // OverheadPercent reports total scheduler overhead as a percentage of the

@@ -20,9 +20,9 @@ import (
 // never copies a sample and an open block's unused tail stays under
 // maxBlock samples. No stored sample is ever overwritten, which lets
 // Clone share the blocks. Any other sample goes exactly into wide.
-// Count, Mean and Max are running values; Percentile, CDF and TailSummary
-// rank one sorted view of the narrow samples together with the sorted
-// wide list, and reuse it until the next Add or Merge.
+// Count, Mean and Max are running values; Percentile and CDF rank one
+// sorted view of the narrow samples together with the sorted wide list,
+// and reuse it until the next Add or Merge.
 type LatencyRecorder struct {
 	// Add's common path touches only the fields up to top; they come
 	// first so that they share a cache line.
@@ -180,12 +180,6 @@ func (l *LatencyRecorder) CDF() []CDFPoint {
 	return pts
 }
 
-// TailSummary formats the standard tail table row used by Table 4.
-func (l *LatencyRecorder) TailSummary() string {
-	return fmt.Sprintf("p90=%v p95=%v p99=%v p99.9=%v",
-		l.Percentile(90), l.Percentile(95), l.Percentile(99), l.Percentile(99.9))
-}
-
 // sort brings the view and the wide list up to date and returns how many
 // wide samples are negative. Those rank below every narrow sample, and the
 // rest (≥ 2³² ns) above.
@@ -225,48 +219,6 @@ type CDFPoint struct {
 	Latency  simtime.Duration
 	Fraction float64
 }
-
-// BandwidthMeter integrates CPU allocation over time: Observe(t, cpus)
-// records that from the previous observation until t, cpus CPUs-worth of
-// bandwidth was allocated. Average() reports mean CPUs over the window.
-type BandwidthMeter struct {
-	last     simtime.Time
-	started  bool
-	integral float64 // CPU·ns
-	span     simtime.Duration
-}
-
-// Start begins the measurement window at t.
-func (b *BandwidthMeter) Start(t simtime.Time) {
-	b.last = t
-	b.started = true
-}
-
-// Observe accrues the interval [last, t) at an allocation of cpus CPUs.
-func (b *BandwidthMeter) Observe(t simtime.Time, cpus float64) {
-	if !b.started {
-		b.Start(t)
-		return
-	}
-	if t < b.last {
-		panic("metrics: BandwidthMeter time went backwards")
-	}
-	dt := t.Sub(b.last)
-	b.integral += cpus * float64(dt)
-	b.span += dt
-	b.last = t
-}
-
-// Average reports the time-weighted mean CPU allocation.
-func (b *BandwidthMeter) Average() float64 {
-	if b.span == 0 {
-		return 0
-	}
-	return b.integral / float64(b.span)
-}
-
-// Span reports the total observed window.
-func (b *BandwidthMeter) Span() simtime.Duration { return b.span }
 
 // MissSummary aggregates deadline outcomes across a set of tasks.
 type MissSummary struct {

@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"math"
 	"sort"
 	"strings"
 	"testing"
@@ -96,17 +95,6 @@ func TestCDF(t *testing.T) {
 	}
 }
 
-func TestTailSummaryFormat(t *testing.T) {
-	var l LatencyRecorder
-	l.Add(simtime.Micros(100))
-	s := l.TailSummary()
-	for _, want := range []string{"p90=", "p99.9="} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("TailSummary %q missing %q", s, want)
-		}
-	}
-}
-
 // Property: nearest-rank percentile always returns an observed sample, and
 // is monotone in p.
 func TestQuickPercentile(t *testing.T) {
@@ -136,41 +124,6 @@ func TestQuickPercentile(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestBandwidthMeter(t *testing.T) {
-	var b BandwidthMeter
-	b.Start(0)
-	b.Observe(simtime.Time(simtime.Seconds(1)), 2.0) // 1s at 2 CPUs
-	b.Observe(simtime.Time(simtime.Seconds(3)), 1.0) // 2s at 1 CPU
-	b.Observe(simtime.Time(simtime.Seconds(4)), 0.0) // 1s at 0
-	want := (2.0*1 + 1.0*2 + 0) / 4.0
-	if got := b.Average(); math.Abs(got-want) > 1e-9 {
-		t.Fatalf("Average = %g, want %g", got, want)
-	}
-	if b.Span() != simtime.Seconds(4) {
-		t.Fatalf("Span = %v, want 4s", b.Span())
-	}
-}
-
-func TestBandwidthMeterAutoStart(t *testing.T) {
-	var b BandwidthMeter
-	b.Observe(simtime.Time(simtime.Seconds(5)), 3.0) // acts as Start
-	b.Observe(simtime.Time(simtime.Seconds(6)), 1.0)
-	if got := b.Average(); math.Abs(got-1.0) > 1e-9 {
-		t.Fatalf("Average = %g, want 1.0", got)
-	}
-}
-
-func TestBandwidthMeterBackwardsPanics(t *testing.T) {
-	var b BandwidthMeter
-	b.Start(simtime.Time(simtime.Seconds(2)))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("backwards Observe did not panic")
-		}
-	}()
-	b.Observe(simtime.Time(simtime.Seconds(1)), 1)
 }
 
 func TestMissSummary(t *testing.T) {

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"rtvirt/internal/check"
-	"rtvirt/internal/core"
 	"rtvirt/internal/trace"
 )
 
@@ -45,10 +44,7 @@ func TestShippedScenarioFiles(t *testing.T) {
 			}
 			sc.Seconds = 2 // shorten for the test
 			dig := check.NewDispatchDigest()
-			res, err := Run(sc, Options{
-				Counts:   true,
-				OnSystem: func(sys *core.System) { sys.Host.TraceTo(dig) },
-			})
+			res, err := Run(sc, Options{Sinks: []trace.Sink{dig}})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -36,6 +36,8 @@ func FuzzScenarioJSON(f *testing.F) {
 	f.Add([]byte(`{"vms":[{"name":"h","tasks":[{"name":"ev","kind":"evader"}]}]}`))
 	f.Add([]byte(`{"vms":[{"name":"r","tasks":[{"name":"s","kind":"sporadic","slice_us":100,"period_us":7000,"rate_hz":-5}]}]}`))
 	f.Add([]byte(`{"vms":[{"name":"p","tasks":[{"name":"t","slice_us":1,"period_us":1000000000000}]}]}`))
+	f.Add([]byte(`{"stack":"rt-xen","vms":[{"name":"n","servers":[{"budget_us":-5,"period_us":1000}]}]}`))
+	f.Add([]byte(`{"stack":"credit","vms":[{"name":"u","servers":[{"budget_us":0,"period_us":1000}]}]}`))
 	f.Add([]byte(`{"vms":[]}`))
 	f.Add([]byte(`not json`))
 	f.Fuzz(func(t *testing.T, data []byte) {

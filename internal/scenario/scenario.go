@@ -356,7 +356,8 @@ func StackFor(name string) (core.Stack, error) {
 
 // Validate performs structural checks beyond JSON decoding.
 func (sc Scenario) Validate() error {
-	if _, err := StackFor(sc.Stack); err != nil {
+	stack, err := StackFor(sc.Stack)
+	if err != nil {
 		return err
 	}
 	if len(sc.VMs) == 0 {
@@ -392,6 +393,13 @@ func (sc Scenario) Validate() error {
 				vm.Name, vm.MaxVCPUs, vm.VCPUs)
 		}
 		for i, srv := range vm.Servers {
+			// A server without budget is no reservation: the RT stacks
+			// would run the VCPU as unreserved background. Only Credit
+			// reads a zero budget, as an uncapped share.
+			if srv.BudgetUS < 0 || (srv.BudgetUS == 0 && stack != core.Credit) {
+				return fmt.Errorf("scenario: VM %q server %d budget_us must be positive under %v, got %d",
+					vm.Name, i, stack, srv.BudgetUS)
+			}
 			if srv.PeriodUS > maxPeriodUS {
 				return fmt.Errorf("scenario: VM %q server %d period_us %d above the %dµs maximum",
 					vm.Name, i, srv.PeriodUS, maxPeriodUS)
@@ -449,16 +457,17 @@ func (sc Scenario) Validate() error {
 	return nil
 }
 
+// traceMax caps the events an Options.Trace recorder retains; a
+// trace.JSONL sink streams a whole run without a cap.
+const traceMax = 1 << 20
+
 // Options tunes Run.
 type Options struct {
-	// Trace records the schedule (capped at TraceMax records).
-	Trace    bool
-	TraceMax int
-	// Counts attaches a per-kind event counter without retaining events;
-	// implied by Trace or a non-empty Sinks.
-	Counts bool
+	// Trace records the schedule, capped at traceMax records.
+	Trace bool
 	// Sinks are additional telemetry consumers (e.g. a trace.JSONL
-	// exporter) attached for the whole run.
+	// exporter) attached for the whole run. Trace or a non-empty Sinks
+	// also attaches a per-kind event counter (Result.Events).
 	Sinks []trace.Sink
 	// OnSystem, when set, runs right after the system is built and the
 	// sinks are attached, before any guest exists. Invariant oracles that
@@ -559,16 +568,12 @@ func Build(sc Scenario, opts Options) (*World, error) {
 	// VCPU creation are observed too.
 	var rec *trace.Recorder
 	if opts.Trace {
-		max := opts.TraceMax
-		if max == 0 {
-			max = 1 << 20
-		}
-		rec = &trace.Recorder{Max: max}
+		rec = &trace.Recorder{Max: traceMax}
 		sys.Host.TraceTo(rec)
 	}
 	sys.Host.TraceTo(opts.Sinks...)
 	var counts *trace.Counts
-	if opts.Trace || opts.Counts || len(opts.Sinks) > 0 {
+	if opts.Trace || len(opts.Sinks) > 0 {
 		counts = &trace.Counts{}
 		sys.Host.TraceTo(counts)
 	}

@@ -63,7 +63,7 @@ func TestRunWithTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc.Seconds = 1
-	res, err := Run(sc, Options{Trace: true, TraceMax: 50000})
+	res, err := Run(sc, Options{Trace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,6 +108,11 @@ func TestValidate(t *testing.T) {
 		{"period 10^12", `{"vms": [{"name": "a", "tasks": [{"name": "t", "slice_us": 1, "period_us": 1000000000000}]}]}`},
 		{"period MaxInt64", `{"vms": [{"name": "a", "tasks": [{"name": "t", "slice_us": 1, "period_us": 9223372036854775807}]}]}`},
 		{"server period 10^12", `{"vms": [{"name": "a", "servers": [{"budget_us": 1, "period_us": 1000000000000}]}]}`},
+		{"negative server budget", `{"stack": "rt-xen", "vms": [{"name": "a", "servers": [{"budget_us": -5, "period_us": 1000}]}]}`},
+		{"negative credit cap", `{"stack": "credit", "vms": [{"name": "a", "servers": [{"budget_us": -5, "period_us": 1000}]}]}`},
+		{"zero server budget, rtvirt", `{"stack": "rtvirt", "vms": [{"name": "a", "servers": [{"budget_us": 0, "period_us": 1000}]}]}`},
+		{"zero server budget, rt-xen", `{"stack": "rt-xen", "vms": [{"name": "a", "servers": [{"budget_us": 0, "period_us": 1000}]}]}`},
+		{"zero server budget, two-level-edf", `{"stack": "two-level-edf", "vms": [{"name": "a", "servers": [{"period_us": 1000}]}]}`},
 		{"negative cost", `{"costs": {"context_switch": -1}, "vms": [{"name": "a"}]}`},
 		{"unknown cost field", `{"costs": {"warp_us": 1}, "vms": [{"name": "a"}]}`},
 	}
@@ -132,6 +137,26 @@ func TestValidate(t *testing.T) {
 		Tasks: []TaskSpec{{Name: "t", SliceUS: 1, PeriodUS: maxPeriodUS}}}}}
 	if err := sc.Validate(); err != nil {
 		t.Errorf("period_us at the maximum rejected: %v", err)
+	}
+	// A bad server budget is rejected by VM name and server index; under
+	// Credit a zero budget stays valid, as an uncapped share.
+	servers := func(stack string, budget int64) Scenario {
+		return Scenario{Stack: stack, VMs: []VM{{Name: "vm1",
+			Servers: []ServerSpec{{BudgetUS: 500, PeriodUS: 1000}, {BudgetUS: budget, PeriodUS: 1000}}}}}
+	}
+	for _, stack := range []string{"rtvirt", "rt-xen", "two-level-edf", "credit"} {
+		for _, budget := range []int64{-5, 0} {
+			err := servers(stack, budget).Validate()
+			if stack == "credit" && budget == 0 {
+				if err != nil {
+					t.Errorf("credit with budget_us 0 rejected: %v", err)
+				}
+				continue
+			}
+			if err == nil || !strings.Contains(err.Error(), `VM "vm1" server 1`) {
+				t.Errorf("%s budget_us %d: error %v, want one naming VM \"vm1\" server 1", stack, budget, err)
+			}
+		}
 	}
 	// The rate range's ends stay valid: 0 selects the 10 Hz default.
 	for _, hz := range []float64{0, 10000} {

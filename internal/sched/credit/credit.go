@@ -43,6 +43,15 @@ const (
 	prioOver
 )
 
+// Stock Xen Credit timing.
+const (
+	// AccountPeriod is the credit refill interval (Xen: 30ms).
+	AccountPeriod = 30 * simtime.Millisecond
+	// TickEvery is the scheduler tick used for burn accounting and
+	// deboosting (Xen: 10ms).
+	TickEvery = 10 * simtime.Millisecond
+)
+
 // Config tunes the scheduler.
 type Config struct {
 	// Timeslice is the maximum uninterrupted run per dispatch (Xen
@@ -51,11 +60,6 @@ type Config struct {
 	// Ratelimit is the minimum run before preemption (Xen default 1ms;
 	// 500µs in the paper's memcached experiment).
 	Ratelimit simtime.Duration
-	// AccountPeriod is the credit refill interval (Xen: 30ms).
-	AccountPeriod simtime.Duration
-	// TickEvery is the scheduler tick used for burn accounting and
-	// deboosting (Xen: 10ms).
-	TickEvery simtime.Duration
 	// SampledAccounting switches credit burn from exact settle-on-switch
 	// to tick sampling: whoever occupies a PCPU when the tick fires is
 	// debited one full TickEvery, and runs between ticks are never
@@ -72,10 +76,8 @@ type Config struct {
 // all platform overheads live in one place.
 func DefaultConfig() Config {
 	return Config{
-		Timeslice:     simtime.Millis(30),
-		Ratelimit:     simtime.Millis(1),
-		AccountPeriod: simtime.Millis(30),
-		TickEvery:     simtime.Millis(10),
+		Timeslice: simtime.Millis(30),
+		Ratelimit: simtime.Millis(1),
 	}
 }
 
@@ -126,12 +128,6 @@ func New(cfg Config) *Scheduler {
 	if cfg.Ratelimit <= 0 {
 		cfg.Ratelimit = d.Ratelimit
 	}
-	if cfg.AccountPeriod <= 0 {
-		cfg.AccountPeriod = d.AccountPeriod
-	}
-	if cfg.TickEvery <= 0 {
-		cfg.TickEvery = d.TickEvery
-	}
 	return &Scheduler{cfg: cfg}
 }
 
@@ -147,8 +143,8 @@ func (s *Scheduler) Attach(h *hv.Host) {
 // Start implements hv.HostScheduler.
 func (s *Scheduler) Start(now simtime.Time) {
 	s.started = true
-	s.h.Sim.PostAt(now.Add(s.cfg.AccountPeriod), sim.Payload{Handler: s.id, Kind: evAccount})
-	s.h.Sim.PostAt(now.Add(s.cfg.TickEvery), sim.Payload{Handler: s.id, Kind: evTick})
+	s.h.Sim.PostAt(now.Add(AccountPeriod), sim.Payload{Handler: s.id, Kind: evAccount})
+	s.h.Sim.PostAt(now.Add(TickEvery), sim.Payload{Handler: s.id, Kind: evTick})
 }
 
 // HandleSimEvent implements sim.Handler.
@@ -189,7 +185,7 @@ func (s *Scheduler) AdmitVCPU(v *hv.VCPU) error {
 	st := vcpuState{runningOn: -1, active: true}
 	if v.RT && v.Res.Budget > 0 {
 		st.cap = v.Res.Bandwidth()
-		st.credits = simtime.Duration(st.cap * float64(s.cfg.AccountPeriod))
+		st.credits = simtime.Duration(st.cap * float64(AccountPeriod))
 	}
 	for len(s.st) <= v.ID {
 		s.st = append(s.st, vcpuState{})
@@ -247,7 +243,7 @@ func (s *Scheduler) account(now simtime.Time) {
 		totalWeight += int64(s.h.ByID(int(id)).Weight)
 	}
 	if totalWeight > 0 {
-		pool := simtime.Duration(int64(s.cfg.AccountPeriod) * int64(s.h.NumPCPUs()))
+		pool := simtime.Duration(int64(AccountPeriod) * int64(s.h.NumPCPUs()))
 		for _, id := range s.vcpus {
 			v := s.h.ByID(int(id))
 			st := &s.st[id]
@@ -255,7 +251,7 @@ func (s *Scheduler) account(now simtime.Time) {
 			share := simtime.ScaleDuration(pool, int64(v.Weight), totalWeight)
 			if st.cap > 0 {
 				// Capped VCPU: credits are the cap's share, full stop.
-				share = simtime.Duration(st.cap * float64(s.cfg.AccountPeriod))
+				share = simtime.Duration(st.cap * float64(AccountPeriod))
 			}
 			st.credits += share
 			// Cap accumulation at one period's share so an idle VCPU
@@ -275,7 +271,7 @@ func (s *Scheduler) account(now simtime.Time) {
 			}
 		}
 	}
-	s.h.Sim.PostAt(now.Add(s.cfg.AccountPeriod), sim.Payload{Handler: s.id, Kind: evAccount})
+	s.h.Sim.PostAt(now.Add(AccountPeriod), sim.Payload{Handler: s.id, Kind: evAccount})
 }
 
 // tick deboosts running VCPUs and charges the tick cost on busy PCPUs. The
@@ -298,8 +294,8 @@ func (s *Scheduler) tick(now simtime.Time) {
 					// by construction, and flagging the naive double is the
 					// stolen-bandwidth meter's job, not BudgetOracle's.
 					had := st.credits > 0
-					st.credits -= s.cfg.TickEvery
-					st.charged += s.cfg.TickEvery
+					st.credits -= TickEvery
+					st.charged += TickEvery
 					if had && st.credits <= 0 && s.h.Tracing() {
 						s.h.Emit(trace.Event{At: now, Kind: trace.Deplete,
 							PCPU: p.ID, VM: cur.VM.Name, VCPU: cur.Index})
@@ -312,7 +308,7 @@ func (s *Scheduler) tick(now simtime.Time) {
 			}
 		}
 	}
-	s.h.Sim.PostAt(now.Add(s.cfg.TickEvery), sim.Payload{Handler: s.id, Kind: evTick})
+	s.h.Sim.PostAt(now.Add(TickEvery), sim.Payload{Handler: s.id, Kind: evTick})
 }
 
 // settle burns credits for a running VCPU up to now. Under sampled

@@ -43,7 +43,7 @@ func TestQuickCapEnforcement(t *testing.T) {
 		h.Sync()
 		run := g.VM().TotalRun()
 		entitled := simtime.Duration(float64(dur) * float64(capPct) / 100)
-		return run <= entitled+cfg.AccountPeriod
+		return run <= entitled+AccountPeriod
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Fatal(err)

@@ -22,7 +22,7 @@ func fig5aHost(tb testing.TB, warm simtime.Duration) (*sim.Simulator, *hv.Host, 
 	s := sim.New(1)
 	sched := New(DefaultConfig())
 	h := hv.NewHost(s, 2, sched, hv.DefaultCosts())
-	g, err := guest.NewOS(h, "mc0", guest.Config{VCPUCapacity: 1, CrossLayer: true, Reshuffle: true}, 1)
+	g, err := guest.NewOS(h, "mc0", guest.Config{VCPUCapacity: 1, CrossLayer: true}, 1)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -31,7 +31,7 @@ func refGlobalDeadline(s *Scheduler, t0 simtime.Time) simtime.Time {
 			}
 		}
 	}
-	lo, hi := t0.Add(s.cfg.MinSlice), t0.Add(s.cfg.MaxSlice)
+	lo, hi := t0.Add(s.cfg.MinSlice), t0.Add(MaxSlice)
 	if d < lo {
 		d = lo
 	}

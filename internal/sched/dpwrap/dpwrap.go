@@ -34,14 +34,21 @@ import (
 	"rtvirt/internal/trace"
 )
 
+// The DP-WRAP prototype's fixed bounds (§4.1).
+const (
+	// MaxSlice caps a global slice when published deadlines are far away,
+	// keeping background VMs responsive.
+	MaxSlice = 100 * simtime.Millisecond
+	// TaxFloor is the minimum fraction of its reservation a VCPU taxed by
+	// IdleTax keeps, bounding how hard an idle claim is squeezed.
+	TaxFloor = 0.25
+)
+
 // Config tunes the scheduler.
 type Config struct {
 	// MinSlice is the smallest allowed global slice, bounding scheduling
 	// overhead (250µs in the paper's prototype).
 	MinSlice simtime.Duration
-	// MaxSlice caps a global slice when published deadlines are far away,
-	// keeping background VMs responsive.
-	MaxSlice simtime.Duration
 	// RTCapacity is the fraction of total PCPU bandwidth admittable for
 	// real-time reservations; the remainder is kept for background VMs
 	// ("a certain amount of bandwidth can be reserved for such processes
@@ -55,9 +62,6 @@ type Config struct {
 	IdleTax bool
 	// TaxWindow is the usage observation window (default 100ms).
 	TaxWindow simtime.Duration
-	// TaxFloor is the minimum fraction of its reservation a taxed VCPU
-	// keeps (default 0.25), bounding how hard an idle claim is squeezed.
-	TaxFloor float64
 	// NonWorkConserving disables leftover sharing: RT VCPUs stop at their
 	// slice quota and idle time stays idle (pure DP-WRAP, the ablation of
 	// §3.4's proportional leftover distribution).
@@ -68,7 +72,6 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		MinSlice:   simtime.Micros(250),
-		MaxSlice:   simtime.Millis(100),
 		RTCapacity: 1.0,
 	}
 }
@@ -198,17 +201,11 @@ func New(cfg Config) *Scheduler {
 	if cfg.MinSlice <= 0 {
 		cfg.MinSlice = simtime.Micros(250)
 	}
-	if cfg.MaxSlice <= 0 {
-		cfg.MaxSlice = simtime.Millis(100)
-	}
 	if cfg.RTCapacity <= 0 {
 		cfg.RTCapacity = 1.0
 	}
 	if cfg.TaxWindow <= 0 {
 		cfg.TaxWindow = simtime.Millis(100)
-	}
-	if cfg.TaxFloor <= 0 || cfg.TaxFloor > 1 {
-		cfg.TaxFloor = 0.25
 	}
 	return &Scheduler{cfg: cfg}
 }
@@ -289,8 +286,8 @@ func (s *Scheduler) settleTax(now simtime.Time) {
 			continue
 		}
 		f := ratio * prev
-		if f < s.cfg.TaxFloor {
-			f = s.cfg.TaxFloor
+		if f < TaxFloor {
+			f = TaxFloor
 		}
 		s.taxFactor[v.ID] = (prev + f) / 2
 	}
@@ -490,7 +487,7 @@ func (s *Scheduler) rebuild(now simtime.Time) {
 	}
 	slices.SortFunc(rt, cmpRT)
 	s.rt = rt
-	deadline = min(max(deadline, now.Add(s.cfg.MinSlice)), now.Add(s.cfg.MaxSlice))
+	deadline = min(max(deadline, now.Add(s.cfg.MinSlice)), now.Add(MaxSlice))
 
 	slice := deadline.Sub(now)
 	s.sliceStart, s.sliceEnd = now, deadline

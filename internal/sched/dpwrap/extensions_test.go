@@ -51,8 +51,8 @@ func TestIdleTaxSqueezesIdleClaim(t *testing.T) {
 	if f > 0.5 {
 		t.Fatalf("tax factor %v after 2s of idling; should approach the floor", f)
 	}
-	if f < cfg.TaxFloor-1e-9 {
-		t.Fatalf("tax factor %v below the floor %v", f, cfg.TaxFloor)
+	if f < TaxFloor-1e-9 {
+		t.Fatalf("tax factor %v below the floor %v", f, TaxFloor)
 	}
 
 	// A second VM needing 60% must now be admissible (0.7×factor + 0.6 ≤ 1).

@@ -108,29 +108,25 @@ func TestQuickSporadicTimeliness(t *testing.T) {
 }
 
 // TestMaxSliceCapsIdleBoundaries: with no published deadlines, boundary
-// events still run at the MaxSlice cadence so background VMs keep being
-// rebalanced.
+// events still run at the 100ms MaxSlice cadence so background VMs keep
+// being rebalanced.
 func TestMaxSliceCapsIdleBoundaries(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.MaxSlice = simtime.Millis(20)
 	s := sim.New(3)
-	sched := New(cfg)
+	sched := New(DefaultConfig())
 	h := hv.NewHost(s, 1, sched, hv.CostModel{})
 	h.Start()
 	s.RunFor(simtime.Seconds(1))
-	// ≈ 50 boundaries in 1s at a 20ms cap.
-	if sched.Boundaries < 45 || sched.Boundaries > 55 {
-		t.Fatalf("boundaries = %d, want ≈50", sched.Boundaries)
+	// One boundary at start, then one every 100ms up to and including 1s.
+	if sched.Boundaries != 11 {
+		t.Fatalf("boundaries = %d, want 11", sched.Boundaries)
 	}
 }
 
 // TestSlotUpdateShortensSlice: starting a periodic task mid-slice triggers
 // the SlotUpdated replan so its first deadline is honoured.
 func TestSlotUpdateShortensSlice(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.MaxSlice = simtime.Millis(100)
 	s := sim.New(3)
-	sched := New(cfg)
+	sched := New(DefaultConfig())
 	h := hv.NewHost(s, 1, sched, hv.CostModel{})
 	gc := guest.DefaultConfig()
 	gc.Slack = simtime.Micros(100)

@@ -32,45 +32,21 @@ import (
 // host-global VCPU ID.
 const evReplenish uint16 = iota
 
+// Quantum is RT-Xen 2.0's scheduling quantum: a server's decision expires
+// after at most one quantum, and a background VCPU runs one quantum.
+const Quantum = simtime.Millisecond
+
 // Config tunes the scheduler.
 type Config struct {
-	// Quantum is the scheduling quantum (1ms in RT-Xen 2.0).
-	Quantum simtime.Duration
-	// AdmitGlobalEDF enables the gEDF utilization-bound admission test
-	// (Σ utilization ≤ m). RT-Xen itself relies on offline analysis, so
-	// the default host-side test is just capacity.
-	AdmitGlobalEDF bool
 	// Deferrable selects the server flavour. True (RT-Xen 2.0's best
 	// configuration per §4.1) retains unused budget while the guest idles;
 	// false forfeits it (a polling server), which is the plain
 	// uncoordinated two-level EDF of the paper's Figure 1.
 	Deferrable bool
-	// EventDriven switches from quantum-driven budget accounting to the
-	// experimental event-driven RT-Xen the paper mentions at the end of
-	// §4.5: decisions last until budget exhaustion or replenishment
-	// instead of expiring every quantum, cutting the number of schedule()
-	// calls (the per-call cost of the sorted runqueue remains).
-	EventDriven bool
 }
 
 // DefaultConfig mirrors RT-Xen 2.0 defaults (gEDF + deferrable server).
-func DefaultConfig() Config {
-	return Config{Quantum: simtime.Millis(1), AdmitGlobalEDF: true, Deferrable: true}
-}
-
-// EventDrivenConfig returns the experimental event-driven variant noted in
-// §4.5.
-func EventDrivenConfig() Config {
-	c := DefaultConfig()
-	c.EventDriven = true
-	return c
-}
-
-// PollingConfig is the naive two-level EDF baseline of Figure 1: an EDF
-// VMM over polling servers that forfeit budget when the guest idles.
-func PollingConfig() Config {
-	return Config{Quantum: simtime.Millis(1), AdmitGlobalEDF: true, Deferrable: false}
-}
+func DefaultConfig() Config { return Config{Deferrable: true} }
 
 // serverState is the per-VCPU deferrable-server state. All servers live in
 // the Scheduler's flat srv array indexed by dense VCPU ID (struct-of-
@@ -111,9 +87,6 @@ type Scheduler struct {
 
 // New creates an RT-Xen scheduler.
 func New(cfg Config) *Scheduler {
-	if cfg.Quantum <= 0 {
-		cfg.Quantum = simtime.Millis(1)
-	}
 	return &Scheduler{cfg: cfg}
 }
 
@@ -163,17 +136,16 @@ func (s *Scheduler) AdmitVCPU(v *hv.VCPU) error {
 		if !v.Res.Valid() {
 			return fmt.Errorf("rtxen: %w: invalid server %v", hv.ErrAdmission, v.Res)
 		}
-		if s.cfg.AdmitGlobalEDF {
-			// Sum in queue order, (deadline, ID) — float addition order
-			// matters for boundary-exact admissions.
-			sum := v.Res.Bandwidth()
-			for _, x := range s.runq.v {
-				sum += s.h.ByID(int(x)).Res.Bandwidth()
-			}
-			if sum > float64(s.h.NumPCPUs())+1e-9 {
-				return fmt.Errorf("rtxen: %w: utilization %0.3f exceeds %d CPUs",
-					hv.ErrAdmission, sum, s.h.NumPCPUs())
-			}
+		// The gEDF utilization bound, Σ utilization ≤ m. Sum in queue
+		// order, (deadline, ID) — float addition order matters for
+		// boundary-exact admissions.
+		sum := v.Res.Bandwidth()
+		for _, x := range s.runq.v {
+			sum += s.h.ByID(int(x)).Res.Bandwidth()
+		}
+		if sum > float64(s.h.NumPCPUs())+1e-9 {
+			return fmt.Errorf("rtxen: %w: utilization %0.3f exceeds %d CPUs",
+				hv.ErrAdmission, sum, s.h.NumPCPUs())
 		}
 		for len(s.srv) <= v.ID {
 			s.srv = append(s.srv, serverState{})
@@ -346,26 +318,13 @@ func (s *Scheduler) Schedule(p *hv.PCPU, now simtime.Time) hv.Decision {
 	id, work := s.runq.pickEDF(s.srv, s.h.Hot(), int32(p.ID))
 	if id >= 0 {
 		st := &s.srv[id]
-		run := simtime.MinDur(st.budget, s.cfg.Quantum)
-		if s.cfg.EventDriven {
-			// Event-driven: run until budget exhaustion or the next
-			// replenishment boundary, whichever is sooner.
-			run = simtime.MinDur(st.budget, st.deadline.Sub(now))
-			if run <= 0 {
-				run = st.budget
-			}
-		}
 		st.runningOn = int32(p.ID)
 		st.lastAt = now
-		return hv.Decision{VCPU: s.h.ByID(int(id)), RunFor: run, Work: work}
+		return hv.Decision{VCPU: s.h.ByID(int(id)), RunFor: simtime.MinDur(st.budget, Quantum), Work: work}
 	}
 	// Background fill: non-RT VCPUs and zero-budget RT VCPUs.
 	if bg := s.pickBackground(p, &work); bg != nil {
-		run := s.cfg.Quantum
-		if s.cfg.EventDriven {
-			run = simtime.Millis(10) // coarse slice; wakes preempt anyway
-		}
-		return hv.Decision{VCPU: bg, RunFor: run, Work: work}
+		return hv.Decision{VCPU: bg, RunFor: Quantum, Work: work}
 	}
 	// Idle until the next quantum; wakes and replenishments kick earlier.
 	return hv.Decision{VCPU: nil, RunFor: simtime.Infinite, Work: work}

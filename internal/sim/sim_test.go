@@ -189,18 +189,6 @@ func TestRNGExpMean(t *testing.T) {
 	}
 }
 
-func TestRNGPerm(t *testing.T) {
-	r := NewRNG(3)
-	p := r.Perm(50)
-	seen := make([]bool, 50)
-	for _, v := range p {
-		if v < 0 || v >= 50 || seen[v] {
-			t.Fatalf("invalid permutation: %v", p)
-		}
-		seen[v] = true
-	}
-}
-
 // Property: Int63n respects its bound for arbitrary positive bounds.
 func TestQuickInt63n(t *testing.T) {
 	r := NewRNG(99)

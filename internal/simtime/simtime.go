@@ -140,25 +140,6 @@ func MinDur(a, b Duration) Duration {
 	return b
 }
 
-// MaxDur returns the longer of a and b.
-func MaxDur(a, b Duration) Duration {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// Clamp limits d to the inclusive range [lo, hi].
-func Clamp(d, lo, hi Duration) Duration {
-	if d < lo {
-		return lo
-	}
-	if d > hi {
-		return hi
-	}
-	return d
-}
-
 // ScaleDuration returns d scaled by num/den using integer arithmetic that
 // rounds down. den must be > 0.
 func ScaleDuration(d Duration, num, den int64) Duration {

@@ -20,21 +20,13 @@ var statKinds = [NumKinds]bool{
 	Replenish: true,
 }
 
-// StatsSink streams events into per-kind counters and P² quantile
-// estimators over Arg. It holds O(kinds) memory regardless of run length,
-// so it can stay attached for arbitrarily long simulations where a
-// Recorder would hit its cap.
+// StatsSink streams events into per-kind counters and P² estimators of
+// the 99th percentile of Arg. It holds O(kinds) memory regardless of run
+// length, so it can stay attached for arbitrarily long simulations where a
+// Recorder would hit its cap. The zero value is ready to use.
 type StatsSink struct {
-	// Quantile is the tracked quantile in (0,1); zero means 0.99.
-	Quantile float64
-
 	counts Counts
 	q      [NumKinds]*metrics.P2Quantile
-}
-
-// NewStatsSink returns a sink tracking the given quantile (0 → 0.99).
-func NewStatsSink(quantile float64) *StatsSink {
-	return &StatsSink{Quantile: quantile}
 }
 
 // Consume implements Sink.
@@ -48,11 +40,7 @@ func (s *StatsSink) Consume(ev Event) {
 	}
 	est := s.q[ev.Kind]
 	if est == nil {
-		q := s.Quantile
-		if q <= 0 || q >= 1 {
-			q = 0.99
-		}
-		est = metrics.NewP2Quantile(q)
+		est = metrics.NewP2Quantile(0.99)
 		s.q[ev.Kind] = est
 	}
 	est.Add(simtime.Duration(ev.Arg))
@@ -61,7 +49,7 @@ func (s *StatsSink) Consume(ev Event) {
 // Counts returns the per-kind counters accumulated so far.
 func (s *StatsSink) Counts() Counts { return s.counts }
 
-// ArgQuantile returns the current quantile estimate of Arg for kind k and
+// ArgQuantile returns the current p99 estimate of Arg for kind k and
 // whether any samples were seen.
 func (s *StatsSink) ArgQuantile(k Kind) (simtime.Duration, bool) {
 	est := s.q[k]
@@ -72,13 +60,9 @@ func (s *StatsSink) ArgQuantile(k Kind) (simtime.Duration, bool) {
 }
 
 // Report writes a per-kind table: count, and for duration-bearing kinds
-// the tracked quantile of Arg.
+// the p99 of Arg.
 func (s *StatsSink) Report(w io.Writer) error {
-	q := s.Quantile
-	if q <= 0 || q >= 1 {
-		q = 0.99
-	}
-	if _, err := fmt.Fprintf(w, "%-14s %10s %14s\n", "kind", "count", fmt.Sprintf("p%g(arg)", 100*q)); err != nil {
+	if _, err := fmt.Fprintf(w, "%-14s %10s %14s\n", "kind", "count", "p99(arg)"); err != nil {
 		return err
 	}
 	for i := 0; i < NumKinds; i++ {

@@ -42,22 +42,22 @@ func TestCountsMerge(t *testing.T) {
 }
 
 func TestStatsSink(t *testing.T) {
-	s := trace.NewStatsSink(0.5)
-	for i := int64(1); i <= 99; i++ {
+	s := &trace.StatsSink{}
+	for i := int64(1); i <= 1000; i++ {
 		s.Consume(trace.Event{Kind: trace.JobDone, Arg: int64(simtime.Millis(i))})
 	}
 	s.Consume(trace.Event{Kind: trace.Migrate, PCPU: 1})
 	c := s.Counts()
-	if c[trace.JobDone] != 99 || c[trace.Migrate] != 1 {
+	if c[trace.JobDone] != 1000 || c[trace.Migrate] != 1 {
 		t.Fatalf("stats counts wrong: %v", c)
 	}
-	med, ok := s.ArgQuantile(trace.JobDone)
+	p99, ok := s.ArgQuantile(trace.JobDone)
 	if !ok {
 		t.Fatal("no quantile for job-done")
 	}
-	// P² estimate of the median of 1..99ms should be near 50ms.
-	if med < simtime.Millis(40) || med > simtime.Millis(60) {
-		t.Fatalf("median estimate %v, want ≈50ms", med)
+	// P² estimate of the p99 of 1..1000ms should be near 990ms.
+	if p99 < simtime.Millis(980) || p99 > simtime.Millis(1000) {
+		t.Fatalf("p99 estimate %v, want ≈990ms", p99)
 	}
 	// Count-only kinds carry no distribution.
 	if _, ok := s.ArgQuantile(trace.Migrate); ok {
@@ -68,7 +68,7 @@ func TestStatsSink(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"p50(arg)", "job-done", "99", "migrate"} {
+	for _, want := range []string{"p99(arg)", "job-done", "1000", "migrate"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("report missing %q:\n%s", want, out)
 		}

@@ -8,7 +8,6 @@ package trace
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
 	"log"
@@ -92,69 +91,6 @@ func (r *Recorder) WriteCSV(w io.Writer) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// ReadCSV parses a stream written by WriteCSV back into events.
-func ReadCSV(r io.Reader) ([]Event, error) {
-	cr := csv.NewReader(r)
-	rows, err := cr.ReadAll()
-	if err != nil {
-		return nil, err
-	}
-	if len(rows) == 0 {
-		return nil, nil
-	}
-	events := make([]Event, 0, len(rows)-1)
-	for _, row := range rows[1:] { // skip header
-		if len(row) != 7 {
-			return nil, fmt.Errorf("trace: CSV row has %d fields, want 7", len(row))
-		}
-		atUS, err := strconv.ParseFloat(row[0], 64)
-		if err != nil {
-			return nil, fmt.Errorf("trace: bad at_us %q: %w", row[0], err)
-		}
-		kind, err := KindFromString(row[1])
-		if err != nil {
-			return nil, err
-		}
-		pcpu, err := strconv.Atoi(row[2])
-		if err != nil {
-			return nil, fmt.Errorf("trace: bad pcpu %q: %w", row[2], err)
-		}
-		vcpu, err := strconv.Atoi(row[4])
-		if err != nil {
-			return nil, fmt.Errorf("trace: bad vcpu %q: %w", row[4], err)
-		}
-		arg, err := strconv.ParseInt(row[6], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("trace: bad arg %q: %w", row[6], err)
-		}
-		events = append(events, Event{
-			At:   simtime.Time(int64(atUS * 1e3)),
-			Kind: kind,
-			PCPU: pcpu,
-			VM:   row[3],
-			VCPU: vcpu,
-			Task: row[5],
-			Arg:  arg,
-		})
-	}
-	return events, nil
-}
-
-// WriteJSON emits the trace as a JSON array.
-func (r *Recorder) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	return enc.Encode(r.events)
-}
-
-// ReadJSON parses a stream written by WriteJSON.
-func ReadJSON(rd io.Reader) ([]Event, error) {
-	var events []Event
-	if err := json.NewDecoder(rd).Decode(&events); err != nil {
-		return nil, err
-	}
-	return events, nil
 }
 
 // Timeline renders a coarse textual Gantt chart of PCPU occupancy between

@@ -19,8 +19,6 @@ import (
 type IOAppConfig struct {
 	// Compute1/Compute2 are the CPU demands around the I/O wait.
 	Compute1, Compute2 simtime.Duration
-	// IOWait is the device time between the phases.
-	IOWait dist.Duration
 	// SLO is the end-to-end latency target.
 	SLO simtime.Duration
 	// ReservePeriod sizes the RTA reservation period (0 = SLO). Under
@@ -33,13 +31,16 @@ type IOAppConfig struct {
 	Requests int
 }
 
+// ioWait is the device time between a request's two CPU phases: a
+// storage round-trip of ~200µs.
+var ioWait = dist.Normal{MeanD: simtime.Micros(200), Stddev: simtime.Micros(30), Min: simtime.Micros(50)}
+
 // DefaultIOAppConfig models a storage-backed RPC: 30µs + 80µs of CPU
 // around a ~200µs device wait, 1ms SLO, 200 QPS.
 func DefaultIOAppConfig() IOAppConfig {
 	return IOAppConfig{
 		Compute1: simtime.Micros(30),
 		Compute2: simtime.Micros(80),
-		IOWait:   dist.Normal{MeanD: simtime.Micros(200), Stddev: simtime.Micros(30), Min: simtime.Micros(50)},
 		SLO:      simtime.Millis(1),
 		Rate:     200,
 	}
@@ -155,7 +156,7 @@ func (a *IOApp) jobDone(j *task.Job) {
 		}
 		// Phase 1 done: the request leaves the CPU for its device wait,
 		// then re-enters the run queue for phase 2.
-		wait := a.Cfg.IOWait.Sample(a.src.rng)
+		wait := ioWait.Sample(a.src.rng)
 		a.sim.PostAfter(wait, sim.Payload{Handler: a.id, Kind: evIOPhase2, Arg0: int64(arrival)})
 		return
 	}

@@ -198,9 +198,6 @@ type MemcachedConfig struct {
 	Slice simtime.Duration
 	// Rate is the average request rate (100 QPS in §4.4).
 	Rate float64
-	// Service is the per-request CPU demand distribution; nil uses the
-	// default calibrated to Table 4's dedicated-CPU measurements.
-	Service dist.Duration
 	// Requests bounds the stream (0 = unlimited until Stop; negative is
 	// rejected).
 	Requests int
@@ -212,18 +209,6 @@ func DefaultMemcachedConfig() MemcachedConfig {
 		SLO:   simtime.Micros(500),
 		Slice: simtime.Micros(58),
 		Rate:  100,
-	}
-}
-
-// DefaultServiceDist is the per-request CPU demand used when
-// MemcachedConfig.Service is nil: a tight distribution whose p50≈45µs and
-// p99.9≈56µs reproduce the dedicated-CPU RTVirt row of Table 4 once
-// dispatch latency is added.
-func DefaultServiceDist() dist.Duration {
-	return dist.Normal{
-		MeanD:  simtime.Micros(45),
-		Stddev: simtime.Micros(3),
-		Min:    simtime.Micros(35),
 	}
 }
 
@@ -255,10 +240,6 @@ func NewMemcached(g *guest.OS, id int, cfg MemcachedConfig) (*Memcached, error) 
 		return nil, err
 	}
 	mean := simtime.Duration(1e9 / cfg.Rate)
-	service := cfg.Service
-	if service == nil {
-		service = DefaultServiceDist()
-	}
 	m := &Memcached{
 		Task:  t,
 		Guest: g,
@@ -267,7 +248,10 @@ func NewMemcached(g *guest.OS, id int, cfg MemcachedConfig) (*Memcached, error) 
 			// §4.4: inter-arrival times follow a normal distribution with
 			// an average rate of 100 queries per second.
 			Arrivals: Renewal{D: dist.Normal{MeanD: mean, Stddev: mean / 4, Min: simtime.Micros(100)}},
-			Demand:   service,
+			// Per-request CPU demand: a tight distribution whose
+			// p50≈45µs and p99.9≈56µs reproduce the dedicated-CPU RTVirt
+			// row of Table 4 once dispatch latency is added.
+			Demand:   dist.Normal{MeanD: simtime.Micros(45), Stddev: simtime.Micros(3), Min: simtime.Micros(35)},
 			Requests: cfg.Requests,
 		},
 		sim: g.VM().Host().Sim,

@@ -358,7 +358,7 @@ func SummarizeTrace(rec *TraceRecorder) TraceSummary { return trace.Summarize(re
 
 // AttachTracer records sys's scheduling events (dispatches, preemptions,
 // completions, misses, hypercalls, migrations, budget transitions) into
-// rec. Use rec.WriteCSV/WriteJSON or rec.Timeline afterwards. For custom
+// rec. Use rec.WriteCSV or rec.Timeline afterwards. For custom
 // consumers attach any TraceSink with sys.Host.TraceTo.
 func AttachTracer(sys *System, rec *TraceRecorder) {
 	sys.Host.TraceTo(rec)
