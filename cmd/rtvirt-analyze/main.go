@@ -11,7 +11,7 @@
 //
 // With -replay the arguments are instead JSONL telemetry streams written
 // by `rtvirt-sim -trace`: each is re-ingested through the same sinks the
-// simulator uses online (per-kind counters, P² quantiles, schedule
+// simulator uses online (per-kind counters, exact p99s, schedule
 // digest) for offline inspection.
 //
 // The exit status gates CI: 0 when every scenario's own stack admits its

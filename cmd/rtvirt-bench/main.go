@@ -22,15 +22,18 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"math"
 	"os"
 	"strings"
 
-	"rtvirt"
 	"rtvirt/internal/check/quick"
+	"rtvirt/internal/experiments"
 	"rtvirt/internal/report"
 	"rtvirt/internal/runner"
+	"rtvirt/internal/simtime"
+	"rtvirt/internal/workload"
 )
 
 // out is the optional artifact directory (-out flag); nil disables export.
@@ -51,41 +54,39 @@ func defaultOptions() options {
 	return options{experiment: "all", seed: 1, runs: 5, n: 25}
 }
 
-// experiment is one entry of the -experiment table.
+// experiment is one entry of the -experiment table; run writes the
+// experiment's report to w.
 type experiment struct {
 	name string
-	run  func(o options)
+	run  func(w io.Writer, o options)
 }
 
-// experiments is the -experiment table in the order -experiment all runs
-// it.
-var experiments = []experiment{
-	{"fig1", func(o options) { runFig1(o.seed, o.seconds) }},
-	{"table1", func(options) { runTable1() }},
-	{"table2", func(o options) { runTable2(o.seed, o.seconds) }},
-	{"fig3", func(o options) { runFig3(o.seed, o.seconds, false) }},
-	{"sporadic", func(o options) { runFig3(o.seed, o.seconds, true) }},
-	{"table3", func(options) { runTable3() }},
-	{"fig4", func(o options) { runFig4(o.seed, o.seconds) }},
-	{"table4", func(o options) { runTable4(o.seed, o.seconds) }},
-	{"fig5a", func(o options) { runFig5(o.seed, o.seconds, false) }},
-	{"fig5b", func(o options) { runFig5(o.seed, o.seconds, true) }},
-	{"table5", func(options) { runTable5() }},
-	{"table6", func(o options) { runTable6(o.seed, o.seconds) }},
-	{"ablations", func(o options) { runAblations(o.seed, o.seconds) }},
-	{"io", func(o options) { runIO(o.seed, o.seconds) }},
-	{"surge", func(o options) { runSurge(o.seed, o.seconds) }},
-	{"loadsteps", func(o options) { runLoadSteps(o.seed, o.seconds) }},
-	{"bisect", func(o options) { runBisect(o.seed, o.seconds) }},
-	{"robustness", func(o options) { runRobustness(o.runs, o.seconds) }},
-	{"fidelity", func(o options) { runFidelity(o.seed, o.seconds) }},
-	{"attacks", func(o options) { runAttacks(o.seed, o.seconds) }},
-	{"quickcheck", func(o options) { runQuickcheck(o.seed, o.n, o.seconds) }},
+// experimentTable is the -experiment table in the order -experiment all
+// runs it.
+var experimentTable = []experiment{
+	{"fig1", func(w io.Writer, o options) { runFig1(w, o.seed, o.seconds) }},
+	{"table1", func(w io.Writer, _ options) { runTable1(w) }},
+	{"table2", func(w io.Writer, o options) { runTable2(w, o.seed, o.seconds) }},
+	{"fig3", func(w io.Writer, o options) { runFig3(w, o.seed, o.seconds, false) }},
+	{"sporadic", func(w io.Writer, o options) { runFig3(w, o.seed, o.seconds, true) }},
+	{"table3", func(w io.Writer, _ options) { runTable3(w) }},
+	{"fig4", func(w io.Writer, o options) { runFig4(w, o.seed, o.seconds) }},
+	{"table4", func(w io.Writer, o options) { runTable4(w, o.seed, o.seconds) }},
+	{"fig5a", func(w io.Writer, o options) { runFig5(w, o.seed, o.seconds, false) }},
+	{"fig5b", func(w io.Writer, o options) { runFig5(w, o.seed, o.seconds, true) }},
+	{"table5", func(w io.Writer, _ options) { runTable5(w) }},
+	{"table6", func(w io.Writer, o options) { runTable6(w, o.seed, o.seconds) }},
+	{"ablations", func(w io.Writer, o options) { runAblations(w, o.seed, o.seconds) }},
+	{"loadsteps", func(w io.Writer, o options) { runLoadSteps(w, o.seed, o.seconds) }},
+	{"robustness", func(w io.Writer, o options) { runRobustness(w, o.runs, o.seconds) }},
+	{"fidelity", func(w io.Writer, o options) { runFidelity(w, o.seed, o.seconds) }},
+	{"attacks", func(w io.Writer, o options) { runAttacks(w, o.seed, o.seconds) }},
+	{"quickcheck", func(w io.Writer, o options) { runQuickcheck(w, o.seed, o.n, o.seconds) }},
 }
 
 func experimentNames() string {
-	names := make([]string, len(experiments))
-	for i, e := range experiments {
+	names := make([]string, len(experimentTable))
+	for i, e := range experimentTable {
 		names[i] = e.name
 	}
 	return strings.Join(names, ", ")
@@ -97,7 +98,7 @@ func (o options) validate() ([]experiment, error) {
 	switch {
 	case o.seconds < 0:
 		return nil, fmt.Errorf("-seconds must be 0 (each experiment's default) or positive, got %d", o.seconds)
-	case o.seconds > math.MaxInt64/int64(rtvirt.Second):
+	case o.seconds > math.MaxInt64/int64(simtime.Second):
 		return nil, fmt.Errorf("-seconds %d overflows the simulated clock", o.seconds)
 	case o.runs < 1:
 		return nil, fmt.Errorf("-runs must be at least 1, got %d", o.runs)
@@ -108,9 +109,9 @@ func (o options) validate() ([]experiment, error) {
 	}
 	name := strings.ToLower(o.experiment)
 	if name == "all" {
-		return experiments, nil
+		return experimentTable, nil
 	}
-	for _, e := range experiments {
+	for _, e := range experimentTable {
 		if e.name == name {
 			return []experiment{e}, nil
 		}
@@ -148,55 +149,61 @@ func main() {
 		}()
 	}
 
-	if len(selected) == 1 { // a single experiment prints without a banner
-		selected[0].run(o)
+	runSelected(os.Stdout, selected, o)
+}
+
+// runSelected writes the report of every selected experiment to w. A
+// single experiment prints without a banner.
+func runSelected(w io.Writer, selected []experiment, o options) {
+	if len(selected) == 1 {
+		selected[0].run(w, o)
 		return
 	}
 	for _, e := range selected {
-		fmt.Printf("==== %s ====\n", e.name)
-		e.run(o)
-		fmt.Println()
+		fmt.Fprintf(w, "==== %s ====\n", e.name)
+		e.run(w, o)
+		fmt.Fprintln(w)
 	}
 }
 
-func secondsOr(s int64, def rtvirt.Duration) rtvirt.Duration {
+func secondsOr(s int64, def simtime.Duration) simtime.Duration {
 	if s > 0 {
-		return rtvirt.Duration(s) * rtvirt.Second
+		return simtime.Duration(s) * simtime.Second
 	}
 	return def
 }
 
-func runFig1(seed uint64, secs int64) {
-	fmt.Println(rtvirt.Figure1(seed, secondsOr(secs, 60*rtvirt.Second)).Render())
+func runFig1(w io.Writer, seed uint64, secs int64) {
+	fmt.Fprintln(w, experiments.Figure1(seed, secondsOr(secs, 60*simtime.Second)).Render())
 }
 
-func runTable1() {
-	fmt.Println("Table 1 — periodic RTA groups")
-	for _, g := range rtvirt.Table1Groups() {
-		fmt.Printf("  %-12s %-12s", g.Name, g.Category)
+func runTable1(w io.Writer) {
+	fmt.Fprintln(w, "Table 1 — periodic RTA groups")
+	for _, g := range experiments.Table1Groups() {
+		fmt.Fprintf(w, "  %-12s %-12s", g.Name, g.Category)
 		for _, p := range g.RTAs {
-			fmt.Printf(" %v", p)
+			fmt.Fprintf(w, " %v", p)
 		}
-		fmt.Printf("  (Σ %.3f CPUs)\n", g.Bandwidth())
+		fmt.Fprintf(w, "  (Σ %.3f CPUs)\n", g.Bandwidth())
 	}
 }
 
-func runTable2(seed uint64, secs int64) {
-	cfg := rtvirt.DefaultFigure3Config()
+func runTable2(w io.Writer, seed uint64, secs int64) {
+	cfg := experiments.DefaultFigure3Config()
 	cfg.Seed = seed
 	cfg.Duration = secondsOr(secs, cfg.Duration)
-	fmt.Println(rtvirt.RenderTable2(rtvirt.Table2(cfg)))
+	fmt.Fprintln(w, experiments.RenderTable2(experiments.Table2(cfg)))
 }
 
-func runFig3(seed uint64, secs int64, sporadic bool) {
-	cfg := rtvirt.DefaultFigure3Config()
+func runFig3(w io.Writer, seed uint64, secs int64, sporadic bool) {
+	cfg := experiments.DefaultFigure3Config()
 	cfg.Seed = seed
 	cfg.Sporadic = sporadic
 	cfg.Duration = secondsOr(secs, cfg.Duration)
 	if sporadic {
-		cfg.Duration = secondsOr(secs, 60*rtvirt.Second)
+		cfg.Duration = secondsOr(secs, 60*simtime.Second)
 	}
-	rows := rtvirt.Figure3(cfg)
+	rows := experiments.Figure3(cfg)
 	label := "Figure 3 (periodic)"
 	if sporadic {
 		label = "§4.2 sporadic RTAs"
@@ -206,185 +213,122 @@ func runFig3(seed uint64, secs int64, sporadic bool) {
 			log.Fatal(err)
 		}
 	}
-	fmt.Println(label)
-	fmt.Println(rtvirt.RenderFigure3(rows))
+	fmt.Fprintln(w, label)
+	fmt.Fprintln(w, experiments.RenderFigure3(rows))
 	var req, xen, virt float64
 	for _, r := range rows {
 		req += r.RTAReq
 		xen += r.RTXenClaimed
 		virt += r.RTVirtAllocated
 	}
-	fmt.Printf("Across groups: RTVirt claims %.1f%% less bandwidth than RT-Xen (paper: 39.4%%)\n",
+	fmt.Fprintf(w, "Across groups: RTVirt claims %.1f%% less bandwidth than RT-Xen (paper: 39.4%%)\n",
 		100*(1-virt/xen))
 }
 
-func runTable3() {
-	fmt.Println("Table 3 — video streaming profiles")
-	for _, p := range rtvirt.VideoProfiles() {
-		fmt.Printf("  %2d fps: %5.1f%% CPU, %v\n", p.FPS, 100*p.Bandwidth, p.Params)
+func runTable3(w io.Writer) {
+	fmt.Fprintln(w, "Table 3 — video streaming profiles")
+	for _, p := range workload.VideoProfiles {
+		fmt.Fprintf(w, "  %2d fps: %5.1f%% CPU, %v\n", p.FPS, 100*p.Bandwidth, p.Params)
 	}
 }
 
-func runFig4(seed uint64, secs int64) {
-	cfg := rtvirt.DefaultFigure4Config()
+func runFig4(w io.Writer, seed uint64, secs int64) {
+	cfg := experiments.DefaultFigure4Config()
 	cfg.Seed = seed
 	cfg.Duration = secondsOr(secs, cfg.Duration)
-	r := rtvirt.Figure4(cfg)
+	r := experiments.Figure4(cfg)
 	if out != nil {
 		if err := out.Figure4(r); err != nil {
 			log.Fatal(err)
 		}
 	}
-	fmt.Println(r.Render())
+	fmt.Fprintln(w, r.Render())
 }
 
-func runTable4(seed uint64, secs int64) {
-	rows := rtvirt.Table4(seed, secondsOr(secs, 120*rtvirt.Second))
+func runTable4(w io.Writer, seed uint64, secs int64) {
+	rows := experiments.Table4(seed, secondsOr(secs, 120*simtime.Second))
 	if out != nil {
 		if err := out.Table4(rows); err != nil {
 			log.Fatal(err)
 		}
 	}
-	fmt.Println(rtvirt.RenderTable4(rows))
+	fmt.Fprintln(w, experiments.RenderTable4(rows))
 }
 
-func runFig5(seed uint64, secs int64, b bool) {
-	cfg := rtvirt.DefaultFigure5Config()
+func runFig5(w io.Writer, seed uint64, secs int64, b bool) {
+	cfg := experiments.DefaultFigure5Config()
 	cfg.Seed = seed
 	cfg.Duration = secondsOr(secs, cfg.Duration)
 	if b {
-		rows := rtvirt.Figure5b(cfg)
+		rows := experiments.Figure5b(cfg)
 		if out != nil {
 			if err := out.Figure5("fig5b", rows); err != nil {
 				log.Fatal(err)
 			}
 		}
-		fmt.Println(rtvirt.RenderFigure5("Figure 5b", rows, cfg.SLO))
+		fmt.Fprintln(w, experiments.RenderFigure5("Figure 5b", rows, cfg.SLO))
 		return
 	}
-	rows := rtvirt.Figure5a(cfg)
+	rows := experiments.Figure5a(cfg)
 	if out != nil {
 		if err := out.Figure5("fig5a", rows); err != nil {
 			log.Fatal(err)
 		}
 	}
-	fmt.Println(rtvirt.RenderFigure5("Figure 5a", rows, cfg.SLO))
+	fmt.Fprintln(w, experiments.RenderFigure5("Figure 5a", rows, cfg.SLO))
 }
 
-func runTable5() {
-	fmt.Println("Table 5 — scalability RTA groups")
-	for _, g := range rtvirt.Table5Groups() {
-		fmt.Printf("  %-9s %v\n", g.Name, g.RTAs[0])
+func runTable5(w io.Writer) {
+	fmt.Fprintln(w, "Table 5 — scalability RTA groups")
+	for _, g := range experiments.Table5Groups() {
+		fmt.Fprintf(w, "  %-9s %v\n", g.Name, g.RTAs[0])
 	}
 }
 
-func runAblations(seed uint64, secs int64) {
-	d := secondsOr(secs, 20*rtvirt.Second)
-	fmt.Println(rtvirt.RenderAblation("Ablation — DP-WRAP minimum global slice (sub-ms workload)",
-		"sched ms/s", rtvirt.AblationMinSlice(seed, d)))
-	fmt.Println(rtvirt.RenderAblation("Ablation — per-VCPU budget slack (all Table-1 groups)",
-		"alloc CPUs", rtvirt.AblationSlack(seed, d)))
-	fmt.Println(rtvirt.RenderAblation("Ablation — server flavour (Figure-1 workload)",
-		"RTA2 resp µs", rtvirt.AblationServerFlavour(seed, d)))
-	fmt.Println(rtvirt.RenderAblation("Ablation — work-conserving leftover sharing (under-reserved memcached)",
-		"mean µs", rtvirt.AblationWorkConserving(seed, d)))
-	fmt.Println(rtvirt.RenderAblation("Ablation — §6 idle tax (over-claiming idle VM)",
-		"newcomer admitted", rtvirt.AblationIdleTax(seed, d)))
-	fmt.Println(rtvirt.RenderAblation("Ablation — guest scheduler: pEDF vs gEDF (§3.2)",
-		"guest sw/s", rtvirt.AblationGuestScheduler(seed, d)))
-	fmt.Println(rtvirt.RenderAblation("Ablation — forked counterfactual admission (idle-tax world)",
-		"newcomer admitted", rtvirt.AblationNewcomerForked(seed, d)))
+func runAblations(w io.Writer, seed uint64, secs int64) {
+	d := secondsOr(secs, 20*simtime.Second)
+	fmt.Fprintln(w, experiments.RenderAblation("Ablation — DP-WRAP minimum global slice (sub-ms workload)",
+		"sched ms/s", experiments.AblationMinSlice(seed, d)))
+	fmt.Fprintln(w, experiments.RenderAblation("Ablation — per-VCPU budget slack (all Table-1 groups)",
+		"alloc CPUs", experiments.AblationSlack(seed, d)))
+	fmt.Fprintln(w, experiments.RenderAblation("Ablation — server flavour (Figure-1 workload)",
+		"RTA2 resp µs", experiments.AblationServerFlavour(seed, d)))
+	fmt.Fprintln(w, experiments.RenderAblation("Ablation — work-conserving leftover sharing (under-reserved memcached)",
+		"mean µs", experiments.AblationWorkConserving(seed, d)))
+	fmt.Fprintln(w, experiments.RenderAblation("Ablation — §6 idle tax (over-claiming idle VM)",
+		"newcomer admitted", experiments.AblationIdleTax(seed, d)))
+	fmt.Fprintln(w, experiments.RenderAblation("Ablation — guest scheduler: pEDF vs gEDF (§3.2)",
+		"guest sw/s", experiments.AblationGuestScheduler(seed, d)))
 }
 
-func runSurge(seed uint64, secs int64) {
-	cfg := rtvirt.DefaultFigure4Config()
-	cfg.Seed = seed
-	cfg.Duration = secondsOr(secs, 120*rtvirt.Second)
-	warm := cfg.Duration / 2
-	rows := rtvirt.Figure4Surge(cfg, []int{0, 2, 4, 8}, warm, cfg.Duration-warm)
-	fmt.Println(rtvirt.RenderFigure4Surge(rows))
-}
-
-func runLoadSteps(seed uint64, secs int64) {
-	cfg := rtvirt.DefaultLoadStepConfig()
+func runLoadSteps(w io.Writer, seed uint64, secs int64) {
+	cfg := experiments.DefaultLoadStepConfig()
 	cfg.Seed = seed
 	if secs > 0 {
-		cfg.Duration = rtvirt.Duration(secs) * rtvirt.Second
+		cfg.Duration = simtime.Duration(secs) * simtime.Second
 		cfg.Warmup = cfg.Duration * 2 / 3
 	}
-	rows := rtvirt.Figure5LoadSteps(cfg)
-	fmt.Println(rtvirt.RenderLoadSteps(rows, rtvirt.DefaultFigure5Config().SLO))
+	rows := experiments.Figure5LoadSteps(cfg)
+	fmt.Fprintln(w, experiments.RenderLoadSteps(rows, experiments.DefaultFigure5Config().SLO))
 }
 
-// runBisect demonstrates the divergence bisector on the two server-based
-// stacks: the same three reserved VMs under RT-Xen's deferrable servers
-// versus plain two-level EDF's polling servers.
-func runBisect(seed uint64, secs int64) {
-	horizon := secondsOr(secs, 5*rtvirt.Second)
-	build := func(stack rtvirt.Stack) func() *rtvirt.System {
-		return func() *rtvirt.System {
-			cfg := rtvirt.DefaultConfig(stack)
-			cfg.PCPUs = 2
-			cfg.Seed = seed
-			sys := rtvirt.NewSystem(cfg)
-			apps := make([]*rtvirt.RTApp, 0, 4)
-			for i := 0; i < 4; i++ {
-				g, err := sys.NewServerGuest(fmt.Sprintf("vm%d", i),
-					[]rtvirt.Reservation{{Budget: 4 * rtvirt.Millisecond, Period: 10 * rtvirt.Millisecond}}, 256)
-				if err != nil {
-					log.Fatal(err)
-				}
-				// The task period drifts against the server period, so servers
-				// regularly idle with leftover budget — the moment deferrable
-				// (keep it) and polling (burn it) servers part ways.
-				app, err := rtvirt.NewRTApp(g, i, fmt.Sprintf("rta%d", i),
-					rtvirt.Params{Slice: 2 * rtvirt.Millisecond, Period: 7 * rtvirt.Millisecond})
-				if err != nil {
-					log.Fatal(err)
-				}
-				apps = append(apps, app)
-			}
-			sys.Start()
-			for _, app := range apps {
-				app.Start(0)
-			}
-			return sys
-		}
-	}
-	res := rtvirt.Bisect(build(rtvirt.StackRTXen), build(rtvirt.StackTwoLevelEDF),
-		horizon, 100*rtvirt.Microsecond)
-	fmt.Println("Bisect — deferrable (rt-xen) vs polling (two-level-edf) servers, same workload")
-	fmt.Println(res.Render())
-}
-
-func runIO(seed uint64, secs int64) {
-	d := secondsOr(secs, 60*rtvirt.Second)
-	rows := rtvirt.IOBound(seed, d)
-	if out != nil {
-		if err := out.IO(rows); err != nil {
-			log.Fatal(err)
-		}
-	}
-	fmt.Println(rtvirt.RenderIO(rows, rtvirt.DefaultIOAppConfig().SLO))
-}
-
-func runRobustness(runs int, secs int64) {
-	d := secondsOr(secs, 60*rtvirt.Second)
-	rows := rtvirt.Robustness(runs, d)
+func runRobustness(w io.Writer, runs int, secs int64) {
+	d := secondsOr(secs, 60*simtime.Second)
+	rows := experiments.Robustness(runs, d)
 	if out != nil {
 		if err := out.Robustness(rows); err != nil {
 			log.Fatal(err)
 		}
 	}
-	fmt.Println(rtvirt.RenderRobustness(rows))
+	fmt.Fprintln(w, experiments.RenderRobustness(rows))
 }
 
-func runTable6(seed uint64, secs int64) {
-	cfg := rtvirt.DefaultTable6Config()
+func runTable6(w io.Writer, seed uint64, secs int64) {
+	cfg := experiments.DefaultTable6Config()
 	cfg.Seed = seed
 	cfg.Duration = secondsOr(secs, cfg.Duration)
-	multi := rtvirt.Table6(rtvirt.MultiRTAVMs, cfg)
-	single := rtvirt.Table6(rtvirt.SingleRTAVMs, cfg)
+	multi := experiments.Table6(experiments.MultiRTAVMs, cfg)
+	single := experiments.Table6(experiments.SingleRTAVMs, cfg)
 	if out != nil {
 		if err := out.Table6("table6-multi.csv", multi); err != nil {
 			log.Fatal(err)
@@ -393,8 +337,8 @@ func runTable6(seed uint64, secs int64) {
 			log.Fatal(err)
 		}
 	}
-	fmt.Println(rtvirt.RenderTable6(multi))
-	fmt.Println(rtvirt.RenderTable6(single))
+	fmt.Fprintln(w, experiments.RenderTable6(multi))
+	fmt.Fprintln(w, experiments.RenderTable6(single))
 }
 
 // runFidelity runs the constant-vs-calibrated cost-model ablation: the
@@ -402,12 +346,12 @@ func runTable6(seed uint64, secs int64) {
 // §4 constants and under the distribution-valued calibrated model, with a
 // per-row verdict on whether the winner survives the cost noise. With
 // -out the record is written as fidelity.json.
-func runFidelity(seed uint64, secs int64) {
-	cfg := rtvirt.DefaultFidelityConfig()
+func runFidelity(w io.Writer, seed uint64, secs int64) {
+	cfg := experiments.DefaultFidelityConfig()
 	cfg.Seed = seed
 	cfg.Duration = secondsOr(secs, cfg.Duration)
-	res := rtvirt.FidelityAblation(cfg)
-	fmt.Println(rtvirt.RenderFidelity(res))
+	res := experiments.FidelityAblation(cfg)
+	fmt.Fprintln(w, experiments.RenderFidelity(res))
 	if out != nil {
 		if err := out.JSON("fidelity.json", &res); err != nil {
 			log.Fatal(err)
@@ -421,12 +365,12 @@ func runFidelity(seed uint64, secs int64) {
 // Credit double — plus the adaptive controller's convergence trace and
 // rejection-backoff counters. With -out the full record is written as
 // attacks.json.
-func runAttacks(seed uint64, secs int64) {
-	cfg := rtvirt.DefaultAttackConfig()
+func runAttacks(w io.Writer, seed uint64, secs int64) {
+	cfg := experiments.DefaultAttackConfig()
 	cfg.Seed = seed
 	cfg.Duration = secondsOr(secs, cfg.Duration)
-	res := rtvirt.Attacks(cfg)
-	fmt.Println(rtvirt.RenderAttacks(res))
+	res := experiments.Attacks(cfg)
+	fmt.Fprintln(w, experiments.RenderAttacks(res))
 	if out != nil {
 		if err := out.JSON("attacks.json", &res); err != nil {
 			log.Fatal(err)
@@ -440,9 +384,9 @@ func runAttacks(seed uint64, secs int64) {
 // -out they are exported both as full failure records and as bare
 // scenarios that rtvirt-sim replays directly. Any failure exits nonzero
 // so CI gates on it.
-func runQuickcheck(seed uint64, n int, seconds int64) {
+func runQuickcheck(w io.Writer, seed uint64, n int, seconds int64) {
 	rep := quick.Run(quick.Config{Seed: seed, N: n, Seconds: seconds})
-	fmt.Println(rep.Render())
+	fmt.Fprintln(w, rep.Render())
 	if out != nil {
 		for _, f := range rep.Failures {
 			base := fmt.Sprintf("quickcheck-%d-%s", f.Case, f.Stack)

@@ -10,9 +10,7 @@ import (
 
 // DispatchDigest folds the dispatch stream into an FNV-1a hash over the
 // fields two runs of the same world must agree on — when, which PCPU,
-// which virtual CPU. experiments.Bisect probes with it too, so a mismatch
-// found here can be handed to the bisector to pin the first divergent
-// dispatch.
+// which virtual CPU.
 type DispatchDigest struct {
 	hash uint64
 	n    int

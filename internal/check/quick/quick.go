@@ -10,12 +10,10 @@
 package quick
 
 import (
-	"fmt"
 	"math/rand"
 
 	"rtvirt/internal/check"
 	"rtvirt/internal/core"
-	"rtvirt/internal/experiments"
 	"rtvirt/internal/scenario"
 	"rtvirt/internal/sim"
 	"rtvirt/internal/simtime"
@@ -55,9 +53,6 @@ type Failure struct {
 	// the shrinker spent.
 	ShrinkSteps int `json:"shrink_steps"`
 	ShrinkRuns  int `json:"shrink_runs"`
-	// ForkBisect pins the first divergent dispatch when the violation is
-	// a fork-identity breach (experiments.Bisect verdict).
-	ForkBisect string `json:"fork_bisect,omitempty"`
 }
 
 // Report summarizes a quickcheck run.
@@ -109,7 +104,7 @@ func Run(cfg Config) *Report {
 				continue
 			}
 			min, minVs, steps, runs := Shrink(sc, stack)
-			f := Failure{
+			rep.Failures = append(rep.Failures, Failure{
 				Case:        i,
 				Stack:       stack.String(),
 				Seed:        caseSeed,
@@ -117,11 +112,7 @@ func Run(cfg Config) *Report {
 				Scenario:    min,
 				ShrinkSteps: steps,
 				ShrinkRuns:  runs,
-			}
-			if hasForkViolation(minVs) {
-				f.ForkBisect = pinForkDivergence(min, stack)
-			}
-			rep.Failures = append(rep.Failures, f)
+			})
 		}
 		if len(cfg.Shards) < 2 {
 			continue
@@ -181,39 +172,4 @@ func runOne(sc scenario.Scenario, stack core.Stack, forkCheck bool) ([]check.Vio
 		vs = append(vs, *forkV)
 	}
 	return vs, nil
-}
-
-func hasForkViolation(vs []check.Violation) bool {
-	for _, v := range vs {
-		if v.Oracle == "fork-identity" {
-			return true
-		}
-	}
-	return false
-}
-
-// pinForkDivergence reuses the frontier-fork bisector to name the first
-// dispatch where a fork parts ways with its original: both builders
-// replay the world to half-time; one hands over the original, the other
-// its fork.
-func pinForkDivergence(sc scenario.Scenario, stack core.Stack) string {
-	sc.Stack = stack.String()
-	build := func(takeFork bool) func() *core.System {
-		return func() *core.System {
-			w, err := scenario.Build(sc, scenario.Options{})
-			if err != nil {
-				panic(fmt.Sprintf("quick: bisect rebuild failed: %v", err))
-			}
-			w.Start()
-			half := simtime.Duration(w.Seconds) * simtime.Second / 2
-			w.Sys.Run(half)
-			if !takeFork {
-				return w.Sys
-			}
-			f, _ := w.Sys.Fork()
-			return f
-		}
-	}
-	total := simtime.Duration(sc.Seconds) * simtime.Second
-	return experiments.Bisect(build(false), build(true), total-total/2, simtime.Millisecond).Render()
 }

@@ -36,9 +36,6 @@ func (r *Report) Render() string {
 		for _, v := range f.Violations {
 			fmt.Fprintf(&b, "    %v\n", v)
 		}
-		if f.ForkBisect != "" {
-			fmt.Fprintf(&b, "    bisect: %s\n", f.ForkBisect)
-		}
 	}
 	b.WriteString("replay a repro with: rtvirt-sim <repro>.json")
 	return b.String()

@@ -8,7 +8,6 @@ import (
 	"rtvirt/internal/core"
 	"rtvirt/internal/guest"
 	"rtvirt/internal/metrics"
-	"rtvirt/internal/runner"
 	"rtvirt/internal/sim"
 	"rtvirt/internal/simtime"
 	"rtvirt/internal/task"
@@ -261,74 +260,6 @@ func Figure4(cfg Figure4Config) Figure4Result {
 	r, sys := newFig4(cfg)
 	sys.Run(cfg.Duration + simtime.Seconds(2))
 	return r.finish()
-}
-
-// SurgeRow is one arm of the Figure-4 load-surge counterfactual.
-type SurgeRow struct {
-	// Extra is the number of streaming RTAs injected at the fork point.
-	Extra    int
-	Admitted int
-	Rejected int
-	// Misses summarises the injected RTAs' deadline outcomes in the tail.
-	Misses metrics.MissSummary
-	// Allocated is the total reserved bandwidth at the end, in CPUs.
-	Allocated float64
-}
-
-// Figure4Surge asks a what-if question of the §4.3 dynamic system: after
-// `warm` of simulated churn, what happens if k extra streaming RTAs all
-// arrive at once? The warmed world is simulated once; each surge level
-// forks it (runner.MapForked) and injects its arrivals into the fork, so
-// the arms share the pre-surge history bit-for-bit and differ only in the
-// surge itself.
-func Figure4Surge(cfg Figure4Config, surges []int, warm, tail simtime.Duration) []SurgeRow {
-	r, sys := newFig4(cfg)
-	sys.Run(warm)
-	type world struct {
-		sys *core.System
-		r   *fig4run
-	}
-	return runner.MapForked(0, surges,
-		func(int, int) world {
-			nsys, ctx := sys.Fork()
-			return world{sys: nsys, r: clone.Get(ctx, r)}
-		},
-		func(_ int, k int, w world) SurgeRow {
-			row := SurgeRow{Extra: k}
-			now := w.sys.Now()
-			var injected []*task.Task
-			for i := 0; i < k; i++ {
-				prof := workload.VideoProfiles[i%len(workload.VideoProfiles)]
-				t := task.New(100000+i, fmt.Sprintf("surge%d", i), task.Periodic, prof.Params)
-				g := w.r.guests[i%len(w.r.guests)]
-				if err := g.Register(t); err != nil {
-					row.Rejected++
-					continue
-				}
-				row.Admitted++
-				injected = append(injected, t)
-				g.StartPeriodic(t, now)
-			}
-			w.sys.Run(tail)
-			row.Misses = workload.MissSummary(injected)
-			for _, g := range w.r.guests {
-				row.Allocated += g.AllocatedBandwidth()
-			}
-			return row
-		})
-}
-
-// RenderFigure4Surge formats the surge sweep.
-func RenderFigure4Surge(rows []SurgeRow) string {
-	t := metrics.NewTable("surge RTAs", "admitted", "rejected", "miss %", "alloc CPUs")
-	for _, r := range rows {
-		t.AddRow(fmt.Sprintf("%d", r.Extra), r.Admitted, r.Rejected,
-			fmt.Sprintf("%.3f", 100*r.Misses.Ratio()), fmt.Sprintf("%.2f", r.Allocated))
-	}
-	var b strings.Builder
-	b.WriteString("Figure 4 surge — forked what-if: k RTAs arrive at once into the warmed world\n")
-	b.WriteString(t.String())
-	return b.String()
 }
 
 // Render formats the Figure-4 summary.

@@ -209,33 +209,3 @@ func TestLoadStepsForkMatchesCold(t *testing.T) {
 		})
 	}
 }
-
-func TestBisectNoDivergence(t *testing.T) {
-	build := func() *core.System { return buildGoldenWorld(core.RTVirt, 1).sys }
-	res := Bisect(build, build, simtime.Second, simtime.Millisecond)
-	if res.Diverged {
-		t.Fatalf("identical builders reported divergent: %+v", res)
-	}
-	if res.Probes != 1 {
-		t.Fatalf("expected a single whole-horizon probe, got %d", res.Probes)
-	}
-}
-
-func TestBisectFindsDivergence(t *testing.T) {
-	const horizon = simtime.Second
-	buildA := func() *core.System { return buildGoldenWorld(core.RTXen, 1).sys }
-	buildB := func() *core.System { return buildGoldenWorld(core.TwoLevelEDF, 1).sys }
-	res := Bisect(buildA, buildB, horizon, 100*simtime.Microsecond)
-	if !res.Diverged {
-		t.Fatal("deferrable-server and polling-server stacks never diverged")
-	}
-	if res.At > simtime.Time(horizon) {
-		t.Fatalf("divergence reported beyond the horizon: %v", res.At)
-	}
-	if res.A == res.B {
-		t.Fatalf("divergent result names identical events: %+v", res)
-	}
-	if res.Render() == "" {
-		t.Fatal("empty render")
-	}
-}

@@ -4,21 +4,17 @@ import (
 	"fmt"
 	"strings"
 
-	"rtvirt/internal/check"
 	"rtvirt/internal/clone"
 	"rtvirt/internal/core"
 	"rtvirt/internal/metrics"
 	"rtvirt/internal/runner"
 	"rtvirt/internal/simtime"
-	"rtvirt/internal/task"
-	"rtvirt/internal/trace"
 	"rtvirt/internal/workload"
 )
 
-// This file exploits core.System.Fork for the experiment layer: warm-start
-// sweeps that simulate a shared prefix once and fork it per arm
-// (runner.MapForked), and a divergence bisector that binary-searches
-// simulated time for the first dispatch where two systems part ways.
+// This file exploits core.System.Fork for the experiment layer: a
+// warm-start sweep that simulates a shared prefix once and forks it per
+// arm (runner.MapForked).
 
 // LoadStepConfig tunes the Figure-5 warm-start load sweep.
 type LoadStepConfig struct {
@@ -131,176 +127,4 @@ func RenderLoadSteps(rows []LoadStepRow, slo simtime.Duration) string {
 	fmt.Fprintf(&b, "Figure 5 load steps — memcached tail vs hogs injected at warmup (SLO %v)\n", slo)
 	b.WriteString(t.String())
 	return b.String()
-}
-
-// AblationNewcomerForked replays §6's admission decision as a forked
-// counterfactual: one world with an over-claiming idle VM is warmed up
-// once, then forked per arm — one fork is left alone, the other admits a
-// newcomer under the idle tax — so the two outcomes share their history
-// bit-for-bit instead of replaying it per arm as AblationIdleTax does.
-// Extra = newcomer admitted (1) or absent/rejected (0).
-func AblationNewcomerForked(seed uint64, duration simtime.Duration) []AblationRow {
-	cfg := core.DefaultConfig(core.RTVirt)
-	cfg.PCPUs = 1
-	cfg.Seed = seed
-	cfg.Slack = 0
-	cfg.DPWrap.IdleTax = true
-	cfg.DPWrap.TaxWindow = simtime.Millis(50)
-	base := core.NewSystem(cfg)
-	gIdle := mustGuest(base.NewGuest("overclaimer", 1))
-	idler := task.New(0, "idler", task.Periodic, pp(7, 10)) // claims 70%, uses ~0
-	must(gIdle.Register(idler))
-	base.Start()
-	base.Run(duration / 2)
-
-	return runner.MapForked(0, []bool{false, true},
-		func(int, bool) *core.System {
-			nsys, _ := base.Fork()
-			return nsys
-		},
-		func(_ int, newcomer bool, sys *core.System) AblationRow {
-			row := AblationRow{Label: "warm world, no newcomer"}
-			if newcomer {
-				row.Label = "forked world, newcomer admitted"
-				gNew := mustGuest(sys.NewGuest("newcomer", 1))
-				busy := task.New(1, "busy", task.Periodic, pp(6, 10))
-				if err := gNew.Register(busy); err == nil {
-					row.Extra = 1
-					gNew.StartPeriodic(busy, sys.Now())
-					sys.Run(duration / 2)
-					row.MissPct = 100 * busy.Stats().MissRatio()
-				} else {
-					sys.Run(duration / 2)
-				}
-			} else {
-				sys.Run(duration / 2)
-			}
-			row.OverheadPct = sys.Overhead().Percent
-			return row
-		})
-}
-
-// BisectResult reports where two systems' dispatch streams first part ways.
-type BisectResult struct {
-	// Diverged is false when the streams agree over the whole horizon.
-	Diverged bool
-	// At is the simulated time of the first divergent dispatch.
-	At simtime.Time
-	// A and B are the first differing dispatch events (zero Events when one
-	// stream simply ran out).
-	A, B trace.Event
-	// Probes counts the forked probe runs the binary search needed.
-	Probes int
-}
-
-// Render formats the verdict.
-func (r BisectResult) Render() string {
-	if !r.Diverged {
-		return fmt.Sprintf("no divergence within the horizon (%d probes)", r.Probes)
-	}
-	return fmt.Sprintf("first divergent dispatch at %v (%d probes)\n  A: pcpu%d <- %s/vcpu%d\n  B: pcpu%d <- %s/vcpu%d",
-		r.At, r.Probes, r.A.PCPU, vmOrIdle(r.A), r.A.VCPU, r.B.PCPU, vmOrIdle(r.B), r.B.VCPU)
-}
-
-func vmOrIdle(ev trace.Event) string {
-	if ev.VM == "" {
-		return "idle"
-	}
-	return ev.VM
-}
-
-// dispatchLog records the dispatch stream verbatim (final narrow window of
-// the bisection).
-type dispatchLog struct {
-	events []trace.Event
-}
-
-// Consume implements trace.Sink.
-func (l *dispatchLog) Consume(ev trace.Event) {
-	if ev.Kind == trace.Dispatch {
-		l.events = append(l.events, ev)
-	}
-}
-
-// Bisect finds the first divergent dispatch between two systems — two
-// scheduler stacks over the same workload, or one stack under two configs —
-// by binary-searching simulated time. Both builders must be deterministic;
-// the two worlds are advanced in lockstep from a pair of frontier forks, so
-// no prefix is ever re-simulated: probing [lo, mid] forks the frontiers,
-// runs the forks with digest sinks on their trace buses, and either adopts
-// them as the new frontiers (streams still agree) or discards them. The
-// final window, at most `resolution` wide, is replayed once with recording
-// sinks to name the exact pair of events.
-func Bisect(buildA, buildB func() *core.System, horizon, resolution simtime.Duration) BisectResult {
-	if resolution <= 0 {
-		resolution = simtime.Millisecond
-	}
-	fa, fb := buildA(), buildB()
-	res := BisectResult{}
-
-	// probe forks both frontiers and runs them `span` ahead, reporting the
-	// dispatch digests and the forks themselves.
-	probe := func(span simtime.Duration) (*core.System, *core.System, *check.DispatchDigest, *check.DispatchDigest) {
-		na, _ := fa.Fork()
-		nb, _ := fb.Fork()
-		da, db := check.NewDispatchDigest(), check.NewDispatchDigest()
-		na.Host.TraceTo(da)
-		nb.Host.TraceTo(db)
-		na.Run(span)
-		nb.Run(span)
-		res.Probes++
-		return na, nb, da, db
-	}
-
-	lo, hi := simtime.Duration(0), horizon
-	// First probe the whole horizon: no divergence means no bisection.
-	if _, _, da, db := probe(horizon); da.Equal(db) {
-		return res
-	}
-	res.Diverged = true
-
-	for hi-lo > resolution {
-		mid := lo + (hi-lo)/2
-		na, nb, da, db := probe(mid - lo)
-		if da.Equal(db) {
-			// Streams still agree at mid: the probes become the frontiers.
-			fa, fb, lo = na, nb, mid
-		} else {
-			hi = mid
-		}
-	}
-
-	// Replay the final window with full recording to name the divergence.
-	na, _ := fa.Fork()
-	nb, _ := fb.Fork()
-	la, lb := &dispatchLog{}, &dispatchLog{}
-	na.Host.TraceTo(la)
-	nb.Host.TraceTo(lb)
-	na.Run(hi - lo)
-	nb.Run(hi - lo)
-	res.Probes++
-	for i := 0; ; i++ {
-		switch {
-		case i >= len(la.events) && i >= len(lb.events):
-			// Divergence past the recorded window can only mean digests
-			// collided earlier; report the window end.
-			res.At = simtime.Time(hi)
-			return res
-		case i >= len(la.events):
-			res.B = lb.events[i]
-			res.At = res.B.At
-			return res
-		case i >= len(lb.events):
-			res.A = la.events[i]
-			res.At = res.A.At
-			return res
-		case la.events[i] != lb.events[i]:
-			res.A, res.B = la.events[i], lb.events[i]
-			res.At = res.A.At
-			if res.B.At < res.At {
-				res.At = res.B.At
-			}
-			return res
-		}
-	}
 }

@@ -10,12 +10,11 @@ import (
 	"rtvirt/internal/simtime"
 )
 
-// The request-driven experiments that no other exact golden covers: the
+// The request-driven experiment that no other exact golden covers: the
 // §4.2 sporadic Figure-3 variant (closed-form clients at Uniform(100ms, 1s)
-// gaps) and the I/O-bound RPC (two-phase requests whose device waits draw
-// from the request stream's RNG). Both pin every request the stream sends
-// and every draw it makes, so a change to how requests are generated that
-// moves one draw shows here.
+// gaps). It pins every request the stream sends and every draw it makes,
+// so a change to how requests are generated that moves one draw shows
+// here.
 
 const goldenSporadicFigure3 = `H-Equiv req=2.0775 xen=2.2833 rtv=2.1262 xen(rel=40 miss=0 judged=40) rtv(rel=40 miss=0 judged=40)
 H-Dec req=1.9300 xen=2.1929 rtv=2.0225 xen(rel=40 miss=0 judged=40) rtv(rel=40 miss=0 judged=40)
@@ -31,10 +30,6 @@ H-Inc dispatches=83 digest=13c2c6e3b0e65628
 NH-Equiv dispatches=84 digest=0ad2859ef1d3ef6a
 NH-Dec dispatches=85 digest=77ca3d7beddb4661
 NH-Inc dispatches=84 digest=5155ba4debf8bd01
-`
-
-const goldenIOBound = `credit requests=998 e2e=18147300 cpu=8964576 violations=59
-rtvirt requests=998 e2e=405890 cpu=139009 violations=0
 `
 
 func TestGoldenSporadicFigure3(t *testing.T) {
@@ -68,16 +63,5 @@ func TestGoldenSporadicFigure3(t *testing.T) {
 	}
 	if got := b.String(); got != goldenSporadicDispatch {
 		t.Errorf("sporadic Figure 3 RTVirt dispatch streams moved:\ngot:\n%swant:\n%s", got, goldenSporadicDispatch)
-	}
-}
-
-func TestGoldenIOBound(t *testing.T) {
-	var b strings.Builder
-	for _, r := range IOBound(1, 5*simtime.Second) {
-		fmt.Fprintf(&b, "%v requests=%d e2e=%d cpu=%d violations=%d\n", r.Stack, r.Requests,
-			int64(r.EndToEndP999), int64(r.CPUPhaseP999), r.Violations)
-	}
-	if got := b.String(); got != goldenIOBound {
-		t.Errorf("IOBound at seed 1 moved:\ngot:\n%swant:\n%s", got, goldenIOBound)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 
 	"rtvirt/internal/experiments"
@@ -118,12 +119,17 @@ func (d *Dir) Figure3(rows []experiments.Figure3Row) error {
 	return d.JSON("fig3.json", rows)
 }
 
-// Figure4 writes the per-VM allocation series as fig4.csv plus the summary
-// as fig4.json.
+// Figure4 writes the per-VM allocation series as fig4.csv, VMs in name
+// order, plus the summary as fig4.json.
 func (d *Dir) Figure4(r experiments.Figure4Result) error {
+	vms := make([]string, 0, len(r.PerVM))
+	for vm := range r.PerVM {
+		vms = append(vms, vm)
+	}
+	slices.Sort(vms)
 	var csvRows [][]string
-	for vm, series := range r.PerVM {
-		for _, s := range series {
+	for _, vm := range vms {
+		for _, s := range r.PerVM[vm] {
 			csvRows = append(csvRows, []string{
 				vm,
 				fmt.Sprintf("%.3f", s.At.Seconds()),
@@ -231,21 +237,6 @@ func sanitize(s string) string {
 	return string(out)
 }
 
-// Ablations writes one CSV per sweep.
-func (d *Dir) Ablations(name string, rows []experiments.AblationRow) error {
-	var csvRows [][]string
-	for _, r := range rows {
-		csvRows = append(csvRows, []string{
-			r.Label,
-			fmt.Sprintf("%.6f", r.MissPct),
-			fmt.Sprintf("%.3f", r.P999.Micros()),
-			fmt.Sprintf("%.4f", r.OverheadPct),
-			fmt.Sprintf("%.4f", r.Extra),
-		})
-	}
-	return d.CSV(name, []string{"config", "miss_pct", "p999_us", "overhead_pct", "extra"}, csvRows)
-}
-
 // Robustness writes the cross-seed claim summary.
 func (d *Dir) Robustness(rows []experiments.RobustnessResult) error {
 	var csvRows [][]string
@@ -262,20 +253,4 @@ func (d *Dir) Robustness(rows []experiments.RobustnessResult) error {
 	}
 	return d.CSV("robustness.csv",
 		[]string{"claim", "held", "runs", "unit", "min", "median", "max"}, csvRows)
-}
-
-// IO writes the I/O-boundary rows.
-func (d *Dir) IO(rows []experiments.IORow) error {
-	var csvRows [][]string
-	for _, r := range rows {
-		csvRows = append(csvRows, []string{
-			r.Stack.String(),
-			fmt.Sprintf("%.3f", r.EndToEndP999.Micros()),
-			fmt.Sprintf("%.3f", r.CPUPhaseP999.Micros()),
-			strconv.Itoa(r.Violations),
-			strconv.Itoa(r.Requests),
-		})
-	}
-	return d.CSV("io.csv",
-		[]string{"stack", "end_to_end_p999_us", "cpu_phase_p999_us", "violations", "requests"}, csvRows)
 }

@@ -111,17 +111,39 @@ func TestMoreWriters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Ablations("abl.csv", []experiments.AblationRow{{Label: "x", MissPct: 1}}); err != nil {
-		t.Fatal(err)
-	}
 	if err := d.Robustness([]experiments.RobustnessResult{{Claim: "c", Held: 1, Runs: 1, Values: []float64{2}}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.IO([]experiments.IORow{{Requests: 5}}); err != nil {
+	if len(d.Written) != 1 {
+		t.Fatalf("written: %v", d.Written)
+	}
+}
+
+// TestFigure4RowsInVMOrder checks that fig4.csv lists the VMs in name
+// order, not in map iteration order, so the artifact is the same on every
+// run.
+func TestFigure4RowsInVMOrder(t *testing.T) {
+	d, err := NewDir(t.TempDir())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(d.Written) != 3 {
-		t.Fatalf("written: %v", d.Written)
+	r := experiments.Figure4Result{PerVM: map[string][]experiments.AllocationSample{}}
+	for _, vm := range []string{"vm3", "vm1", "vm4", "vm2", "vm6", "vm5", "vm8", "vm7"} {
+		r.PerVM[vm] = []experiments.AllocationSample{{At: 0, CPUPercent: 10}}
+	}
+	if err := d.Figure4(r); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(filepath.Join(d.Path(), "fig4.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var vms []string
+	for _, line := range strings.Split(strings.TrimSpace(string(b)), "\n")[1:] {
+		vms = append(vms, strings.SplitN(line, ",", 2)[0])
+	}
+	if got := strings.Join(vms, " "); got != "vm1 vm2 vm3 vm4 vm5 vm6 vm7 vm8" {
+		t.Fatalf("fig4.csv VM order: %s", got)
 	}
 }
 

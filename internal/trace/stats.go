@@ -20,13 +20,14 @@ var statKinds = [NumKinds]bool{
 	Replenish: true,
 }
 
-// StatsSink streams events into per-kind counters and P² estimators of
-// the 99th percentile of Arg. It holds O(kinds) memory regardless of run
-// length, so it can stay attached for arbitrarily long simulations where a
-// Recorder would hit its cap. The zero value is ready to use.
+// StatsSink streams events into per-kind counters and an exact
+// distribution of Arg per duration-bearing kind, from which it reports the
+// nearest-rank 99th percentile. It keeps every such Arg, about 4 bytes per
+// sample (8 for one of 4.29 s or more), unlike a Recorder, which keeps
+// whole events up to a cap. The zero value is ready to use.
 type StatsSink struct {
 	counts Counts
-	q      [NumKinds]*metrics.P2Quantile
+	args   [NumKinds]metrics.LatencyRecorder
 }
 
 // Consume implements Sink.
@@ -38,25 +39,20 @@ func (s *StatsSink) Consume(ev Event) {
 	if !statKinds[ev.Kind] {
 		return
 	}
-	est := s.q[ev.Kind]
-	if est == nil {
-		est = metrics.NewP2Quantile(0.99)
-		s.q[ev.Kind] = est
-	}
-	est.Add(simtime.Duration(ev.Arg))
+	s.args[ev.Kind].Add(simtime.Duration(ev.Arg))
 }
 
 // Counts returns the per-kind counters accumulated so far.
 func (s *StatsSink) Counts() Counts { return s.counts }
 
-// ArgQuantile returns the current p99 estimate of Arg for kind k and
-// whether any samples were seen.
+// ArgQuantile returns the nearest-rank p99 of Arg for kind k and whether
+// any samples were seen.
 func (s *StatsSink) ArgQuantile(k Kind) (simtime.Duration, bool) {
-	est := s.q[k]
-	if est == nil || est.Count() == 0 {
+	r := &s.args[k]
+	if r.Count() == 0 {
 		return 0, false
 	}
-	return est.Value(), true
+	return r.Percentile(99), true
 }
 
 // Report writes a per-kind table: count, and for duration-bearing kinds

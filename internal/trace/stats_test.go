@@ -2,9 +2,12 @@ package trace_test
 
 import (
 	"bytes"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 
+	"rtvirt/internal/sim"
 	"rtvirt/internal/simtime"
 	"rtvirt/internal/trace"
 )
@@ -55,9 +58,9 @@ func TestStatsSink(t *testing.T) {
 	if !ok {
 		t.Fatal("no quantile for job-done")
 	}
-	// P² estimate of the p99 of 1..1000ms should be near 990ms.
-	if p99 < simtime.Millis(980) || p99 > simtime.Millis(1000) {
-		t.Fatalf("p99 estimate %v, want ≈990ms", p99)
+	// The nearest-rank p99 of 1..1000ms is the 990th sample.
+	if p99 != simtime.Millis(990) {
+		t.Fatalf("p99 = %v, want 990ms", p99)
 	}
 	// Count-only kinds carry no distribution.
 	if _, ok := s.ArgQuantile(trace.Migrate); ok {
@@ -72,5 +75,51 @@ func TestStatsSink(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("report missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestStatsSinkAdversarialDistributions feeds the sink the streams that
+// break streaming quantile estimators — a point mass, a bimodal mixture
+// whose p99 sits past a two-decade CDF jump, an infinite-variance Pareto
+// tail reaching past 2³² ns, and monotone ramps — and requires its p99 to
+// equal the nearest-rank p99 of a plain sorted copy of the Args.
+func TestStatsSinkAdversarialDistributions(t *testing.T) {
+	const samples = 60000
+	for _, tc := range []struct {
+		name string
+		gen  func(i int, rng *sim.RNG) simtime.Duration
+	}{
+		{"constant", func(int, *sim.RNG) simtime.Duration { return simtime.Millisecond }},
+		{"bimodal", func(_ int, rng *sim.RNG) simtime.Duration {
+			base := simtime.Millisecond
+			if rng.Float64() < 0.1 {
+				base = 100 * simtime.Millisecond
+			}
+			return base + simtime.Duration(rng.Int63n(int64(base)/10))
+		}},
+		{"heavy-tail", func(_ int, rng *sim.RNG) simtime.Duration {
+			u := rng.Float64()
+			for u == 0 {
+				u = rng.Float64()
+			}
+			return simtime.Duration(min(1e5/math.Pow(u, 1/1.5), 1e12))
+		}},
+		{"ascending-ramp", func(i int, _ *sim.RNG) simtime.Duration { return simtime.Duration(1000 + i) }},
+		{"descending-ramp", func(i int, _ *sim.RNG) simtime.Duration { return simtime.Duration(1000 + samples - i) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := sim.NewRNG(17)
+			s := &trace.StatsSink{}
+			ref := make([]simtime.Duration, samples)
+			for i := range ref {
+				ref[i] = tc.gen(i, rng)
+				s.Consume(trace.Event{Kind: trace.JobDone, Arg: int64(ref[i])})
+			}
+			slices.Sort(ref)
+			want := ref[(99*samples+99)/100-1]
+			if got, ok := s.ArgQuantile(trace.JobDone); !ok || got != want {
+				t.Fatalf("p99 = %v, want the nearest-rank %v", got, want)
+			}
+		})
 	}
 }

@@ -66,35 +66,6 @@ func (m *Memcached) ForkHandler(ctx *clone.Ctx) sim.Handler {
 }
 
 // ForkHandler implements sim.Handler.
-func (a *IOApp) ForkHandler(ctx *clone.Ctx) sim.Handler {
-	if n, ok := ctx.Lookup(a); ok {
-		return n.(*IOApp)
-	}
-	na := &IOApp{
-		Task:          task.Clone(ctx, a.Task),
-		Guest:         clone.Get(ctx, a.Guest),
-		Cfg:           a.Cfg,
-		Latency:       a.Latency.Clone(),
-		CPULatency:    a.CPULatency.Clone(),
-		SLOViolations: a.SLOViolations,
-		src:           a.src.Clone(),
-		sim:           clone.Get(ctx, a.sim),
-		id:            a.id,
-		pending:       make(map[*task.Job]simtime.Time, len(a.pending)),
-		phase1:        make(map[*task.Job]simtime.Time, len(a.phase1)),
-	}
-	ctx.Put(a, na)
-	na.Task.OnJobDone = na.jobDone
-	for j, at := range a.pending {
-		na.pending[task.CloneJob(ctx, j)] = at
-	}
-	for j, at := range a.phase1 {
-		na.phase1[task.CloneJob(ctx, j)] = at
-	}
-	return na
-}
-
-// ForkHandler implements sim.Handler.
 func (e *TickEvader) ForkHandler(ctx *clone.Ctx) sim.Handler {
 	if n, ok := ctx.Lookup(e); ok {
 		return n.(*TickEvader)

@@ -11,10 +11,10 @@ import (
 )
 
 // Source is one request stream: the sequence every request driver (Client,
-// Memcached, IOApp and the cluster's RemoteClient) takes its requests from.
+// Memcached and the cluster's RemoteClient) takes its requests from.
 // Each request draws its CPU demand and then the gap to the next request,
-// both from the source's own RNG stream (IOApp draws its device waits from
-// it too), and the stream ends at its cap or at Stop. A driver calls Send
+// both from the source's own RNG stream, and the stream ends at its cap or
+// at Stop. A driver calls Send
 // when a request fires, delivers it, and then schedules the following one
 // with Gap.
 type Source struct {

@@ -26,11 +26,6 @@ const (
 	evClientRelease
 	// evMemcachedArrive delivers the next memcached request.
 	evMemcachedArrive
-	// evIOArrive delivers the next two-phase request.
-	evIOArrive
-	// evIOPhase2 re-releases a request after its device wait; Arg0 is the
-	// request's original arrival time.
-	evIOPhase2
 	// evEvaderProbe releases one of the tick evader's short learning jobs.
 	evEvaderProbe
 	// evEvaderBurst releases the evader's between-ticks work burst.
