@@ -197,9 +197,9 @@ func replayTrace(w io.Writer, path string) error {
 		return err
 	}
 	defer f.Close()
-	rec := &trace.Recorder{}
+	summary := &trace.Summary{}
 	stats := &trace.StatsSink{}
-	n, err := trace.ReadJSONL(f, rec, stats)
+	n, err := trace.ReadJSONL(f, summary, stats)
 	if err != nil {
 		return err
 	}
@@ -209,7 +209,8 @@ func replayTrace(w io.Writer, path string) error {
 		return err
 	}
 	fmt.Fprintln(w)
-	return trace.Summarize(rec).Write(w)
+	summary.Close(summary.To) // settle open runs at the last event
+	return summary.Write(w)
 }
 
 // exitCode gates CI on the admission verdict of the scenario's own stack:

@@ -36,7 +36,7 @@
 // Usage:
 //
 //	rtvirt-sim scenario.json
-//	rtvirt-sim -trace-csv schedule.csv scenario.json
+//	rtvirt-sim -summary -trace-svg gantt.svg scenario.json  # schedule digest + first 100ms as a Gantt chart
 //	rtvirt-sim -trace events.jsonl scenario.json  # stream telemetry; replay with rtvirt-analyze -replay
 //	rtvirt-sim -parallel 4 a.json b.json c.json   # independent runs, output in arg order
 package main
@@ -81,7 +81,6 @@ func main() {
 	o := defaultOptions()
 	var (
 		traceOut = flag.String("trace", "", "stream every telemetry event to this JSONL file (re-ingest with rtvirt-analyze -replay)")
-		traceCSV = flag.String("trace-csv", "", "write the schedule trace to this CSV file")
 		traceSVG = flag.String("trace-svg", "", "render the schedule as an SVG Gantt chart to this file")
 		summary  = flag.Bool("summary", false, "print a per-VCPU/per-PCPU schedule digest")
 	)
@@ -98,7 +97,7 @@ func main() {
 		flag.PrintDefaults()
 		os.Exit(2)
 	}
-	tracing := *traceCSV != "" || *traceSVG != "" || *summary
+	tracing := *traceSVG != "" || *summary
 	if flag.NArg() > 1 {
 		if tracing || *traceOut != "" {
 			log.Fatal("trace/summary flags require a single scenario")
@@ -126,7 +125,16 @@ func main() {
 		return
 	}
 
-	res, err := runScenario(flag.Arg(0), *traceOut, scenario.Options{Trace: tracing})
+	var sinks []trace.Sink
+	digest := &trace.Summary{}
+	if *summary {
+		sinks = append(sinks, digest)
+	}
+	gantt := &svgWindow{to: rtvirtTime(o.svgMS)}
+	if *traceSVG != "" {
+		sinks = append(sinks, gantt)
+	}
+	res, err := runScenario(flag.Arg(0), *traceOut, scenario.Options{Sinks: sinks})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -138,35 +146,38 @@ func main() {
 		fmt.Printf("events: %s\n", res.Events)
 	}
 
-	if res.Trace != nil {
-		if *summary {
-			fmt.Println()
-			if err := trace.Summarize(res.Trace).Write(os.Stdout); err != nil {
-				log.Fatal(err)
-			}
+	if *summary {
+		fmt.Println()
+		digest.Close(digest.To) // settle open runs at the last event
+		if err := digest.Write(os.Stdout); err != nil {
+			log.Fatal(err)
 		}
-		if *traceCSV != "" {
-			if err := writeCSV(*traceCSV, res.Trace); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("schedule trace (%d records) written to %s\n", res.Trace.Len(), *traceCSV)
+	}
+	if *traceSVG != "" {
+		sf, err := os.Create(*traceSVG)
+		if err != nil {
+			log.Fatal(err)
 		}
-		if *traceSVG != "" {
-			sf, err := os.Create(*traceSVG)
-			if err != nil {
-				log.Fatal(err)
-			}
-			to := rtvirtTime(o.svgMS)
-			if err := res.Trace.WriteSVG(sf, res.PCPUs, 0, to); err != nil {
-				sf.Close()
-				log.Fatal(err)
-			}
+		if err := gantt.WriteSVG(sf, res.PCPUs, 0, gantt.to); err != nil {
 			sf.Close()
-			fmt.Printf("schedule Gantt (first %dms) written to %s\n", o.svgMS, *traceSVG)
+			log.Fatal(err)
 		}
-		if res.Trace.Dropped() > 0 {
-			fmt.Printf("note: %d trace records dropped (cap)\n", res.Trace.Dropped())
-		}
+		sf.Close()
+		fmt.Printf("schedule Gantt (first %dms) written to %s\n", o.svgMS, *traceSVG)
+	}
+}
+
+// svgWindow records the events the Gantt chart renders: those at or
+// before its window's end, where WriteSVG stops reading.
+type svgWindow struct {
+	trace.Recorder
+	to simtime.Time
+}
+
+// Consume implements trace.Sink.
+func (w *svgWindow) Consume(ev trace.Event) {
+	if ev.At <= w.to {
+		w.Recorder.Consume(ev)
 	}
 }
 
@@ -223,19 +234,6 @@ func report(res *scenario.Result) {
 	ov := res.Overhead
 	fmt.Printf("\nscheduler overhead: %.3f%% (schedule %v, context switches %v, %d migrations, %d hypercalls)\n",
 		ov.Percent, ov.ScheduleTime, ov.CtxSwitchTime, ov.Migrations, ov.Hypercalls)
-}
-
-// writeCSV writes the recorded schedule trace to path as CSV.
-func writeCSV(path string, rec *trace.Recorder) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := rec.WriteCSV(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // rtvirtTime converts milliseconds to a simulated instant.

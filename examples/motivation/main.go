@@ -42,7 +42,7 @@ func renderTimeline() string {
 	cfg.Costs = rtvirt.CostModel{}
 	cfg.Slack = 100 * rtvirt.Microsecond
 	sys := rtvirt.NewSystem(cfg)
-	rec := &rtvirt.TraceRecorder{Max: 1 << 16}
+	rec := &rtvirt.TraceRecorder{}
 	rtvirt.AttachTracer(sys, rec)
 
 	specs := []struct {

@@ -93,7 +93,8 @@ type VMAnalysis struct {
 	Name string
 	// TaskBW is the summed utilization of the VM's real-time tasks.
 	TaskBW float64
-	// Background counts best-effort tasks, which need no reservation.
+	// Background counts best-effort and evader tasks, which need no
+	// reservation.
 	Background int
 	// RTXen holds one plan per VCPU under static interfaces.
 	RTXen []VCPUPlan
@@ -198,7 +199,8 @@ func analyzeVM(vm scenario.VM, opt Options) (VMAnalysis, error) {
 	}
 	var rts []rtTask
 	for i, ts := range vm.Tasks {
-		if ts.Kind == "background" {
+		// scenario runs an evader unreserved, like a background task.
+		if ts.Kind == "background" || ts.Kind == "evader" {
 			va.Background++
 			continue
 		}

@@ -1,6 +1,8 @@
 package analyze
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -142,6 +144,45 @@ func TestAnalyzeBackgroundOnly(t *testing.T) {
 	}
 	if !h.RTXenAdmitted || !h.RTVirtAdmitted || h.RTXenClaimedFFD != 0 {
 		t.Fatalf("host: %+v", h)
+	}
+}
+
+// TestAnalyzeShippedScenarios: every scenario in examples/scenarios/
+// reaches a verdict. attacks.json has an evader task, which scenario runs
+// unreserved and the analysis must count under Background.
+func TestAnalyzeShippedScenarios(t *testing.T) {
+	paths, err := filepath.Glob("../../examples/scenarios/*.json")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no shipped scenarios found: %v", err)
+	}
+	for _, path := range paths {
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc, err := scenario.Parse(f)
+		f.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if _, err := Analyze(sc, Options{}); err != nil {
+			t.Errorf("%s: %v", path, err)
+		}
+	}
+}
+
+func TestAnalyzeEvaderIsUnreserved(t *testing.T) {
+	sc := scenario.Scenario{
+		Stack: "credit", PCPUs: 1,
+		VMs: []scenario.VM{vm("attacker", 1,
+			scenario.TaskSpec{Name: "evade", Kind: "evader"})},
+	}
+	h, err := Analyze(sc, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if va := h.VMs[0]; va.Background != 1 || len(va.RTXen) != 0 || va.TaskBW != 0 {
+		t.Fatalf("evader VM: %+v", va)
 	}
 }
 

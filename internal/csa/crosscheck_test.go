@@ -50,7 +50,7 @@ func TestQuickAnalysisMatchesSimulation(t *testing.T) {
 		}
 		iface := Interface{Period: period, Budget: theta}
 		if !Schedulable(tasks, iface) {
-			t.Logf("seed %d: MinBudget returned unschedulable %v", seed, iface)
+			t.Logf("seed %d: MinBudgetQ returned unschedulable %v", seed, iface)
 			return false
 		}
 

@@ -144,17 +144,12 @@ func Schedulable(tasks []task.Params, iface Interface) bool {
 	return newDemand(tasks).fits(iface)
 }
 
-// MinBudget computes the smallest budget Θ for which the task set is
-// schedulable on a (period, Θ) interface, or false if even Θ = period
-// fails.
-func MinBudget(tasks []task.Params, period simtime.Duration) (simtime.Duration, bool) {
-	return MinBudgetQ(tasks, period, 1)
-}
-
-// MinBudgetQ is MinBudget with the budget rounded up to a multiple of
-// quantum. CARTS computes interfaces at the resolution of its inputs
-// (whole milliseconds in §4.2); passing that resolution reproduces the
-// paper's interfaces, while 1ns gives the continuous optimum.
+// MinBudgetQ computes the smallest budget Θ, a multiple of quantum, for
+// which the task set is schedulable on a (period, Θ) interface, or false
+// if even Θ = period fails. CARTS computes interfaces at the resolution
+// of its inputs (whole milliseconds in §4.2); passing that resolution
+// reproduces the paper's interfaces, while 1ns gives the continuous
+// optimum.
 func MinBudgetQ(tasks []task.Params, period, quantum simtime.Duration) (simtime.Duration, bool) {
 	return newDemand(tasks).minBudget(period, quantum)
 }
@@ -229,15 +224,10 @@ func (d demand) minBudget(period, quantum simtime.Duration) (simtime.Duration, b
 	return budget(hi), true
 }
 
-// BestInterface searches the candidate periods for the minimal-bandwidth
-// interface, mirroring the trial-and-error CARTS workflow of §4.2 ("we try
-// different period values and choose the one that gives the smallest
-// bandwidth requirement").
-func BestInterface(tasks []task.Params, candidates []simtime.Duration) (Interface, bool) {
-	return BestInterfaceQ(tasks, candidates, 1)
-}
-
-// BestInterfaceQ is BestInterface with budgets quantized (see MinBudgetQ).
+// BestInterfaceQ searches the candidate periods for the minimal-bandwidth
+// interface with budgets quantized (see MinBudgetQ), mirroring the
+// trial-and-error CARTS workflow of §4.2 ("we try different period values
+// and choose the one that gives the smallest bandwidth requirement").
 func BestInterfaceQ(tasks []task.Params, candidates []simtime.Duration, quantum simtime.Duration) (Interface, bool) {
 	d := newDemand(tasks)
 	best := Interface{}

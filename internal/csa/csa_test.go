@@ -83,7 +83,7 @@ func TestTable2Interfaces(t *testing.T) {
 		{pp(10, 100), Interface{Period: ms(9), Budget: ms(1)}},
 	}
 	for _, c := range cases {
-		got, ok := BestInterface([]task.Params{c.rta}, DefaultCandidates([]task.Params{c.rta}))
+		got, ok := BestInterfaceQ([]task.Params{c.rta}, DefaultCandidates([]task.Params{c.rta}), 1)
 		if !ok {
 			t.Fatalf("no interface for %v", c.rta)
 		}
@@ -118,7 +118,7 @@ func TestMinBudgetMonotoneInPeriod(t *testing.T) {
 	tasks := []task.Params{pp(5, 10)}
 	prevBW := 0.0
 	for _, p := range []int64{1, 2, 5, 10} {
-		theta, ok := MinBudget(tasks, ms(p))
+		theta, ok := MinBudgetQ(tasks, ms(p), 1)
 		if !ok {
 			t.Fatalf("no budget at period %dms", p)
 		}
@@ -137,14 +137,14 @@ func TestMinBudgetMonotoneInPeriod(t *testing.T) {
 
 func TestMinBudgetInfeasible(t *testing.T) {
 	// Utilization > 1 can never fit a single interface.
-	if _, ok := MinBudget([]task.Params{pp(8, 10), pp(5, 10)}, ms(5)); ok {
+	if _, ok := MinBudgetQ([]task.Params{pp(8, 10), pp(5, 10)}, ms(5), 1); ok {
 		t.Fatal("over-utilized task set got an interface")
 	}
 }
 
 func TestMultiTaskComponent(t *testing.T) {
 	tasks := []task.Params{pp(1, 15), pp(4, 15)}
-	iface, ok := BestInterface(tasks, DefaultCandidates(tasks))
+	iface, ok := BestInterfaceQ(tasks, DefaultCandidates(tasks), 1)
 	if !ok {
 		t.Fatal("no interface for the Figure-1 VM1 task set")
 	}
@@ -156,7 +156,7 @@ func TestMultiTaskComponent(t *testing.T) {
 	}
 }
 
-// Property: MinBudget returns the boundary: Θ schedulable, Θ−1 not.
+// Property: MinBudgetQ returns the boundary: Θ schedulable, Θ−1 not.
 func TestQuickMinBudgetBoundary(t *testing.T) {
 	rng := sim.NewRNG(77)
 	for i := 0; i < 40; i++ {
@@ -164,15 +164,15 @@ func TestQuickMinBudgetBoundary(t *testing.T) {
 		s := simtime.Duration(rng.Int63n(int64(p)*8/10) + int64(p)/100)
 		tasks := []task.Params{{Slice: s, Period: p}}
 		period := ms(1 + rng.Int63n(5))
-		theta, ok := MinBudget(tasks, period)
+		theta, ok := MinBudgetQ(tasks, period, 1)
 		if !ok {
 			continue
 		}
 		if !Schedulable(tasks, Interface{Period: period, Budget: theta}) {
-			t.Fatalf("MinBudget(%v, %v) = %v not schedulable", tasks[0], period, theta)
+			t.Fatalf("MinBudgetQ(%v, %v, 1) = %v not schedulable", tasks[0], period, theta)
 		}
 		if theta > 0 && Schedulable(tasks, Interface{Period: period, Budget: theta - 1}) {
-			t.Fatalf("MinBudget(%v, %v) = %v not minimal", tasks[0], period, theta)
+			t.Fatalf("MinBudgetQ(%v, %v, 1) = %v not minimal", tasks[0], period, theta)
 		}
 	}
 }

@@ -11,19 +11,21 @@ import (
 	"rtvirt/internal/sched/credit"
 	"rtvirt/internal/simtime"
 	"rtvirt/internal/task"
+	"rtvirt/internal/trace"
 	"rtvirt/internal/workload"
 )
 
 // The attacks experiment puts the same TickEvader (Zhou et al.'s
-// cycle-stealing tenant) against every scheduler stack and measures, via
-// workload.StolenBWMeter, how much CPU the attacker obtains versus what
-// it is charged. Exact-accounting schedulers — Credit's settle-on-switch,
-// RT-Xen, RTVirt's DP-WRAP — charge what they grant, so stolen bandwidth
-// sits at ~0 no matter how well the attacker times its bursts. The
-// deliberately-naive tick-sampled Credit double (credit.Config.
-// SampledAccounting) is the pre-fix Xen behaviour the attack was built
-// for: the attacker sleeps across every accounting tick and obtains most
-// of a CPU for free, defeating even an explicit cap.
+// cycle-stealing tenant) against every scheduler stack and measures how
+// much CPU the attacker obtains (its VCPUs' Run in a trace.Summary of the
+// host's dispatches) versus what it is charged. Exact-accounting
+// schedulers — Credit's settle-on-switch, RT-Xen, RTVirt's DP-WRAP —
+// charge what they grant, so stolen bandwidth sits at ~0 no matter how
+// well the attacker times its bursts. The deliberately-naive
+// tick-sampled Credit double (credit.Config.SampledAccounting) is the
+// pre-fix Xen behaviour the attack was built for: the attacker sleeps
+// across every accounting tick and obtains most of a CPU for free,
+// defeating even an explicit cap.
 //
 // The second half exercises the AdaptiveController: convergence of an
 // under-provisioned reservation onto its real demand through INC_BW
@@ -124,8 +126,8 @@ func runAttack(c attackCase, seed uint64, dur simtime.Duration) AttackRow {
 		cfg.Credit.SampledAccounting = c.sampled
 	}
 	sys := core.NewSystem(cfg)
-	meter := workload.NewStolenBWMeter(cfg.PCPUs)
-	sys.Host.TraceTo(meter)
+	digest := &trace.Summary{}
+	sys.Host.TraceTo(digest)
 
 	// The victim always wants the whole CPU, so every cycle the attacker
 	// obtains is contended, not idle leftover.
@@ -158,8 +160,14 @@ func runAttack(c attackCase, seed uint64, dur simtime.Duration) AttackRow {
 	sys.Run(dur)
 	sys.Host.Sync() // settle open runs so exact charged covers the tail
 	end := sys.Now()
-	meter.Close(end)
+	digest.Close(end)
 
+	var obtained simtime.Duration
+	for k, v := range digest.VCPUs {
+		if k.VM == attacker.VM().Name {
+			obtained += v.Run
+		}
+	}
 	var charged simtime.Duration
 	if cs, ok := sys.Host.Scheduler().(*credit.Scheduler); ok {
 		for _, v := range attacker.VM().VCPUs {
@@ -169,15 +177,15 @@ func runAttack(c attackCase, seed uint64, dur simtime.Duration) AttackRow {
 		// RT-Xen and DP-WRAP deplete server budget for every nanosecond
 		// they grant (the BudgetOracle pins this), so charged = obtained
 		// by construction and the attack cannot steal.
-		charged = meter.Obtained(attacker.VM().Name)
+		charged = obtained
 	}
 	row := AttackRow{
 		Scheduler:  c.name,
 		Accounting: "exact",
 		Learned:    c.learn,
-		ObtainedBW: meter.ObtainedBW(attacker.VM().Name),
+		ObtainedBW: float64(obtained) / float64(end),
 		ChargedBW:  float64(charged) / float64(end),
-		StolenBW:   meter.StolenBW(attacker.VM().Name, charged),
+		StolenBW:   float64(obtained-charged) / float64(end),
 		Probes:     ev.Probes,
 		Bursts:     ev.Bursts,
 		Resyncs:    ev.Resyncs,

@@ -27,7 +27,7 @@ func findRow(t *testing.T, res AttackResult, sched, acct string, capped, learned
 // TestAttackStolenBandwidth pins the experiment's headline semantics:
 // exact accounting (Credit settle-on-switch, RT-Xen, DP-WRAP) never lets
 // the tick evader steal, while the deliberately-naive tick-sampled
-// double leaks most of a CPU — the negative test the StolenBWMeter
+// double leaks most of a CPU — the negative test the obtained-CPU ledger
 // exists to flag — and defeats an explicit cap.
 func TestAttackStolenBandwidth(t *testing.T) {
 	res := Attacks(shortAttackConfig())

@@ -319,11 +319,9 @@ type Result struct {
 	AllocatedBW float64
 	Tasks       []TaskResult
 	Overhead    core.OverheadReport
-	// Trace holds the schedule trace when requested.
-	Trace *trace.Recorder
-	// Events tallies every telemetry event by kind when any tracing was
-	// on (Options.Trace, Counts, or Sinks). Per-run Counts merge
-	// deterministically across the parallel runner.
+	// Events tallies every telemetry event by kind when Options.Sinks was
+	// non-empty. Per-run Counts merge deterministically across the
+	// parallel runner.
 	Events trace.Counts
 }
 
@@ -457,16 +455,10 @@ func (sc Scenario) Validate() error {
 	return nil
 }
 
-// traceMax caps the events an Options.Trace recorder retains; a
-// trace.JSONL sink streams a whole run without a cap.
-const traceMax = 1 << 20
-
 // Options tunes Run.
 type Options struct {
-	// Trace records the schedule, capped at traceMax records.
-	Trace bool
-	// Sinks are additional telemetry consumers (e.g. a trace.JSONL
-	// exporter) attached for the whole run. Trace or a non-empty Sinks
+	// Sinks are telemetry consumers (e.g. a trace.Summary digest or a
+	// trace.JSONL exporter) attached for the whole run. A non-empty Sinks
 	// also attaches a per-kind event counter (Result.Events).
 	Sinks []trace.Sink
 	// OnSystem, when set, runs right after the system is built and the
@@ -498,7 +490,6 @@ type World struct {
 	Seconds int64
 
 	all      []bound
-	rec      *trace.Recorder
 	counts   *trace.Counts
 	netDelay simtime.Duration
 }
@@ -566,14 +557,9 @@ func Build(sc Scenario, opts Options) (*World, error) {
 
 	// Attach sinks before building the guests so admission events from
 	// VCPU creation are observed too.
-	var rec *trace.Recorder
-	if opts.Trace {
-		rec = &trace.Recorder{Max: traceMax}
-		sys.Host.TraceTo(rec)
-	}
 	sys.Host.TraceTo(opts.Sinks...)
 	var counts *trace.Counts
-	if opts.Trace || len(opts.Sinks) > 0 {
+	if len(opts.Sinks) > 0 {
 		counts = &trace.Counts{}
 		sys.Host.TraceTo(counts)
 	}
@@ -623,7 +609,7 @@ func Build(sc Scenario, opts Options) (*World, error) {
 		netDelay = usToDur(*sc.Costs.NetworkDelayUS)
 	}
 	return &World{Sys: sys, Stack: stack, Seconds: seconds, all: all,
-		rec: rec, counts: counts, netDelay: netDelay}, nil
+		counts: counts, netDelay: netDelay}, nil
 }
 
 // Start starts the host and releases the scenario's workload. The caller
@@ -675,7 +661,6 @@ func (w *World) Finish() *Result {
 		Seconds:     w.Seconds,
 		AllocatedBW: w.Sys.AllocatedBandwidth(),
 		Overhead:    w.Sys.Overhead(),
-		Trace:       w.rec,
 	}
 	if w.counts != nil {
 		res.Events = *w.counts

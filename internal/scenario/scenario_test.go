@@ -63,15 +63,17 @@ func TestRunWithTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc.Seconds = 1
-	res, err := Run(sc, Options{Trace: true})
+	rec := &trace.Recorder{}
+	res, err := Run(sc, Options{Sinks: []trace.Sink{rec}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Trace == nil || res.Trace.Len() == 0 {
-		t.Fatal("no trace recorded")
+	// A non-empty Sinks also attaches the per-kind counter.
+	if n := len(rec.Records()); n == 0 || res.Events.Total() != uint64(n) {
+		t.Fatalf("recorded %d events, counted %d", n, res.Events.Total())
 	}
 	var done int
-	for _, r := range res.Trace.Records() {
+	for _, r := range rec.Records() {
 		if r.Kind == trace.JobDone {
 			done++
 		}

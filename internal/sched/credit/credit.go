@@ -66,8 +66,9 @@ type Config struct {
 	// charged. This is the pre-fix Xen behaviour Zhou et al. exploit
 	// ("Scheduler Vulnerabilities and Attacks in Cloud Computing"): a VCPU
 	// that sleeps across every tick obtains CPU for free. It exists as the
-	// deliberately-naive double for workload.StolenBWMeter's negative
-	// tests and the attacks experiment — never enable it elsewhere.
+	// deliberately-naive double for the attacks experiment's negative
+	// rows, whose obtained CPU a trace.Summary measures — never enable it
+	// elsewhere.
 	SampledAccounting bool
 }
 
@@ -98,8 +99,8 @@ type vcpuState struct {
 	cap float64
 	// charged is the cumulative CPU time this scheduler has debited the
 	// VCPU for (exact: every settled run; sampled: one TickEvery per tick
-	// it was caught occupying a PCPU). workload.StolenBWMeter compares it
-	// against the CPU time actually obtained.
+	// it was caught occupying a PCPU). The attacks experiment compares it
+	// against the CPU time actually obtained, a trace.Summary's Run.
 	charged simtime.Duration
 }
 

@@ -27,7 +27,6 @@ const (
 	Millisecond          = 1000 * Microsecond
 	Second               = 1000 * Millisecond
 	Minute               = 60 * Second
-	Hour                 = 60 * Minute
 )
 
 // Never is a sentinel Time later than any reachable instant. It is used as

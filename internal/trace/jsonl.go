@@ -9,8 +9,8 @@ import (
 
 // JSONL is a streaming sink that writes one JSON object per line — the
 // interchange format for `rtvirt-sim -trace out.jsonl`, re-ingested by
-// `rtvirt-analyze` via ReadJSONL for offline replay. Unlike a Recorder it
-// never drops events: memory use is O(1) regardless of run length.
+// `rtvirt-analyze` via ReadJSONL for offline replay. It holds no events:
+// memory use is O(1) regardless of run length.
 type JSONL struct {
 	enc *json.Encoder
 	buf *bufio.Writer

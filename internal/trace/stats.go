@@ -23,8 +23,8 @@ var statKinds = [NumKinds]bool{
 // StatsSink streams events into per-kind counters and an exact
 // distribution of Arg per duration-bearing kind, from which it reports the
 // nearest-rank 99th percentile. It keeps every such Arg, about 4 bytes per
-// sample (8 for one of 4.29 s or more), unlike a Recorder, which keeps
-// whole events up to a cap. The zero value is ready to use.
+// sample (8 for one of 4.29 s or more), where a Recorder keeps whole
+// events. The zero value is ready to use.
 type StatsSink struct {
 	counts Counts
 	args   [NumKinds]metrics.LatencyRecorder

@@ -4,16 +4,25 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 
 	"rtvirt/internal/simtime"
 )
 
-// VCPUSummary aggregates one virtual CPU's schedule from a trace.
-type VCPUSummary struct {
-	// VM and VCPU identify the virtual CPU.
+// VCPUKey identifies a virtual CPU in a trace: its VM's name and its
+// index within the VM.
+type VCPUKey struct {
 	VM   string
 	VCPU int
-	// Run is the total time dispatched on any PCPU.
+}
+
+// String renders the key as "vm/vcpu".
+func (k VCPUKey) String() string { return k.VM + "/" + strconv.Itoa(k.VCPU) }
+
+// VCPUSummary aggregates one virtual CPU's schedule from a trace.
+type VCPUSummary struct {
+	// Run is the CPU time the VCPU obtained: the total time dispatched
+	// on any PCPU, whatever the scheduler charged for it.
 	Run simtime.Duration
 	// Dispatches counts how often the VCPU was put on a PCPU.
 	Dispatches int
@@ -23,6 +32,8 @@ type VCPUSummary struct {
 	// Completions and Misses count the jobs that finished on the VCPU.
 	Completions int
 	Misses      int
+
+	lastPCPU int // PCPU of the latest dispatch, -1 before the first
 }
 
 // PCPUSummary aggregates one physical CPU's schedule from a trace.
@@ -32,131 +43,124 @@ type PCPUSummary struct {
 	Busy simtime.Duration
 	// Dispatches counts non-idle dispatch records on the PCPU.
 	Dispatches int
+
+	cur   *VCPUSummary // VCPU running since `since`, nil when idle
+	since simtime.Time
+}
+
+// settle credits the PCPU's open run, if any, up to at.
+func (p *PCPUSummary) settle(at simtime.Time) {
+	if p.cur != nil {
+		d := at.Sub(p.since)
+		p.cur.Run += d
+		p.Busy += d
+		p.cur = nil
+	}
 }
 
 // Summary is the structural digest of a schedule trace: who ran where,
-// for how long, and how often work moved between physical CPUs. It is
-// computed purely from Dispatch/JobDone/JobMiss records, so it can
-// cross-check the kernel's own accounting meters.
+// for how long, and how often work moved between physical CPUs. It is a
+// Sink that folds in one event at a time, so it digests a run of any
+// length in memory proportional to its VCPUs and PCPUs. It is computed
+// purely from Dispatch/JobDone/JobMiss records, so its Run totals are the
+// CPU time each VCPU obtained, measured apart from what the scheduler
+// charged; the attack suite compares the two. The zero value is ready to
+// use; call Close after the last event.
 type Summary struct {
-	// From and To bound the analyzed window (first and last record, with
-	// open intervals closed at To).
+	// From and To bound the analyzed window: the first event, and the
+	// last event until Close sets the instant open runs are settled at.
 	From, To simtime.Time
-	// VCPUs is keyed by "vm/vcpu" display order; see Keys.
-	VCPUs map[string]*VCPUSummary
+	// VCPUs holds one digest per virtual CPU seen; Keys orders them.
+	VCPUs map[VCPUKey]*VCPUSummary
 	// PCPUs is indexed by physical CPU id.
 	PCPUs []PCPUSummary
 	// Migrations is the host-wide migration total, derived from the
 	// dispatch sequence (so it also works on dispatch-only traces).
 	Migrations int
-	// Events tallies every retained event by kind.
+	// Events tallies every consumed event by kind.
 	Events Counts
-	// Dropped is the number of events the recorder's cap discarded; the
-	// digest above covers only the retained prefix when it is non-zero.
-	Dropped int
 }
 
-// Summarize digests the recorder's records. Open run intervals (a VCPU
-// still dispatched at the last record) are closed at the trace's final
-// timestamp, so totals never exceed the observed window.
-func Summarize(r *Recorder) Summary {
-	recs := r.Records()
-	s := Summary{VCPUs: map[string]*VCPUSummary{}, Dropped: r.Dropped()}
-	if len(recs) == 0 {
-		return s
+// Consume implements Sink.
+func (s *Summary) Consume(ev Event) {
+	if s.VCPUs == nil { // the first event opens the window
+		s.VCPUs = map[VCPUKey]*VCPUSummary{}
+		s.From = ev.At
 	}
-	s.Events = r.Counts()
-	s.From = recs[0].At
-	s.To = recs[len(recs)-1].At
-
-	maxPCPU := 0
-	for _, rec := range recs {
-		if rec.PCPU > maxPCPU {
-			maxPCPU = rec.PCPU
+	s.To = ev.At
+	s.Events.Consume(ev)
+	for len(s.PCPUs) <= ev.PCPU {
+		s.PCPUs = append(s.PCPUs, PCPUSummary{PCPU: len(s.PCPUs)})
+	}
+	switch ev.Kind {
+	case Dispatch:
+		if ev.PCPU < 0 {
+			return
 		}
-	}
-	s.PCPUs = make([]PCPUSummary, maxPCPU+1)
-	for i := range s.PCPUs {
-		s.PCPUs[i].PCPU = i
-	}
-
-	type running struct {
-		key   string
-		since simtime.Time
-	}
-	cur := make([]*running, maxPCPU+1) // per-PCPU current occupant
-	lastPCPU := map[string]int{}       // key -> last PCPU it ran on
-
-	vc := func(rec Event) *VCPUSummary {
-		key := fmt.Sprintf("%s/%d", rec.VM, rec.VCPU)
-		v := s.VCPUs[key]
-		if v == nil {
-			v = &VCPUSummary{VM: rec.VM, VCPU: rec.VCPU}
-			s.VCPUs[key] = v
+		p := &s.PCPUs[ev.PCPU]
+		p.settle(ev.At)
+		if ev.VM == "" { // idle
+			return
 		}
-		return v
-	}
-	closeRun := func(p int, until simtime.Time) {
-		if run := cur[p]; run != nil {
-			d := until.Sub(run.since)
-			s.VCPUs[run.key].Run += d
-			s.PCPUs[p].Busy += d
-			cur[p] = nil
+		v := s.vcpu(ev)
+		v.Dispatches++
+		p.Dispatches++
+		if v.lastPCPU >= 0 && v.lastPCPU != ev.PCPU {
+			v.Migrations++
+			s.Migrations++
 		}
+		v.lastPCPU = ev.PCPU
+		p.cur, p.since = v, ev.At
+	case JobDone:
+		s.vcpu(ev).Completions++
+	case JobMiss:
+		v := s.vcpu(ev)
+		v.Completions++
+		v.Misses++
 	}
-
-	for _, rec := range recs {
-		switch rec.Kind {
-		case Dispatch:
-			closeRun(rec.PCPU, rec.At)
-			if rec.VM == "" { // idle
-				continue
-			}
-			v := vc(rec)
-			key := fmt.Sprintf("%s/%d", rec.VM, rec.VCPU)
-			v.Dispatches++
-			s.PCPUs[rec.PCPU].Dispatches++
-			if prev, ok := lastPCPU[key]; ok && prev != rec.PCPU {
-				v.Migrations++
-				s.Migrations++
-			}
-			lastPCPU[key] = rec.PCPU
-			cur[rec.PCPU] = &running{key: key, since: rec.At}
-		case JobDone:
-			vc(rec).Completions++
-		case JobMiss:
-			v := vc(rec)
-			v.Completions++
-			v.Misses++
-		}
-	}
-	for p := range cur {
-		closeRun(p, s.To)
-	}
-	return s
 }
 
-// Keys returns the VCPU summary keys in (VM, VCPU) order.
-func (s Summary) Keys() []string {
-	keys := make([]string, 0, len(s.VCPUs))
+// vcpu returns the digest of ev's VCPU, creating it on first sight.
+func (s *Summary) vcpu(ev Event) *VCPUSummary {
+	k := VCPUKey{VM: ev.VM, VCPU: ev.VCPU}
+	v := s.VCPUs[k]
+	if v == nil {
+		v = &VCPUSummary{lastPCPU: -1}
+		s.VCPUs[k] = v
+	}
+	return v
+}
+
+// Close settles every open run at the instant at, which becomes the end
+// of the window, so totals never exceed the observed span. Call it once,
+// after the last event.
+func (s *Summary) Close(at simtime.Time) {
+	for p := range s.PCPUs {
+		s.PCPUs[p].settle(at)
+	}
+	s.To = at
+}
+
+// Keys returns the VCPU keys in (VM, VCPU) order.
+func (s *Summary) Keys() []VCPUKey {
+	keys := make([]VCPUKey, 0, len(s.VCPUs))
 	for k := range s.VCPUs {
 		keys = append(keys, k)
 	}
 	sort.Slice(keys, func(i, j int) bool {
-		a, b := s.VCPUs[keys[i]], s.VCPUs[keys[j]]
-		if a.VM != b.VM {
-			return a.VM < b.VM
+		if keys[i].VM != keys[j].VM {
+			return keys[i].VM < keys[j].VM
 		}
-		return a.VCPU < b.VCPU
+		return keys[i].VCPU < keys[j].VCPU
 	})
 	return keys
 }
 
 // Window is the trace's observed duration.
-func (s Summary) Window() simtime.Duration { return s.To.Sub(s.From) }
+func (s *Summary) Window() simtime.Duration { return s.To.Sub(s.From) }
 
 // Write renders the summary as a fixed-width report.
-func (s Summary) Write(w io.Writer) error {
+func (s *Summary) Write(w io.Writer) error {
 	win := s.Window()
 	if _, err := fmt.Fprintf(w, "schedule summary over %v\n", win); err != nil {
 		return err
@@ -181,10 +185,6 @@ func (s Summary) Write(w io.Writer) error {
 		fmt.Fprintf(w, "pcpu%-16d %12v %5.1f%% %10d\n", p.PCPU, p.Busy, pct, p.Dispatches)
 	}
 	fmt.Fprintf(w, "host migrations: %d\n", s.Migrations)
-	fmt.Fprintf(w, "events: %s\n", s.Events)
-	var err error
-	if s.Dropped > 0 {
-		_, err = fmt.Fprintf(w, "dropped: %d events past the recorder cap (digest covers the retained prefix only)\n", s.Dropped)
-	}
+	_, err := fmt.Fprintf(w, "events: %s\n", s.Events)
 	return err
 }

@@ -14,26 +14,35 @@ import (
 
 func ms(n int64) simtime.Duration { return simtime.Millis(n) }
 
+// digest streams evs through a Summary and closes it at the last event.
+func digest(evs ...trace.Event) *trace.Summary {
+	s := &trace.Summary{}
+	for _, ev := range evs {
+		s.Consume(ev)
+	}
+	s.Close(s.To)
+	return s
+}
+
 func TestSummarizeHandBuiltTrace(t *testing.T) {
-	rec := &trace.Recorder{}
 	// PCPU0: vm-a/0 runs 0–4ms, then vm-b/0 runs 4–10ms (a migration for
 	// vm-b, which previously ran on PCPU1).
-	rec.Add(trace.Event{At: 0, Kind: trace.Dispatch, PCPU: 1, VM: "vm-b", VCPU: 0})
-	rec.Add(trace.Event{At: 0, Kind: trace.Dispatch, PCPU: 0, VM: "vm-a", VCPU: 0})
-	rec.Add(trace.Event{At: simtime.Time(ms(2)), Kind: trace.JobDone, PCPU: 1, VM: "vm-b", VCPU: 0, Task: "x"})
-	rec.Add(trace.Event{At: simtime.Time(ms(2)), Kind: trace.Dispatch, PCPU: 1}) // idle
-	rec.Add(trace.Event{At: simtime.Time(ms(4)), Kind: trace.Dispatch, PCPU: 0, VM: "vm-b", VCPU: 0})
-	rec.Add(trace.Event{At: simtime.Time(ms(10)), Kind: trace.JobMiss, PCPU: 0, VM: "vm-b", VCPU: 0, Task: "x", Arg: int64(ms(1))})
-
-	s := trace.Summarize(rec)
+	s := digest(
+		trace.Event{At: 0, Kind: trace.Dispatch, PCPU: 1, VM: "vm-b", VCPU: 0},
+		trace.Event{At: 0, Kind: trace.Dispatch, PCPU: 0, VM: "vm-a", VCPU: 0},
+		trace.Event{At: simtime.Time(ms(2)), Kind: trace.JobDone, PCPU: 1, VM: "vm-b", VCPU: 0, Task: "x"},
+		trace.Event{At: simtime.Time(ms(2)), Kind: trace.Dispatch, PCPU: 1}, // idle
+		trace.Event{At: simtime.Time(ms(4)), Kind: trace.Dispatch, PCPU: 0, VM: "vm-b", VCPU: 0},
+		trace.Event{At: simtime.Time(ms(10)), Kind: trace.JobMiss, PCPU: 0, VM: "vm-b", VCPU: 0, Task: "x", Arg: int64(ms(1))},
+	)
 	if s.Window() != ms(10) {
 		t.Fatalf("window = %v", s.Window())
 	}
-	a := s.VCPUs["vm-a/0"]
+	a := s.VCPUs[trace.VCPUKey{VM: "vm-a", VCPU: 0}]
 	if a == nil || a.Run != ms(4) || a.Migrations != 0 || a.Dispatches != 1 {
 		t.Fatalf("vm-a: %+v", a)
 	}
-	b := s.VCPUs["vm-b/0"]
+	b := s.VCPUs[trace.VCPUKey{VM: "vm-b", VCPU: 0}]
 	// 2ms on PCPU1 plus 6ms on PCPU0 (closed at the final record).
 	if b == nil || b.Run != ms(8) || b.Migrations != 1 || b.Dispatches != 2 {
 		t.Fatalf("vm-b: %+v", b)
@@ -47,15 +56,74 @@ func TestSummarizeHandBuiltTrace(t *testing.T) {
 	if s.Migrations != 1 {
 		t.Fatalf("migrations = %d", s.Migrations)
 	}
-	if got := s.Keys(); len(got) != 2 || got[0] != "vm-a/0" || got[1] != "vm-b/0" {
+	if got := s.Keys(); len(got) != 2 || got[0].String() != "vm-a/0" || got[1].String() != "vm-b/0" {
 		t.Fatalf("keys = %v", got)
 	}
 }
 
 func TestSummarizeEmpty(t *testing.T) {
-	s := trace.Summarize(&trace.Recorder{})
+	s := digest()
 	if len(s.VCPUs) != 0 || len(s.PCPUs) != 0 || s.Window() != 0 {
 		t.Fatalf("empty summary: %+v", s)
+	}
+}
+
+// TestSummaryRunIntervals pins how Run integrates a dispatch stream: one
+// VM's VCPUs are kept apart, idle gaps are not credited, a dispatch with
+// no PCPU is ignored, and the runs still open at Close are settled at its
+// instant, not at the last event.
+func TestSummaryRunIntervals(t *testing.T) {
+	at := func(n int64) simtime.Time { return simtime.Time(ms(n)) }
+	ev := func(p int, n int64, vm string, vcpu int) trace.Event {
+		return trace.Event{Kind: trace.Dispatch, PCPU: p, At: at(n), VM: vm, VCPU: vcpu}
+	}
+	s := &trace.Summary{}
+	for _, e := range []trace.Event{
+		ev(0, 0, "a", 0),
+		ev(0, 10, "b", 0), // a/0 ran 0–10 on pcpu0
+		ev(1, 5, "a", 1),  // a/1 runs 5–15 on pcpu1
+		ev(1, 15, "", 0),  // pcpu1 idle from 15
+		ev(-1, 16, "x", 0),
+		{Kind: trace.JobDone, PCPU: 0, At: at(20), VM: "b"},
+		ev(0, 30, "a", 0), // b/0 ran 10–30; a/0 runs again from 30
+	} {
+		s.Consume(e)
+	}
+	s.Close(at(40))
+
+	run := func(vm string, vcpu int) simtime.Duration {
+		if v := s.VCPUs[trace.VCPUKey{VM: vm, VCPU: vcpu}]; v != nil {
+			return v.Run
+		}
+		return 0
+	}
+	for _, c := range []struct {
+		vm   string
+		vcpu int
+		want simtime.Duration
+	}{{"a", 0, ms(20)}, {"a", 1, ms(10)}, {"b", 0, ms(20)}, {"x", 0, 0}} {
+		if got := run(c.vm, c.vcpu); got != c.want {
+			t.Errorf("Run(%s/%d) = %v, want %v", c.vm, c.vcpu, got, c.want)
+		}
+	}
+	if s.Window() != ms(40) || s.PCPUs[0].Busy != ms(40) || s.PCPUs[1].Busy != ms(10) {
+		t.Errorf("window %v, busy %v / %v", s.Window(), s.PCPUs[0].Busy, s.PCPUs[1].Busy)
+	}
+}
+
+// TestSummaryOpenRunsSettleAtClose: a run still open is credited only by
+// Close, so a read before Close never counts time the trace did not see.
+func TestSummaryOpenRunsSettleAtClose(t *testing.T) {
+	s := &trace.Summary{}
+	s.Consume(trace.Event{Kind: trace.Dispatch, PCPU: 0, At: 0, VM: "a"})
+	s.Consume(trace.Event{Kind: trace.JobDone, PCPU: 0, At: simtime.Time(ms(3)), VM: "a"})
+	k := trace.VCPUKey{VM: "a"}
+	if got := s.VCPUs[k].Run; got != 0 {
+		t.Fatalf("Run before Close = %v, want 0", got)
+	}
+	s.Close(simtime.Time(ms(5)))
+	if got := s.VCPUs[k].Run; got != ms(5) {
+		t.Fatalf("Run after Close(5ms) = %v, want 5ms", got)
 	}
 }
 
@@ -67,8 +135,8 @@ func TestSummarizeMatchesKernelAccounting(t *testing.T) {
 	cfg.PCPUs = 2
 	cfg.Costs = hv.CostModel{} // zero overhead: trace and meters align
 	sys := core.NewSystem(cfg)
-	rec := &trace.Recorder{}
-	sys.Host.TraceTo(rec)
+	s := &trace.Summary{}
+	sys.Host.TraceTo(s)
 	g, err := sys.NewGuest("vm", 1)
 	if err != nil {
 		t.Fatal(err)
@@ -81,8 +149,8 @@ func TestSummarizeMatchesKernelAccounting(t *testing.T) {
 	g.StartPeriodic(tk, 0)
 	sys.Run(simtime.Seconds(1))
 	sys.Host.Sync()
+	s.Close(sys.Now())
 
-	s := trace.Summarize(rec)
 	var traceBusy simtime.Duration
 	for _, p := range s.PCPUs {
 		traceBusy += p.Busy
@@ -91,10 +159,7 @@ func TestSummarizeMatchesKernelAccounting(t *testing.T) {
 	for _, p := range sys.Host.PCPUs() {
 		kernelBusy += p.BusyTime
 	}
-	// The trace closes the last interval at its final record, which can
-	// shave at most one period's worth of run; allow 1%.
-	lo, hi := kernelBusy-kernelBusy/100, kernelBusy
-	if traceBusy < lo || traceBusy > hi {
+	if traceBusy != kernelBusy {
 		t.Fatalf("trace busy %v vs kernel busy %v", traceBusy, kernelBusy)
 	}
 	if st := tk.Stats(); int(st.Completed) != sumCompletions(s) {
@@ -102,7 +167,7 @@ func TestSummarizeMatchesKernelAccounting(t *testing.T) {
 	}
 }
 
-func sumCompletions(s trace.Summary) int {
+func sumCompletions(s *trace.Summary) int {
 	n := 0
 	for _, v := range s.VCPUs {
 		n += v.Completions
@@ -111,11 +176,12 @@ func sumCompletions(s trace.Summary) int {
 }
 
 func TestSummaryWrite(t *testing.T) {
-	rec := &trace.Recorder{}
-	rec.Add(trace.Event{At: 0, Kind: trace.Dispatch, PCPU: 0, VM: "vm", VCPU: 0})
-	rec.Add(trace.Event{At: simtime.Time(ms(5)), Kind: trace.JobDone, PCPU: 0, VM: "vm", VCPU: 0})
+	s := digest(
+		trace.Event{At: 0, Kind: trace.Dispatch, PCPU: 0, VM: "vm", VCPU: 0},
+		trace.Event{At: simtime.Time(ms(5)), Kind: trace.JobDone, PCPU: 0, VM: "vm", VCPU: 0},
+	)
 	var buf bytes.Buffer
-	if err := trace.Summarize(rec).Write(&buf); err != nil {
+	if err := s.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -123,21 +189,5 @@ func TestSummaryWrite(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("summary output missing %q:\n%s", want, out)
 		}
-	}
-	if strings.Contains(out, "dropped:") {
-		t.Fatalf("summary reports drops with no cap:\n%s", out)
-	}
-}
-
-func TestSummaryWriteDropped(t *testing.T) {
-	rec := &trace.Recorder{Max: 1, Logf: func(string, ...any) {}}
-	rec.Add(trace.Event{At: 0, Kind: trace.Dispatch, PCPU: 0, VM: "vm", VCPU: 0})
-	rec.Add(trace.Event{At: simtime.Time(ms(5)), Kind: trace.JobDone, PCPU: 0, VM: "vm", VCPU: 0})
-	var buf bytes.Buffer
-	if err := trace.Summarize(rec).Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "dropped: 1 events past the recorder cap") {
-		t.Fatalf("summary missing dropped-count line:\n%s", buf.String())
 	}
 }

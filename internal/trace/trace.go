@@ -1,97 +1,32 @@
 // Package trace is the simulator's observability pipeline: typed telemetry
 // events (Event) flow from every decision-making layer — the hypervisor
 // kernel, the host schedulers, the guest OS — through a Bus to pluggable
-// sinks (Recorder, Counts, StatsSink, JSONL). The disabled path is free:
-// an empty Bus emits nothing and allocates nothing, so instrumentation
-// stays wired in even under the parallel experiment runner.
+// sinks (Summary, StatsSink, JSONL, Counts, Recorder). The disabled path
+// is free: an empty Bus emits nothing and allocates nothing, so
+// instrumentation stays wired in even under the parallel experiment
+// runner.
 package trace
 
 import (
-	"encoding/csv"
 	"fmt"
-	"io"
-	"log"
-	"strconv"
 
 	"rtvirt/internal/simtime"
 )
 
-// Recorder is a Sink that retains events in order up to a configurable
-// cap. The zero value is ready to use with an unbounded buffer.
+// Recorder is a Sink that keeps every event it consumes, in order, for
+// the renderers that read a window of the schedule (WriteSVG, Timeline).
+// It has no cap: a caller that renders a window keeps only the events up
+// to its end. Summary, StatsSink and JSONL stream whole runs instead. The
+// zero value is ready to use.
 type Recorder struct {
-	// Max bounds the number of retained events (0 = unbounded). When
-	// full, further events are counted but dropped, and a single
-	// narrator line is logged so truncation is never silent.
-	Max int
-	// Logf, when set, replaces log.Printf for the truncation notice
-	// (tests use it to keep output quiet).
-	Logf func(format string, args ...any)
-
-	events  []Event
-	dropped int
+	events []Event
 }
 
 // Consume implements Sink.
-func (r *Recorder) Consume(ev Event) { r.Add(ev) }
+func (r *Recorder) Consume(ev Event) { r.events = append(r.events, ev) }
 
-// Add appends an event, honouring the cap.
-func (r *Recorder) Add(ev Event) {
-	if r.Max > 0 && len(r.events) >= r.Max {
-		if r.dropped == 0 {
-			logf := r.Logf
-			if logf == nil {
-				logf = log.Printf
-			}
-			logf("trace: recorder cap of %d events reached at %v; further events are counted but dropped", r.Max, ev.At)
-		}
-		r.dropped++
-		return
-	}
-	r.events = append(r.events, ev)
-}
-
-// Records returns the retained events in order.
+// Records returns the kept events in order.
 func (r *Recorder) Records() []Event { return r.events }
-
-// Dropped reports how many events the cap discarded.
-func (r *Recorder) Dropped() int { return r.dropped }
-
-// Len reports the number of retained events.
-func (r *Recorder) Len() int { return len(r.events) }
-
-// Counts tallies the retained events per kind (dropped events excluded).
-func (r *Recorder) Counts() Counts {
-	var c Counts
-	for i := range r.events {
-		c.Consume(r.events[i])
-	}
-	return c
-}
-
-// WriteCSV emits the trace as CSV with a header row. Arg is written raw
-// (kind-specific units, typically nanoseconds).
-func (r *Recorder) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"at_us", "kind", "pcpu", "vm", "vcpu", "task", "arg"}); err != nil {
-		return err
-	}
-	for _, ev := range r.events {
-		row := []string{
-			strconv.FormatFloat(ev.At.Micros(), 'f', 3, 64),
-			ev.Kind.String(),
-			strconv.Itoa(ev.PCPU),
-			ev.VM,
-			strconv.Itoa(ev.VCPU),
-			ev.Task,
-			strconv.FormatInt(ev.Arg, 10),
-		}
-		if err := cw.Write(row); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
 
 // Timeline renders a coarse textual Gantt chart of PCPU occupancy between
 // from and to, with one row per bucket — handy for eyeballing schedules in

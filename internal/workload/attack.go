@@ -8,18 +8,18 @@ import (
 	"rtvirt/internal/sim"
 	"rtvirt/internal/simtime"
 	"rtvirt/internal/task"
-	"rtvirt/internal/trace"
 )
 
 // This file models the cycle-stealing scheduler attack of Zhou et al.
 // ("Scheduler Vulnerabilities and Attacks in Cloud Computing"): a tenant
 // that learns the host scheduler's tick period and sleeps across each
 // tick so sampled accounting never observes it running, then burns CPU
-// between ticks for free. The StolenBWMeter quantifies the theft from
-// the trace bus: CPU time actually obtained versus CPU time the
-// scheduler charged, per scheduler, so exact-accounting schedulers
-// (Credit's settle-on-switch, RT-Xen, DP-WRAP) can be compared against
-// a deliberately-naive tick-sampled double under the same attacker.
+// between ticks for free. The attacks experiment quantifies the theft
+// from the trace bus: CPU time actually obtained (a trace.Summary's Run)
+// versus CPU time the scheduler charged, per scheduler, so
+// exact-accounting schedulers (Credit's settle-on-switch, RT-Xen,
+// DP-WRAP) can be compared against a deliberately-naive tick-sampled
+// double under the same attacker.
 
 // EvaderConfig tunes the TickEvader.
 type EvaderConfig struct {
@@ -237,78 +237,4 @@ func (e *TickEvader) learn() {
 	anchor := e.spikes[len(e.spikes)-1]
 	e.nextTick = anchor.Add(e.period)
 	e.sim.PostAt(e.nextTick.Add(e.guard()), sim.Payload{Handler: e.id, Kind: evEvaderBurst})
-}
-
-// StolenBWMeter measures, per VM, the CPU time actually obtained on the
-// host's PCPUs (integrated from Dispatch events) so it can be compared
-// with the CPU time the scheduler *charged*. Stolen bandwidth is the
-// difference, normalized by wall time: zero under exact accounting, the
-// attack's yield under a tick-sampled double. Attach it to the host bus
-// before Start; it only observes (trace sinks must never actuate).
-type StolenBWMeter struct {
-	occ      []string
-	since    []simtime.Time
-	obtained map[string]simtime.Duration
-	end      simtime.Time
-	closed   bool
-}
-
-// NewStolenBWMeter builds a meter for a host with pcpus physical CPUs.
-func NewStolenBWMeter(pcpus int) *StolenBWMeter {
-	return &StolenBWMeter{
-		occ:      make([]string, pcpus),
-		since:    make([]simtime.Time, pcpus),
-		obtained: map[string]simtime.Duration{},
-	}
-}
-
-// Consume implements trace.Sink: every Dispatch closes the PCPU's current
-// occupancy interval and opens the next (VM empty = idle).
-func (m *StolenBWMeter) Consume(ev trace.Event) {
-	if ev.Kind != trace.Dispatch || ev.PCPU < 0 || ev.PCPU >= len(m.occ) {
-		return
-	}
-	m.settle(ev.PCPU, ev.At)
-	m.occ[ev.PCPU] = ev.VM
-	m.since[ev.PCPU] = ev.At
-}
-
-// settle credits the open interval on PCPU p up to at.
-func (m *StolenBWMeter) settle(p int, at simtime.Time) {
-	if m.occ[p] != "" {
-		m.obtained[m.occ[p]] += at.Sub(m.since[p])
-	}
-	m.since[p] = at
-}
-
-// Close settles all open intervals at the end instant; call it once after
-// the run, before reading bandwidths.
-func (m *StolenBWMeter) Close(end simtime.Time) {
-	for p := range m.occ {
-		m.settle(p, end)
-	}
-	m.end = end
-	m.closed = true
-}
-
-// Obtained reports the total CPU time vm actually received.
-func (m *StolenBWMeter) Obtained(vm string) simtime.Duration { return m.obtained[vm] }
-
-// ObtainedBW reports vm's obtained CPU bandwidth (CPUs) over the closed
-// span. The meter is attached before Start, so the span starts at 0.
-func (m *StolenBWMeter) ObtainedBW(vm string) float64 {
-	if !m.closed || m.end == 0 {
-		return 0
-	}
-	return float64(m.obtained[vm]) / float64(m.end)
-}
-
-// StolenBW reports vm's stolen bandwidth: obtained minus charged,
-// normalized by the span. Exact schedulers charge what they grant, so the
-// value sits at ~0; a positive value is unaccounted CPU time.
-func (m *StolenBWMeter) StolenBW(vm string, charged simtime.Duration) float64 {
-	if !m.closed || m.end == 0 {
-		return 0
-	}
-	return float64(m.obtained[vm]-charged) / float64(m.end)
 }

@@ -5,56 +5,7 @@ import (
 
 	"rtvirt/internal/core"
 	"rtvirt/internal/simtime"
-	"rtvirt/internal/trace"
 )
-
-// TestStolenBWMeterIntervals pins the meter's integration semantics on a
-// synthetic dispatch stream: per-VM occupancy summed across PCPUs, idle
-// gaps ignored, open intervals settled at Close.
-func TestStolenBWMeterIntervals(t *testing.T) {
-	m := NewStolenBWMeter(2)
-	at := func(ms int64) simtime.Time { return simtime.Time(0).Add(simtime.Millis(ms)) }
-	ev := func(p int, ms int64, vm string) trace.Event {
-		return trace.Event{Kind: trace.Dispatch, PCPU: p, At: at(ms), VM: vm}
-	}
-	m.Consume(ev(0, 0, "a"))
-	m.Consume(ev(0, 10, "b"))                                                // a ran 0–10 on pcpu0
-	m.Consume(ev(1, 5, "a"))                                                 // a also runs 5–15 on pcpu1
-	m.Consume(ev(1, 15, ""))                                                 // pcpu1 idle from 15
-	m.Consume(ev(0, 30, ""))                                                 // b ran 10–30
-	m.Consume(ev(2, 1, "x"))                                                 // out-of-range PCPU: ignored
-	m.Consume(ev(-1, 1, "x"))                                                // negative PCPU: ignored
-	m.Consume(trace.Event{Kind: trace.JobDone, PCPU: 0, At: at(2), VM: "x"}) // wrong kind
-	m.Close(at(40))
-
-	if got, want := m.Obtained("a"), simtime.Millis(20); got != want {
-		t.Errorf("Obtained(a) = %v, want %v", got, want)
-	}
-	if got, want := m.Obtained("b"), simtime.Millis(20); got != want {
-		t.Errorf("Obtained(b) = %v, want %v", got, want)
-	}
-	if got := m.Obtained("x"); got != 0 {
-		t.Errorf("Obtained(x) = %v, want 0", got)
-	}
-	// 20ms over a 40ms span on a 2-PCPU host = 0.5 CPUs of bandwidth.
-	if got := m.ObtainedBW("a"); got != 0.5 {
-		t.Errorf("ObtainedBW(a) = %v, want 0.5", got)
-	}
-	// Charged 8ms of the 20 obtained: 12ms stolen over 40ms = 0.3 CPUs.
-	if got := m.StolenBW("a", simtime.Millis(8)); got != 0.3 {
-		t.Errorf("StolenBW(a, 8ms) = %v, want 0.3", got)
-	}
-}
-
-// TestStolenBWMeterUnclosed: bandwidth reads before Close must return 0
-// rather than a bogus partial figure.
-func TestStolenBWMeterUnclosed(t *testing.T) {
-	m := NewStolenBWMeter(1)
-	m.Consume(trace.Event{Kind: trace.Dispatch, PCPU: 0, At: 0, VM: "a"})
-	if m.ObtainedBW("a") != 0 || m.StolenBW("a", 0) != 0 {
-		t.Fatal("bandwidth read before Close must be 0")
-	}
-}
 
 // TestTickEvaderLearnsPeriod runs the learning attacker on a real Credit
 // host with a competing hog and checks it recovers the 10ms tick period

@@ -190,12 +190,14 @@ func AnalyzeScenario(sc Scenario, opt AnalyzeOptions) (HostAnalysis, error) {
 	return analyze.Analyze(sc, opt)
 }
 
-// TraceRecorder accumulates scheduling events for offline inspection.
+// TraceRecorder keeps every scheduling event, in order, for rendering a
+// window of the schedule.
 type TraceRecorder = trace.Recorder
 
 // AttachTracer records sys's scheduling events (dispatches, preemptions,
 // completions, misses, hypercalls, migrations, budget transitions) into
-// rec. Use rec.WriteCSV or rec.Timeline afterwards.
+// rec. Use rec.Timeline or rec.WriteSVG afterwards; the recorder keeps
+// the whole run, so attach it to short runs.
 func AttachTracer(sys *System, rec *TraceRecorder) {
 	sys.Host.TraceTo(rec)
 }
