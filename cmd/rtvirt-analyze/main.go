@@ -15,8 +15,10 @@
 // digest) for offline inspection.
 //
 // The exit status gates CI: 0 when every scenario's own stack admits its
-// workload, 1 when any does not, and 2 on a usage error (a missing
-// argument or an out-of-range flag, rejected before any analysis).
+// workload, 1 when any does not, and 2 on any error — a usage error (a
+// missing argument or an out-of-range flag, rejected before any
+// analysis) or an input that cannot be read, parsed or analysed — so 1
+// always means REJECTED.
 //
 // Usage:
 //
@@ -33,7 +35,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log"
 	"math"
 	"os"
 
@@ -79,34 +80,45 @@ func (o options) validate() error {
 	return nil
 }
 
-func main() {
+func main() { os.Exit(cli(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// cli runs the command line args and returns the exit status.
+func cli(args []string, stdout, stderr io.Writer) int {
+	fl := flag.NewFlagSet("rtvirt-analyze", flag.ContinueOnError)
+	fl.SetOutput(stderr)
 	o := defaultOptions()
-	flag.Int64Var(&o.quantumUS, "quantum-us", o.quantumUS, "server budget quantum in µs (CARTS uses 1000)")
-	flag.Int64Var(&o.periodUS, "period-us", o.periodUS, "fix every server period to this many µs (0 = sweep)")
-	flag.Int64Var(&o.slackUS, "slack-us", o.slackUS, "RTVirt per-VCPU budget slack in µs")
-	flag.IntVar(&o.pcpus, "pcpus", o.pcpus, "override the scenario's physical CPU count (0 = keep it)")
+	fl.Int64Var(&o.quantumUS, "quantum-us", o.quantumUS, "server budget quantum in µs (CARTS uses 1000)")
+	fl.Int64Var(&o.periodUS, "period-us", o.periodUS, "fix every server period to this many µs (0 = sweep)")
+	fl.Int64Var(&o.slackUS, "slack-us", o.slackUS, "RTVirt per-VCPU budget slack in µs")
+	fl.IntVar(&o.pcpus, "pcpus", o.pcpus, "override the scenario's physical CPU count (0 = keep it)")
 	var (
-		jsonOut = flag.Bool("json", false, "emit the full analysis as JSON")
-		outPath = flag.String("o", "", "write the report to this file instead of stdout")
-		replay  = flag.Bool("replay", false, "treat arguments as JSONL telemetry streams from rtvirt-sim -trace")
+		jsonOut = fl.Bool("json", false, "emit the full analysis as JSON")
+		outPath = fl.String("o", "", "write the report to this file instead of stdout")
+		replay  = fl.Bool("replay", false, "treat arguments as JSONL telemetry streams from rtvirt-sim -trace")
 	)
-	flag.Parse()
-	if err := o.validate(); err != nil {
-		fmt.Fprintf(os.Stderr, "rtvirt-analyze: %v\n", err)
-		os.Exit(2)
+	if err := fl.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
 	}
-	if flag.NArg() < 1 {
-		fmt.Fprintln(os.Stderr, "usage: rtvirt-analyze [flags] <scenario.json> [more scenarios...]")
-		fmt.Fprintln(os.Stderr, "       rtvirt-analyze -replay <events.jsonl> [more traces...]")
-		flag.PrintDefaults()
-		os.Exit(2)
+	if err := o.validate(); err != nil {
+		fmt.Fprintf(stderr, "rtvirt-analyze: %v\n", err)
+		return 2
+	}
+	if fl.NArg() < 1 {
+		fmt.Fprintln(stderr, "usage: rtvirt-analyze [flags] <scenario.json> [more scenarios...]")
+		fmt.Fprintln(stderr, "       rtvirt-analyze -replay <events.jsonl> [more traces...]")
+		fl.PrintDefaults()
+		return 2
 	}
 
-	status, err := run(os.Stdout, o, *outPath, *jsonOut, *replay, flag.Args())
+	status, err := run(stdout, o, *outPath, *jsonOut, *replay, fl.Args())
 	if err != nil {
-		log.Fatal(err)
+		fmt.Fprintf(stderr, "rtvirt-analyze: %v\n", err)
+		return 2
 	}
-	os.Exit(status)
+	return status
 }
 
 // run analyses (or, with replay, re-ingests) every input and writes the

@@ -56,6 +56,24 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+// TestExitStatus checks that the status tells an error from a verdict: 2
+// for an input that cannot be read, 1 for a workload the scenario's own
+// stack rejects, 0 for one it admits.
+func TestExitStatus(t *testing.T) {
+	for _, tc := range []struct {
+		path string
+		want int
+	}{
+		{filepath.Join(t.TempDir(), "missing.json"), 2},
+		{"../../examples/scenarios/baseline-edf.json", 1},
+		{"../../examples/scenarios/mixed.json", 0},
+	} {
+		if got := cli([]string{tc.path}, io.Discard, io.Discard); got != tc.want {
+			t.Errorf("rtvirt-analyze %s exited %d, want %d", tc.path, got, tc.want)
+		}
+	}
+}
+
 // TestOutputOnlyAfterInput checks that -o creates its file only once every
 // input has been read: a missing scenario or trace fails the run and leaves
 // no report behind, and a good scenario still writes one.

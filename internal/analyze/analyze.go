@@ -7,8 +7,8 @@
 //     periodic-resource interface (Θ, Π) from the Shin & Lee analysis;
 //   - per-VM VCPU plans for RTVirt: the same packing, but each VCPU is
 //     sized by the §3.3 guest formula (budget = ⌈ΣBW·minP⌉ + slack over
-//     the smallest task period), which is what internal/guest reserves at
-//     run time;
+//     the smallest task period): guest.Config.Reservation, the function
+//     internal/guest reserves with at run time;
 //   - host-level admission: allocated bandwidth, claimed CPUs under both
 //     the partitioned (FFD) and gEDF (BCL) stand-ins for DMPR, and the
 //     bandwidth saving RTVirt realizes over the static interfaces.
@@ -19,10 +19,10 @@ package analyze
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"rtvirt/internal/csa"
+	"rtvirt/internal/guest"
 	"rtvirt/internal/scenario"
 	"rtvirt/internal/simtime"
 	"rtvirt/internal/task"
@@ -191,11 +191,11 @@ func analyzeVM(vm scenario.VM, opt Options) (VMAnalysis, error) {
 	if va.DeclaredVCPUs <= 0 {
 		va.DeclaredVCPUs = 1
 	}
-	// Per-VM slack override and §6 priority-proportional slack, mirroring
-	// what the guest will size at run time.
-	slack := opt.Slack
+	// The guest's own sizing rule, with the per-VM slack override and §6
+	// priority-proportional slack it will apply at run time.
+	sizing := guest.Config{Slack: opt.Slack, PrioritySlack: vm.PrioritySlack}
 	if vm.SlackUS != nil {
-		slack = simtime.Micros(*vm.SlackUS)
+		sizing.Slack = simtime.Micros(*vm.SlackUS)
 	}
 	var rts []rtTask
 	for i, ts := range vm.Tasks {
@@ -247,23 +247,19 @@ func analyzeVM(vm scenario.VM, opt Options) (VMAnalysis, error) {
 		iface, _ := interfaceFor(ps, opt) // feasible by construction
 		names := make([]string, len(bin))
 		var bw float64
+		minP := simtime.Infinite
 		prio := 0
 		for i, rt := range bin {
 			names[i] = rt.name
 			bw += rt.bw
-			if rt.prio > prio {
-				prio = rt.prio
-			}
+			minP = min(minP, rt.params.Period)
+			prio = max(prio, rt.prio)
 		}
 		va.RTXen = append(va.RTXen, VCPUPlan{Interface: iface, Tasks: names, TaskBW: bw})
 		va.RTXenBW += iface.Bandwidth()
 
-		// §6 priority-proportional slack, per VCPU like the guest.
-		binSlack := slack
-		if vm.PrioritySlack && prio > 0 {
-			binSlack = simtime.Duration(int64(slack) * int64(1+prio))
-		}
-		res := rtvirtReservation(ps, binSlack)
+		r := sizing.Reservation(bw, minP, prio)
+		res := csa.Interface{Period: r.Period, Budget: r.Budget}
 		va.RTVirt = append(va.RTVirt, VCPUPlan{Interface: res, Tasks: names, TaskBW: bw})
 		va.RTVirtBW += res.Bandwidth()
 	}
@@ -289,23 +285,4 @@ func interfaceFor(ts []task.Params, opt Options) (csa.Interface, bool) {
 		return csa.Interface{Period: opt.Period, Budget: theta}, true
 	}
 	return csa.BestInterfaceQ(ts, csa.DefaultCandidates(ts), opt.Quantum)
-}
-
-// rtvirtReservation mirrors internal/guest's §3.3 sizing: budget is the
-// summed bandwidth over the smallest task period, rounded up, plus slack;
-// capped at the period (a full CPU).
-func rtvirtReservation(ts []task.Params, slack simtime.Duration) csa.Interface {
-	minP := simtime.Infinite
-	var sum float64
-	for _, p := range ts {
-		sum += p.Bandwidth()
-		if p.Period < minP {
-			minP = p.Period
-		}
-	}
-	budget := simtime.Duration(math.Ceil(sum*float64(minP))) + slack
-	if budget > minP {
-		budget = minP
-	}
-	return csa.Interface{Period: minP, Budget: budget}
 }

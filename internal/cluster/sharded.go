@@ -124,17 +124,18 @@ func (cfg ShardedConfig) Validate() error {
 
 // Typed kernel-event kinds dispatched to each host's agent.
 const (
-	// evAgentReq delivers one remote request: Owner is the deployment ID,
-	// Arg0 the sampled CPU demand in ns (0 = declared slice), Arg1 the
-	// task index within the deployment.
+	// evAgentReq delivers one remote request: Owner is the sending
+	// client's index in Sharded.clients, which names the deployment and
+	// task, and Arg the sampled CPU demand in ns (0 = declared slice).
 	evAgentReq uint16 = iota
 	// evAgentMigOut starts a planned live migration on the source host:
-	// Owner the deployment, Arg0 the target host index.
+	// Owner the deployment, Arg the target host index.
 	evAgentMigOut
-	// evAgentMigIn ends a blackout on the target: Owner the deployment,
-	// Arg0 the handoff epoch it was sent under, Arg1 1 for a failover
-	// restart and 0 for a migration.
+	// evAgentMigIn ends a migration's blackout on the target: Owner the
+	// deployment, Arg the handoff epoch it was sent under.
 	evAgentMigIn
+	// evAgentFailIn is evAgentMigIn for a failover restart.
+	evAgentFailIn
 )
 
 // RemoteClient event kinds.
@@ -285,6 +286,7 @@ type RemoteClient struct {
 	dep      *ShardedDeployment
 	homeHost int32
 	id       int32
+	idx      int32 // position in c.clients, the Owner of its requests
 }
 
 // Sharded is a cluster of per-host logical processes under conservative
@@ -488,11 +490,11 @@ func (c *Sharded) migrationDowntime(d *ShardedDeployment) simtime.Duration {
 
 // migIn is the handoff event that ends d's blackout on host to.
 func (c *Sharded) migIn(d *ShardedDeployment, to int, failover bool) sim.Payload {
-	p := sim.Payload{Handler: c.Hosts[to].agent.id, Kind: evAgentMigIn, Owner: d.id, Arg0: d.epoch}
+	kind := evAgentMigIn
 	if failover {
-		p.Arg1 = 1
+		kind = evAgentFailIn
 	}
-	return p
+	return sim.Payload{Handler: c.Hosts[to].agent.id, Kind: kind, Owner: d.id, Arg: d.epoch}
 }
 
 // Controller returns task i's adaptive controller on the resident host
@@ -566,7 +568,7 @@ func (c *Sharded) AddRemoteClient(clientHost int, d *ShardedDeployment, taskIdx 
 	}
 	cl := &RemoteClient{
 		Host: clientHost, TaskIdx: taskIdx, Delay: delay,
-		c: c, dep: d, homeHost: int32(d.hostIdx),
+		c: c, dep: d, homeHost: int32(d.hostIdx), idx: int32(len(c.clients)),
 		Source: workload.Source{Arrivals: workload.Renewal{D: inter}, Demand: service, Requests: requests},
 	}
 	cl.id = c.Hosts[clientHost].Shard.Sim().RegisterHandler(cl)
@@ -592,7 +594,7 @@ func (c *Sharded) PlanMigration(at simtime.Time, d *ShardedDeployment, to int) e
 	}
 	src := c.Hosts[d.hostIdx]
 	src.Shard.Sim().PostAt(at, sim.Payload{Handler: src.agent.id,
-		Kind: evAgentMigOut, Owner: d.id, Arg0: int64(to)})
+		Kind: evAgentMigOut, Owner: d.id, Arg: int64(to)})
 	c.narrowEdge(d.hostIdx, to, min(c.hopDelay(d.hostIdx, to), c.Cfg.MigrationDowntime))
 	return nil
 }
@@ -668,7 +670,7 @@ func (a *hostAgent) HandleSimEvent(now simtime.Time, ev sim.Payload) {
 		a.request(now, ev)
 	case evAgentMigOut:
 		a.migrateOut(now, ev)
-	case evAgentMigIn:
+	case evAgentMigIn, evAgentFailIn:
 		a.migrateIn(now, ev)
 	default:
 		panic(fmt.Sprintf("cluster: unknown agent event kind %d", ev.Kind))
@@ -704,11 +706,14 @@ func (a *hostAgent) setForward(id, to int32) {
 	a.fwd[id] = to
 }
 
-// request delivers (or forwards, or drops) one remote request.
+// request delivers (or forwards, or drops) one remote request. The
+// sending client names the deployment and task; both are fixed at build
+// time, so reading them from another shard's client is safe.
 func (a *hostAgent) request(now simtime.Time, ev sim.Payload) {
-	d := a.c.deps[ev.Owner]
+	cl := a.c.clients[ev.Owner]
+	d := cl.dep
 	if a.isResident(d.id) {
-		if workload.Deliver(d.guest, d.tasks[ev.Arg1], simtime.Duration(ev.Arg0), now) {
+		if workload.Deliver(d.guest, d.tasks[cl.TaskIdx], simtime.Duration(ev.Arg), now) {
 			a.Stats.Delivered++
 		} else {
 			a.Stats.Throttled++
@@ -717,13 +722,12 @@ func (a *hostAgent) request(now simtime.Time, ev sim.Payload) {
 	}
 	if tgt := a.forward(d.id); tgt >= 0 {
 		// The VM moved: chase it with one more network hop at the pair's
-		// link delay. The payload is re-addressed verbatim, so demand and
-		// task index survive.
+		// link delay. The payload is re-addressed verbatim, so client and
+		// demand survive.
 		a.Stats.Forwarded++
 		th := a.c.Hosts[tgt]
-		a.c.Hosts[a.host].Shard.PostRemote(th.Shard, now.Add(a.c.hopDelay(a.host, int(tgt))),
-			sim.Payload{Handler: th.agent.id, Kind: evAgentReq,
-				Owner: ev.Owner, Arg0: ev.Arg0, Arg1: ev.Arg1})
+		ev.Handler = th.agent.id
+		a.c.Hosts[a.host].Shard.PostRemote(th.Shard, now.Add(a.c.hopDelay(a.host, int(tgt))), ev)
 		return
 	}
 	// Blackout (stop-and-copy in flight) or a VM that never lived here:
@@ -735,7 +739,7 @@ func (a *hostAgent) request(now simtime.Time, ev sim.Payload) {
 // host. A plan toward a failed host is skipped like one whose VM left.
 func (a *hostAgent) migrateOut(now simtime.Time, ev sim.Payload) {
 	d := a.c.deps[ev.Owner]
-	target := int(ev.Arg0)
+	target := int(ev.Arg)
 	if !a.isResident(d.id) || target == a.host || a.c.Hosts[target].failed {
 		a.Stats.SkippedMigrations++
 		return
@@ -753,7 +757,7 @@ func (a *hostAgent) migrateOut(now simtime.Time, ev sim.Payload) {
 // (it filled up since the move began) leaves the VM Pending.
 func (a *hostAgent) migrateIn(now simtime.Time, ev sim.Payload) {
 	d := a.c.deps[ev.Owner]
-	if ev.Arg0 != d.epoch {
+	if ev.Arg != d.epoch {
 		return
 	}
 	d.migrating = false
@@ -763,7 +767,7 @@ func (a *hostAgent) migrateIn(now simtime.Time, ev sim.Payload) {
 		a.setForward(d.id, -1) // a stale forward would bounce requests back
 		return
 	}
-	if ev.Arg1 != 0 {
+	if ev.Kind == evAgentFailIn {
 		d.Failovers++
 	} else {
 		d.Migrations++
@@ -783,7 +787,7 @@ func (cl *RemoteClient) HandleSimEvent(now simtime.Time, ev sim.Payload) {
 	mine := cl.c.Hosts[cl.Host].Shard
 	mine.PostRemote(home.Shard, now.Add(cl.Delay), sim.Payload{
 		Handler: home.agent.id, Kind: evAgentReq,
-		Owner: cl.dep.id, Arg0: int64(demand), Arg1: int64(cl.TaskIdx)})
+		Owner: cl.idx, Arg: int64(demand)})
 	if gap, ok := cl.Gap(now); ok {
 		mine.Sim().PostAfter(gap, sim.Payload{Handler: cl.id, Kind: evRemoteFire})
 	}

@@ -88,6 +88,7 @@ func (cl *RemoteClient) ForkHandler(ctx *clone.Ctx) sim.Handler {
 		c:        clone.Get(ctx, cl.c),
 		homeHost: cl.homeHost,
 		id:       cl.id,
+		idx:      cl.idx,
 	}
 	ctx.Put(cl, ncl)
 	return ncl

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -33,11 +34,10 @@ func TestShardedForkMidMigration(t *testing.T) {
 	// Leave a hand-posted request in host 0's outbox so the fork must
 	// deep-copy an undrained mailbox, not just quiescent queues.
 	tgt := c.Hosts[1]
-	victim, _ := c.Lookup("vm1-0")
+	victim := slices.IndexFunc(c.clients, func(cl *RemoteClient) bool { return cl.dep.Spec.Name == "vm1-0" })
 	c.Hosts[0].Shard.PostRemote(tgt.Shard,
 		c.Hosts[0].Shard.Sim().Now().Add(c.Cfg.Lookahead),
-		sim.Payload{Handler: tgt.agent.id, Kind: evAgentReq,
-			Owner: victim.id, Arg0: 0, Arg1: 0})
+		sim.Payload{Handler: tgt.agent.id, Kind: evAgentReq, Owner: int32(victim)})
 
 	fc, _ := c.Fork()
 

@@ -117,8 +117,8 @@ func (d *differ) reschedule(i int, at simtime.Time) {
 func (d *differ) fire() (bool, error) {
 	d.fired = -1
 	want, ok := d.m.fire()
-	if got := d.q.Fire(); got != ok {
-		return ok, fmt.Errorf("Fire = %v, model %v", got, ok)
+	if got := fire(&d.q); got != ok {
+		return ok, fmt.Errorf("fire = %v, model %v", got, ok)
 	}
 	if !ok {
 		return false, nil
@@ -395,7 +395,7 @@ func steadyStateZeroAlloc(t *testing.T) {
 		schedule(&q, simtime.Time(i), nop)
 	}
 	for q.Len() > len(standing) {
-		q.Fire()
+		fire(&q)
 	}
 	now := simtime.Time(0)
 	i := 0
@@ -403,7 +403,7 @@ func steadyStateZeroAlloc(t *testing.T) {
 		k := i % len(standing)
 		standing[k] = q.Reschedule(standing[k], now+1_000_000)
 		schedule(&q, now+1, nop)
-		q.Fire()
+		fire(&q)
 		now++
 		i++
 	})
@@ -438,7 +438,7 @@ func sameInstantZeroAlloc(t *testing.T) {
 		} else {
 			standing[k] = schedule(&q, now.Add(ms), mark)
 		}
-		q.Fire()
+		fire(&q)
 		i++
 	}
 	for j := 0; j < 1024; j++ { // warm the free list and the heap

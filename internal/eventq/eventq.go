@@ -41,8 +41,9 @@
 // pending events, and its root is the earliest one, so PeekTime is a plain
 // field read.
 //
-// Every event is a typed Payload delivered to the queue's Dispatch hook:
-// plain data, so a queue can always be deep-copied (CloneInto).
+// Every event is a typed Payload: plain data, so a queue can always be
+// deep-copied (CloneInto). The queue dispatches nothing itself; its owner
+// (the simulator) pops the earliest event and routes it.
 //
 // Event records are pooled on a per-queue free list and reused across
 // SchedulePayload calls, so the steady-state hot path (schedule → fire →
@@ -72,21 +73,22 @@ func slot(at simtime.Time) int {
 }
 
 // Payload is the one form of a scheduled event: plain data naming a
-// registered handler plus a (Kind, Owner) pair and two scalar arguments.
+// registered handler plus a (Kind, Owner) pair and one scalar argument.
 // Because a Payload captures no pointers, a queue can always be
 // deep-copied (CloneInto) — the copy re-binds each event to the forked
-// handler of the same ID.
+// handler of the same ID. It has four fields on purpose: the compiler
+// keeps structs of at most four fields in registers, so a Payload passes
+// through PostAt, Pop and a handler without a stack copy.
 //
 // Field meaning is owned by the handler: Kind selects one of its event
 // types, Owner names the entity the event belongs to (a PCPU, VCPU, task,
-// or deployment ID), and Arg0/Arg1 carry event-specific scalars (times,
-// target IDs).
+// deployment or client), and Arg carries an event-specific scalar (a
+// demand, a target ID, an epoch).
 type Payload struct {
 	Handler int32
 	Kind    uint16
 	Owner   int32
-	Arg0    int64
-	Arg1    int64
+	Arg     int64
 }
 
 // Event is the pooled internal record for one scheduled event. Callers
@@ -135,11 +137,6 @@ func (h Handle) At() simtime.Time {
 // A Queue (like the simulator it drives) is single-threaded; concurrent
 // simulation runs each own their own Queue.
 type Queue struct {
-	// Dispatch receives every fired event. The queue's owner (the
-	// simulator) sets it once at construction; it is deliberately not part
-	// of CloneInto so a forked queue is re-bound to its own owner.
-	Dispatch func(now simtime.Time, p Payload)
-
 	h     []*Event // chain heads
 	tails [1 << tailBits]*Event
 	free  []*Event // recycled records, bounded by peak live events
@@ -281,16 +278,13 @@ func (q *Queue) PeekTime() simtime.Time {
 	return q.h[0].at
 }
 
-// Fire pops the earliest pending event and passes its payload to Dispatch
-// with now set to the event's scheduled time. It reports false when the
-// queue is empty. The event record is recycled before Dispatch runs, so a
-// handler that immediately reschedules reuses it without allocating. A
-// pop whose event has a same-instant successor is O(1); a lone event's pop
-// is one heap descent.
-func (q *Queue) Fire() bool {
-	if len(q.h) == 0 {
-		return false
-	}
+// Pop removes the earliest pending event and returns its instant and
+// payload; popping an empty queue panics (check PeekTime first). The
+// event record is recycled before Pop returns, so a handler that
+// immediately reschedules reuses it without allocating. A pop whose event
+// has a same-instant successor is O(1); a lone event's pop is one heap
+// descent.
+func (q *Queue) Pop() (simtime.Time, Payload) {
 	// unlink specialized to the root, which heads its chain.
 	e := q.h[0]
 	if s := &q.tails[slot(e.at)]; *s == e {
@@ -307,8 +301,7 @@ func (q *Queue) Fire() bool {
 	q.live--
 	at, p := e.at, e.p
 	q.recycle(e)
-	q.Dispatch(at, p)
-	return true
+	return at, p
 }
 
 // removeRoot deletes heap slot 0, filling it with the last slot's head
@@ -406,12 +399,11 @@ func (q *Queue) recycle(e *Event) {
 }
 
 // CloneInto deep-copies the queue's pending events into dst, which must be
-// empty (its Dispatch hook, set by dst's owner, is left untouched). Every
-// pending event keeps its (at, seq) pair and generation exactly, and the
-// seq counter is carried over, so the copy fires the same events in the
-// same order and numbers future insertions identically — the forked run is
-// bit-identical to the original. The free list is not copied; it is
-// unobservable.
+// empty. Every pending event keeps its (at, seq) pair and generation
+// exactly, and the seq counter is carried over, so the copy fires the same
+// events in the same order and numbers future insertions identically — the
+// forked run is bit-identical to the original. The free list is not
+// copied; it is unobservable.
 //
 // Each chain is walked and every event is copied as a lone chain head,
 // with an empty tails table in the copy. That is valid because every

@@ -2,6 +2,7 @@ package eventq
 
 import (
 	"math/rand"
+	"reflect"
 	"slices"
 	"sort"
 	"testing"
@@ -11,8 +12,8 @@ import (
 	"rtvirt/internal/simtime"
 )
 
-// fns is the test-local callback table behind schedule and cancel: a
-// payload's Arg0 indexes its event's func, and a slot returns to the free
+// fns is the test-local callback table behind schedule, cancel and fire:
+// a payload's Arg indexes its event's func, and a slot returns to the free
 // list when its event fires or is cancelled, so a warm queue schedules
 // without allocating. Tests in this package run one at a time, so one
 // table serves every queue.
@@ -22,9 +23,8 @@ var fns struct {
 }
 
 // schedule enqueues fn at instant at as a payload event naming its table
-// slot, and routes q's dispatch through the table.
+// slot.
 func schedule(q *Queue, at simtime.Time, fn func(simtime.Time)) Handle {
-	q.Dispatch = callFn
 	var i int64
 	if n := len(fns.free); n > 0 {
 		i, fns.free = fns.free[n-1], fns.free[:n-1]
@@ -33,26 +33,50 @@ func schedule(q *Queue, at simtime.Time, fn func(simtime.Time)) Handle {
 		i = int64(len(fns.tab))
 		fns.tab = append(fns.tab, fn)
 	}
-	return q.SchedulePayload(at, Payload{Arg0: i})
+	return q.SchedulePayload(at, Payload{Arg: i})
 }
 
 // cancel cancels an event posted with schedule and frees its slot.
 func cancel(q *Queue, h Handle) {
 	if h.Active() {
-		releaseFn(h.e.p.Arg0)
+		releaseFn(h.e.p.Arg)
 	}
 	q.Cancel(h)
 }
 
+// fire pops q's earliest event and runs its func; it reports false when q
+// is empty.
+func fire(q *Queue) bool {
+	if q.Len() == 0 {
+		return false
+	}
+	callFn(q.Pop())
+	return true
+}
+
 func callFn(now simtime.Time, p Payload) {
-	fn := fns.tab[p.Arg0]
-	releaseFn(p.Arg0)
+	fn := fns.tab[p.Arg]
+	releaseFn(p.Arg)
 	fn(now)
 }
 
 func releaseFn(i int64) {
 	fns.tab[i] = nil
 	fns.free = append(fns.free, i)
+}
+
+// TestPayloadFitsRegisters pins Payload's shape. cmd/compile keeps a
+// struct in SSA registers only while it has at most MaxStruct = 4 fields
+// and at most four pointer words (32 bytes); past either limit every
+// PostAt, Pop and HandleSimEvent copies the payload through the stack.
+func TestPayloadFitsRegisters(t *testing.T) {
+	typ := reflect.TypeOf(Payload{})
+	if n := typ.NumField(); n > 4 {
+		t.Errorf("Payload has %d fields, want at most 4", n)
+	}
+	if size := typ.Size(); size > 32 {
+		t.Errorf("Payload is %d bytes, want at most 32", size)
+	}
 }
 
 // CloneInto of a queue with same-instant chains copies every event as a
@@ -64,8 +88,6 @@ func TestCloneIntoChains(t *testing.T) {
 	const ms = simtime.Time(simtime.Millisecond)
 	var src, dst Queue
 	var got [2][]int32
-	src.Dispatch = func(_ simtime.Time, p Payload) { got[0] = append(got[0], p.Owner) }
-	dst.Dispatch = func(_ simtime.Time, p Payload) { got[1] = append(got[1], p.Owner) }
 	var hs []Handle
 	for id := int32(0); id < 30; id++ {
 		hs = append(hs, src.SchedulePayload(simtime.Time(1+id%3)*ms, Payload{Owner: id}))
@@ -100,7 +122,9 @@ func TestCloneIntoChains(t *testing.T) {
 		if err := checkInvariants(q); err != nil {
 			t.Fatalf("queue %d: %v", k, err)
 		}
-		for q.Fire() {
+		for q.Len() > 0 {
+			_, p := q.Pop()
+			got[k] = append(got[k], p.Owner)
 		}
 	}
 	if len(got[0]) != 31 || !slices.Equal(got[0], got[1]) {
@@ -114,7 +138,7 @@ func TestFireOrder(t *testing.T) {
 	schedule(&q, 30, func(simtime.Time) { got = append(got, 3) })
 	schedule(&q, 10, func(simtime.Time) { got = append(got, 1) })
 	schedule(&q, 20, func(simtime.Time) { got = append(got, 2) })
-	for q.Fire() {
+	for fire(&q) {
 	}
 	want := []int{1, 2, 3}
 	for i := range want {
@@ -131,7 +155,7 @@ func TestFIFOAtSameInstant(t *testing.T) {
 		i := i
 		schedule(&q, 42, func(simtime.Time) { got = append(got, i) })
 	}
-	for q.Fire() {
+	for fire(&q) {
 	}
 	for i, v := range got {
 		if v != i {
@@ -159,7 +183,7 @@ func TestCancel(t *testing.T) {
 	}
 	cancel(&q, h)        // idempotent
 	cancel(&q, Handle{}) // zero handle is inert
-	for q.Fire() {
+	for fire(&q) {
 	}
 	if fired {
 		t.Fatal("cancelled event fired")
@@ -173,8 +197,8 @@ func TestCancelAfterFireDoesNotCorruptLen(t *testing.T) {
 	var q Queue
 	h := schedule(&q, 1, func(simtime.Time) {})
 	schedule(&q, 2, func(simtime.Time) {})
-	if !q.Fire() { // fires h's event
-		t.Fatal("Fire returned false")
+	if !fire(&q) { // fires h's event
+		t.Fatal("fire returned false")
 	}
 	if h.Active() {
 		t.Fatal("fired handle still active")
@@ -183,7 +207,7 @@ func TestCancelAfterFireDoesNotCorruptLen(t *testing.T) {
 	if q.Len() != 1 {
 		t.Fatalf("Len after cancel-after-fire = %d, want 1", q.Len())
 	}
-	if !q.Fire() {
+	if !fire(&q) {
 		t.Fatal("remaining event did not fire")
 	}
 	if q.Len() != 0 {
@@ -196,14 +220,14 @@ func TestCancelAfterFireDoesNotCorruptLen(t *testing.T) {
 func TestStaleHandleCannotCancelRecycledEvent(t *testing.T) {
 	var q Queue
 	h1 := schedule(&q, 1, func(simtime.Time) {})
-	q.Fire() // record goes to the free list
+	fire(&q) // record goes to the free list
 	fired := false
 	h2 := schedule(&q, 2, func(simtime.Time) { fired = true }) // reuses the record
 	cancel(&q, h1)                                             // stale — must not touch h2's event
 	if !h2.Active() {
 		t.Fatal("recycled event killed by stale handle")
 	}
-	for q.Fire() {
+	for fire(&q) {
 	}
 	if !fired {
 		t.Fatal("recycled event did not fire")
@@ -220,7 +244,7 @@ func TestCancelMiddle(t *testing.T) {
 	}
 	cancel(&q, hs[3])
 	cancel(&q, hs[7])
-	for q.Fire() {
+	for fire(&q) {
 	}
 	if len(got) != 8 {
 		t.Fatalf("fired %d events, want 8", len(got))
@@ -265,7 +289,7 @@ func TestFireReceivesScheduledTime(t *testing.T) {
 	var q Queue
 	var at simtime.Time
 	schedule(&q, 777, func(now simtime.Time) { at = now })
-	q.Fire()
+	fire(&q)
 	if at != 777 {
 		t.Fatalf("callback now = %v, want 777", at)
 	}
@@ -285,7 +309,7 @@ func TestRescheduleFromCallbackReusesRecord(t *testing.T) {
 		}
 	}
 	schedule(&q, 0, tick)
-	for q.Fire() {
+	for fire(&q) {
 	}
 	if count != 100 {
 		t.Fatalf("ticked %d times, want 100", count)
@@ -325,7 +349,7 @@ func TestQuickSortedOrder(t *testing.T) {
 			at := simtime.Time(int64(v) + 1<<15)
 			schedule(&q, at, func(now simtime.Time) { fired = append(fired, now) })
 		}
-		for q.Fire() {
+		for fire(&q) {
 		}
 		if len(fired) != len(times) {
 			return false
@@ -353,7 +377,7 @@ func TestQuickStableOrderWithRecycling(t *testing.T) {
 				next++
 				schedule(&q, at, func(simtime.Time) { got = append(got, id) })
 			}
-			for q.Fire() {
+			for fire(&q) {
 			}
 		}
 		for i, v := range got {
@@ -368,7 +392,7 @@ func TestQuickStableOrderWithRecycling(t *testing.T) {
 	}
 }
 
-// Property: random interleavings of Schedule/Cancel/Fire keep Len equal to
+// Property: random interleavings of Schedule/Cancel/Pop keep Len equal to
 // scheduled − cancelled − fired, and fire exactly the non-cancelled events
 // in time order.
 func TestQuickCancelConsistency(t *testing.T) {
@@ -391,7 +415,7 @@ func TestQuickCancelConsistency(t *testing.T) {
 				}
 				cancel(&q, h)
 			default:
-				if q.Fire() {
+				if fire(&q) {
 					firedCount++
 				}
 			}
@@ -401,7 +425,7 @@ func TestQuickCancelConsistency(t *testing.T) {
 		}
 		want := q.Len()
 		drained := 0
-		for q.Fire() {
+		for fire(&q) {
 			drained++
 		}
 		if drained != want || q.Len() != 0 {
@@ -435,7 +459,7 @@ func TestRescheduleMovesEventInPlace(t *testing.T) {
 		t.Fatalf("PeekTime = %v, want 50", q.PeekTime())
 	}
 	h3 := q.Reschedule(h2, 70) // increase-key back past it
-	for q.Fire() {
+	for fire(&q) {
 	}
 	if len(fired) != 2 || fired[0] != 60 || fired[1] != 70 {
 		t.Fatalf("fired %v, want [60 70]", fired)
@@ -454,7 +478,7 @@ func TestRescheduleFIFOSemantics(t *testing.T) {
 	a := schedule(&q, 10, func(simtime.Time) { got = append(got, "a") })
 	schedule(&q, 10, func(simtime.Time) { got = append(got, "b") })
 	q.Reschedule(a, 10) // same instant: a now ranks after b
-	for q.Fire() {
+	for fire(&q) {
 	}
 	if len(got) != 2 || got[0] != "b" || got[1] != "a" {
 		t.Fatalf("fire order %v, want [b a]", got)
@@ -464,7 +488,7 @@ func TestRescheduleFIFOSemantics(t *testing.T) {
 func TestRescheduleInactivePanics(t *testing.T) {
 	var q Queue
 	h := schedule(&q, 1, func(simtime.Time) {})
-	q.Fire()
+	fire(&q)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Reschedule of a fired handle did not panic")
@@ -488,14 +512,14 @@ func TestRescheduleRootPastTombstone(t *testing.T) {
 	if q.PeekTime() != 3 {
 		t.Fatalf("PeekTime = %v, want 3 (cancelled event must not surface)", q.PeekTime())
 	}
-	for q.Fire() {
+	for fire(&q) {
 	}
 	if len(fired) != 2 || fired[0] != 3 || fired[1] != 5 {
 		t.Fatalf("fired %v, want [3 5]", fired)
 	}
 }
 
-// Fire after a run of cancellations behind the head must pop the next
+// A pop after a run of cancellations behind the head must pop the next
 // pending event, and PeekTime must skip the cancelled run.
 func TestFireSkipsTombstoneChain(t *testing.T) {
 	var q Queue
@@ -512,13 +536,13 @@ func TestFireSkipsTombstoneChain(t *testing.T) {
 	if q.PeekTime() != 1 {
 		t.Fatalf("PeekTime = %v, want 1", q.PeekTime())
 	}
-	if !q.Fire() { // pops 1
-		t.Fatal("Fire returned false")
+	if !fire(&q) { // pops 1
+		t.Fatal("fire returned false")
 	}
 	if q.PeekTime() != 7 {
 		t.Fatalf("PeekTime after the pop = %v, want 7", q.PeekTime())
 	}
-	for q.Fire() {
+	for fire(&q) {
 	}
 	want := []simtime.Time{1, 7, 8}
 	if len(fired) != len(want) {
@@ -548,7 +572,7 @@ func TestScheduleTriggersCompaction(t *testing.T) {
 	}
 	// Fires shrink the live population.
 	for i := 0; i < 120; i++ {
-		q.Fire()
+		fire(&q)
 	}
 	schedule(&q, 1_000_000, nop)
 	if bound := 2 * q.Len(); len(q.h) >= 64 && len(q.h) > bound {
@@ -557,32 +581,29 @@ func TestScheduleTriggersCompaction(t *testing.T) {
 	}
 }
 
-// nopDispatch is the dispatch of the benchmarks whose callbacks do
-// nothing, so they time the queue alone.
-func nopDispatch(simtime.Time, Payload) {}
-
 func BenchmarkScheduleFire(b *testing.B) {
-	q := Queue{Dispatch: nopDispatch}
+	var q Queue
 	rng := rand.New(rand.NewSource(1))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		q.SchedulePayload(simtime.Time(rng.Int63n(1<<30)), Payload{})
 		if q.Len() > 1024 {
-			q.Fire()
+			q.Pop()
 		}
 	}
-	for q.Fire() {
+	for q.Len() > 0 {
+		q.Pop()
 	}
 }
 
 // BenchmarkKernelMix is the headline kernel blend: per event fired, one standing
 // per-PCPU timer moves (Reschedule), one fresh event is admitted
-// (Schedule), and the head pops (Fire) — over a population of 256 standing
+// (Schedule), and the head pops (Pop) — over a population of 256 standing
 // handles. EXPERIMENTS.md "Event-kernel rewrite" records this mix before
 // and after the intrusive-heap rewrite (the pre-rewrite implementation ran
 // the blend as Cancel+Schedule because it had no in-place reschedule).
 func BenchmarkKernelMix(b *testing.B) {
-	q := Queue{Dispatch: nopDispatch}
+	var q Queue
 	rng := rand.New(rand.NewSource(1))
 	standing := make([]Handle, 256)
 	for i := range standing {
@@ -595,7 +616,7 @@ func BenchmarkKernelMix(b *testing.B) {
 		k := i % len(standing)
 		standing[k] = q.Reschedule(standing[k], now+1_000_000+simtime.Time(rng.Int63n(1_000_000)))
 		q.SchedulePayload(now+1, Payload{})
-		q.Fire()
+		q.Pop()
 		now++
 	}
 }
@@ -604,7 +625,7 @@ func BenchmarkKernelMix(b *testing.B) {
 // move per fresh admission and fire, the shape of a multi-PCPU host where
 // every dispatch re-arms Kick and VCPURecheck events on several PCPUs.
 func BenchmarkKernelMixTimer(b *testing.B) {
-	q := Queue{Dispatch: nopDispatch}
+	var q Queue
 	rng := rand.New(rand.NewSource(2))
 	standing := make([]Handle, 256)
 	for i := range standing {
@@ -619,7 +640,7 @@ func BenchmarkKernelMixTimer(b *testing.B) {
 			standing[k] = q.Reschedule(standing[k], now+1_000_000+simtime.Time(rng.Int63n(1_000_000)))
 		}
 		q.SchedulePayload(now+1, Payload{})
-		q.Fire()
+		q.Pop()
 		now++
 	}
 }
@@ -630,7 +651,7 @@ func BenchmarkKernelMixTimer(b *testing.B) {
 // faster than any standing timer moves. This stresses the insert/remove
 // sifts rather than reschedule.
 func BenchmarkKernelMixChurn(b *testing.B) {
-	q := Queue{Dispatch: nopDispatch}
+	var q Queue
 	rng := rand.New(rand.NewSource(3))
 	var pending [64]Handle
 	now := simtime.Time(4096)
@@ -641,12 +662,13 @@ func BenchmarkKernelMixChurn(b *testing.B) {
 		q.Cancel(pending[k]) // often a stale handle: the no-op cancel path
 		pending[k] = q.SchedulePayload(now+simtime.Time(rng.Int63n(4096)), Payload{})
 		q.SchedulePayload(now+1, Payload{})
-		q.Fire()
-		q.Fire()
+		q.Pop()
+		q.Pop()
 		now++
 	}
 	b.StopTimer()
-	for q.Fire() {
+	for q.Len() > 0 {
+		q.Pop()
 	}
 }
 
@@ -678,7 +700,7 @@ func BenchmarkKernelMixAligned(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		q.Fire()
+		fire(&q)
 	}
 }
 
@@ -686,7 +708,7 @@ func BenchmarkKernelMixAligned(b *testing.B) {
 // pending wakeup and schedule a new one. The seed implementation paid a
 // heap.Remove plus a fresh allocation per iteration.
 func BenchmarkCancelReschedule(b *testing.B) {
-	q := Queue{Dispatch: nopDispatch}
+	var q Queue
 	for i := 0; i < 512; i++ {
 		q.SchedulePayload(simtime.Time(1<<40+i), Payload{})
 	}

@@ -188,6 +188,43 @@ func TestPrioritySlack(t *testing.T) {
 	}
 }
 
+// TestPrioritySlackSurvivesMove: a task that leaves a VCPU through
+// INC_DEC_BW leaves the VCPU sized with the priority slack of the tasks
+// that stay, exactly as deriving it afresh gives.
+func TestPrioritySlackSurvivesMove(t *testing.T) {
+	s := sim.New(17)
+	h := hv.NewHost(s, 4, dpwrap.New(dpwrap.DefaultConfig()), hv.CostModel{})
+	cfg := DefaultConfig()
+	cfg.PrioritySlack = true
+	cfg.Slack = simtime.Micros(200)
+	g, err := NewOS(h, "vm0", cfg, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	important := task.New(0, "important", task.Periodic, pp(3, 10))
+	important.Priority = 3
+	mover := task.New(1, "mover", task.Periodic, pp(2, 10))
+	for _, tk := range []*task.Task{important, mover} {
+		if err := g.RegisterOn(tk, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := g.SetAttr(mover, pp(8, 10)); err != nil {
+		t.Fatal(err)
+	}
+	if mover.VCPU != 1 {
+		t.Fatalf("mover on VCPU %d, want a move to VCPU 1", mover.VCPU)
+	}
+	v0 := g.VM().VCPUs[0]
+	// Priority 3 → 4× slack stays on the VCPU important keeps.
+	if want := simtime.Millis(3) + simtime.Micros(800); v0.Res.Budget != want {
+		t.Fatalf("VCPU 0 budget after the move = %v, want %v", v0.Res.Budget, want)
+	}
+	if fresh := g.deriveRes(g.vcpus[0], nil, nil); v0.Res != fresh {
+		t.Fatalf("VCPU 0 holds %v, deriving afresh gives %v", v0.Res, fresh)
+	}
+}
+
 // TestGuestShutdown removes the VM and frees every host resource.
 func TestGuestShutdown(t *testing.T) {
 	s, h, g := rtvirtSetup(t, 1, 2)

@@ -72,7 +72,7 @@ const (
 	// within one task set).
 	evPeriodicTick uint16 = iota
 	// evRelease releases one job of a task (ReleaseAt): Owner is the
-	// task's owner ID and Arg0 the job's demand.
+	// task's owner ID and Arg the job's demand.
 	evRelease
 )
 
@@ -300,7 +300,7 @@ func (g *OS) RegisterOn(t *task.Task, vcpu int) error {
 	}
 	ts := &taskState{t: t, os: g}
 	if g.cfg.CrossLayer {
-		res := g.deriveRes(vs, ts)
+		res := g.deriveRes(vs, ts, nil)
 		if err := g.host.SchedRTVirt(hv.Hypercall{Flag: hv.IncBW, VCPU: vs.v, Res: res}); err != nil {
 			g.emitVerdict(t, vs, t.Params().Slice, false)
 			return fmt.Errorf("%w: %v", ErrHostRejected, err)
@@ -331,7 +331,7 @@ func (g *OS) SetAttr(t *task.Task, p task.Params) error {
 	if fitsHere {
 		t.SetParams(p)
 		if g.cfg.CrossLayer {
-			res := g.deriveRes(vs, nil)
+			res := g.deriveRes(vs, nil, nil)
 			flag := hv.DecBW
 			if newBW > oldBW {
 				flag = hv.IncBW
@@ -363,8 +363,8 @@ func (g *OS) SetAttr(t *task.Task, p task.Params) error {
 	t.SetParams(p)
 	if g.cfg.CrossLayer {
 		// INC_DEC_BW: grow dst, shrink the task's old VCPU, atomically.
-		incRes := g.deriveRes(dst, ts)
-		decRes := g.deriveResExcluding(vs, ts)
+		incRes := g.deriveRes(dst, ts, nil)
+		decRes := g.deriveRes(vs, nil, ts)
 		hc := hv.Hypercall{Flag: hv.IncDecBW, VCPU: dst.v, Res: incRes, Dec: vs.v, DecRes: decRes}
 		if err := g.host.SchedRTVirt(hc); err != nil {
 			t.SetParams(oldP)
@@ -402,7 +402,7 @@ func (g *OS) Unregister(t *task.Task) error {
 	}
 	g.unpin(ts)
 	if g.cfg.CrossLayer {
-		res := g.deriveRes(vs, nil)
+		res := g.deriveRes(vs, nil, nil)
 		// DEC_BW cannot fail; ignore the impossible error path.
 		_ = g.host.SchedRTVirt(hv.Hypercall{Flag: hv.DecBW, VCPU: vs.v, Res: res})
 	}
@@ -449,7 +449,7 @@ func (g *OS) ReleaseAt(t *task.Task, at simtime.Time, demand simtime.Duration) e
 	if !ok {
 		panic("guest: ReleaseAt on unregistered task")
 	}
-	return g.sim.PostAt(at, sim.Payload{Handler: g.handlerID, Kind: evRelease, Owner: ts.owner, Arg0: int64(demand)})
+	return g.sim.PostAt(at, sim.Payload{Handler: g.handlerID, Kind: evRelease, Owner: ts.owner, Arg: int64(demand)})
 }
 
 // ReleaseJob activates task t now with the given demand (0 = use the
@@ -547,7 +547,7 @@ func (g *OS) HandleSimEvent(now simtime.Time, ev sim.Payload) {
 		}
 	case evRelease:
 		if ts := g.byOwner[ev.Owner]; ts != nil {
-			g.ReleaseJob(ts.t, simtime.Duration(ev.Arg0))
+			g.ReleaseJob(ts.t, simtime.Duration(ev.Arg))
 		}
 	default:
 		panic(fmt.Sprintf("guest: unknown event kind %d", ev.Kind))
@@ -674,7 +674,7 @@ func (g *OS) place(ts *taskState, bw float64) (*vcpuState, error) {
 		return nil, ErrNoCapacity
 	}
 	if g.cfg.CrossLayer {
-		res := g.deriveRes(vs, ts)
+		res := g.deriveRes(vs, ts, nil)
 		if err := g.host.SchedRTVirt(hv.Hypercall{Flag: hv.IncBW, VCPU: vs.v, Res: res}); err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrHostRejected, err)
 		}
@@ -682,69 +682,51 @@ func (g *OS) place(ts *taskState, bw float64) (*vcpuState, error) {
 	return vs, nil
 }
 
-// deriveRes computes a VCPU's reservation per §3.3: budget is the summed
-// bandwidth of its RTAs (including extra, if non-nil) scaled to the VCPU
-// period — the smallest RTA period — plus the configured slack.
-func (g *OS) deriveRes(vs *vcpuState, extra *taskState) hv.Reservation {
-	sum := vs.bwSum()
-	minP := simtime.Infinite
-	prio := 0
-	for _, ts := range vs.tasks {
-		if ts.t.Kind == task.Background {
-			// BGAs hold no reservation and their zero period must not
-			// drag the VCPU period (and hence the budget) to zero.
-			continue
-		}
-		if p := ts.t.Params().Period; p < minP {
-			minP = p
-		}
-		if ts.t.Priority > prio {
-			prio = ts.t.Priority
-		}
-	}
-	if extra != nil && extra.vs != vs {
-		sum += extra.t.Params().Bandwidth()
-		if p := extra.t.Params().Period; p < minP {
-			minP = p
-		}
-		if extra.t.Priority > prio {
-			prio = extra.t.Priority
-		}
-	}
-	return g.resFromPrio(sum, minP, prio)
-}
-
-// deriveResExcluding computes the reservation of vs without task ex.
-func (g *OS) deriveResExcluding(vs *vcpuState, ex *taskState) hv.Reservation {
+// deriveRes computes vs's reservation by the §3.3 rule (Reservation)
+// over its RTAs, with add counted when it is pinned elsewhere and drop
+// left out; either may be nil.
+func (g *OS) deriveRes(vs *vcpuState, add, drop *taskState) hv.Reservation {
 	var sum float64
 	minP := simtime.Infinite
-	for _, ts := range vs.tasks {
-		if ts == ex || ts.t.Kind == task.Background {
-			continue
+	prio := 0
+	count := func(t *task.Task) {
+		if t.Kind == task.Background {
+			// BGAs hold no reservation and their zero period must not
+			// drag the VCPU period (and hence the budget) to zero.
+			return
 		}
-		sum += ts.t.Params().Bandwidth()
-		if p := ts.t.Params().Period; p < minP {
-			minP = p
+		p := t.Params()
+		sum += p.Bandwidth()
+		minP = min(minP, p.Period)
+		prio = max(prio, t.Priority)
+	}
+	for _, ts := range vs.tasks {
+		if ts != drop {
+			count(ts.t)
 		}
 	}
-	return g.resFromPrio(sum, minP, 0)
+	if add != nil && add.vs != vs {
+		count(add.t)
+	}
+	return g.cfg.Reservation(sum, minP, prio)
 }
 
-func (g *OS) resFromPrio(sumBW float64, minP simtime.Duration, prio int) hv.Reservation {
+// Reservation is the §3.3 VCPU sizing rule, shared with the offline
+// analysis: for RTAs of summed bandwidth sumBW, smallest period minP and
+// highest priority prio, the budget is ⌈sumBW·minP⌉ plus the slack —
+// scaled by (1 + prio) under PrioritySlack (§6) — capped at the period
+// minP. With no RTAs the VCPU holds a zero budget over 10ms.
+func (c Config) Reservation(sumBW float64, minP simtime.Duration, prio int) hv.Reservation {
 	if sumBW <= 0 || minP == simtime.Infinite {
 		return hv.Reservation{Budget: 0, Period: simtime.Millis(10)}
 	}
-	slack := g.cfg.Slack
-	if g.cfg.PrioritySlack && prio > 0 {
-		// §6: slack in proportion to priority.
+	slack := c.Slack
+	if c.PrioritySlack && prio > 0 {
 		slack = simtime.Duration(int64(slack) * int64(1+prio))
 	}
 	// Round the budget up so truncation never starves the tasks of the
 	// final nanoseconds they need at exact utilization.
-	budget := simtime.Duration(math.Ceil(sumBW*float64(minP))) + slack
-	if budget > minP {
-		budget = minP
-	}
+	budget := min(simtime.Duration(math.Ceil(sumBW*float64(minP)))+slack, minP)
 	return hv.Reservation{Budget: budget, Period: minP}
 }
 
@@ -815,7 +797,7 @@ func (g *OS) applyRepack(target map[*taskState]int) error {
 	}
 	var grows []*vcpuState
 	for _, vs := range g.vcpus {
-		res := g.deriveRes(vs, nil)
+		res := g.deriveRes(vs, nil, nil)
 		if res.Bandwidth() <= vs.v.Res.Bandwidth() {
 			// DEC_BW cannot be rejected.
 			_ = g.host.SchedRTVirt(hv.Hypercall{Flag: hv.DecBW, VCPU: vs.v, Res: res})
@@ -824,7 +806,7 @@ func (g *OS) applyRepack(target map[*taskState]int) error {
 		}
 	}
 	for _, vs := range grows {
-		res := g.deriveRes(vs, nil)
+		res := g.deriveRes(vs, nil, nil)
 		if err := g.host.SchedRTVirt(hv.Hypercall{Flag: hv.IncBW, VCPU: vs.v, Res: res}); err != nil {
 			return fmt.Errorf("%w: %v", ErrHostRejected, err)
 		}

@@ -49,7 +49,7 @@ func callAt(s *sim.Simulator, at simtime.Time, fn func(simtime.Time)) eventq.Han
 	}
 	c := last.c
 	c.fns = append(c.fns, fn)
-	return s.PostAt(at, sim.Payload{Handler: c.id, Arg0: int64(len(c.fns) - 1)})
+	return s.PostAt(at, sim.Payload{Handler: c.id, Arg: int64(len(c.fns) - 1)})
 }
 
 // callAfter runs fn d from now on s.
@@ -57,5 +57,5 @@ func callAfter(s *sim.Simulator, d simtime.Duration, fn func(simtime.Time)) even
 	return callAt(s, s.Now().Add(d), fn)
 }
 
-func (c *calls) HandleSimEvent(now simtime.Time, p sim.Payload) { c.fns[p.Arg0](now) }
+func (c *calls) HandleSimEvent(now simtime.Time, p sim.Payload) { c.fns[p.Arg](now) }
 func (c *calls) ForkHandler(*clone.Ctx) sim.Handler             { panic("calls: not forkable") }

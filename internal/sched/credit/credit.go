@@ -32,7 +32,7 @@ const (
 	evTick
 	// evRatelimitKick retries a boost preemption once the occupant's
 	// minimum run has elapsed. Owner is the waker's host-global VCPU ID,
-	// Arg0 the target PCPU ID.
+	// Arg the target PCPU ID.
 	evRatelimitKick
 )
 
@@ -160,7 +160,7 @@ func (s *Scheduler) HandleSimEvent(now simtime.Time, ev sim.Payload) {
 		// inactive slot means the retry is moot.
 		if int(ev.Owner) < len(s.st) && s.st[ev.Owner].active {
 			if hs := s.h.Hot()[ev.Owner]; hs.Runnable && hs.PCPU < 0 {
-				s.h.Kick(s.h.PCPUs()[ev.Arg0], now)
+				s.h.Kick(s.h.PCPUs()[ev.Arg], now)
 			}
 		}
 	default:
@@ -407,7 +407,7 @@ func (s *Scheduler) VCPUWake(v *hv.VCPU, now simtime.Time) {
 			if ran := now.Sub(s.st[cur.ID].lastAt); ran < s.cfg.Ratelimit {
 				delay := s.cfg.Ratelimit - ran
 				s.h.Sim.PostAfter(delay, sim.Payload{Handler: s.id, Kind: evRatelimitKick,
-					Owner: int32(v.ID), Arg0: int64(target.ID)})
+					Owner: int32(v.ID), Arg: int64(target.ID)})
 				return
 			}
 		}

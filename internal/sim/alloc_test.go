@@ -9,7 +9,8 @@ import (
 
 // drainRecorder checks, as each delivered message fires, that its target
 // sees messages in (arrival time, source shard, edge counter) order —
-// what the drain's fresh seqs decide for same-instant arrivals. It
+// what the drain's fresh seqs decide for same-instant arrivals. A message
+// carries its source shard in Owner and its edge counter in Arg. It
 // records nothing, so the measured round stays allocation-free.
 type drainRecorder struct {
 	last       [3]int64 // at, from, counter of the previous delivery
@@ -18,7 +19,7 @@ type drainRecorder struct {
 }
 
 func (r *drainRecorder) HandleSimEvent(now simtime.Time, ev Payload) {
-	key := [3]int64{int64(now), ev.Arg0, ev.Arg1}
+	key := [3]int64{int64(now), int64(ev.Owner), ev.Arg}
 	if r.fired > 0 && !(r.last[0] < key[0] ||
 		r.last[0] == key[0] && (r.last[1] < key[1] || r.last[1] == key[1] && r.last[2] < key[2])) {
 		r.violations++
@@ -30,8 +31,8 @@ func (r *drainRecorder) HandleSimEvent(now simtime.Time, ev Payload) {
 func (r *drainRecorder) ForkHandler(*clone.Ctx) Handler { panic("drainRecorder: not forkable") }
 
 // TestSteadyStateZeroAlloc pins the allocation-free barrier drain: several
-// shards post to several targets, drainFrom buckets and delivers them,
-// and the targets fire what they received. CI runs it as a zero-alloc
+// shards post to several targets, drainFrom delivers them, and the
+// targets fire what they received. CI runs it as a zero-alloc
 // guard.
 func TestSteadyStateZeroAlloc(t *testing.T) {
 	const shards = 6
@@ -46,7 +47,7 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 	declareComplete(set, l)
 	set.RunUntil(0, 1) // sizes the coordinator's scratch
 	all := set.Shards()
-	edge := make([]int64, shards*shards) // the test's mirror of edgeSeq
+	edge := make([]int64, shards*shards) // per-edge emission counters
 	rng := all[0].Sim().RNG()
 
 	round := func() {
@@ -63,7 +64,7 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 			// the source shard or the edge counter can break.
 			at := base.Add(l + simtime.Micros(rng.Int63n(4)))
 			edge[from.ID()*shards+to.ID()]++
-			from.PostRemote(to, at, Payload{Arg0: int64(from.ID()), Arg1: edge[from.ID()*shards+to.ID()]})
+			from.PostRemote(to, at, Payload{Owner: int32(from.ID()), Arg: edge[from.ID()*shards+to.ID()]})
 		}
 		set.drainFrom(set.allIDs)
 		for _, sh := range all {

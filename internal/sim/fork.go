@@ -64,7 +64,6 @@ func (s *Simulator) Fork(ctx *clone.Ctx) *Simulator {
 	ns := &Simulator{now: s.now, fired: s.fired, rng: s.rng.Clone(), seed: s.seed}
 	ctx.Put(s, ns)
 	ctx.Put(s.rng, ns.rng)
-	ns.q.Dispatch = ns.dispatch
 	s.q.CloneInto(&ns.q, ctx)
 	// Handlers clone in registration order; earlier layers (the host) pull
 	// later ones (schedulers, guest drivers) through ctx as they reach

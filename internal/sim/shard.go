@@ -63,17 +63,18 @@ import (
 // window selection are O(active·log n); each shard's bound terms are
 // sorted by walk distance, so its scan stops at the first term that even
 // the globally-earliest next-time cannot bring below the running min; the
-// barrier drain buckets messages into per-target inboxes of a few
-// messages each; and multi-group execution hands each window's shares
+// barrier drain posts each sender's outbox straight into its targets,
+// with no sort; and multi-group execution hands each window's shares
 // to persistent executor goroutines over one unbuffered channel, which
 // allocates nothing per window.
 //
 // Determinism does not depend on how shards are grouped onto executors:
 // each shard's intra-window execution is single-threaded on its own
 // queue, window bounds are computed by the coordinator as a pure function
-// of the global event population, and the barrier drain orders each
-// target's messages by (arrival time, source shard, emission counter)
-// before assigning fresh seqs in the target queue. Runs with 1, 2, 4, or
+// of the global event population, and the barrier drain posts the
+// senders' outboxes in ascending shard ID, each in emission order, so
+// every target assigns fresh seqs to its same-instant messages in
+// (source shard, emission) order. Runs with 1, 2, 4, or
 // 8 executor groups are therefore bit-identical — the golden the sharded
 // cluster tests pin.
 
@@ -85,12 +86,7 @@ type Shard struct {
 	set *ShardSet
 	sim *Simulator
 
-	outbox []remoteMsg
-	// edgeSeq[to] counts messages emitted on the (this shard → to) edge —
-	// a per-edge lamport-style counter that makes the barrier drain order
-	// (and hence the fresh seqs assigned in the target queue) independent
-	// of executor grouping.
-	edgeSeq []uint64
+	outbox []remoteMsg // in emission order
 	// edgeL[to] is the declared lookahead of the (this shard → to) edge,
 	// or 0 if there is none.
 	edgeL []simtime.Duration
@@ -98,11 +94,9 @@ type Shard struct {
 
 // remoteMsg is one buffered cross-shard message.
 type remoteMsg struct {
-	at   simtime.Time
-	from int32
-	to   int32
-	n    uint64 // per-(from,to)-edge emission counter
-	p    Payload
+	at simtime.Time
+	to int32
+	p  Payload
 }
 
 // edgeRef is one term of a shard's window-bound min in the sealed
@@ -142,13 +136,12 @@ type ShardSet struct {
 	inbound   [][]edgeRef    // sealed adjacency
 	outbound  [][]int32
 	allIDs    []int32
-	active    []int32 // this round's active shards, ID order
-	actPrev   []int32 // previous round's active shards
-	cand      []int32 // candidate scratch
-	candEpoch []uint64
+	active    []int32  // this round's active shards, ID order
+	actPrev   []int32  // previous round's active shards, ID order: the drain's senders
+	cand      []int32  // candidate scratch
+	candEpoch []uint64 // epoch stamps: candidate or mailed in the current pass
 	epoch     uint64
-	mailed    []int32       // shards that received mail in the last drain, as a set
-	inbox     [][]remoteMsg // drain scratch, indexed by target shard ID
+	mailed    []int32 // shards that received mail in the last drain, first seen first
 	curEnd    simtime.Time
 	curGroups int
 }
@@ -199,8 +192,7 @@ func (ss *ShardSet) NewShard(seed uint64) *Shard {
 	sh := &Shard{id: len(ss.shards), set: ss, sim: New(seed)}
 	ss.shards = append(ss.shards, sh)
 	for _, s := range ss.shards {
-		for len(s.edgeSeq) < len(ss.shards) {
-			s.edgeSeq = append(s.edgeSeq, 0)
+		for len(s.edgeL) < len(ss.shards) {
 			s.edgeL = append(s.edgeL, 0)
 		}
 	}
@@ -270,56 +262,34 @@ func (sh *Shard) PostRemote(to *Shard, at simtime.Time, p Payload) {
 		panic(fmt.Sprintf("sim: PostRemote at %v violates lookahead %v on edge %d->%d (now %v, earliest legal %v)",
 			at, l, sh.id, to.id, sh.sim.Now(), min))
 	}
-	sh.edgeSeq[to.id]++
-	sh.outbox = append(sh.outbox, remoteMsg{
-		at:   at,
-		from: int32(sh.id),
-		to:   int32(to.id),
-		n:    sh.edgeSeq[to.id],
-		p:    p,
-	})
+	sh.outbox = append(sh.outbox, remoteMsg{at: at, to: int32(to.id), p: p})
 }
 
-// drainFrom delivers the pending outboxes of the given shards. Only the
-// order of deliveries into one target queue is observable — it assigns
-// that queue's fresh seqs — so messages are bucketed into per-target
-// inboxes, and each mailed target's inbox is sorted by (arrival time,
-// source shard, edge emission counter) before its PostAt calls. That key
-// is unique per message and depends only on simulation state, so the
-// delivery order is identical however the previous window's shards were
-// grouped. Outbox and inbox entries are zeroed after delivery so
-// delivered payloads don't linger reachable between windows of a long
-// run.
+// drainFrom delivers the pending outboxes of senders, which are in
+// ascending ID order, straight into their targets' queues. Only the order
+// of same-instant deliveries into one target queue is observable — it
+// assigns that queue's fresh seqs — and posting sender by sender, each
+// outbox in emission order, gives every target its same-instant messages
+// in (source shard, emission) order. That order depends only on
+// simulation state, so delivery is identical however the previous
+// window's shards were grouped. Mailed targets are stamped with the
+// coordinator's epoch, so mailed lists each once, first seen first.
+// Outboxes are zeroed after delivery so delivered payloads don't linger
+// reachable between windows of a long run.
 func (ss *ShardSet) drainFrom(senders []int32) {
 	ss.mailed = ss.mailed[:0]
+	ss.epoch++
 	for _, id := range senders {
 		sh := ss.shards[id]
 		for _, m := range sh.outbox {
-			if len(ss.inbox[m.to]) == 0 {
+			if ss.candEpoch[m.to] != ss.epoch {
+				ss.candEpoch[m.to] = ss.epoch
 				ss.mailed = append(ss.mailed, m.to)
 			}
-			ss.inbox[m.to] = append(ss.inbox[m.to], m)
+			ss.shards[m.to].sim.PostAt(m.at, m.p)
 		}
 		clear(sh.outbox)
 		sh.outbox = sh.outbox[:0]
-	}
-	for _, to := range ss.mailed {
-		in := ss.inbox[to]
-		slices.SortFunc(in, func(a, b remoteMsg) int {
-			if c := cmp.Compare(a.at, b.at); c != 0 {
-				return c
-			}
-			if c := cmp.Compare(a.from, b.from); c != 0 {
-				return c
-			}
-			return cmp.Compare(a.n, b.n)
-		})
-		target := ss.shards[to].sim
-		for i := range in {
-			target.PostAt(in[i].at, in[i].p)
-		}
-		clear(in)
-		ss.inbox[to] = in[:0]
 	}
 }
 
@@ -557,9 +527,6 @@ func (ss *ShardSet) RunUntil(end simtime.Time, groups int) {
 	for i := range ss.allIDs {
 		ss.allIDs[i] = int32(i)
 	}
-	for len(ss.inbox) < n {
-		ss.inbox = append(ss.inbox, nil)
-	}
 	ss.sealTopology()
 
 	var start chan int
@@ -649,10 +616,9 @@ func (ss *ShardSet) Fork(ctx *clone.Ctx) *ShardSet {
 	nss.shards = make([]*Shard, len(ss.shards))
 	for i, sh := range ss.shards {
 		nsh := &Shard{
-			id:      sh.id,
-			set:     nss,
-			edgeSeq: append([]uint64(nil), sh.edgeSeq...),
-			edgeL:   append([]simtime.Duration(nil), sh.edgeL...),
+			id:    sh.id,
+			set:   nss,
+			edgeL: append([]simtime.Duration(nil), sh.edgeL...),
 		}
 		if len(sh.outbox) > 0 {
 			nsh.outbox = append([]remoteMsg(nil), sh.outbox...)

@@ -11,7 +11,7 @@ import (
 // meshNode is the declared-topology fixture's handler: it ticks a fixed
 // number of times, sends a message on every other tick on average to a
 // random out-neighbour at that edge's lookahead plus jitter, and relays
-// each message it receives while the message's hop budget (Arg1) lasts,
+// each message it receives while the message's hop budget (Arg) lasts,
 // so traffic travels multi-hop walks. Every event first runs the world's
 // check.
 type meshNode struct {
@@ -47,9 +47,9 @@ func (n *meshNode) HandleSimEvent(now simtime.Time, ev Payload) {
 		}
 	case evMeshMsg:
 		n.recvd++
-		n.hash = (n.hash ^ uint64(ev.Arg0)) * 1099511628211
-		if ev.Arg1 > 0 {
-			n.send(now, ev.Arg1-1)
+		n.hash = (n.hash ^ uint64(ev.Owner)) * 1099511628211
+		if ev.Arg > 0 {
+			n.send(now, ev.Arg-1)
 		}
 	default:
 		panic("meshNode: unknown kind")
@@ -64,7 +64,7 @@ func (n *meshNode) send(now simtime.Time, hops int64) {
 	to := n.outs[rng.Intn(len(n.outs))]
 	at := now.Add(n.sh.set.EdgeLookahead(n.sh.ID(), to.ID()) + simtime.Duration(rng.Int63n(int64(simtime.Micros(40)))))
 	// Every shard registers exactly one meshNode, so its handler ID is 0.
-	n.sh.PostRemote(to, at, Payload{Handler: 0, Kind: evMeshMsg, Arg0: int64(n.sh.ID()), Arg1: hops})
+	n.sh.PostRemote(to, at, Payload{Handler: 0, Kind: evMeshMsg, Owner: int32(n.sh.ID()), Arg: hops})
 }
 
 func (n *meshNode) ForkHandler(*clone.Ctx) Handler { panic("meshNode: not forkable") }

@@ -141,7 +141,7 @@ func (n *chainNode) HandleSimEvent(now simtime.Time, ev Payload) {
 	switch ev.Kind {
 	case evChainTick:
 		n.hash = (n.hash ^ uint64(now)) * 1099511628211
-		n.sh.PostRemote(n.next, now.Add(n.relay), Payload{Handler: 0, Kind: evChainMsg, Arg0: int64(now)})
+		n.sh.PostRemote(n.next, now.Add(n.relay), Payload{Handler: 0, Kind: evChainMsg, Arg: int64(now)})
 		if n.ticks--; n.ticks > 0 {
 			n.sh.Sim().PostAfter(simtime.Micros(10), Payload{Handler: n.id, Kind: evChainTick})
 		} else {
@@ -149,9 +149,9 @@ func (n *chainNode) HandleSimEvent(now simtime.Time, ev Payload) {
 		}
 	case evChainMsg:
 		n.recvd++
-		n.hash = (n.hash ^ 0x9e3779b9 ^ uint64(now) ^ uint64(ev.Arg0)) * 1099511628211
+		n.hash = (n.hash ^ 0x9e3779b9 ^ uint64(now) ^ uint64(ev.Arg)) * 1099511628211
 		if n.next != nil {
-			n.sh.PostRemote(n.next, now.Add(n.relay), Payload{Handler: 0, Kind: evChainMsg, Arg0: ev.Arg0})
+			n.sh.PostRemote(n.next, now.Add(n.relay), Payload{Handler: 0, Kind: evChainMsg, Arg: ev.Arg})
 		}
 	default:
 		panic("chainNode: unknown kind")
@@ -275,7 +275,7 @@ func TestShardSetForkPerEdge(t *testing.T) {
 
 	shards := w.set.Shards()
 	shards[1].PostRemote(shards[2], w.set.Now().Add(simtime.Millis(1)),
-		Payload{Handler: 0, Kind: evPingPong, Arg0: 42})
+		Payload{Handler: 0, Kind: evPingPong, Arg: 42})
 
 	ctx := clone.New()
 	nset := w.set.Fork(ctx)

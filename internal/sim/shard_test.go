@@ -53,11 +53,11 @@ func (p *pinger) HandleSimEvent(now simtime.Time, ev Payload) {
 		// Every shard registers exactly one pinger, so the peer's handler
 		// ID is 0 on every simulator.
 		p.sh.PostRemote(to, now.Add(delay), Payload{
-			Handler: 0, Kind: evPingPong, Arg0: int64(p.sh.ID()),
+			Handler: 0, Kind: evPingPong, Arg: int64(p.sh.ID()),
 		})
 		p.sh.Sim().PostAfter(simtime.Micros(10+rng.Int63n(30)), Payload{Handler: p.id, Kind: evPingTick})
 	case evPingPong:
-		p.mix(2, uint64(now), uint64(ev.Arg0))
+		p.mix(2, uint64(now), uint64(ev.Arg))
 	default:
 		panic("pinger: unknown kind")
 	}
@@ -212,7 +212,7 @@ func TestShardSetFork(t *testing.T) {
 	// Leave genuinely in-flight mailbox traffic for the fork to copy.
 	shards := w.set.Shards()
 	shards[1].PostRemote(shards[2], w.set.Now().Add(simtime.Millis(1)),
-		Payload{Handler: 0, Kind: evPingPong, Arg0: 42})
+		Payload{Handler: 0, Kind: evPingPong, Arg: 42})
 	if len(shards[1].outbox) != 1 {
 		t.Fatal("expected a buffered outbox message")
 	}

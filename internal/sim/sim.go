@@ -30,9 +30,7 @@ type Simulator struct {
 // New returns a Simulator whose clock starts at 0 and whose random source
 // is seeded with seed (same seed ⇒ identical run).
 func New(seed uint64) *Simulator {
-	s := &Simulator{rng: NewRNG(seed), seed: seed}
-	s.q.Dispatch = s.dispatch
-	return s
+	return &Simulator{rng: NewRNG(seed), seed: seed}
 }
 
 // Now reports the current simulated time.
@@ -123,8 +121,9 @@ func (s *Simulator) Step() bool {
 	return true
 }
 
-// fireAt fires the earliest pending event, already known to sit at next,
-// advancing the clock. Splitting this from Step lets RunUntil pay exactly
+// fireAt pops the earliest pending event, already known to sit at next,
+// advances the clock and dispatches the event: the simulator is the only
+// dispatcher. Splitting this from Step lets RunUntil pay exactly
 // one PeekTime per event instead of peeking once for the bound check and
 // again inside Step.
 func (s *Simulator) fireAt(next simtime.Time) {
@@ -133,7 +132,8 @@ func (s *Simulator) fireAt(next simtime.Time) {
 	}
 	s.now = next
 	s.inStep = true
-	s.q.Fire()
+	_, p := s.q.Pop()
+	s.dispatch(next, p)
 	s.inStep = false
 	s.fired++
 }

@@ -26,7 +26,7 @@ func newCalls(s *Simulator) *calls {
 
 func (c *calls) post(fn func(simtime.Time)) Payload {
 	c.fns = append(c.fns, fn)
-	return Payload{Handler: c.id, Arg0: int64(len(c.fns) - 1)}
+	return Payload{Handler: c.id, Arg: int64(len(c.fns) - 1)}
 }
 
 func (c *calls) at(at simtime.Time, fn func(simtime.Time)) eventq.Handle {
@@ -37,7 +37,7 @@ func (c *calls) after(d simtime.Duration, fn func(simtime.Time)) eventq.Handle {
 	return c.s.PostAfter(d, c.post(fn))
 }
 
-func (c *calls) HandleSimEvent(now simtime.Time, p Payload) { c.fns[p.Arg0](now) }
+func (c *calls) HandleSimEvent(now simtime.Time, p Payload) { c.fns[p.Arg](now) }
 
 func (c *calls) ForkHandler(*clone.Ctx) Handler { panic("calls: not forkable") }
 

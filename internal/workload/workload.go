@@ -21,7 +21,7 @@ const (
 	// evClientFire sends the client's next request and schedules the
 	// following one.
 	evClientFire uint16 = iota
-	// evClientRelease delivers a request after the network delay; Arg0 is
+	// evClientRelease delivers a request after the network delay; Arg is
 	// its sampled CPU demand in ns (0 = declared slice).
 	evClientRelease
 	// evMemcachedArrive delivers the next memcached request.
@@ -125,12 +125,12 @@ func (c *Client) HandleSimEvent(now simtime.Time, ev sim.Payload) {
 			return
 		}
 		c.sim.PostAt(now.Add(c.NetworkDelay),
-			sim.Payload{Handler: c.id, Kind: evClientRelease, Arg0: int64(demand)})
+			sim.Payload{Handler: c.id, Kind: evClientRelease, Arg: int64(demand)})
 		if gap, ok := c.Gap(now); ok {
 			c.sim.PostAt(now.Add(gap), sim.Payload{Handler: c.id, Kind: evClientFire})
 		}
 	case evClientRelease:
-		if !Deliver(c.Guest, c.Task, simtime.Duration(ev.Arg0), now) {
+		if !Deliver(c.Guest, c.Task, simtime.Duration(ev.Arg), now) {
 			c.Throttled++
 		}
 	default:
