@@ -60,17 +60,45 @@ func TestValidate(t *testing.T) {
 // for an input that cannot be read, 1 for a workload the scenario's own
 // stack rejects, 0 for one it admits.
 func TestExitStatus(t *testing.T) {
+	negPCPUs := filepath.Join(t.TempDir(), "neg-pcpus.json")
+	if err := os.WriteFile(negPCPUs, []byte(`{"pcpus": -1, "vms": [{"name": "a"}]}`), 0o666); err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		path string
 		want int
 	}{
 		{filepath.Join(t.TempDir(), "missing.json"), 2},
+		{negPCPUs, 2},
 		{"../../examples/scenarios/baseline-edf.json", 1},
 		{"../../examples/scenarios/mixed.json", 0},
 	} {
 		if got := cli([]string{tc.path}, io.Discard, io.Discard); got != tc.want {
 			t.Errorf("rtvirt-analyze %s exited %d, want %d", tc.path, got, tc.want)
 		}
+	}
+}
+
+// TestReplayTimeBackwards checks that a trace whose time goes backwards is
+// an input error: exit 2 with the offending event named, and no summary
+// over a negative span printed.
+func TestReplayTimeBackwards(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "backwards.jsonl")
+	in := `{"at_ns":5,"kind":"dispatch","pcpu":0,"vm":"a","vcpu":0,"arg":1000}
+{"at_ns":1,"kind":"dispatch","pcpu":0,"arg":0}
+`
+	if err := os.WriteFile(path, []byte(in), 0o666); err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr strings.Builder
+	if got := cli([]string{"-replay", path}, &stdout, &stderr); got != 2 {
+		t.Fatalf("rtvirt-analyze -replay exited %d, want 2", got)
+	}
+	if want := "event 2 at 1ns precedes event 1 at 5ns"; !strings.Contains(stderr.String(), want) {
+		t.Fatalf("stderr %q, want it to contain %q", stderr.String(), want)
+	}
+	if stdout.Len() != 0 {
+		t.Fatalf("printed %q for a rejected trace", stdout.String())
 	}
 }
 

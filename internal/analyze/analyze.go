@@ -148,10 +148,7 @@ func Analyze(sc scenario.Scenario, opt Options) (HostAnalysis, error) {
 	if err := sc.Validate(); err != nil {
 		return HostAnalysis{}, err
 	}
-	host := HostAnalysis{PCPUs: sc.PCPUs}
-	if host.PCPUs <= 0 {
-		host.PCPUs = 4 // scenario.Run's default
-	}
+	host := HostAnalysis{PCPUs: sc.HostPCPUs()}
 	var allIfaces []csa.Interface
 	for _, vm := range sc.VMs {
 		va, err := analyzeVM(vm, opt)

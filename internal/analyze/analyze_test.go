@@ -223,17 +223,33 @@ func TestAnalyzeFixedPeriod(t *testing.T) {
 	}
 }
 
+// TestAnalyzeDefaultPCPUs pins that the analysis admits against the host
+// the simulator builds: scenario.DefaultPCPUs when the scenario names no
+// host size, the named size otherwise. rtvirt-analyze and rtvirt-sim size
+// their hosts through these two calls.
 func TestAnalyzeDefaultPCPUs(t *testing.T) {
-	sc := scenario.Scenario{
-		Stack: "rtvirt",
-		VMs:   []scenario.VM{vm("v", 1, periodic("ctl", 1000, 10000))},
-	}
-	h, err := Analyze(sc, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.PCPUs != 4 {
-		t.Fatalf("default pcpus = %d", h.PCPUs)
+	for _, pcpus := range []int{0, 3} {
+		sc := scenario.Scenario{
+			Stack: "rtvirt",
+			PCPUs: pcpus,
+			VMs:   []scenario.VM{vm("v", 1, periodic("ctl", 1000, 10000))},
+		}
+		h, err := Analyze(sc, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := scenario.Build(sc, scenario.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := pcpus
+		if want == 0 {
+			want = scenario.DefaultPCPUs
+		}
+		if h.PCPUs != want || w.Sys.Cfg.PCPUs != want {
+			t.Fatalf("pcpus %d: analysis host %d, simulated host %d, want %d",
+				pcpus, h.PCPUs, w.Sys.Cfg.PCPUs, want)
+		}
 	}
 }
 

@@ -158,32 +158,26 @@ func less(a, b *Event) bool {
 // SchedulePayload enqueues the event p to fire at instant at and returns a
 // Handle that can be used to cancel or move it.
 func (q *Queue) SchedulePayload(at simtime.Time, p Payload) Handle {
-	e := q.insert(at)
-	e.p = p
-	return Handle{e: e, gen: e.gen}
+	return q.place(nil, at, p)
 }
 
-// insert allocates (or recycles) a pending record at instant at and links
-// it into the queue. The caller fills in the payload.
-func (q *Queue) insert(at simtime.Time) *Event {
-	var e *Event
-	if n := len(q.free); n > 0 {
-		e = q.free[n-1]
-		q.free[n-1] = nil
-		q.free = q.free[:n-1]
-	} else {
-		e = &Event{}
+// place stores payload p in record e, gives it the next sequence number
+// at instant at and links it in: appended to the newest chain at at when
+// the tails table holds it, otherwise pushed into the heap as a new chain
+// head. A nil e takes a record from the free list (or a new one) and
+// counts it as pending.
+func (q *Queue) place(e *Event, at simtime.Time, p Payload) Handle {
+	if e == nil {
+		if n := len(q.free); n > 0 {
+			e = q.free[n-1]
+			q.free[n-1] = nil
+			q.free = q.free[:n-1]
+		} else {
+			e = &Event{}
+		}
+		q.live++
 	}
-	q.live++
-	q.place(e, at)
-	return e
-}
-
-// place gives the unlinked record e the next sequence number at instant at
-// and links it in: appended to the newest chain at at when the tails table
-// holds it, otherwise pushed into the heap as a new chain head.
-func (q *Queue) place(e *Event, at simtime.Time) {
-	e.at, e.seq = at, q.seq
+	e.at, e.seq, e.p = at, q.seq, p
 	q.seq++
 	s := &q.tails[slot(at)]
 	if t := *s; t != nil && t.at == at {
@@ -193,6 +187,7 @@ func (q *Queue) place(e *Event, at simtime.Time) {
 		q.siftUp(len(q.h) - 1)
 	}
 	*s = e
+	return Handle{e: e, gen: e.gen}
 }
 
 // unlink removes the pending event e from its chain and, when e heads the
@@ -264,8 +259,7 @@ func (q *Queue) Reschedule(h Handle, at simtime.Time) Handle {
 		}
 	}
 	q.unlink(e)
-	q.place(e, at)
-	return Handle{e: e, gen: e.gen}
+	return q.place(e, at, e.p)
 }
 
 // PeekTime reports the firing time of the earliest pending event, or
@@ -283,7 +277,8 @@ func (q *Queue) PeekTime() simtime.Time {
 // event record is recycled before Pop returns, so a handler that
 // immediately reschedules reuses it without allocating. A pop whose event
 // has a same-instant successor is O(1); a lone event's pop is one heap
-// descent.
+// descent, written out here rather than called, since every simulated
+// event passes through it.
 func (q *Queue) Pop() (simtime.Time, Payload) {
 	// unlink specialized to the root, which heads its chain.
 	e := q.h[0]
@@ -295,26 +290,42 @@ func (q *Queue) Pop() (simtime.Time, Payload) {
 		q.h[0] = n
 		e.next = nil
 	} else {
-		q.removeRoot()
+		// Fill the root with the last head and sift it down.
+		n := len(q.h) - 1
+		last := q.h[n]
+		q.h[n] = nil
+		h := q.h[:n]
+		q.h = h
+		if n > 0 {
+			i := 0
+			for {
+				c := arity*i + 1
+				if c >= n {
+					break
+				}
+				end := min(c+arity, n)
+				m, mc := c, h[c]
+				for j := c + 1; j < end; j++ {
+					if less(h[j], mc) {
+						m, mc = j, h[j]
+					}
+				}
+				if !less(mc, last) {
+					break
+				}
+				h[i] = mc
+				mc.idx = int32(i)
+				i = m
+			}
+			h[i] = last
+			last.idx = int32(i)
+		}
 	}
 	e.idx = -1
 	q.live--
 	at, p := e.at, e.p
 	q.recycle(e)
 	return at, p
-}
-
-// removeRoot deletes heap slot 0, filling it with the last slot's head
-// (one descent).
-func (q *Queue) removeRoot() {
-	n := len(q.h) - 1
-	last := q.h[n]
-	q.h[n] = nil
-	q.h = q.h[:n]
-	if n > 0 {
-		q.h[0] = last
-		q.siftDown(0)
-	}
 }
 
 // removeAt deletes heap slot i, filling it with the last slot's head.

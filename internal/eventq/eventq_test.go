@@ -324,7 +324,7 @@ func TestRescheduleFromCallbackReusesRecord(t *testing.T) {
 // than pending events; the bound still pins that.
 func TestCompactionBoundsTombstones(t *testing.T) {
 	var q Queue
-	// Repeatedly cancel-and-reschedule a far-future event, the hv.setEvent
+	// Repeatedly cancel-and-reschedule a far-future event, the hv.armEvent
 	// pattern, whose cancelled events the clock never reaches.
 	h := schedule(&q, 1_000_000, func(simtime.Time) {})
 	for i := 0; i < 10_000; i++ {
@@ -704,7 +704,7 @@ func BenchmarkKernelMixAligned(b *testing.B) {
 	}
 }
 
-// BenchmarkCancelReschedule measures the hv.setEvent hot pattern: cancel a
+// BenchmarkCancelReschedule measures the hv.armEvent hot pattern: cancel a
 // pending wakeup and schedule a new one. The seed implementation paid a
 // heap.Remove plus a fresh allocation per iteration.
 func BenchmarkCancelReschedule(b *testing.B) {

@@ -191,8 +191,17 @@ func CalibratedCosts() CostModel {
 func (h *Host) DrawCost(c Cost) simtime.Duration { return c.Sample(h.costRNG) }
 
 // ScheduleCost samples the cost of one schedule() invocation that examined
-// work entities: one base draw plus work × one per-entity draw.
+// work entities: one base draw plus work × one per-entity draw. An
+// all-constant pair, the default, is plain arithmetic inline; any
+// distribution takes the sampled path, which keeps the draw order.
 func (h *Host) ScheduleCost(work int) simtime.Duration {
+	if c := &h.Costs; c.ScheduleBase.d == nil && c.SchedulePerEntity.d == nil {
+		return c.ScheduleBase.c + simtime.Duration(max(work, 0))*c.SchedulePerEntity.c
+	}
+	return h.sampleScheduleCost(work)
+}
+
+func (h *Host) sampleScheduleCost(work int) simtime.Duration {
 	c := h.Costs.ScheduleBase.Sample(h.costRNG)
 	if work > 0 {
 		c += simtime.Duration(work) * h.Costs.SchedulePerEntity.Sample(h.costRNG)
@@ -201,12 +210,17 @@ func (h *Host) ScheduleCost(work int) simtime.Duration {
 }
 
 // ctxSwitchCost samples the context-switch term for PCPU p switching to nv:
-// warm when nv last ran here (or the PCPU goes idle), cold otherwise.
+// warm when nv last ran here (or the PCPU goes idle), cold otherwise. A
+// constant term returns without a call.
 func (h *Host) ctxSwitchCost(p *PCPU, nv *VCPU) simtime.Duration {
+	c := &h.Costs.CtxSwitchWarm
 	if nv != nil && h.hot[nv.ID].LastPCPU != int32(p.ID) {
-		return h.Costs.CtxSwitchCold.Sample(h.costRNG)
+		c = &h.Costs.CtxSwitchCold
 	}
-	return h.Costs.CtxSwitchWarm.Sample(h.costRNG)
+	if c.d == nil {
+		return c.c
+	}
+	return c.d.Sample(h.costRNG)
 }
 
 // migrationCost samples the cross-PCPU migration term for nv: the fixed

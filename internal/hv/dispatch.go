@@ -6,6 +6,7 @@ import (
 	"rtvirt/internal/eventq"
 	"rtvirt/internal/sim"
 	"rtvirt/internal/simtime"
+	"rtvirt/internal/task"
 	"rtvirt/internal/trace"
 )
 
@@ -16,10 +17,10 @@ type eventRef = eventq.Handle
 // job execution on the dispatched VCPU. Completion is detected here; the
 // follow-up (picking the next job) happens in refresh/dispatch.
 func (h *Host) advance(p *PCPU, now simtime.Time) {
-	if now < p.lastAdvance {
-		panic(fmt.Sprintf("hv: advance backwards on %v (%v < %v)", p, now, p.lastAdvance))
-	}
-	if now == p.lastAdvance {
+	if now <= p.lastAdvance {
+		if now < p.lastAdvance {
+			panic(advanceBackwards{p, now, p.lastAdvance})
+		}
 		return
 	}
 	start := p.lastAdvance
@@ -36,38 +37,69 @@ func (h *Host) advance(p *PCPU, now simtime.Time) {
 	}
 	run := now.Sub(start)
 	v := p.cur
-	if v == nil {
+	if v == nil || v.curJob == nil {
+		// Idle, or dispatched but between jobs (e.g. completion
+		// processed, pick pending), which counts as idle-in-guest.
 		p.IdleTime += run
 		return
 	}
 	j := v.curJob
-	if j == nil {
-		// Dispatched but between jobs (e.g. completion processed, pick
-		// pending). Counts as idle-in-guest.
-		p.IdleTime += run
-		return
-	}
 	if run > j.Remaining {
-		panic(fmt.Sprintf("hv: %v overran job by %v (events must be exact)", v, run-j.Remaining))
+		panic(jobOverrun{v, run - j.Remaining})
 	}
 	v.TotalRun += run
 	p.BusyTime += run
 	if j.Consume(run) {
-		j.Complete(now)
-		v.curJob = nil
-		h.emitJobDone(v, j, now)
-		v.VM.Guest.JobCompleted(v, j, now)
+		h.completeJob(v, j, now)
 	}
 }
 
-// setEvent replaces the PCPU's pending kernel event. Nearly every kernel
-// event lands here with a previous event still standing (the allocation
-// end or projected job completion moved), so the common case is an
-// in-place reschedule of the same pooled record rather than a
-// cancel/insert round trip. The event is a typed payload —
+// completeJob records that v's current job j finished at now and tells the
+// guest. It is advance's cold tail, kept out of line.
+func (h *Host) completeJob(v *VCPU, j *task.Job, now simtime.Time) {
+	j.Complete(now)
+	v.curJob = nil
+	h.emitJobDone(v, j, now)
+	v.VM.Guest.JobCompleted(v, j, now)
+}
+
+// advanceBackwards and jobOverrun are advance's panic values. They format
+// their messages only when printed, which keeps the formatting code out
+// of the hot function.
+type advanceBackwards struct {
+	p         *PCPU
+	now, last simtime.Time
+}
+
+func (e advanceBackwards) Error() string {
+	return fmt.Sprintf("hv: advance backwards on %v (%v < %v)", e.p, e.now, e.last)
+}
+
+type jobOverrun struct {
+	v  *VCPU
+	by simtime.Duration
+}
+
+func (e jobOverrun) Error() string {
+	return fmt.Sprintf("hv: %v overran job by %v (events must be exact)", e.v, e.by)
+}
+
+// armEvent replaces the PCPU's pending kernel event with one at the
+// earlier of the host allocation end and the running job's projected
+// completion (the allocation end alone when p is idle or between jobs).
+// Nearly every kernel event lands here with a previous event still
+// standing (the allocation end or projected job completion moved), so
+// the common case is an in-place reschedule of the same pooled record
+// rather than a cancel/insert round trip. The event is a typed payload —
 // (host handler, evPCPUTimer, PCPU ID) — so it is plain data: the path
 // allocates nothing and the pending timer survives a fork.
-func (h *Host) setEvent(p *PCPU, at simtime.Time) {
+func (h *Host) armEvent(p *PCPU, now simtime.Time) {
+	at := p.allocEnd
+	if p.cur != nil && p.cur.curJob != nil {
+		execStart := simtime.Max(now, p.overheadUntil)
+		done := execStart.Add(p.cur.curJob.Remaining)
+		at = simtime.Min(at, done)
+	}
 	if at == simtime.Never {
 		h.Sim.Cancel(p.ev)
 		p.ev = eventRef{}
@@ -131,18 +163,6 @@ func (h *Host) block(p *PCPU, v *VCPU, now simtime.Time) {
 	p.cur = nil
 	h.emitDispatch(p, nil, now, 0)
 	h.sched.VCPUIdle(v, now)
-}
-
-// armEvent schedules the next kernel event for p: the earlier of the host
-// allocation end and the running job's projected completion.
-func (h *Host) armEvent(p *PCPU, now simtime.Time) {
-	at := p.allocEnd
-	if p.cur != nil && p.cur.curJob != nil {
-		execStart := simtime.Max(now, p.overheadUntil)
-		done := execStart.Add(p.cur.curJob.Remaining)
-		at = simtime.Min(at, done)
-	}
-	h.setEvent(p, at)
 }
 
 // dispatch runs the host scheduler on PCPU p until it produces a runnable
@@ -217,7 +237,7 @@ func (h *Host) dispatch(p *PCPU, now simtime.Time) {
 		p.allocEnd = now.Add(dec.RunFor)
 
 		if p.cur == nil {
-			h.setEvent(p, p.allocEnd)
+			h.armEvent(p, now)
 			return
 		}
 		j := p.cur.VM.Guest.PickJob(p.cur, now)
@@ -234,7 +254,7 @@ func (h *Host) dispatch(p *PCPU, now simtime.Time) {
 // Kick forces PCPU p to re-run its scheduler now. Host schedulers call it
 // when a higher-priority VCPU appears. The standing kernel event is left
 // pending: no simulator event can fire while dispatch runs, and every exit
-// path of dispatch ends in setEvent, which reschedules it in place.
+// path of dispatch ends in armEvent, which reschedules it in place.
 func (h *Host) Kick(p *PCPU, now simtime.Time) {
 	h.advance(p, now)
 	h.dispatch(p, now)
@@ -261,7 +281,7 @@ func (h *Host) VCPURecheck(v *VCPU, now simtime.Time) {
 	}
 	p := h.pcpus[pi]
 	// As in Kick, the standing kernel event stays pending: every path below
-	// ends in setEvent (via refresh or continueVCPU), which moves it in
+	// ends in armEvent (via refresh or continueVCPU), which moves it in
 	// place.
 	h.advance(p, now)
 	if p.cur != v { // completed & switched during advance

@@ -154,11 +154,16 @@ func (p *PCPU) chargeOverhead(now simtime.Time, cost simtime.Duration) {
 func (p *PCPU) String() string { return fmt.Sprintf("pcpu%d", p.ID) }
 
 // emitDispatch reports that p switched to v (nil = idle); grant is the
-// host allocation length (0 when the switch is an undispatch).
+// host allocation length (0 when the switch is an undispatch). Like the
+// other emitters it is an inlinable guard on the bus, with the event
+// built out of line, so a run without sinks pays one length check.
 func (h *Host) emitDispatch(p *PCPU, v *VCPU, now simtime.Time, grant simtime.Duration) {
-	if !h.bus.Active() {
-		return
+	if h.bus.Active() {
+		h.traceDispatch(p, v, now, grant)
 	}
+}
+
+func (h *Host) traceDispatch(p *PCPU, v *VCPU, now simtime.Time, grant simtime.Duration) {
 	ev := trace.Event{At: now, Kind: trace.Dispatch, PCPU: p.ID, Arg: int64(grant)}
 	if v != nil {
 		ev.VM = v.VM.Name
@@ -170,9 +175,12 @@ func (h *Host) emitDispatch(p *PCPU, v *VCPU, now simtime.Time, grant simtime.Du
 // emitJobDone reports a job completion on v as JobDone (Arg = response
 // time) or JobMiss (Arg = lateness).
 func (h *Host) emitJobDone(v *VCPU, j *task.Job, now simtime.Time) {
-	if !h.bus.Active() {
-		return
+	if h.bus.Active() {
+		h.traceJobDone(v, j, now)
 	}
+}
+
+func (h *Host) traceJobDone(v *VCPU, j *task.Job, now simtime.Time) {
 	kind := trace.JobDone
 	arg := int64(now.Sub(j.Release))
 	if j.Deadline != simtime.Never && j.Finish > j.Deadline {
@@ -186,9 +194,12 @@ func (h *Host) emitJobDone(v *VCPU, j *task.Job, now simtime.Time) {
 
 // emitGuestSwitch reports a guest-level process switch onto v's next job.
 func (h *Host) emitGuestSwitch(v *VCPU, j *task.Job, now simtime.Time) {
-	if !h.bus.Active() {
-		return
+	if h.bus.Active() {
+		h.traceGuestSwitch(v, j, now)
 	}
+}
+
+func (h *Host) traceGuestSwitch(v *VCPU, j *task.Job, now simtime.Time) {
 	pcpu := int(h.hot[v.ID].PCPU)
 	h.bus.Emit(trace.Event{At: now, Kind: trace.GuestSwitch, PCPU: pcpu,
 		VM: v.VM.Name, VCPU: v.Index, Task: j.Task.Name})

@@ -25,9 +25,9 @@ import (
 type Scenario struct {
 	// Stack: rtvirt | rt-xen | two-level-edf | credit (default rtvirt).
 	Stack string `json:"stack"`
-	// PCPUs is the host size (default 1).
+	// PCPUs is the host size (0 = DefaultPCPUs).
 	PCPUs int `json:"pcpus"`
-	// Seconds is the simulated run length (default 10).
+	// Seconds is the simulated run length (0 = DefaultSeconds).
 	Seconds int64 `json:"seconds"`
 	// Seed fixes the random streams (default 1).
 	Seed uint64 `json:"seed"`
@@ -325,6 +325,23 @@ type Result struct {
 	Events trace.Counts
 }
 
+// The host size and run length of a scenario that leaves them out (zero).
+// Validate rejects negative values.
+const (
+	DefaultPCPUs   = 1
+	DefaultSeconds = 10
+)
+
+// HostPCPUs reports the host size the scenario runs on: PCPUs, or
+// DefaultPCPUs when it is zero. The simulator (Build) and the offline
+// analysis (internal/analyze) both size the host by it.
+func (sc Scenario) HostPCPUs() int {
+	if sc.PCPUs == 0 {
+		return DefaultPCPUs
+	}
+	return sc.PCPUs
+}
+
 // Parse decodes a scenario from JSON.
 func Parse(r io.Reader) (Scenario, error) {
 	var sc Scenario
@@ -360,6 +377,12 @@ func (sc Scenario) Validate() error {
 	}
 	if len(sc.VMs) == 0 {
 		return fmt.Errorf("scenario: no VMs")
+	}
+	if sc.PCPUs < 0 {
+		return fmt.Errorf("scenario: pcpus must be 0 (the default, %d) or positive, got %d", DefaultPCPUs, sc.PCPUs)
+	}
+	if sc.Seconds < 0 {
+		return fmt.Errorf("scenario: seconds must be 0 (the default, %d) or positive, got %d", DefaultSeconds, sc.Seconds)
 	}
 	if sc.Costs != nil {
 		if err := sc.Costs.validate(); err != nil {
@@ -542,11 +565,7 @@ func Build(sc Scenario, opts Options) (*World, error) {
 	}
 	stack, _ := StackFor(sc.Stack)
 	cfg := core.DefaultConfig(stack)
-	if sc.PCPUs > 0 {
-		cfg.PCPUs = sc.PCPUs
-	} else {
-		cfg.PCPUs = 1
-	}
+	cfg.PCPUs = sc.HostPCPUs()
 	if sc.Seed != 0 {
 		cfg.Seed = sc.Seed
 	}
@@ -601,8 +620,8 @@ func Build(sc Scenario, opts Options) (*World, error) {
 	}
 
 	seconds := sc.Seconds
-	if seconds <= 0 {
-		seconds = 10
+	if seconds == 0 {
+		seconds = DefaultSeconds
 	}
 	netDelay := workload.DefaultNetworkDelay()
 	if sc.Costs != nil && sc.Costs.NetworkDelayUS != nil {

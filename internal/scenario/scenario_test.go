@@ -95,6 +95,8 @@ func TestValidate(t *testing.T) {
 		json string
 	}{
 		{"no VMs", `{"stack": "rtvirt"}`},
+		{"negative pcpus", `{"pcpus": -3, "vms": [{"name": "a"}]}`},
+		{"negative seconds", `{"seconds": -5, "vms": [{"name": "a"}]}`},
 		{"bad stack", `{"stack": "vmware", "vms": [{"name": "a"}]}`},
 		{"anonymous VM", `{"vms": [{"vcpus": 1}]}`},
 		{"bad kind", `{"vms": [{"name": "a", "tasks": [{"name": "t", "kind": "spooky"}]}]}`},

@@ -17,6 +17,7 @@ package credit
 
 import (
 	"fmt"
+	"math/bits"
 
 	"rtvirt/internal/hv"
 	"rtvirt/internal/sim"
@@ -83,9 +84,7 @@ func DefaultConfig() Config {
 }
 
 // vcpuState is the per-VCPU credit accounting. All accounts live in the
-// Scheduler's flat st array indexed by dense VCPU ID, so the round-robin
-// scan in Schedule walks two contiguous arrays (the ID ring and st)
-// instead of dereferencing a per-VCPU interface pointer.
+// Scheduler's flat st array indexed by dense VCPU ID.
 type vcpuState struct {
 	credits   simtime.Duration // signed: negative = OVER
 	boost     bool
@@ -113,9 +112,23 @@ type Scheduler struct {
 	// vcpus is the round-robin ring as VCPU IDs in admission order; st is
 	// the struct-of-arrays credit state indexed by VCPU ID. The host's
 	// id-arena (Host.ByID) resolves IDs back to VCPUs for cold fields.
-	vcpus  []int32
-	st     []vcpuState
+	// IDs are never reused after an admission, so admission order is
+	// ascending ID order and the ring is the member bitmap read upwards.
+	vcpus []int32
+	st    []vcpuState
+	// cursor is the ring rank the next scan starts from (Xen's runqueue
+	// rotation). Removals can leave it at or past the end; a scan reduces
+	// it modulo the ring size.
 	cursor int
+
+	// Bitmaps over VCPU IDs, one bit per ID and grown with st: member is
+	// the ring; ready holds the VCPUs that are runnable and on no PCPU,
+	// kept from this scheduler's own hooks (wake, idle, the two sides of
+	// a Schedule, removal); band[b] holds the members whose priority is
+	// b. A parked VCPU is in no band.
+	member []uint64
+	ready  []uint64
+	band   [prioOver + 1][]uint64
 
 	started bool
 }
@@ -191,8 +204,18 @@ func (s *Scheduler) AdmitVCPU(v *hv.VCPU) error {
 	for len(s.st) <= v.ID {
 		s.st = append(s.st, vcpuState{})
 	}
-	s.st[v.ID] = st
-	s.vcpus = append(s.vcpus, int32(v.ID))
+	for words := v.ID>>6 + 1; len(s.member) < words; {
+		s.member = append(s.member, 0)
+		s.ready = append(s.ready, 0)
+		for b := range s.band {
+			s.band[b] = append(s.band[b], 0)
+		}
+	}
+	id := int32(v.ID)
+	s.st[id] = st
+	s.vcpus = append(s.vcpus, id)
+	setBit(s.member, id)
+	s.refile(id)
 	return nil
 }
 
@@ -227,6 +250,12 @@ func (s *Scheduler) RemoveVCPU(v *hv.VCPU, now simtime.Time) {
 	}
 	if v.ID < len(s.st) {
 		s.st[v.ID] = vcpuState{}
+		id := int32(v.ID)
+		clearBit(s.member, id)
+		clearBit(s.ready, id)
+		for b := range s.band {
+			clearBit(s.band[b], id)
+		}
 	}
 }
 
@@ -260,6 +289,7 @@ func (s *Scheduler) account(now simtime.Time) {
 			if st.credits > share {
 				st.credits = share
 			}
+			s.refile(id)
 			if s.h.Tracing() {
 				s.h.Emit(trace.Event{At: now, Kind: trace.Replenish, PCPU: -1,
 					VM: v.VM.Name, VCPU: v.Index, Arg: int64(share)})
@@ -285,9 +315,7 @@ func (s *Scheduler) tick(now simtime.Time) {
 		if cur := p.Current(); cur != nil {
 			if s.managed(cur) {
 				st := &s.st[cur.ID]
-				if st.boost {
-					st.boost = false
-				}
+				st.boost = false
 				if s.cfg.SampledAccounting {
 					// Tick sampling: the occupant is presumed to have run
 					// the whole interval since the last tick. Deplete's
@@ -302,6 +330,7 @@ func (s *Scheduler) tick(now simtime.Time) {
 							PCPU: p.ID, VM: cur.VM.Name, VCPU: cur.Index})
 					}
 				}
+				s.refile(int32(cur.ID))
 			}
 			if c := s.h.DrawCost(tickCost); c > 0 {
 				s.h.Overhead.ScheduleCalls++
@@ -316,7 +345,7 @@ func (s *Scheduler) tick(now simtime.Time) {
 // accounting nothing burns here — the tick is the only debit point — but
 // lastAt still advances (the ratelimit measures runs from it).
 func (s *Scheduler) settle(v *hv.VCPU, now simtime.Time) {
-	st := s.state(v)
+	st := &s.st[v.ID]
 	if st.runningOn < 0 {
 		return
 	}
@@ -329,19 +358,30 @@ func (s *Scheduler) settle(v *hv.VCPU, now simtime.Time) {
 	st.credits -= elapsed
 	st.charged += elapsed
 	st.lastAt = now
-	// The UNDER→OVER transition is Credit's budget-exhaustion moment. For
-	// a capped VCPU, Arg carries the overdraw past the cap boundary:
-	// Schedule parks it at exactly zero credits, so anything non-zero is
-	// an accounting bug (check.BudgetOracle). Uncapped VCPUs run into
-	// negative credit legitimately (the OVER band) and report no overdraw.
-	if had && st.credits <= 0 && s.h.Tracing() {
-		var over int64
-		if st.cap > 0 && st.credits < 0 {
-			over = int64(-st.credits)
-		}
-		s.h.Emit(trace.Event{At: now, Kind: trace.Deplete, PCPU: int(st.runningOn),
-			VM: v.VM.Name, VCPU: v.Index, Arg: over})
+	if had && st.credits <= 0 {
+		s.deplete(v, st, now)
 	}
+}
+
+// deplete handles the UNDER→OVER transition, Credit's budget-exhaustion
+// moment and the only band change a burn can make: the VCPU is re-filed
+// (into OVER, or out of every band when capped) and the Deplete event
+// emitted. For a capped VCPU, Arg carries the overdraw past the cap
+// boundary: Schedule parks it at exactly zero credits, so anything
+// non-zero is an accounting bug (check.BudgetOracle). Uncapped VCPUs run
+// into negative credit legitimately (the OVER band) and report no
+// overdraw.
+func (s *Scheduler) deplete(v *hv.VCPU, st *vcpuState, now simtime.Time) {
+	s.refile(int32(v.ID))
+	if !s.h.Tracing() {
+		return
+	}
+	var over int64
+	if st.cap > 0 && st.credits < 0 {
+		over = int64(-st.credits)
+	}
+	s.h.Emit(trace.Event{At: now, Kind: trace.Deplete, PCPU: int(st.runningOn),
+		VM: v.VM.Name, VCPU: v.Index, Arg: over})
 }
 
 // prio computes the VCPU's current priority band; parked (capped-out)
@@ -361,9 +401,25 @@ func prio(st *vcpuState) int {
 	}
 }
 
+// refile moves VCPU id into the band bitmap its priority selects, or out
+// of every band when it is parked.
+func (s *Scheduler) refile(id int32) {
+	w, m := id>>6, uint64(1)<<(id&63)
+	s.band[prioBoost][w] &^= m
+	s.band[prioUnder][w] &^= m
+	s.band[prioOver][w] &^= m
+	if pr := prio(&s.st[id]); pr != prioParked {
+		s.band[pr][w] |= m
+	}
+}
+
+func setBit(b []uint64, id int32)   { b[id>>6] |= 1 << (id & 63) }
+func clearBit(b []uint64, id int32) { b[id>>6] &^= 1 << (id & 63) }
+
 // VCPUWake implements hv.HostScheduler: BOOST the waker and preempt the
 // weakest PCPU if the boost outranks it, honouring the ratelimit.
 func (s *Scheduler) VCPUWake(v *hv.VCPU, now simtime.Time) {
+	setBit(s.ready, int32(v.ID))
 	if !s.started {
 		return
 	}
@@ -371,6 +427,7 @@ func (s *Scheduler) VCPUWake(v *hv.VCPU, now simtime.Time) {
 	// Xen boosts a waking VCPU unless it is already over its fair share.
 	if st.credits >= 0 {
 		st.boost = true
+		s.refile(int32(v.ID))
 	}
 	if prio(st) == prioParked {
 		return // capped out until the next accounting refill
@@ -420,55 +477,46 @@ func (s *Scheduler) VCPUIdle(v *hv.VCPU, now simtime.Time) {
 	if s.managed(v) {
 		s.settle(v, now)
 		s.st[v.ID].runningOn = -1
+		clearBit(s.ready, int32(v.ID))
 	}
 }
 
 // Schedule implements hv.HostScheduler: round-robin within the highest
-// non-empty priority band.
+// non-empty priority band. The pick is the first ready member of the best
+// band in ring order from the cursor; PCPU p's own occupant is ready
+// again once settled here, if it is still runnable. Work is the scan
+// length Xen's runqueue walk would charge: the ring up to and including
+// a BOOST pick, which ends the walk early, or the whole ring otherwise.
 func (s *Scheduler) Schedule(p *hv.PCPU, now simtime.Time) hv.Decision {
-	if cur := p.Current(); cur != nil {
-		if s.managed(cur) {
-			s.settle(cur, now)
-			s.st[cur.ID].runningOn = -1
+	if cur := p.Current(); cur != nil && s.managed(cur) {
+		s.settle(cur, now)
+		s.st[cur.ID].runningOn = -1
+		if s.h.Hot()[cur.ID].Runnable {
+			setBit(s.ready, int32(cur.ID))
 		}
 	}
 	n := len(s.vcpus)
-	work := 0
-	best := int32(-1)
-	bestPrio := prioOver + 1
-	bestNext := 0
-	hot := s.h.Hot()
-	pid := int32(p.ID)
-	// Removals can leave the cursor at or past n: reduce it once, then
-	// wrap each step with a compare.
-	j := 0
-	if n > 0 {
-		j = s.cursor % n
+	if n == 0 {
+		return hv.Decision{VCPU: nil, RunFor: simtime.Infinite}
 	}
-	for i := 0; i < n; i++ {
-		id := s.vcpus[j]
-		if j++; j == n {
-			j = 0
-		}
-		work++
-		if hs := hot[id]; !hs.Runnable || (hs.PCPU >= 0 && hs.PCPU != pid) {
-			continue
-		}
-		if pr := prio(&s.st[id]); pr < bestPrio && pr != prioParked {
-			bestPrio = pr
-			best = id
-			bestNext = j
-			if pr == prioBoost {
-				break
-			}
-		}
-	}
+	first := s.cursor % n
+	best, pr := s.pick(s.atRank(first))
 	if best < 0 {
-		return hv.Decision{VCPU: nil, RunFor: simtime.Infinite, Work: work}
+		return hv.Decision{VCPU: nil, RunFor: simtime.Infinite, Work: n}
 	}
-	s.cursor = bestNext
+	clearBit(s.ready, best)
+	rank := s.rank(best)
+	work := n
+	if pr == prioBoost {
+		if work = rank - first + 1; work <= 0 {
+			work += n
+		}
+	}
+	if s.cursor = rank + 1; s.cursor == n {
+		s.cursor = 0
+	}
 	st := &s.st[best]
-	st.runningOn = pid
+	st.runningOn = int32(p.ID)
 	st.lastAt = now
 	run := s.cfg.Timeslice
 	if !s.cfg.SampledAccounting && st.cap > 0 && st.credits < run {
@@ -482,4 +530,55 @@ func (s *Scheduler) Schedule(p *hv.PCPU, now simtime.Time) hv.Decision {
 		}
 	}
 	return hv.Decision{VCPU: s.h.ByID(int(best)), RunFor: run, Work: work}
+}
+
+// pick returns the first ready member of the best non-empty band in ring
+// order from member start, and that band; (-1, -1) when nothing is ready.
+func (s *Scheduler) pick(start int32) (int32, int) {
+	sw, sb := int(start>>6), uint(start&63)
+	for b := range s.band {
+		band := s.band[b]
+		// From start to the top of the ID space, then wrap round to the
+		// low bits of start's own word.
+		if x := (band[sw] & s.ready[sw]) >> sb << sb; x != 0 {
+			return int32(sw<<6 + bits.TrailingZeros64(x)), b
+		}
+		for w := sw + 1; w < len(band); w++ {
+			if x := band[w] & s.ready[w]; x != 0 {
+				return int32(w<<6 + bits.TrailingZeros64(x)), b
+			}
+		}
+		for w := 0; w <= sw; w++ {
+			if x := band[w] & s.ready[w]; x != 0 {
+				return int32(w<<6 + bits.TrailingZeros64(x)), b
+			}
+		}
+	}
+	return -1, -1
+}
+
+// rank reports member id's 0-based position in the ring.
+func (s *Scheduler) rank(id int32) int {
+	w := int(id >> 6)
+	r := bits.OnesCount64(s.member[w] & (1<<(id&63) - 1))
+	for _, x := range s.member[:w] {
+		r += bits.OnesCount64(x)
+	}
+	return r
+}
+
+// atRank returns the member at ring rank k, or -1 when k is not below the
+// ring size.
+func (s *Scheduler) atRank(k int) int32 {
+	for w, x := range s.member {
+		if c := bits.OnesCount64(x); k >= c {
+			k -= c
+			continue
+		}
+		for ; k > 0; k-- {
+			x &= x - 1
+		}
+		return int32(w<<6 + bits.TrailingZeros64(x))
+	}
+	return -1
 }

@@ -1,14 +1,17 @@
 package credit
 
 import (
+	"slices"
+
 	"rtvirt/internal/clone"
 	"rtvirt/internal/sim"
 )
 
 // ForkHandler implements sim.Handler. With the credit accounts in a flat
-// value array and the round-robin ring holding IDs, the fork is two slice
-// copies — no pointers to remap. The cursor is carried verbatim so the
-// fork picks up the rotation exactly where the source left it.
+// value array and the round-robin ring and bitmaps holding IDs, the fork
+// is plain slice copies — no pointers to remap. The cursor is carried
+// verbatim so the fork picks up the rotation exactly where the source
+// left it.
 func (s *Scheduler) ForkHandler(ctx *clone.Ctx) sim.Handler {
 	if n, ok := ctx.Lookup(s); ok {
 		return n.(*Scheduler)
@@ -21,7 +24,12 @@ func (s *Scheduler) ForkHandler(ctx *clone.Ctx) sim.Handler {
 		started: s.started,
 	}
 	ctx.Put(s, ns)
-	ns.vcpus = append([]int32(nil), s.vcpus...)
-	ns.st = append([]vcpuState(nil), s.st...)
+	ns.vcpus = slices.Clone(s.vcpus)
+	ns.st = slices.Clone(s.st)
+	ns.member = slices.Clone(s.member)
+	ns.ready = slices.Clone(s.ready)
+	for b := range s.band {
+		ns.band[b] = slices.Clone(s.band[b])
+	}
 	return ns
 }

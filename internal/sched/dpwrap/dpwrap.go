@@ -663,22 +663,27 @@ func (s *Scheduler) chargeRun(ps *pcpuState, now simtime.Time) {
 	if elapsed < 0 {
 		panic("dpwrap: time went backwards in chargeRun")
 	}
-	if elapsed >= e.remaining {
+	if elapsed < e.remaining {
+		e.remaining -= elapsed
+	} else {
 		if e.remaining > 0 && s.h.Tracing() {
-			// Arg carries the overdraw: time charged beyond the entry's
-			// quota. Schedule grants at most the remaining quota, so any
-			// non-zero overdraw is an accounting bug (check.BudgetOracle).
-			s.h.Emit(trace.Event{At: now, Kind: trace.Deplete, PCPU: e.pcpu,
-				VM: e.v.VM.Name, VCPU: e.v.Index, Arg: int64(elapsed - e.remaining)})
+			s.emitDeplete(e, now, elapsed)
 		}
 		e.remaining = 0
-	} else {
-		e.remaining -= elapsed
 	}
 	if s.cfg.IdleTax {
 		*grow(&s.windowUse, e.v.ID) += elapsed
 	}
 	ps.lastEntry = -1
+}
+
+// emitDeplete reports that entry e's quota ran out. Arg carries the
+// overdraw: time charged beyond the entry's quota. Schedule grants at
+// most the remaining quota, so any non-zero overdraw is an accounting bug
+// (check.BudgetOracle).
+func (s *Scheduler) emitDeplete(e *entry, now simtime.Time, elapsed simtime.Duration) {
+	s.h.Emit(trace.Event{At: now, Kind: trace.Deplete, PCPU: e.pcpu,
+		VM: e.v.VM.Name, VCPU: e.v.Index, Arg: int64(elapsed - e.remaining)})
 }
 
 // SliceBounds reports the current global slice [start, end). Every quota

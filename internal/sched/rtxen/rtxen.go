@@ -211,24 +211,29 @@ func (s *Scheduler) replenish(v *hv.VCPU, now simtime.Time) {
 
 // chargeIfRunning deducts consumed budget for a currently-running server.
 func (s *Scheduler) chargeIfRunning(v *hv.VCPU, now simtime.Time) {
-	st := s.state(v)
+	st := &s.srv[v.ID]
 	if st.runningOn < 0 {
 		return
 	}
 	elapsed := now.Sub(st.lastAt)
-	if elapsed >= st.budget {
-		if st.budget > 0 && s.h.Tracing() {
-			// Arg carries the overdraw: time charged beyond the remaining
-			// budget. The kernel's allocations never exceed the budget, so
-			// anything non-zero is an accounting bug (check.BudgetOracle).
-			s.h.Emit(trace.Event{At: now, Kind: trace.Deplete, PCPU: int(st.runningOn),
-				VM: v.VM.Name, VCPU: v.Index, Arg: int64(elapsed - st.budget)})
-		}
-		st.budget = 0
-	} else {
-		st.budget -= elapsed
-	}
 	st.lastAt = now
+	if elapsed < st.budget {
+		st.budget -= elapsed
+		return
+	}
+	if st.budget > 0 && s.h.Tracing() {
+		s.emitDeplete(v, st, now, elapsed)
+	}
+	st.budget = 0
+}
+
+// emitDeplete reports that v's server exhausted its budget. Arg carries
+// the overdraw: time charged beyond the remaining budget. The kernel's
+// allocations never exceed the budget, so anything non-zero is an
+// accounting bug (check.BudgetOracle).
+func (s *Scheduler) emitDeplete(v *hv.VCPU, st *serverState, now simtime.Time, elapsed simtime.Duration) {
+	s.h.Emit(trace.Event{At: now, Kind: trace.Deplete, PCPU: int(st.runningOn),
+		VM: v.VM.Name, VCPU: v.Index, Arg: int64(elapsed - st.budget)})
 }
 
 // preemptCheck kicks the PCPU running the lowest-priority work if v should

@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"fmt"
-
 	"rtvirt/internal/clone"
 	"rtvirt/internal/eventq"
 	"rtvirt/internal/simtime"
@@ -43,8 +41,8 @@ func (s *Simulator) RegisterHandler(h Handler) int32 {
 
 // dispatch routes a fired payload event to its handler.
 func (s *Simulator) dispatch(now simtime.Time, p Payload) {
-	if p.Handler < 0 || int(p.Handler) >= len(s.handlers) {
-		panic(fmt.Sprintf("sim: payload event for unregistered handler %d", p.Handler))
+	if uint(p.Handler) >= uint(len(s.handlers)) {
+		panic(unregisteredEvent(p.Handler))
 	}
 	s.handlers[p.Handler].HandleSimEvent(now, p)
 }

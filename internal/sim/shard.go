@@ -293,20 +293,6 @@ func (ss *ShardSet) drainFrom(senders []int32) {
 	}
 }
 
-// runWindow fires the simulator's events with time < w (and ≤ end),
-// without advancing the clock past the last fired event.
-func (s *Simulator) runWindow(w, end simtime.Time) {
-	for {
-		next := s.q.PeekTime()
-		if next >= w || next > end {
-			// simtime.Never compares greater than any real instant, so an
-			// empty queue lands here too.
-			break
-		}
-		s.fireAt(next)
-	}
-}
-
 // execWindow runs executor group g's share of the current window: every
 // curGroups-th shard of the active list, each up to its own bound. Active
 // shards are disjoint across groups, so the only shared state is

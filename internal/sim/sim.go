@@ -75,10 +75,16 @@ func (s *Simulator) Pending() int { return s.q.Len() }
 // is always a logic error in a discrete-event model.
 func (s *Simulator) PostAt(at simtime.Time, p Payload) eventq.Handle {
 	if at < s.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, s.now))
+		panic(pastEvent{"scheduling", at, s.now})
 	}
-	if p.Handler < 0 || int(p.Handler) >= len(s.handlers) {
-		panic(fmt.Sprintf("sim: PostAt with unregistered handler %d", p.Handler))
+	return s.post(at, p)
+}
+
+// post is PostAt's out-of-line half: it checks the handler and queues the
+// event. The split keeps PostAt itself within the inlining budget.
+func (s *Simulator) post(at simtime.Time, p Payload) eventq.Handle {
+	if uint(p.Handler) >= uint(len(s.handlers)) {
+		panic(unregisteredPost(p.Handler))
 	}
 	return s.q.SchedulePayload(at, p)
 }
@@ -105,7 +111,7 @@ func (s *Simulator) Cancel(h eventq.Handle) { s.q.Cancel(h) }
 // Active first.
 func (s *Simulator) Reschedule(h eventq.Handle, at simtime.Time) eventq.Handle {
 	if at < s.now {
-		panic(fmt.Sprintf("sim: rescheduling event at %v before now %v", at, s.now))
+		panic(pastEvent{"rescheduling", at, s.now})
 	}
 	return s.q.Reschedule(h, at)
 }
@@ -117,16 +123,6 @@ func (s *Simulator) Step() bool {
 	if next == simtime.Never {
 		return false
 	}
-	s.fireAt(next)
-	return true
-}
-
-// fireAt pops the earliest pending event, already known to sit at next,
-// advances the clock and dispatches the event: the simulator is the only
-// dispatcher. Splitting this from Step lets RunUntil pay exactly
-// one PeekTime per event instead of peeking once for the bound check and
-// again inside Step.
-func (s *Simulator) fireAt(next simtime.Time) {
 	if next < s.now {
 		panic("sim: event queue went backwards")
 	}
@@ -136,21 +132,41 @@ func (s *Simulator) fireAt(next simtime.Time) {
 	s.dispatch(next, p)
 	s.inStep = false
 	s.fired++
+	return true
 }
 
 // RunUntil fires events in order until the clock would pass end, leaving
-// the clock at exactly end. Events scheduled at exactly end do run. Each
-// event costs a single queue peek.
+// the clock at exactly end. Events scheduled at exactly end do run.
 func (s *Simulator) RunUntil(end simtime.Time) {
-	for {
-		next := s.q.PeekTime()
-		if next == simtime.Never || next > end {
-			break
-		}
-		s.fireAt(next)
-	}
+	s.runWindow(simtime.Never, end)
 	if end > s.now && end != simtime.Never {
 		s.now = end
+	}
+}
+
+// runWindow fires the simulator's events with time < w and ≤ end, in
+// order, without advancing the clock past the last fired event. It is the
+// one event loop: RunUntil runs it with no window bound, a PDES shard
+// with its window's. Each event costs a single queue peek, which serves
+// both the bound check and the clock advance, and the simulator is the
+// only dispatcher.
+func (s *Simulator) runWindow(w, end simtime.Time) {
+	for {
+		next := s.q.PeekTime()
+		if next >= w || next > end {
+			// simtime.Never compares greater than any real instant, so an
+			// empty queue lands here too.
+			break
+		}
+		if next < s.now {
+			panic("sim: event queue went backwards")
+		}
+		s.now = next
+		s.inStep = true
+		_, p := s.q.Pop()
+		s.dispatch(next, p)
+		s.inStep = false
+		s.fired++
 	}
 }
 
@@ -166,4 +182,32 @@ func (s *Simulator) Drain(maxEvents uint64) {
 			panic("sim: Drain exceeded event budget (runaway simulation?)")
 		}
 	}
+}
+
+// pastEvent is the panic value for an event posted or moved to an instant
+// before now. Like the other kernel panic values it formats its message
+// only when printed, so the check costs the hot path a compare and keeps
+// PostAt and Reschedule within the compiler's inlining budget.
+type pastEvent struct {
+	verb    string
+	at, now simtime.Time
+}
+
+func (e pastEvent) Error() string {
+	return fmt.Sprintf("sim: %s event at %v before now %v", e.verb, e.at, e.now)
+}
+
+// unregisteredPost and unregisteredEvent are the panic values for a
+// payload naming no registered handler, at post and at dispatch.
+type (
+	unregisteredPost  int32
+	unregisteredEvent int32
+)
+
+func (h unregisteredPost) Error() string {
+	return fmt.Sprintf("sim: PostAt with unregistered handler %d", int32(h))
+}
+
+func (h unregisteredEvent) Error() string {
+	return fmt.Sprintf("sim: payload event for unregistered handler %d", int32(h))
 }

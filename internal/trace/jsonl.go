@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+
+	"rtvirt/internal/simtime"
 )
 
 // JSONL is a streaming sink that writes one JSON object per line — the
@@ -43,10 +45,13 @@ func (j *JSONL) Flush() error {
 // ReadJSONL parses a stream written by the JSONL sink, delivering each
 // event to every sink in order — the offline equivalent of re-running the
 // simulation with those sinks attached. It returns the number of events
-// replayed.
+// replayed. The simulator emits in time order, so an event earlier than
+// the one before it is an error that names both (events count from 1);
+// the sinks would otherwise report negative spans and run times.
 func ReadJSONL(r io.Reader, sinks ...Sink) (int, error) {
 	dec := json.NewDecoder(r)
 	n := 0
+	var last simtime.Time
 	for {
 		var ev Event
 		if err := dec.Decode(&ev); err != nil {
@@ -55,6 +60,10 @@ func ReadJSONL(r io.Reader, sinks ...Sink) (int, error) {
 			}
 			return n, fmt.Errorf("trace: event %d: %w", n+1, err)
 		}
+		if n > 0 && ev.At < last {
+			return n, fmt.Errorf("trace: event %d at %v precedes event %d at %v", n+1, ev.At, n, last)
+		}
+		last = ev.At
 		for _, s := range sinks {
 			s.Consume(ev)
 		}

@@ -64,6 +64,25 @@ func TestJSONLBadInput(t *testing.T) {
 	}
 }
 
+// A stream whose time goes backwards is rejected at the first event that
+// is earlier than its predecessor, by index, before any sink sees it; the
+// replay would otherwise report a negative span and negative run times.
+func TestJSONLTimeBackwards(t *testing.T) {
+	in := `{"at_ns":5,"kind":"dispatch","pcpu":0,"vm":"a","vcpu":0,"arg":1000}
+{"at_ns":5,"kind":"dispatch","pcpu":0,"arg":0}
+{"at_ns":1,"kind":"dispatch","pcpu":0,"vm":"a","vcpu":0,"arg":1000}
+`
+	var counts trace.Counts
+	n, err := trace.ReadJSONL(strings.NewReader(in), &counts)
+	want := "trace: event 3 at 1ns precedes event 2 at 5ns"
+	if err == nil || err.Error() != want {
+		t.Fatalf("error %v, want %q", err, want)
+	}
+	if n != 2 || counts.Total() != 2 {
+		t.Fatalf("replayed %d events (%d counted) before the error, want 2", n, counts.Total())
+	}
+}
+
 // Golden test: the JSONL wire format is an interchange format between
 // rtvirt-sim and rtvirt-analyze, so its exact bytes are pinned. Refresh
 // with `go test -run TestJSONLGolden -update ./internal/trace/`.
