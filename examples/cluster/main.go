@@ -40,7 +40,7 @@ func main() {
 		fmt.Printf("placed %-8s on %s\n", spec.Name, c.Hosts[d.HostIndex()].Name)
 	}
 	c.Start()
-	c.Run(5*rtvirt.Second, 1)
+	c.Run(5 * rtvirt.Second)
 
 	show := func(label string) {
 		fmt.Printf("\n%s:\n", label)
@@ -53,7 +53,7 @@ func main() {
 
 	// Rebalance: migrate until the spread is within 0.3 CPUs.
 	moves := c.Rebalance(0.3)
-	c.Run(5*rtvirt.Second, 1)
+	c.Run(5 * rtvirt.Second)
 	show(fmt.Sprintf("after rebalancing (%d live migrations)", moves))
 
 	fmt.Println()
@@ -73,7 +73,7 @@ func main() {
 	affected := c.FailHost(victim)
 	fmt.Printf("\n%s CRASHED — %d VMs dark for %v, recovering on the survivor\n",
 		victim.Name, len(affected), cfg.RecoveryDelay)
-	c.Run(5*rtvirt.Second, 1)
+	c.Run(5 * rtvirt.Second)
 	show("after failover")
 	for _, d := range c.Deployments() {
 		tk := d.Tasks()[0]

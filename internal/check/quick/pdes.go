@@ -2,6 +2,7 @@ package quick
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
 
 	"rtvirt/internal/check"
@@ -13,15 +14,12 @@ import (
 )
 
 // The PDES identity oracle: every generated scenario is replicated onto a
-// small sharded cluster and advanced under each executor group count in
-// Config.Shards; all runs must produce byte-identical cluster digests.
-// This turns the quickcheck corpus into a randomized probe of the
-// conservative-window machinery — mailbox ordering, barrier placement,
-// migration handoff — on worlds nobody hand-crafted.
-
-// DefaultShards is the executor-group axis the PDES oracle compares. The
-// first entry is the baseline.
-var DefaultShards = []int{1, 2, 4}
+// small sharded cluster and run twice, once in one Run and once split
+// into two Runs at a seeded instant. Both must produce the same cluster
+// digest, apart from the window count. This turns the quickcheck corpus
+// into a randomized probe of the conservative-window machinery — mailbox
+// ordering, barrier placement, migration handoff — on worlds nobody
+// hand-crafted.
 
 // pdesHosts is the sharded cluster's size: three hosts keeps one full
 // scenario replica per host affordable while still exercising forwarding
@@ -62,7 +60,7 @@ func buildPDES(sc scenario.Scenario, seed uint64) (*cluster.Sharded, error) {
 	if sc.Costs != nil {
 		// Thread generated cost overrides (including distribution-valued
 		// terms) into every shard; per-shard cost streams derive from the
-		// shard seed, so group-count invariance still holds.
+		// shard seed, so how the run is chunked does not change them.
 		cfg.System.Costs = sc.Costs.CostModel()
 	}
 	c := cluster.NewSharded(cfg)
@@ -142,39 +140,59 @@ func buildPDES(sc scenario.Scenario, seed uint64) (*cluster.Sharded, error) {
 	return c, nil
 }
 
-// pdesIdentity runs sc's sharded replica under every group count in
-// shards and reports a violation if any digest differs from the first.
-func pdesIdentity(sc scenario.Scenario, seed uint64, shards []int) (*check.Violation, error) {
+// pdesIdentity runs sc's sharded replica once in one Run and once split
+// at a seeded instant before its half-time planned migration, and reports
+// a violation if the two digests differ in anything but the window count.
+// The split comes before the migration because a VM left Pending by a
+// failed handoff is re-placed only at a barrier: a later split would
+// legitimately change when it comes back.
+func pdesIdentity(sc scenario.Scenario, seed uint64) (*check.Violation, error) {
 	total := simtime.Duration(sc.Seconds) * simtime.Second
-	run := func(groups int) (string, error) {
+	half := total / 2
+	split := simtime.Duration(1 + rand.New(rand.NewSource(int64(seed))).Int63n(int64(half-1)))
+	run := func(chunks ...simtime.Duration) (string, error) {
 		c, err := buildPDES(sc, seed)
 		if err != nil {
 			return "", err
 		}
 		c.Start()
-		c.Run(total, groups)
+		for _, d := range chunks {
+			c.Run(d)
+		}
 		c.Finish()
-		return c.DigestString(), nil
+		return stripWindows(c.DigestString()), nil
 	}
-	base, err := run(shards[0])
+	one, err := run(total)
 	if err != nil {
 		return nil, err
 	}
-	for _, g := range shards[1:] {
-		got, err := run(g)
-		if err != nil {
-			return nil, err
-		}
-		if got != base {
-			return &check.Violation{
-				At:     simtime.Time(0).Add(total),
-				Oracle: "pdes-identity",
-				Detail: fmt.Sprintf("executor groups=%d digest differs from groups=%d: %s",
-					g, shards[0], firstDiffLine(base, got)),
-			}, nil
-		}
+	two, err := run(split, total-split)
+	if err != nil {
+		return nil, err
+	}
+	if two != one {
+		return &check.Violation{
+			At:     simtime.Time(0).Add(total),
+			Oracle: "pdes-identity",
+			Detail: fmt.Sprintf("run split at %v differs from one run: %s", split, firstDiffLine(one, two)),
+		}, nil
 	}
 	return nil, nil
+}
+
+// stripWindows drops the window count from a cluster digest's header
+// line: how a run is chunked changes how many windows it takes, and
+// nothing else.
+func stripWindows(digest string) string {
+	head, rest, _ := strings.Cut(digest, "\n")
+	fields := strings.Fields(head)
+	kept := fields[:0]
+	for _, f := range fields {
+		if !strings.HasPrefix(f, "windows=") {
+			kept = append(kept, f)
+		}
+	}
+	return strings.Join(kept, " ") + "\n" + rest
 }
 
 // firstDiffLine names the first line where two digests part ways.

@@ -9,15 +9,15 @@ import (
 	"rtvirt/internal/sim"
 )
 
-// TestPDESIdentityOnGeneratedWorlds runs the sharded identity oracle
-// directly on a few generated scenarios.
+// TestPDESIdentityOnGeneratedWorlds runs the sharded chunking-identity
+// oracle directly on a few generated scenarios.
 func TestPDESIdentityOnGeneratedWorlds(t *testing.T) {
 	for caseN := 0; caseN < 3; caseN++ {
 		seed := sim.SplitSeed(7, uint64(caseN))
 		sc := Generate(rand.New(rand.NewSource(int64(seed))))
 		sc.Seconds = 1
 		sc.Seed = seed
-		v, err := pdesIdentity(sc, seed, DefaultShards)
+		v, err := pdesIdentity(sc, seed)
 		if err != nil {
 			t.Logf("case %d: skipped (%v)", caseN, err)
 			continue
@@ -29,20 +29,18 @@ func TestPDESIdentityOnGeneratedWorlds(t *testing.T) {
 }
 
 // TestRunIncludesPDESAxis checks that the harness drives the sharded
-// oracle by default and that a one-entry Shards removes exactly those
-// runs.
+// oracle on every case, with no option to turn it off: one run per stack
+// per case plus one sharded run per case.
 func TestRunIncludesPDESAxis(t *testing.T) {
 	cfg := Config{
 		Seed: 11, N: 2, Seconds: 1,
 		Stacks: []core.Stack{core.RTVirt},
 	}
-	with := Run(cfg)
-	cfg.Shards = []int{1}
-	without := Run(cfg)
-	if got := with.Runs - without.Runs; got != cfg.N {
-		t.Errorf("PDES axis added %d runs, want %d", got, cfg.N)
+	rep := Run(cfg)
+	if want := cfg.N*len(cfg.Stacks) + cfg.N; rep.Runs != want {
+		t.Errorf("%d runs, want %d", rep.Runs, want)
 	}
-	for _, f := range with.Failures {
+	for _, f := range rep.Failures {
 		if f.Stack == "pdes" {
 			t.Errorf("generated world broke PDES identity: %+v", f.Violations)
 		}
@@ -67,6 +65,13 @@ func TestBuildPDESReplicates(t *testing.T) {
 		if !strings.Contains(d.Spec.Name, "-h") {
 			t.Errorf("deployment %q missing host suffix", d.Spec.Name)
 		}
+	}
+}
+
+func TestStripWindows(t *testing.T) {
+	got := stripWindows("events=7 windows=3 now=9\nhost0 events=7\n")
+	if want := "events=7 now=9\nhost0 events=7\n"; got != want {
+		t.Errorf("stripWindows = %q, want %q", got, want)
 	}
 }
 

@@ -1,8 +1,10 @@
 // Package quick is the randomized property harness over the invariant
 // oracles: it draws seeded random scenarios (Generate), runs each one
 // under all four scheduler stacks with the full check.Suite armed plus a
-// mid-run fork bit-identity probe, and shrinks any violating world to a
-// minimal reproducer (Shrink) that rtvirt-sim can replay directly.
+// mid-run fork bit-identity probe, replays it on a small sharded cluster
+// for a run-chunking identity probe (pdes.go), and shrinks any violating
+// world to a minimal reproducer (Shrink) that rtvirt-sim can replay
+// directly.
 //
 // Three front ends drive it: bounded deterministic property tests in this
 // package (go test), native fuzz targets over the scenario codec, and
@@ -32,12 +34,6 @@ type Config struct {
 	Seconds int64
 	// Stacks overrides the stacks exercised (default: all four).
 	Stacks []core.Stack
-	// Shards is the executor-group axis of the sharded-PDES identity
-	// oracle: each scenario is replicated onto a small sharded cluster and
-	// run once per group count, and every digest must match the first
-	// entry's (default DefaultShards = 1, 2, 4). A single entry disables
-	// the comparison.
-	Shards []int
 }
 
 // Failure is one violating run, shrunk to a minimal reproducer. Scenario
@@ -59,8 +55,7 @@ type Failure struct {
 type Report struct {
 	Seed     uint64
 	Cases    int
-	Runs     int
-	PDES     int // executor group counts the sharded identity oracle compared (0 = off)
+	Runs     int // one per stack per case, plus one sharded identity run per case
 	Skipped  int // builds rejected by admission control
 	Failures []Failure
 }
@@ -81,13 +76,7 @@ func Run(cfg Config) *Report {
 	if len(cfg.Stacks) == 0 {
 		cfg.Stacks = AllStacks
 	}
-	if len(cfg.Shards) == 0 {
-		cfg.Shards = DefaultShards
-	}
 	rep := &Report{Seed: cfg.Seed, Cases: cfg.N}
-	if len(cfg.Shards) >= 2 {
-		rep.PDES = len(cfg.Shards)
-	}
 	for i := 0; i < cfg.N; i++ {
 		caseSeed := sim.SplitSeed(cfg.Seed, uint64(i))
 		sc := Generate(rand.New(rand.NewSource(int64(caseSeed))))
@@ -114,14 +103,11 @@ func Run(cfg Config) *Report {
 				ShrinkRuns:  runs,
 			})
 		}
-		if len(cfg.Shards) < 2 {
-			continue
-		}
 		// The sharded-PDES identity oracle is stack-independent (the
 		// replica runs under the sharded default stack), so it sits
 		// outside the stacks loop.
 		rep.Runs++
-		v, err := pdesIdentity(sc, caseSeed, cfg.Shards)
+		v, err := pdesIdentity(sc, caseSeed)
 		if err != nil {
 			rep.Skipped++
 			continue

@@ -10,19 +10,12 @@ import (
 // output is deterministic for a fixed Config (goldens pin it).
 func (r *Report) Render() string {
 	var b strings.Builder
-	pdesRuns := 0
-	if r.PDES > 1 {
-		pdesRuns = r.Cases
-	}
 	stacks := r.Runs
 	if r.Cases > 0 {
-		stacks = (r.Runs - pdesRuns) / r.Cases
+		stacks = (r.Runs - r.Cases) / r.Cases // each case adds one pdes run
 	}
-	fmt.Fprintf(&b, "quickcheck: %d cases x %d stacks", r.Cases, stacks)
-	if r.PDES > 1 {
-		fmt.Fprintf(&b, " + pdes identity x %d group counts", r.PDES)
-	}
-	fmt.Fprintf(&b, " (seed %d)\n", r.Seed)
+	fmt.Fprintf(&b, "quickcheck: %d cases x %d stacks + pdes chunking identity (seed %d)\n",
+		r.Cases, stacks, r.Seed)
 	fmt.Fprintf(&b, "runs %d, skipped %d (admission-rejected builds), failures %d\n",
 		r.Runs, r.Skipped, len(r.Failures))
 	if len(r.Failures) == 0 {

@@ -16,7 +16,7 @@ func TestRenderGoldenPass(t *testing.T) {
 	// Seed 1's case 1 packs a 1-PCPU host past dpwrap admission once the
 	// slack rides on top (bandwidth 1.206 > 1.0), so its RTVirt run skips
 	// — the harness records rejected builds rather than failing them.
-	want := "quickcheck: 5 cases x 4 stacks + pdes identity x 3 group counts (seed 1)\n" +
+	want := "quickcheck: 5 cases x 4 stacks + pdes chunking identity (seed 1)\n" +
 		"runs 25, skipped 1 (admission-rejected builds), failures 0\n" +
 		"PASS: every invariant held in every run"
 	if got != want {
@@ -31,7 +31,7 @@ func TestRenderFailure(t *testing.T) {
 	rep := &Report{
 		Seed:  9,
 		Cases: 1,
-		Runs:  4,
+		Runs:  5,
 		Failures: []Failure{{
 			Case:  0,
 			Stack: "rt-xen",
@@ -45,8 +45,8 @@ func TestRenderFailure(t *testing.T) {
 		}},
 	}
 	got := rep.Render()
-	want := "quickcheck: 1 cases x 4 stacks (seed 9)\n" +
-		"runs 4, skipped 0 (admission-rejected builds), failures 1\n" +
+	want := "quickcheck: 1 cases x 4 stacks + pdes chunking identity (seed 9)\n" +
+		"runs 5, skipped 0 (admission-rejected builds), failures 1\n" +
 		"FAIL: 1 violating run(s)\n" +
 		"[0] case 0 under rt-xen: 1 violation(s), shrunk in 3 step(s) over 17 run(s)\n" +
 		"    [1.5ms] budget: vm0/vcpu0 overdrew its budget by 2µs on pcpu0\n" +

@@ -5,8 +5,9 @@
 // considered to dynamically adjust VM placement at runtime, but its
 // overhead must be properly accounted for."
 //
-// The engine is Sharded (sharded.go): every host runs on its own simulator
-// under conservative parallel discrete-event simulation. VMs are placed by
+// The engine is Sharded (sharded.go): every host runs on its own simulator,
+// and the simulators advance in conservative lookahead windows on one
+// thread. VMs are placed by
 // a pluggable bandwidth-aware policy, live-migrated between hosts with a
 // stop-and-copy downtime model (constant handoff plus a
 // per-reserved-bandwidth term, after the authors' own migration-cost
@@ -62,9 +63,8 @@ type TaskSpec struct {
 	Phase simtime.Duration
 	// Adaptive, when set, attaches a feedback controller that retunes the
 	// task's slice from observed response times. Controllers are
-	// host-local — they observe the resident host's trace bus and actuate
-	// through the resident guest — so they preserve the sharded run's
-	// executor-group invariance.
+	// host-local: they observe the resident host's trace bus and actuate
+	// through the resident guest.
 	Adaptive *guest.AdaptiveConfig
 }
 

@@ -93,7 +93,7 @@ func TestPlacedVMsMeetDeadlines(t *testing.T) {
 		vms = append(vms, d)
 	}
 	c.Start()
-	c.Run(5*simtime.Second, 1)
+	c.Run(5 * simtime.Second)
 	for _, d := range vms {
 		for _, tk := range d.Tasks() {
 			if st := tk.Stats(); st.Missed != 0 {
@@ -113,7 +113,7 @@ func TestLiveMigration(t *testing.T) {
 	}
 	src := hostOf(c, d)
 	c.Start()
-	c.Run(2*simtime.Second, 1)
+	c.Run(2 * simtime.Second)
 
 	target, err := c.Migrate("mover", nil)
 	if err != nil {
@@ -126,7 +126,7 @@ func TestLiveMigration(t *testing.T) {
 	if bw := src.ReservedBandwidth(); bw > 0.01 {
 		t.Fatalf("source still reserves %.3f during blackout", bw)
 	}
-	c.Run(2*simtime.Second, 1)
+	c.Run(2 * simtime.Second)
 	if hostOf(c, d) != target || d.Migrations != 1 {
 		t.Fatalf("migration not completed: host=%v migrations=%d", hostOf(c, d).Name, d.Migrations)
 	}
@@ -136,7 +136,7 @@ func TestLiveMigration(t *testing.T) {
 	// The VM runs again on the target: fresh releases complete.
 	tk := d.Tasks()[0]
 	before := tk.Stats().Completed
-	c.Run(simtime.Second, 1)
+	c.Run(simtime.Second)
 	if tk.Stats().Completed <= before {
 		t.Fatal("no progress after migration")
 	}
@@ -191,12 +191,12 @@ func TestRebalance(t *testing.T) {
 			h0.ReservedBandwidth(), h1.ReservedBandwidth())
 	}
 	c.Start()
-	c.Run(simtime.Second, 1)
+	c.Run(simtime.Second)
 	moves := c.Rebalance(0.3)
 	if moves == 0 {
 		t.Fatal("rebalance made no moves")
 	}
-	c.Run(simtime.Second, 1) // let blackouts finish
+	c.Run(simtime.Second) // let blackouts finish
 	gap := h0.ReservedBandwidth() - h1.ReservedBandwidth()
 	if gap < 0 {
 		gap = -gap
@@ -234,11 +234,11 @@ func TestMigrationCleansUpSourceHost(t *testing.T) {
 	}
 	c.Start()
 	for i := 0; i < 6; i++ {
-		c.Run(simtime.Second, 1)
+		c.Run(simtime.Second)
 		if _, err := c.Migrate("pingpong", nil); err != nil {
 			t.Fatalf("migration %d: %v", i, err)
 		}
-		c.Run(simtime.Second, 1)
+		c.Run(simtime.Second)
 	}
 	for _, h := range c.Hosts {
 		vms := len(h.Sys.Host.VMs())
@@ -254,7 +254,7 @@ func TestMigrationCleansUpSourceHost(t *testing.T) {
 	// The VM still makes progress.
 	tk := d.Tasks()[0]
 	before := tk.Stats().Completed
-	c.Run(simtime.Second, 1)
+	c.Run(simtime.Second)
 	if tk.Stats().Completed <= before {
 		t.Fatal("no progress after ping-pong migrations")
 	}
@@ -283,7 +283,7 @@ func churnHolds(t *testing.T, seed uint64) bool {
 	}
 	c.Start()
 	for e := 0; e < 10; e++ {
-		c.Run(simtime.Duration(200+rng.Int63n(800))*simtime.Millisecond, 1)
+		c.Run(simtime.Duration(200+rng.Int63n(800)) * simtime.Millisecond)
 		names := c.Deployments()
 		if len(names) == 0 {
 			return false
@@ -291,7 +291,7 @@ func churnHolds(t *testing.T, seed uint64) bool {
 		d := names[rng.Intn(len(names))]
 		_, _ = c.Migrate(d.Spec.Name, nil) // failures are fine
 	}
-	c.Run(2*simtime.Second, 1)
+	c.Run(2 * simtime.Second)
 	// Invariants.
 	for _, h := range c.Hosts {
 		if h.ReservedBandwidth() > h.Capacity()+1e-6 {
@@ -303,7 +303,7 @@ func churnHolds(t *testing.T, seed uint64) bool {
 	for _, d := range c.Deployments() {
 		tk := d.Tasks()[0]
 		before := tk.Stats().Completed
-		c.Run(simtime.Second, 1)
+		c.Run(simtime.Second)
 		if tk.Stats().Completed <= before {
 			t.Logf("seed %d: %s stalled after churn", seed, d.Spec.Name)
 			return false
@@ -353,7 +353,7 @@ func TestFailHostRecoversVMs(t *testing.T) {
 		t.Fatal("worst-fit co-located the VMs")
 	}
 	c.Start()
-	c.Run(simtime.Seconds(2), 1)
+	c.Run(simtime.Seconds(2))
 
 	crashed := hostOf(c, d1)
 	survivor := hostOf(c, d2)
@@ -372,7 +372,7 @@ func TestFailHostRecoversVMs(t *testing.T) {
 		t.Fatalf("second FailHost returned %v", again)
 	}
 
-	c.Run(simtime.Seconds(2), 1)
+	c.Run(simtime.Seconds(2))
 	if d1.Migrating() || d1.Pending() || hostOf(c, d1) != survivor {
 		t.Fatalf("vm a not recovered: recovering=%v pending=%v host=%v",
 			d1.Migrating(), d1.Pending(), hostOf(c, d1).Name)
@@ -387,7 +387,7 @@ func TestFailHostRecoversVMs(t *testing.T) {
 	if missesAfterRecovery == 0 {
 		t.Fatal("500ms blackout caused no misses")
 	}
-	c.Run(simtime.Seconds(2), 1)
+	c.Run(simtime.Seconds(2))
 	if got := tk.Stats().Missed; got != missesAfterRecovery {
 		t.Fatalf("still missing after recovery: %d -> %d", missesAfterRecovery, got)
 	}
@@ -435,11 +435,11 @@ func TestFailHostNoCapacityThenRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Start()
-	c.Run(simtime.Seconds(1), 1)
+	c.Run(simtime.Seconds(1))
 
 	h0 := c.Hosts[0]
 	c.FailHost(h0)
-	c.Run(simtime.Seconds(2), 1) // the run's barrier finds nowhere to go
+	c.Run(simtime.Seconds(2)) // the run's barrier finds nowhere to go
 	if !big.Pending() {
 		t.Fatal("1.9-CPU VM recovered without capacity")
 	}
@@ -455,11 +455,11 @@ func TestFailHostNoCapacityThenRestore(t *testing.T) {
 		t.Fatalf("pending accounting: failovers=%d blackout=%v, want 1 and the 2s dark",
 			big.Failovers, big.BlackoutTotal)
 	}
-	c.Run(simtime.Seconds(2), 1)
+	c.Run(simtime.Seconds(2))
 	// Clean run after restoration: misses stop accumulating.
 	tk := big.Tasks()[0]
 	before := tk.Stats().Missed
-	c.Run(simtime.Seconds(1), 1)
+	c.Run(simtime.Seconds(1))
 	if got := tk.Stats().Missed; got != before {
 		t.Fatalf("missing after restore: %d -> %d", before, got)
 	}
@@ -476,7 +476,7 @@ func TestMigrateToHostThatFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Start()
-	c.Run(simtime.Seconds(1), 1)
+	c.Run(simtime.Seconds(1))
 
 	src := hostOf(c, d)
 	target := c.Hosts[(d.HostIndex()+1)%len(c.Hosts)]
@@ -486,7 +486,7 @@ func TestMigrateToHostThatFails(t *testing.T) {
 	// The target dies during the blackout: the VM must fall back to a
 	// live host instead of deploying onto the corpse.
 	c.FailHost(target)
-	c.Run(simtime.Seconds(2), 1)
+	c.Run(simtime.Seconds(2))
 	if d.Pending() {
 		t.Fatal("VM stuck pending despite spare capacity")
 	}
@@ -498,7 +498,7 @@ func TestMigrateToHostThatFails(t *testing.T) {
 	}
 	tk := d.Tasks()[0]
 	before := tk.Stats().Missed
-	c.Run(simtime.Seconds(1), 1)
+	c.Run(simtime.Seconds(1))
 	if got := tk.Stats().Missed; got != before {
 		t.Fatalf("missing after fallback: %d -> %d", before, got)
 	}
@@ -519,7 +519,7 @@ func TestRedirectedHandoffStaysStale(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Start()
-	c.Run(simtime.Second, 1)
+	c.Run(simtime.Second)
 	target := c.Hosts[(d.HostIndex()+1)%len(c.Hosts)]
 	if _, err := c.Migrate("a", target); err != nil {
 		t.Fatal(err)
@@ -527,9 +527,9 @@ func TestRedirectedHandoffStaysStale(t *testing.T) {
 	if affected := c.FailHost(target); len(affected) != 1 || affected[0] != d {
 		t.Fatalf("affected = %v, want the VM in flight", affected)
 	}
-	c.Run(ms(150), 1) // the redirected handoff lands
+	c.Run(ms(150)) // the redirected handoff lands
 	c.RestoreHost(target)
-	c.Run(simtime.Second, 1) // the stale one comes due
+	c.Run(simtime.Second) // the stale one comes due
 	if n := len(target.Sys.Host.VMs()); n != 0 {
 		t.Fatalf("stale handoff deployed %d VMs on the restored target", n)
 	}
@@ -559,11 +559,11 @@ func TestPendingReplacedAtNextBarrier(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Start()
-	c.Run(simtime.Millis(500), 1)
+	c.Run(simtime.Millis(500))
 	if _, err := c.Deploy(1, vmSpec("squatter", 7, 10)); err != nil { // 0.75 charged
 		t.Fatal(err)
 	}
-	c.Run(simtime.Second, 1)
+	c.Run(simtime.Second)
 	if !d.Pending() || d.Guest() != nil || c.Hosts[1].Agent().FailedDeploys != 1 {
 		t.Fatalf("landing on a full host: pending=%v dark=%v faildeploy=%d",
 			d.Pending(), d.Guest() == nil, c.Hosts[1].Agent().FailedDeploys)
@@ -572,14 +572,14 @@ func TestPendingReplacedAtNextBarrier(t *testing.T) {
 		!strings.Contains(dig, "pending=true") {
 		t.Fatalf("digest does not show the pending VM:\n%s", dig)
 	}
-	c.Run(simtime.Second, 1)
+	c.Run(simtime.Second)
 	if d.Pending() || d.HostIndex() != 0 || d.Failovers != 1 {
 		t.Fatalf("not re-placed at the barrier: pending=%v host=%d failovers=%d",
 			d.Pending(), d.HostIndex(), d.Failovers)
 	}
 	tk := d.Tasks()[0]
 	before := tk.Stats().Completed
-	c.Run(simtime.Second, 1)
+	c.Run(simtime.Second)
 	if tk.Stats().Completed <= before {
 		t.Fatal("no progress after re-placement")
 	}
@@ -595,7 +595,7 @@ func TestDeployRespectsHandoffsInFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Start()
-	c.Run(simtime.Millis(100), 1)
+	c.Run(simtime.Millis(100))
 	if _, err := c.Migrate("mover", c.Hosts[1]); err != nil {
 		t.Fatal(err)
 	}
@@ -605,7 +605,7 @@ func TestDeployRespectsHandoffsInFlight(t *testing.T) {
 	if d, err := c.Place(vmSpec("late", 7, 10)); err != nil || d.HostIndex() != 0 {
 		t.Fatalf("Place: err = %v, want host0", err)
 	}
-	c.Run(simtime.Second, 1)
+	c.Run(simtime.Second)
 	for _, h := range c.Hosts {
 		if h.ReservedBandwidth() > h.Capacity()+1e-9 {
 			t.Fatalf("%s overcommitted: %.3f", h.Name, h.ReservedBandwidth())
@@ -620,7 +620,7 @@ func TestMigrateRejectsPendingVM(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Start()
-	c.Run(simtime.Seconds(1), 1)
+	c.Run(simtime.Seconds(1))
 	c.FailHost(hostOf(c, d))
 	if _, err := c.Migrate("a", nil); !errors.Is(err, ErrMigrating) {
 		t.Fatalf("migrating a recovering VM: err = %v", err)
@@ -652,9 +652,7 @@ func TestQuickFailoverChaos(t *testing.T) {
 		}
 		c.Start()
 		for e := 0; e < 12; e++ {
-			// Two executor groups, so -race sees the agents' barrier-time
-			// reads (failure flags, handoff epochs) across threads.
-			c.Run(simtime.Duration(100+rng.Int63n(700))*simtime.Millisecond, 2)
+			c.Run(simtime.Duration(100+rng.Int63n(700)) * simtime.Millisecond)
 			switch rng.Intn(3) {
 			case 0:
 				c.FailHost(c.Hosts[rng.Intn(len(c.Hosts))])
@@ -689,7 +687,7 @@ func TestQuickFailoverChaos(t *testing.T) {
 		for _, h := range c.Hosts {
 			c.RestoreHost(h)
 		}
-		c.Run(3*simtime.Second, 1)
+		c.Run(3 * simtime.Second)
 		for _, d := range c.Deployments() {
 			if d.Pending() {
 				t.Logf("seed %d: %s still pending after full restore", seed, d.Spec.Name)
@@ -701,7 +699,7 @@ func TestQuickFailoverChaos(t *testing.T) {
 			}
 			tk := d.Tasks()[0]
 			before := tk.Stats().Completed
-			c.Run(simtime.Second, 1)
+			c.Run(simtime.Second)
 			if tk.Stats().Completed <= before {
 				t.Logf("seed %d: %s stopped making progress", seed, d.Spec.Name)
 				return false
@@ -715,10 +713,9 @@ func TestQuickFailoverChaos(t *testing.T) {
 }
 
 // TestClusterDeterminism: identical seeds reproduce identical outcomes
-// bit-for-bit, including through migrations, a crash and a recovery, and
-// at any executor group count.
+// bit-for-bit, including through migrations, a crash and a recovery.
 func TestClusterDeterminism(t *testing.T) {
-	run := func(groups int) string {
+	run := func() string {
 		cfg := controlConfig()
 		cfg.Hosts = 3
 		cfg.PCPUs = 2
@@ -730,24 +727,22 @@ func TestClusterDeterminism(t *testing.T) {
 			}
 		}
 		c.Start()
-		c.Run(simtime.Second, groups)
+		c.Run(simtime.Second)
 		_, _ = c.Migrate("vm1", nil)
-		c.Run(simtime.Second, groups)
+		c.Run(simtime.Second)
 		c.FailHost(c.Hosts[0])
-		c.Run(simtime.Second, groups)
+		c.Run(simtime.Second)
 		c.RestoreHost(c.Hosts[0])
-		c.Run(simtime.Second, groups)
+		c.Run(simtime.Second)
 		c.Finish()
 		return c.DigestString()
 	}
-	a := run(1)
+	a := run()
 	if !strings.Contains(a, "failovers=") {
 		t.Fatalf("the crash caused no failover:\n%s", a)
 	}
-	for _, g := range []int{1, 2} {
-		if b := run(g); a != b {
-			t.Fatalf("non-deterministic cluster run at %d groups:\n--- first ---\n%s--- second ---\n%s", g, a, b)
-		}
+	if b := run(); a != b {
+		t.Fatalf("non-deterministic cluster run:\n--- first ---\n%s--- second ---\n%s", a, b)
 	}
 }
 
@@ -765,7 +760,7 @@ func sweepDriver(cfg ShardedConfig) sweepOutcome {
 		r.Hosts[i] = hostOf(c, d).Name
 	}
 	c.Start()
-	c.Run(2*simtime.Second, 1)
+	c.Run(2 * simtime.Second)
 	for i, name := range []string{"a", "b"} {
 		d, _ := c.Lookup(name)
 		for _, tk := range d.Tasks() {

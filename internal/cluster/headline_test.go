@@ -35,7 +35,7 @@ func headlineCluster(tb testing.TB) *Sharded {
 func TestRebalanceFailoverHeadline(t *testing.T) {
 	c := headlineCluster(t)
 	c.Start()
-	c.Run(5*simtime.Second, 1)
+	c.Run(5 * simtime.Second)
 	reserved := func() string {
 		return fmt.Sprintf("%.2f/%.2f", c.Hosts[0].ReservedBandwidth(), c.Hosts[1].ReservedBandwidth())
 	}
@@ -45,7 +45,7 @@ func TestRebalanceFailoverHeadline(t *testing.T) {
 	if moves := c.Rebalance(0.3); moves != 2 {
 		t.Fatalf("Rebalance made %d migrations, want 2", moves)
 	}
-	c.Run(5*simtime.Second, 1)
+	c.Run(5 * simtime.Second)
 	if got := reserved(); got != "0.82/0.82" {
 		t.Fatalf("after rebalancing reserved %s, want 0.82/0.82", got)
 	}
@@ -72,7 +72,7 @@ func TestRebalanceFailoverHeadline(t *testing.T) {
 	if affected := c.FailHost(c.Hosts[0]); len(affected) != 2 {
 		t.Fatalf("crash affected %d VMs, want 2", len(affected))
 	}
-	c.Run(5*simtime.Second, 1)
+	c.Run(5 * simtime.Second)
 	if got := reserved(); got != "0.00/1.65" {
 		t.Fatalf("after failover reserved %s, want 0.00/1.65", got)
 	}
@@ -91,10 +91,10 @@ func BenchmarkRebalanceFailover(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c := headlineCluster(b)
 		c.Start()
-		c.Run(5*simtime.Second, 1)
+		c.Run(5 * simtime.Second)
 		c.Rebalance(0.3)
-		c.Run(5*simtime.Second, 1)
+		c.Run(5 * simtime.Second)
 		c.FailHost(c.Hosts[0])
-		c.Run(5*simtime.Second, 1)
+		c.Run(5 * simtime.Second)
 	}
 }

@@ -27,7 +27,7 @@ func TestMemoryFlatRackWorld(t *testing.T) {
 	c := buildRackWorld(t, false)
 	span := simtime.Second
 	c.Start()
-	c.Run(span, 1)
+	c.Run(span)
 	counts := func() []int {
 		var n []int
 		for _, d := range c.Deployments() {
@@ -44,7 +44,7 @@ func TestMemoryFlatRackWorld(t *testing.T) {
 	var m0, m1 runtime.MemStats
 	debug.FreeOSMemory()
 	runtime.ReadMemStats(&m0)
-	c.Run(span, 1)
+	c.Run(span)
 	runtime.ReadMemStats(&m1)
 	after := counts()
 	samples, recording := 0, 0

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 
+	"rtvirt/internal/clone"
 	"rtvirt/internal/core"
 	"rtvirt/internal/dist"
 	"rtvirt/internal/guest"
@@ -17,7 +18,7 @@ import (
 
 // This file is the cluster engine: a Sharded cluster gives every host its
 // own sim.Simulator — its own clock, event queue, and RNG stream — and
-// advances all of them concurrently in sim.ShardSet lookahead windows
+// advances them one after another in sim.ShardSet lookahead windows
 // (conservative PDES). All cross-host interaction during a window
 // (client→server request traffic, planned live-migration handoff,
 // post-migration request forwarding) travels through the shard mailbox
@@ -26,12 +27,12 @@ import (
 // instant, so the control calls of control.go (placement, migration,
 // rebalance, host failure) run there and may read and write any host.
 //
-// Ownership discipline (what makes the parallel run race-free AND
-// grouping-invariant): during a window a host's handlers may touch only
-// state owned by that host. A deployment is owned by the host it resides
-// on; ownership transfers through the migration protocol, whose two sides
-// run at least one lookahead apart and are therefore separated by a
-// barrier. Agents decide residency from their own local maps — never by
+// Ownership discipline (what makes a window's outcome independent of the
+// order its hosts run in): during a window a host's handlers may touch
+// only state owned by that host. A deployment is owned by the host it
+// resides on; ownership transfers through the migration protocol, whose
+// two sides run at least one lookahead apart and are therefore separated
+// by a barrier. Agents decide residency from their own local maps — never by
 // peeking at another host's state mid-window. The only cross-host reads
 // are of state that changes only at barriers: topology (shard pointers,
 // agent handler IDs), host failure flags, and handoff epochs.
@@ -68,9 +69,8 @@ type ShardedConfig struct {
 	// global Lookahead floor, and the declared migration-pair edges widen
 	// to match, so per-edge windows stretch to the topology's real link
 	// latencies. Nil charges every forwarded hop exactly Lookahead. The
-	// function must be pure (same inputs, same answer — Fork shares it)
-	// and must never return less than Lookahead; the first undershooting
-	// hop panics.
+	// function must be pure (same inputs, same answer) and must never
+	// return less than Lookahead; the first undershooting hop panics.
 	LinkDelay func(src, dst int) simtime.Duration
 }
 
@@ -422,7 +422,11 @@ func (c *Sharded) deployGuest(d *ShardedDeployment, host int) error {
 		}
 	}
 	d.hostIdx = host
-	d.wireStats()
+	// Guest teardown drops the callbacks, so every deploy sets them anew.
+	for i := range d.tasks {
+		rec := &d.lat[i]
+		d.tasks[i].OnJobDone = func(j *task.Job) { rec.Add(j.Finish.Sub(j.Release)) }
+	}
 	for i, ts := range d.Spec.Tasks {
 		if ts.Adaptive == nil {
 			continue
@@ -504,18 +508,6 @@ func (d *ShardedDeployment) Controller(i int) *guest.AdaptiveController {
 		return nil
 	}
 	return d.ctrl[i]
-}
-
-// wireStats points every task's OnJobDone at the deployment's recorders.
-// Called after each deploy and after each fork (task.Clone and guest
-// teardown both drop the callbacks).
-func (d *ShardedDeployment) wireStats() {
-	for i := range d.tasks {
-		rec := &d.lat[i]
-		d.tasks[i].OnJobDone = func(j *task.Job) {
-			rec.Add(j.Finish.Sub(j.Release))
-		}
-	}
 }
 
 // startTasks begins the deployment's periodic releases (phase-shifted
@@ -646,13 +638,13 @@ func (c *Sharded) Start() {
 	}
 }
 
-// Run advances the whole cluster by d using up to groups concurrent
-// executors. Any group count produces bit-identical results; groups > 1
-// only changes the wall clock. Its start is a barrier: Pending VMs are
-// re-placed first.
-func (c *Sharded) Run(d simtime.Duration, groups int) {
+// Run advances the whole cluster by d. Its start is a barrier: Pending
+// VMs are re-placed first. Any further arguments are ignored; they exist
+// only so that callers written when Run took an executor group count
+// still compile.
+func (c *Sharded) Run(d simtime.Duration, _ ...int) {
 	c.settle()
-	c.Set.RunFor(d, groups)
+	c.Set.RunFor(d)
 }
 
 // Finish settles every host's accounting (idle-time attribution etc.)
@@ -662,6 +654,9 @@ func (c *Sharded) Finish() {
 		h.Sys.Host.Sync()
 	}
 }
+
+// ForkHandler implements sim.Handler. A sharded cluster does not fork.
+func (a *hostAgent) ForkHandler(*clone.Ctx) sim.Handler { panic("cluster: not forkable") }
 
 // HandleSimEvent implements sim.Handler for the host agent.
 func (a *hostAgent) HandleSimEvent(now simtime.Time, ev sim.Payload) {
@@ -774,6 +769,9 @@ func (a *hostAgent) migrateIn(now simtime.Time, ev sim.Payload) {
 	}
 }
 
+// ForkHandler implements sim.Handler. A sharded cluster does not fork.
+func (cl *RemoteClient) ForkHandler(*clone.Ctx) sim.Handler { panic("cluster: not forkable") }
+
 // HandleSimEvent implements sim.Handler for the remote client.
 func (cl *RemoteClient) HandleSimEvent(now simtime.Time, ev sim.Payload) {
 	if ev.Kind != evRemoteFire {
@@ -797,9 +795,9 @@ func (cl *RemoteClient) HandleSimEvent(now simtime.Time, ev sim.Payload) {
 // event counts and traffic stats, per-VM placement, migration and
 // blackout totals, per-task deadline statistics and latency counts, and
 // per-client send counts — as a deterministic string. Two runs of the
-// same configuration must produce byte-identical digests regardless of
-// executor group count; the golden tests and the quickcheck PDES oracle
-// pin exactly that.
+// same configuration produce byte-identical digests, and so do runs split
+// into different Run calls, apart from the window count; the golden tests
+// and the quickcheck PDES oracle pin exactly that.
 func (c *Sharded) DigestString() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "events=%d windows=%d now=%d\n", c.Set.EventsFired(), c.Set.Windows(), c.Set.Now())

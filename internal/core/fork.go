@@ -16,24 +16,10 @@ import (
 // Fork cannot fail.
 func (sys *System) Fork() (*System, *clone.Ctx) {
 	ctx := clone.New()
-	sys.Sim.Fork(ctx)
-	return sys.ForkWith(ctx), ctx
-}
-
-// ForkWith assembles the forked System wrapper inside an existing clone
-// pass. The simulator must already have been forked into ctx (Fork does
-// this; a sharded cluster forks every host's simulator with its shard set).
-func (sys *System) ForkWith(ctx *clone.Ctx) *System {
-	if n, ok := ctx.Lookup(sys); ok {
-		return n.(*System)
-	}
 	nsys := &System{
 		Cfg:  sys.Cfg,
-		Sim:  clone.Get(ctx, sys.Sim),
+		Sim:  sys.Sim.Fork(ctx),
 		Host: sys.Host.ForkHandler(ctx).(*hv.Host),
-	}
-	if sys.Cfg.SharedSim != nil {
-		nsys.Cfg.SharedSim = nsys.Sim
 	}
 	ctx.Put(sys, nsys)
 	nsys.guests = make([]*guest.OS, len(sys.guests))
@@ -42,5 +28,5 @@ func (sys *System) ForkWith(ctx *clone.Ctx) *System {
 		// the host walk; guests that were shut down are cloned here.
 		nsys.guests[i] = g.ForkDriver(ctx).(*guest.OS)
 	}
-	return nsys
+	return nsys, ctx
 }

@@ -66,7 +66,7 @@ func MapIdx[T, R any](parallel int, items []T, fn func(int, T) R) []R {
 // MapForked runs a warm-start sweep: every arm starts from the same
 // warmed-up base world instead of replaying the shared prefix from scratch.
 // fork(i, arm) derives arm i's private world from the base — typically
-// core.System.Fork or cluster.Sharded.Fork — and run(i, arm, world)
+// with core.System.Fork — and run(i, arm, world)
 // executes the arm's divergent tail. Forks happen sequentially on the
 // calling goroutine, because deep-forking reads the shared base and
 // concurrent forks of the same world would race; the runs then fan out

@@ -287,6 +287,12 @@ type TaskSpec struct {
 // conversion to simulated time overflows.
 const maxPeriodUS = 100_000_000
 
+// maxVCPUs bounds a VM's vcpus, max_vcpus and server count. Building an
+// RTVirt VM costs more than quadratic time in its VCPUs (5.6 s at 40,000),
+// so a short scenario could otherwise ask for hours of work; at 1024 the
+// build takes milliseconds, far above the 15-PCPU host the paper measured.
+const maxVCPUs = 1024
+
 // closedFormMinGap floors the closed-form sporadic client's gaps, so no
 // rate_hz above one request per closedFormMinGap can be met.
 const closedFormMinGap = 100 * simtime.Microsecond
@@ -381,6 +387,9 @@ func (sc Scenario) Validate() error {
 	if sc.PCPUs < 0 {
 		return fmt.Errorf("scenario: pcpus must be 0 (the default, %d) or positive, got %d", DefaultPCPUs, sc.PCPUs)
 	}
+	if sc.PCPUs > trace.MaxPCPUs {
+		return fmt.Errorf("scenario: pcpus %d above the %d maximum", sc.PCPUs, trace.MaxPCPUs)
+	}
 	if sc.Seconds < 0 {
 		return fmt.Errorf("scenario: seconds must be 0 (the default, %d) or positive, got %d", DefaultSeconds, sc.Seconds)
 	}
@@ -408,6 +417,14 @@ func (sc Scenario) Validate() error {
 		}
 		if vm.WorkingSetMiB < 0 {
 			return fmt.Errorf("scenario: VM %q has negative working_set_mib", vm.Name)
+		}
+		for _, f := range []struct {
+			name string
+			n    int
+		}{{"vcpus", vm.VCPUs}, {"max_vcpus", vm.MaxVCPUs}, {"servers", len(vm.Servers)}} {
+			if f.n > maxVCPUs {
+				return fmt.Errorf("scenario: VM %q %s %d above the %d maximum", vm.Name, f.name, f.n, maxVCPUs)
+			}
 		}
 		if vm.MaxVCPUs != 0 && vm.MaxVCPUs < vm.VCPUs {
 			return fmt.Errorf("scenario: VM %q max_vcpus %d below vcpus %d",

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -141,6 +142,40 @@ func TestValidate(t *testing.T) {
 		Tasks: []TaskSpec{{Name: "t", SliceUS: 1, PeriodUS: maxPeriodUS}}}}}
 	if err := sc.Validate(); err != nil {
 		t.Errorf("period_us at the maximum rejected: %v", err)
+	}
+	// Each size field is rejected just above its maximum, by field and
+	// limit, and accepted at it.
+	sizes := []struct {
+		field string
+		limit int
+		set   func(*Scenario, int)
+	}{
+		{"pcpus", trace.MaxPCPUs, func(sc *Scenario, v int) { sc.PCPUs = v }},
+		{"vcpus", maxVCPUs, func(sc *Scenario, v int) { sc.VMs[0].VCPUs = v }},
+		{"max_vcpus", maxVCPUs, func(sc *Scenario, v int) { sc.VMs[0].MaxVCPUs = v }},
+		{"servers", maxVCPUs, func(sc *Scenario, v int) {
+			sc.VMs[0].Servers = make([]ServerSpec, v)
+			for i := range sc.VMs[0].Servers {
+				sc.VMs[0].Servers[i] = ServerSpec{BudgetUS: 1, PeriodUS: 10}
+			}
+		}},
+	}
+	for _, f := range sizes {
+		for _, v := range []int{f.limit, f.limit + 1} {
+			sc := Scenario{VMs: []VM{{Name: "a", Tasks: []TaskSpec{{Name: "t", SliceUS: 1, PeriodUS: 10}}}}}
+			f.set(&sc, v)
+			err := sc.Validate()
+			if v == f.limit {
+				if err != nil {
+					t.Errorf("%s %d at the maximum rejected: %v", f.field, v, err)
+				}
+				continue
+			}
+			if err == nil || !strings.Contains(err.Error(), f.field) ||
+				!strings.Contains(err.Error(), fmt.Sprintf("the %d maximum", f.limit)) {
+				t.Errorf("%s %d: error %v, want one naming the field and the %d maximum", f.field, v, err, f.limit)
+			}
+		}
 	}
 	// A bad server budget is rejected by VM name and server index; under
 	// Credit a zero budget stays valid, as an uncapped share.

@@ -45,7 +45,7 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 		sh.Sim().RegisterHandler(recs[i])
 	}
 	declareComplete(set, l)
-	set.RunUntil(0, 1) // sizes the coordinator's scratch
+	set.RunUntil(0) // sizes the coordinator's scratch
 	all := set.Shards()
 	edge := make([]int64, shards*shards) // per-edge emission counters
 	rng := all[0].Sim().RNG()

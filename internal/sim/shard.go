@@ -4,15 +4,14 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sync"
 
-	"rtvirt/internal/clone"
 	"rtvirt/internal/simtime"
 )
 
 // This file implements sharded (conservative-PDES) execution: a ShardSet
 // holds one Simulator per shard (logical process — in the cluster model,
-// one per host), and advances them concurrently in lookahead windows.
+// one per host), and advances them one after another in lookahead
+// windows.
 //
 // The synchronization protocol is classic conservative null-message-free
 // windowing, generalized to a per-edge lookahead matrix (distance-matrix
@@ -62,21 +61,16 @@ import (
 // next-times live in a 4-ary min-heap (shardHeap), so termination and
 // window selection are O(active·log n); each shard's bound terms are
 // sorted by walk distance, so its scan stops at the first term that even
-// the globally-earliest next-time cannot bring below the running min; the
-// barrier drain posts each sender's outbox straight into its targets,
-// with no sort; and multi-group execution hands each window's shares
-// to persistent executor goroutines over one unbuffered channel, which
-// allocates nothing per window.
+// the globally-earliest next-time cannot bring below the running min; and
+// the barrier drain posts each sender's outbox straight into its targets,
+// with no sort.
 //
-// Determinism does not depend on how shards are grouped onto executors:
-// each shard's intra-window execution is single-threaded on its own
-// queue, window bounds are computed by the coordinator as a pure function
-// of the global event population, and the barrier drain posts the
-// senders' outboxes in ascending shard ID, each in emission order, so
-// every target assigns fresh seqs to its same-instant messages in
-// (source shard, emission) order. Runs with 1, 2, 4, or
-// 8 executor groups are therefore bit-identical — the golden the sharded
-// cluster tests pin.
+// Runs are deterministic: window bounds are a pure function of the global
+// event population, within a window each shard runs only its own queue,
+// and the barrier drain posts the senders' outboxes in ascending shard
+// ID, each in emission order, so every target assigns fresh seqs to its
+// same-instant messages in (source shard, emission) order. The sharded
+// cluster goldens pin the result.
 
 // Shard is one logical process of a sharded simulation: its own Simulator
 // (clock, queue, RNG, handlers) plus an outbox of cross-shard messages
@@ -128,8 +122,7 @@ type ShardSet struct {
 	inRun   bool
 
 	// Per-run coordinator state, rebuilt by RunUntil and reused across
-	// windows. All of it is written by the coordinator between barriers;
-	// executors only read active/bounds/curEnd/curGroups during a round.
+	// windows.
 	heap      shardHeap
 	keys      []simtime.Time // heap key storage, indexed by shard ID
 	bounds    []simtime.Time // per-shard window bound, indexed by shard ID
@@ -142,8 +135,6 @@ type ShardSet struct {
 	candEpoch []uint64 // epoch stamps: candidate or mailed in the current pass
 	epoch     uint64
 	mailed    []int32 // shards that received mail in the last drain, first seen first
-	curEnd    simtime.Time
-	curGroups int
 }
 
 // NewShardSet creates an empty shard set with no edges: until
@@ -243,7 +234,7 @@ func (sh *Shard) Sim() *Simulator { return sh.sim }
 // must have been declared — undeclared pairs are non-edges the window
 // bounds ignore, so a message on one could rewind the target. Messages
 // are held in the sender's outbox and delivered into the target queue at
-// the next barrier, in an order independent of executor grouping.
+// the next barrier, in (source shard, emission) order.
 // Posting to the shard itself panics — local work uses PostAt and needs
 // no lookahead.
 func (sh *Shard) PostRemote(to *Shard, at simtime.Time, p Payload) {
@@ -271,8 +262,7 @@ func (sh *Shard) PostRemote(to *Shard, at simtime.Time, p Payload) {
 // assigns that queue's fresh seqs — and posting sender by sender, each
 // outbox in emission order, gives every target its same-instant messages
 // in (source shard, emission) order. That order depends only on
-// simulation state, so delivery is identical however the previous
-// window's shards were grouped. Mailed targets are stamped with the
+// simulation state. Mailed targets are stamped with the
 // coordinator's epoch, so mailed lists each once, first seen first.
 // Outboxes are zeroed after delivery so delivered payloads don't linger
 // reachable between windows of a long run.
@@ -290,71 +280,6 @@ func (ss *ShardSet) drainFrom(senders []int32) {
 		}
 		clear(sh.outbox)
 		sh.outbox = sh.outbox[:0]
-	}
-}
-
-// execWindow runs executor group g's share of the current window: every
-// curGroups-th shard of the active list, each up to its own bound. Active
-// shards are disjoint across groups, so the only shared state is
-// read-only.
-func (ss *ShardSet) execWindow(g int) {
-	for k := g; k < len(ss.active); k += ss.curGroups {
-		id := ss.active[k]
-		ss.shards[id].sim.runWindow(ss.bounds[id], ss.curEnd)
-	}
-}
-
-// shareResult reports one executor group's share of a window: the value
-// its execWindow panicked with, or nil.
-type shareResult struct {
-	group int
-	value any
-}
-
-// executor runs the shares the coordinator sends on start until start is
-// closed, answering each on done. A panic is recovered and sent back, so
-// the executor stays alive and the coordinator still joins every group.
-func (ss *ShardSet) executor(start <-chan int, done chan<- shareResult, exited *sync.WaitGroup) {
-	defer exited.Done()
-	for g := range start {
-		done <- shareResult{group: g, value: ss.runShare(g)}
-	}
-}
-
-// runShare runs group g's share of the window and returns what it
-// panicked with, or nil.
-func (ss *ShardSet) runShare(g int) (value any) {
-	defer func() { value = recover() }()
-	ss.execWindow(g)
-	return nil
-}
-
-// execShares runs one window on groups executor groups: it sends shares
-// 1..groups-1 to the executors, runs share 0 itself, and joins one result
-// per share. The channel operations order the window's plain memory: the
-// coordinator's writes happen before each executor's receive, and each
-// executor's writes happen before the coordinator's receive of its
-// result. Every group finishes the window before any panic propagates;
-// the lowest group's panic wins, so share 0's own panic propagates
-// unchanged once the others have joined.
-func (ss *ShardSet) execShares(groups int, start chan<- int, done <-chan shareResult) {
-	for g := 1; g < groups; g++ {
-		start <- g
-	}
-	var first shareResult
-	func() {
-		defer func() {
-			for g := 1; g < groups; g++ {
-				r := <-done
-				if r.value != nil && (first.value == nil || r.group < first.group) {
-					first = r
-				}
-			}
-		}()
-		ss.execWindow(0)
-	}()
-	if first.value != nil {
-		panic(fmt.Sprintf("sim: executor group %d panicked: %v", first.group, first.value))
 	}
 }
 
@@ -477,11 +402,9 @@ func (ss *ShardSet) selectWindow(first bool, end simtime.Time) {
 }
 
 // RunUntil advances every shard to end under conservative windowed
-// synchronization, using up to groups concurrent executors (1 = fully
-// sequential, same results). Shards are assigned to executors round-robin
-// over the active list; the assignment is pure bookkeeping — outputs are
-// bit-identical for every group count.
-func (ss *ShardSet) RunUntil(end simtime.Time, groups int) {
+// synchronization. Each window runs its active shards one after another,
+// each up to its own bound.
+func (ss *ShardSet) RunUntil(end simtime.Time) {
 	if len(ss.shards) == 0 {
 		return
 	}
@@ -491,15 +414,7 @@ func (ss *ShardSet) RunUntil(end simtime.Time, groups int) {
 	ss.inRun = true
 	defer func() { ss.inRun = false }()
 
-	if groups < 1 {
-		groups = 1
-	}
-	if groups > len(ss.shards) {
-		groups = len(ss.shards)
-	}
 	n := len(ss.shards)
-	ss.curEnd = end
-	ss.curGroups = groups
 	if cap(ss.keys) < n {
 		ss.keys = make([]simtime.Time, n)
 		ss.bounds = make([]simtime.Time, n)
@@ -514,22 +429,6 @@ func (ss *ShardSet) RunUntil(end simtime.Time, groups int) {
 		ss.allIDs[i] = int32(i)
 	}
 	ss.sealTopology()
-
-	var start chan int
-	var done chan shareResult
-	if groups > 1 {
-		start = make(chan int)
-		done = make(chan shareResult)
-		var exited sync.WaitGroup
-		exited.Add(groups - 1)
-		for i := 1; i < groups; i++ {
-			go ss.executor(start, done, &exited)
-		}
-		defer func() {
-			close(start)
-			exited.Wait()
-		}()
-	}
 
 	// Deliver anything buffered before the run, then index the next-times.
 	ss.drainFrom(ss.allIDs)
@@ -552,16 +451,9 @@ func (ss *ShardSet) RunUntil(end simtime.Time, groups int) {
 		}
 		ss.windows++
 
-		switch {
-		case len(ss.active) == 1:
-			id := ss.active[0]
+		for _, id := range ss.active {
 			ss.shards[id].sim.runWindow(ss.bounds[id], end)
-		case groups == 1:
-			ss.execWindow(0)
-		default:
-			ss.execShares(groups, start, done)
 		}
-
 		for _, id := range ss.active {
 			ss.heap.update(id, ss.shards[id].sim.q.PeekTime())
 		}
@@ -582,38 +474,6 @@ func (ss *ShardSet) RunUntil(end simtime.Time, groups int) {
 }
 
 // RunFor advances the set by d from its current global time.
-func (ss *ShardSet) RunFor(d simtime.Duration, groups int) {
-	ss.RunUntil(ss.Now().Add(d), groups)
-}
-
-// Fork deep-copies the whole shard set — every shard's simulator, the
-// in-flight mailbox messages, and the declared edge-lookahead matrix —
-// through one shared clone context, so cross-shard references held by
-// handlers (e.g. a cluster agent holding peers' shard pointers) land on
-// the forked twins. Shard clones are memoized before any simulator forks,
-// mirroring the Put-before-fill rule. Coordinator scratch (heap, bounds,
-// candidate sets) is per-run state and is rebuilt by the next RunUntil.
-func (ss *ShardSet) Fork(ctx *clone.Ctx) *ShardSet {
-	if ss.inRun {
-		panic("sim: Fork during RunUntil")
-	}
-	nss := &ShardSet{windows: ss.windows}
-	ctx.Put(ss, nss)
-	nss.shards = make([]*Shard, len(ss.shards))
-	for i, sh := range ss.shards {
-		nsh := &Shard{
-			id:    sh.id,
-			set:   nss,
-			edgeL: append([]simtime.Duration(nil), sh.edgeL...),
-		}
-		if len(sh.outbox) > 0 {
-			nsh.outbox = append([]remoteMsg(nil), sh.outbox...)
-		}
-		ctx.Put(sh, nsh)
-		nss.shards[i] = nsh
-	}
-	for i, sh := range ss.shards {
-		nss.shards[i].sim = sh.sim.Fork(ctx)
-	}
-	return nss
+func (ss *ShardSet) RunFor(d simtime.Duration) {
+	ss.RunUntil(ss.Now().Add(d))
 }

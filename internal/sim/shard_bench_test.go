@@ -17,7 +17,7 @@ import (
 // paid once per benchmark run rather than once per op.
 func BenchmarkShardWindow(b *testing.B) {
 	w := buildMeshWorld(1, 64, rackRingEdges(64), func(int) int { return 1 << 30 }, 2)
-	w.set.RunFor(simtime.Millis(20), 1)
+	w.set.RunFor(simtime.Millis(20))
 	msgs := func() (n int) {
 		for _, nd := range w.nodes {
 			n += nd.recvd
@@ -27,7 +27,7 @@ func BenchmarkShardWindow(b *testing.B) {
 	windows, events, sent := w.set.Windows(), w.set.EventsFired(), msgs()
 	b.ReportAllocs()
 	b.ResetTimer()
-	w.set.RunFor(simtime.Duration(b.N)*simtime.Millis(20), 1)
+	w.set.RunFor(simtime.Duration(b.N) * simtime.Millis(20))
 	b.StopTimer()
 	windows, events, sent = w.set.Windows()-windows, w.set.EventsFired()-events, msgs()-sent
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(windows), "ns/window")

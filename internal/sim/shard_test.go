@@ -1,11 +1,8 @@
 package sim
 
 import (
-	"fmt"
-	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"rtvirt/internal/clone"
 	"rtvirt/internal/simtime"
@@ -63,19 +60,7 @@ func (p *pinger) HandleSimEvent(now simtime.Time, ev Payload) {
 	}
 }
 
-func (p *pinger) ForkHandler(ctx *clone.Ctx) Handler {
-	if n, ok := ctx.Lookup(p); ok {
-		return n.(*pinger)
-	}
-	np := &pinger{id: p.id, ticks: p.ticks, limit: p.limit, hash: p.hash}
-	ctx.Put(p, np)
-	np.sh = clone.Get(ctx, p.sh)
-	np.peers = make([]*Shard, len(p.peers))
-	for i, sh := range p.peers {
-		np.peers[i] = clone.Get(ctx, sh)
-	}
-	return np
-}
+func (p *pinger) ForkHandler(*clone.Ctx) Handler { panic("pinger: not forkable") }
 
 type pingWorld struct {
 	set     *ShardSet
@@ -131,37 +116,15 @@ func equalU64(a, b []uint64) bool {
 	return true
 }
 
-// TestShardSetGroupInvariance is the kernel-level determinism golden: the
-// same sharded world produces bit-identical state under 1, 2, 3, 4, and 8
-// executor groups.
-func TestShardSetGroupInvariance(t *testing.T) {
-	ref := buildPingWorld(7, 8)
-	ref.set.RunUntil(simtime.Time(simtime.Millis(20)), 1)
-	want := ref.digest()
-	if ref.set.Windows() == 0 || ref.set.EventsFired() == 0 {
-		t.Fatalf("degenerate reference run: %d windows, %d events", ref.set.Windows(), ref.set.EventsFired())
-	}
-	for _, groups := range []int{2, 3, 4, 8} {
-		w := buildPingWorld(7, 8)
-		w.set.RunUntil(simtime.Time(simtime.Millis(20)), groups)
-		if got := w.digest(); !equalU64(got, want) {
-			t.Errorf("groups=%d diverged from sequential: got %v want %v", groups, got, want)
-		}
-		if w.set.Windows() != ref.set.Windows() {
-			t.Errorf("groups=%d window count %d != sequential %d", groups, w.set.Windows(), ref.set.Windows())
-		}
-	}
-}
-
 // TestShardSetResume checks that windowed runs compose: run-to-10ms then
 // run-to-20ms equals one run-to-20ms.
 func TestShardSetResume(t *testing.T) {
 	one := buildPingWorld(3, 4)
-	one.set.RunUntil(simtime.Time(simtime.Millis(20)), 2)
+	one.set.RunUntil(simtime.Time(simtime.Millis(20)))
 
 	two := buildPingWorld(3, 4)
-	two.set.RunUntil(simtime.Time(simtime.Millis(10)), 3)
-	two.set.RunUntil(simtime.Time(simtime.Millis(20)), 2)
+	two.set.RunUntil(simtime.Time(simtime.Millis(10)))
+	two.set.RunUntil(simtime.Time(simtime.Millis(20)))
 
 	if !equalU64(one.digest(), two.digest()) {
 		t.Fatalf("split run diverged: %v vs %v", two.digest(), one.digest())
@@ -202,38 +165,6 @@ func TestPostRemoteSelfAndForeignPanic(t *testing.T) {
 	mustPanic("foreign-set post", func() { a.PostRemote(other, simtime.Time(simtime.Micros(100)), Payload{}) })
 }
 
-// TestShardSetFork forks a sharded world mid-run — including messages
-// sitting in a shard outbox at fork time — and checks both continuations
-// stay bit-identical.
-func TestShardSetFork(t *testing.T) {
-	w := buildPingWorld(11, 4)
-	w.set.RunUntil(simtime.Time(simtime.Millis(5)), 2)
-
-	// Leave genuinely in-flight mailbox traffic for the fork to copy.
-	shards := w.set.Shards()
-	shards[1].PostRemote(shards[2], w.set.Now().Add(simtime.Millis(1)),
-		Payload{Handler: 0, Kind: evPingPong, Arg: 42})
-	if len(shards[1].outbox) != 1 {
-		t.Fatal("expected a buffered outbox message")
-	}
-
-	ctx := clone.New()
-	nset := w.set.Fork(ctx)
-	if got := len(nset.Shards()[1].outbox); got != 1 {
-		t.Fatalf("fork lost the in-flight mailbox message (outbox len %d)", got)
-	}
-	fw := &pingWorld{set: nset}
-	for _, p := range w.pingers {
-		fw.pingers = append(fw.pingers, clone.Get(ctx, p))
-	}
-
-	w.set.RunUntil(simtime.Time(simtime.Millis(15)), 3)
-	fw.set.RunUntil(simtime.Time(simtime.Millis(15)), 1)
-	if !equalU64(w.digest(), fw.digest()) {
-		t.Fatalf("fork diverged: original %v fork %v", w.digest(), fw.digest())
-	}
-}
-
 // TestShardIdleShard checks a shard with no events never blocks progress.
 func TestShardIdleShard(t *testing.T) {
 	set := NewShardSet()
@@ -242,7 +173,7 @@ func TestShardIdleShard(t *testing.T) {
 	p := &pinger{sh: a, peers: []*Shard{a}, limit: 0, hash: 1}
 	p.id = a.Sim().RegisterHandler(p)
 	a.Sim().PostAt(0, Payload{Handler: p.id, Kind: evPingTick})
-	set.RunUntil(simtime.Time(simtime.Millis(1)), 2)
+	set.RunUntil(simtime.Time(simtime.Millis(1)))
 	if set.EventsFired() != 1 {
 		t.Fatalf("fired %d events, want 1", set.EventsFired())
 	}
@@ -250,74 +181,5 @@ func TestShardIdleShard(t *testing.T) {
 		if sh.Sim().Now() != simtime.Time(simtime.Millis(1)) {
 			t.Fatalf("shard %d clock %v, want 1ms", sh.ID(), sh.Sim().Now())
 		}
-	}
-}
-
-// boomer counts its events, or panics on the first one when boom is set.
-type boomer struct {
-	boom  bool
-	id    int
-	fired int
-}
-
-func (b *boomer) HandleSimEvent(now simtime.Time, ev Payload) {
-	if b.boom {
-		panic(fmt.Sprintf("boom %d", b.id))
-	}
-	b.fired++
-}
-
-func (b *boomer) ForkHandler(*clone.Ctx) Handler { panic("boomer: not forkable") }
-
-// TestShardExecutorPanic pins the executor groups' panic contract. Four
-// shards with no edges all run in the first window, shard i in executor
-// group i. Every group finishes the window before RunUntil re-raises, the
-// lowest panicking group wins (share 0's own panic value unchanged, any
-// other group's named in the message), and no executor goroutine outlives
-// the run.
-func TestShardExecutorPanic(t *testing.T) {
-	baseline := runtime.NumGoroutine()
-	const shards, events = 4, 10
-	for _, tc := range []struct {
-		panics []int
-		want   string
-	}{
-		{[]int{0, 2}, "boom 0"},
-		{[]int{2, 3}, "sim: executor group 2 panicked: boom 2"},
-		{[]int{1}, "sim: executor group 1 panicked: boom 1"},
-	} {
-		set := NewShardSet()
-		bs := make([]*boomer, shards)
-		for i := range bs {
-			sh := set.NewShard(uint64(i + 1))
-			bs[i] = &boomer{id: i}
-			h := sh.Sim().RegisterHandler(bs[i])
-			for k := 1; k <= events; k++ {
-				sh.Sim().PostAt(simtime.Time(simtime.Micros(int64(k))), Payload{Handler: h})
-			}
-		}
-		for _, i := range tc.panics {
-			bs[i].boom = true
-		}
-		func() {
-			defer func() {
-				if r := recover(); r != tc.want {
-					t.Errorf("panics %v: RunUntil raised %v, want %q", tc.panics, r, tc.want)
-				}
-			}()
-			set.RunUntil(simtime.Time(simtime.Millis(1)), shards)
-		}()
-		for i, b := range bs {
-			if !b.boom && b.fired != events {
-				t.Errorf("panics %v: shard %d fired %d of %d events before the re-raise", tc.panics, i, b.fired, events)
-			}
-		}
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); n > baseline {
-		t.Errorf("%d goroutines after the runs, %d before: executors leaked", n, baseline)
 	}
 }

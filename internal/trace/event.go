@@ -100,6 +100,13 @@ func (k *Kind) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
+// MaxPCPUs is the largest host the tools accept: scenario.Validate
+// rejects more pcpus, and ReadJSONL rejects an event whose pcpu is at or
+// above it. Per-PCPU tables and reports have a row for every PCPU up to
+// the largest id seen, so the bound keeps them small whatever a trace
+// names. 4096 is far above the paper's 15-PCPU host.
+const MaxPCPUs = 4096
+
 // Event is one telemetry record: a fixed-size value type, cheap to copy
 // and free of heap references beyond the identifying strings (which alias
 // long-lived names, never per-event allocations).

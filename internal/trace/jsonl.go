@@ -47,7 +47,11 @@ func (j *JSONL) Flush() error {
 // simulation with those sinks attached. It returns the number of events
 // replayed. The simulator emits in time order, so an event earlier than
 // the one before it is an error that names both (events count from 1);
-// the sinks would otherwise report negative spans and run times.
+// the sinks would otherwise report negative spans and run times. So is an
+// event before time zero, one whose pcpu is at or above MaxPCPUs, and one
+// with a negative duration in its Arg: no simulation emits them, and the
+// reports would print negative or wrapped durations or a row per PCPU up
+// to the named one.
 func ReadJSONL(r io.Reader, sinks ...Sink) (int, error) {
 	dec := json.NewDecoder(r)
 	n := 0
@@ -59,6 +63,15 @@ func ReadJSONL(r io.Reader, sinks ...Sink) (int, error) {
 				return n, nil
 			}
 			return n, fmt.Errorf("trace: event %d: %w", n+1, err)
+		}
+		if ev.At < 0 {
+			return n, fmt.Errorf("trace: event %d at %v precedes time zero", n+1, ev.At)
+		}
+		if ev.PCPU >= MaxPCPUs {
+			return n, fmt.Errorf("trace: event %d names pcpu %d, at or above the %d-PCPU limit", n+1, ev.PCPU, MaxPCPUs)
+		}
+		if statKinds[ev.Kind] && ev.Arg < 0 {
+			return n, fmt.Errorf("trace: event %d (%v) carries a negative duration %d in arg", n+1, ev.Kind, ev.Arg)
 		}
 		if n > 0 && ev.At < last {
 			return n, fmt.Errorf("trace: event %d at %v precedes event %d at %v", n+1, ev.At, n, last)

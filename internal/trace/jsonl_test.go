@@ -2,6 +2,7 @@ package trace_test
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -80,6 +81,51 @@ func TestJSONLTimeBackwards(t *testing.T) {
 	}
 	if n != 2 || counts.Total() != 2 {
 		t.Fatalf("replayed %d events (%d counted) before the error, want 2", n, counts.Total())
+	}
+}
+
+// A pcpu at or above MaxPCPUs is rejected by event index before any sink
+// sees it; the summary would otherwise grow a row for every PCPU up to it.
+// The highest legal PCPU replays.
+func TestJSONLPCPULimit(t *testing.T) {
+	line := func(pcpu int) string {
+		return fmt.Sprintf(`{"at_ns":5,"kind":"dispatch","pcpu":%d,"vm":"a","vcpu":0}`+"\n", pcpu)
+	}
+	var sum trace.Summary
+	if n, err := trace.ReadJSONL(strings.NewReader(line(trace.MaxPCPUs-1)), &sum); err != nil || n != 1 {
+		t.Fatalf("pcpu %d: replayed %d events, error %v; want 1 and none", trace.MaxPCPUs-1, n, err)
+	}
+	if got := len(sum.PCPUs); got != trace.MaxPCPUs {
+		t.Errorf("summary holds %d PCPUs, want %d", got, trace.MaxPCPUs)
+	}
+	var counts trace.Counts
+	n, err := trace.ReadJSONL(strings.NewReader(line(0)+line(trace.MaxPCPUs)), &counts)
+	want := fmt.Sprintf("trace: event 2 names pcpu %d, at or above the %d-PCPU limit", trace.MaxPCPUs, trace.MaxPCPUs)
+	if err == nil || err.Error() != want {
+		t.Fatalf("error %v, want %q", err, want)
+	}
+	if n != 1 || counts.Total() != 1 {
+		t.Fatalf("replayed %d events (%d counted) before the error, want 1", n, counts.Total())
+	}
+}
+
+// An event before time zero, or one with a negative duration in its Arg,
+// is rejected by index: no simulation emits one, and the replay would
+// print a wrapped window or a negative p99. Migrate's Arg is a PCPU id,
+// not a duration, and is not checked.
+func TestJSONLRejectsNegatives(t *testing.T) {
+	for _, tc := range []struct{ in, want string }{
+		{`{"at_ns":-1,"kind":"dispatch","pcpu":0}`, "trace: event 1 at -1ns precedes time zero"},
+		{`{"at_ns":5,"kind":"job-done","pcpu":0,"vm":"a","arg":-7000}`, "trace: event 1 (job-done) carries a negative duration -7000 in arg"},
+	} {
+		if _, err := trace.ReadJSONL(strings.NewReader(tc.in)); err == nil || err.Error() != tc.want {
+			t.Errorf("%s: error %v, want %q", tc.in, err, tc.want)
+		}
+	}
+	in := `{"at_ns":0,"kind":"job-done","pcpu":0,"vm":"a","arg":0}
+{"at_ns":5,"kind":"migrate","pcpu":1,"vm":"a","arg":-1}`
+	if n, err := trace.ReadJSONL(strings.NewReader(in)); err != nil || n != 2 {
+		t.Errorf("replayed %d events, error %v; want 2 and none", n, err)
 	}
 }
 

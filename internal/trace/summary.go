@@ -108,6 +108,11 @@ func (s *Summary) Consume(ev Event) {
 		if v.lastPCPU >= 0 && v.lastPCPU != ev.PCPU {
 			v.Migrations++
 			s.Migrations++
+			// A VCPU runs on one PCPU at a time: if its old PCPU has
+			// not switched away yet, its run there ends now.
+			if old := &s.PCPUs[v.lastPCPU]; old.cur == v {
+				old.settle(ev.At)
+			}
 		}
 		v.lastPCPU = ev.PCPU
 		p.cur, p.since = v, ev.At

@@ -111,6 +111,26 @@ func TestSummaryRunIntervals(t *testing.T) {
 	}
 }
 
+// A VCPU dispatched on a second PCPU before its first one switched away
+// stops running on the first: it runs on one PCPU at a time. Crediting
+// both runs would overstate its CPU time, and two runs over a span near
+// 2⁶³ ns would wrap its total negative.
+func TestSummaryVCPUOnOnePCPUAtATime(t *testing.T) {
+	end := simtime.Time(1<<63 - 1)
+	s := digest(
+		trace.Event{At: 0, Kind: trace.Dispatch, PCPU: 0, VM: "a", VCPU: 0},
+		trace.Event{At: 0, Kind: trace.Dispatch, PCPU: 1, VM: "a", VCPU: 0},
+		trace.Event{At: end, Kind: trace.Dispatch, PCPU: 1},
+	)
+	k := trace.VCPUKey{VM: "a", VCPU: 0}
+	if got := s.VCPUs[k].Run; got != s.Window() {
+		t.Errorf("run %v, want the window %v", got, s.Window())
+	}
+	if b0, b1 := s.PCPUs[0].Busy, s.PCPUs[1].Busy; b0 != 0 || b1 != s.Window() {
+		t.Errorf("busy pcpu0 %v pcpu1 %v, want 0 and %v", b0, b1, s.Window())
+	}
+}
+
 // TestSummaryOpenRunsSettleAtClose: a run still open is credited only by
 // Close, so a read before Close never counts time the trace did not see.
 func TestSummaryOpenRunsSettleAtClose(t *testing.T) {

@@ -89,11 +89,11 @@ func TestPublicAPICluster(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Start()
-	c.Run(2*rtvirt.Second, 1)
+	c.Run(2 * rtvirt.Second)
 	if _, err := c.Migrate("vm", nil); err != nil {
 		t.Fatal(err)
 	}
-	c.Run(2*rtvirt.Second, 1)
+	c.Run(2 * rtvirt.Second)
 	if d.Migrations != 1 {
 		t.Fatalf("migrations = %d", d.Migrations)
 	}
